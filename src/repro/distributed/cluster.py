@@ -547,25 +547,32 @@ class DistributedCluster:
         points = [self.point_of(w.table, w.key) for w in writes]
         return router.retrying(lambda: self._commit_routed(writes, points, router))
 
-    def _commit_routed(
-        self, writes: list[WriteOp], points: list[int], router: Router
-    ) -> Timestamp:
-        by_shard: dict[int, tuple[list[WriteOp], list[int]]] = {}
-        for w, point in zip(writes, points):
+    def _route(
+        self, items: list, points: list[int], router: Router
+    ) -> dict[int, tuple[list, list[int]]]:
+        """Group ``items`` (writes or rows) by owning shard id."""
+        by_shard: dict[int, tuple[list, list[int]]] = {}
+        for item, point in zip(items, points):
             sid = router.shard_for_point(point).shard_id
             slot = by_shard.get(sid)
             if slot is None:
                 slot = by_shard[sid] = ([], [])
-            slot[0].append(w)
+            slot[0].append(item)
             slot[1].append(point)
         # Every participant validates ownership before anything is
         # proposed, so a stale route aborts with no partial effects.
-        for sid, (_ws, ps) in by_shard.items():
+        for sid, (_items, ps) in by_shard.items():
             self._check_ownership(sid, ps)
         # Dangling intents on the involved shards must resolve before
-        # this transaction validates against their row state.
+        # this operation validates against their row state.
         for sid in sorted(by_shard):
             self._settle_shard(sid)
+        return by_shard
+
+    def _commit_routed(
+        self, writes: list[WriteOp], points: list[int], router: Router
+    ) -> Timestamp:
+        by_shard = self._route(writes, points, router)
         commit_ts = self.clock.tick()
         if self.commit_protocol == "fast" and len(by_shard) == 1:
             ((sid, (ws, _ps)),) = by_shard.items()
@@ -573,11 +580,11 @@ class DistributedCluster:
             self.commits_single_shard += 1
             self._m_commit_1p.inc()
         elif self.commit_protocol == "fast":
-            self._commit_piggybacked(by_shard, commit_ts)
+            self._commit_coordinated(self.piggyback, by_shard, commit_ts)
             self.commits_piggybacked += 1
             self._m_commit_pb.inc()
         else:
-            self._commit_two_phase(by_shard, commit_ts)
+            self._commit_coordinated(self.coordinator, by_shard, commit_ts)
             self.commits_two_phase += 1
             self._m_commit_2pc.inc()
         self.commits += 1
@@ -603,40 +610,24 @@ class DistributedCluster:
             ("commit1p", txn_id, writes, commit_ts)
         )
 
-    def _commit_piggybacked(
+    def _commit_coordinated(
         self,
+        coordinator: PiggybackCoordinator | TwoPhaseCoordinator,
         by_shard: dict[int, tuple[list[WriteOp], list[int]]],
         commit_ts: Timestamp,
     ) -> None:
-        """Residual multi-shard transactions: the one-round piggybacked
-        protocol.  Each shard durably logs PREPARED + intent in one
-        propose; the commit round is queued and settles lazily."""
+        """Multi-shard transactions.  Under the one-round piggybacked
+        protocol each shard durably logs PREPARED + intent in one
+        propose and the commit round settles lazily; the baseline
+        two-round protocol stays behind ``commit_protocol="baseline"``
+        for cost-parity differential testing."""
         participants = {
             f"region{sid}": _RaftRegionParticipant(self, sid) for sid in by_shard
         }
         payloads = {
             f"region{sid}": (ws, commit_ts) for sid, (ws, _ps) in by_shard.items()
         }
-        result = self.piggyback.execute(payloads, participants)
-        if result.outcome is TxnOutcome.ABORTED:
-            self.aborts += 1
-            raise TransactionAborted(result.txn_id, "shard validation failed")
-
-    def _commit_two_phase(
-        self,
-        by_shard: dict[int, tuple[list[WriteOp], list[int]]],
-        commit_ts: Timestamp,
-    ) -> None:
-        """The baseline two-round protocol, kept behind
-        ``commit_protocol="baseline"`` for cost-parity differential
-        testing against the optimized paths."""
-        participants = {
-            f"region{sid}": _RaftRegionParticipant(self, sid) for sid in by_shard
-        }
-        payloads = {
-            f"region{sid}": (ws, commit_ts) for sid, (ws, _ps) in by_shard.items()
-        }
-        result = self.coordinator.execute(payloads, participants)
+        result = coordinator.execute(payloads, participants)
         if result.outcome is TxnOutcome.ABORTED:
             self.aborts += 1
             raise TransactionAborted(result.txn_id, "shard validation failed")
@@ -662,18 +653,7 @@ class DistributedCluster:
     def _bulk_routed(
         self, table: str, rows: list[Row], points: list[int], router: Router
     ) -> Timestamp:
-        by_shard: dict[int, tuple[list[Row], list[int]]] = {}
-        for row, point in zip(rows, points):
-            sid = router.shard_for_point(point).shard_id
-            slot = by_shard.get(sid)
-            if slot is None:
-                slot = by_shard[sid] = ([], [])
-            slot[0].append(row)
-            slot[1].append(point)
-        for sid, (_rs, ps) in by_shard.items():
-            self._check_ownership(sid, ps)
-        for sid in sorted(by_shard):
-            self._settle_shard(sid)
+        by_shard = self._route(rows, points, router)
         commit_ts = self.clock.tick()
         schema = self.schemas[table]
         for sid, (shard_rows, _ps) in by_shard.items():
@@ -767,7 +747,7 @@ class DistributedCluster:
     # ------------------------------------------------------------- sync & time
 
     def advance(self, delta_us: float) -> None:
-        """Let replication/heartbeats make progress (world-wide tick)."""
+        """Let replication/heartbeats make progress (world-wide)."""
         self._build()
         self.network.advance(delta_us)
 
@@ -777,17 +757,16 @@ class DistributedCluster:
         includes every decided piggybacked transaction."""
         self._build()
         self.settle_all()
-        spent = 0.0
-        while spent < max_us:
+
+        def drained() -> bool:
             lagging = any(
                 self._groups[sid].elect_leader().commit_index
                 > self._groups[sid].nodes[f"r{sid}.learner"].last_applied
                 for sid in self._live_sids()
             )
-            if not lagging and self.network.pending() == 0:
-                return
-            self.advance(500.0)
-            spent += 500.0
+            return not lagging and self.network.pending() == 0
+
+        self.network.run_until(drained, 500.0, max_us)
 
     def sync(self) -> int:
         """Ship + merge learner delta logs into the column stores."""
@@ -820,19 +799,18 @@ class DistributedCluster:
             self.metadata, cost=self.cost, name=name, point_fn=self.point_of
         )
 
-    def insert(self, table: str, row: Row) -> Timestamp:
+    def _write_row(self, kind: WriteKind, table: str, row: Row) -> Timestamp:
         schema = self.schemas[table]
         row = schema.validate_row(row)
         return self.execute_transaction(
-            [WriteOp(WriteKind.INSERT, table, schema.key_of(row), row)]
+            [WriteOp(kind, table, schema.key_of(row), row)]
         )
 
+    def insert(self, table: str, row: Row) -> Timestamp:
+        return self._write_row(WriteKind.INSERT, table, row)
+
     def update(self, table: str, row: Row) -> Timestamp:
-        schema = self.schemas[table]
-        row = schema.validate_row(row)
-        return self.execute_transaction(
-            [WriteOp(WriteKind.UPDATE, table, schema.key_of(row), row)]
-        )
+        return self._write_row(WriteKind.UPDATE, table, row)
 
     def delete(self, table: str, key: Key) -> Timestamp:
         return self.execute_transaction([WriteOp(WriteKind.DELETE, table, key, None)])
@@ -851,15 +829,11 @@ class _RaftRegionParticipant:
         self._group = cluster._groups[region]
         self._n_writes = 0
 
-    def _leader_sm(self) -> RegionStateMachine:
-        leader = self._group.elect_leader()
-        return self._cluster._region_sms[self._region][leader.node_id]
-
     def prepare(self, txn_id: int, payload: Any) -> Vote:
         writes, commit_ts = payload
         self._cluster._charge_group_write(self._region, len(writes))
         self._group.propose_and_wait(("prepare", txn_id, writes, commit_ts))
-        ok = self._leader_sm().vote_log.get(txn_id, False)
+        ok = self._cluster._leader_sm(self._region).vote_log.get(txn_id, False)
         return Vote.YES if ok else Vote.NO
 
     def commit(self, txn_id: int) -> None:
@@ -875,7 +849,7 @@ class _RaftRegionParticipant:
         self._n_writes = len(writes)
         self._cluster._charge_group_write(self._region, len(writes))
         self._group.propose_and_wait(("intent", txn_id, writes, commit_ts))
-        ok = self._leader_sm().vote_log.get(txn_id, False)
+        ok = self._cluster._leader_sm(self._region).vote_log.get(txn_id, False)
         return Vote.YES if ok else Vote.NO
 
     def enqueue_resolution(self, txn_id: int, committed: bool) -> None:

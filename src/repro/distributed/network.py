@@ -1,18 +1,20 @@
-"""A deterministic simulated network.
+"""A deterministic, event-driven simulated network.
 
-Message passing for the distributed substrate (architecture (b)):
-every send is enqueued with a delivery time = now + one-way latency,
-and the cluster advances simulated time step by step, delivering due
-messages to registered node handlers.  Partitions drop messages in
-either direction.  Everything is seeded and single-threaded, so Raft
-elections and 2PC outcomes are reproducible bit-for-bit.
+Message passing and timers for the distributed substrate (architecture
+(b)): every send is enqueued with a delivery time = now + one-way
+latency, every Raft heartbeat or election deadline is a timer in a
+second heap.  Simulated time advances hop by hop to each delivery
+instant; what is due is delivered, then the due timers fire, so an
+instant at which nothing is due costs O(1) however many groups exist.
+Partitions drop messages in either direction.  Everything is seeded and
+single-threaded, so Raft elections and 2PC outcomes are reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..common.cost import CostModel
@@ -21,28 +23,37 @@ from ..obs import Histogram, get_registry
 Handler = Callable[[str, Any], None]
 """(source node id, message) -> None."""
 
-
-@dataclass(order=True)
-class _Envelope:
-    deliver_at_us: float
-    seq: int
-    src: str = field(compare=False)
-    dst: str = field(compare=False)
-    message: Any = field(compare=False)
-    sent_at_us: float = field(compare=False, default=0.0)
+#: The clock moving further than this between two timer passes means
+#: the *whole world* was suspended (a long local computation advanced
+#: the cost clock), not that a leader went silent — timer owners re-arm
+#: instead of firing, like clock-jump guards in real systems.
+_SUSPEND_GUARD_US = 1_000.0
+_NEVER = float("inf")
 
 
 class SimNetwork:
-    """Priority-queue message bus over the shared simulated clock."""
+    """Message bus and timer heap over the shared simulated clock.
+
+    A timer *owner* is any object with ``tick()`` (its timer came due)
+    and ``rearm()`` (the world was suspended while it was pending).  An
+    owner has one live timer at most; arming again supersedes it, and
+    the superseded heap entry is skipped when it surfaces.
+    """
 
     def __init__(self, cost: CostModel | None = None):
         self._cost = cost or CostModel()
         self._handlers: dict[str, Handler] = {}
-        self._queue: list[_Envelope] = []
+        # Heap entries are plain tuples compared in C; ``seq`` is unique,
+        # so a comparison never reaches the payload.
+        self._queue: list[tuple] = []   # (deliver_at, seq, src, dst, message, sent_at)
+        self._timers: list[tuple] = []  # (due_us, seq, owner)
         self._seq = itertools.count()
+        self._armed: dict[Any, float] = {}  # owner -> due_us of its live timer
+        # owner -> rank: timers due at one instant fire in first-armed order.
+        self._owners: dict[Any, int] = {}
+        self._last_pass_us = self._cost.now_us()
         self._cut: set[frozenset[str]] = set()
         self._down: set[str] = set()
-        self._tickers: list[Callable[[], None]] = []
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -52,21 +63,38 @@ class SimNetwork:
         self._m_dropped = registry.counter("network.dropped")
         self._link_hists: dict[tuple[str, str], Histogram] = {}
 
-    def add_ticker(self, ticker: Callable[[], None]) -> None:
-        """Register a callback run after every delivery hop in
-        :meth:`advance` — how Raft groups drive their timeouts in step
-        with the whole simulated world, not just their own activity."""
-        self._tickers.append(ticker)
+    # ------------------------------------------------------------- timers
 
-    def remove_ticker(self, ticker: Callable[[], None]) -> None:
-        """Forget a ticker (a retired Raft group stops driving time).
-        Idempotent: retiring twice is a no-op."""
-        if ticker in self._tickers:
-            self._tickers.remove(ticker)
+    def arm(self, owner: Any, due_us: float) -> None:
+        """``owner.tick()`` runs at the first timer pass at or after
+        ``due_us``, unless the timer is re-armed first."""
+        if owner not in self._owners:
+            self._owners[owner] = next(self._seq)
+        self._armed[owner] = due_us
+        heapq.heappush(self._timers, (due_us, next(self._seq), owner))
 
-    def _run_tickers(self) -> None:
-        for ticker in self._tickers:
-            ticker()
+    def cancel(self, owner: Any) -> None:
+        """Forget ``owner`` and its timer (a retired Raft replica)."""
+        self._armed.pop(owner, None)
+        self._owners.pop(owner, None)
+
+    def _run_timers(self) -> None:
+        """One timer pass: fire every due timer, in rank order — or, if
+        the world was suspended since the last pass, re-arm instead."""
+        now = self._cost.now_us()
+        since, self._last_pass_us = self._last_pass_us, now
+        if now - since > _SUSPEND_GUARD_US:
+            for owner in list(self._owners):
+                owner.rearm()
+            return
+        timers = self._timers
+        due = {}
+        while timers and timers[0][0] <= now:
+            due_us, _seq, owner = heapq.heappop(timers)
+            if self._armed.get(owner) == due_us:
+                due[owner] = self._owners[owner]
+        for owner in sorted(due, key=due.__getitem__):
+            owner.tick()
 
     # ------------------------------------------------------------- topology
 
@@ -120,45 +148,32 @@ class SimNetwork:
         self.sent += 1
         self._m_sent.inc()
         now = self._cost.now_us()
-        deliver_at = now + self._cost.network_oneway_us
         heapq.heappush(
             self._queue,
-            _Envelope(deliver_at, next(self._seq), src, dst, message, sent_at_us=now),
+            (now + self._cost.network_oneway_us, next(self._seq), src, dst, message, now),
         )
-
-    def broadcast(self, src: str, dsts: list[str], message: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, message)
 
     # ------------------------------------------------------------- simulation
 
     def pending(self) -> int:
         return len(self._queue)
 
-    def next_delivery_us(self) -> float | None:
-        return self._queue[0].deliver_at_us if self._queue else None
-
-    def deliver_due(self) -> int:
+    def _deliver_due(self) -> int:
         """Deliver every message whose time has come; returns the count."""
         count = 0
+        queue = self._queue
         now = self._cost.now_us()
-        while self._queue and self._queue[0].deliver_at_us <= now:
-            env = heapq.heappop(self._queue)
-            if not self._link_ok(env.src, env.dst):
+        while queue and queue[0][0] <= now:
+            _at, _seq, src, dst, message, sent_at_us = heapq.heappop(queue)
+            handler = self._handlers.get(dst)
+            if handler is None or not self._link_ok(src, dst):
                 self.dropped += 1
                 self._m_dropped.inc()
                 continue
-            handler = self._handlers.get(env.dst)
-            if handler is None:
-                self.dropped += 1
-                self._m_dropped.inc()
-                continue
-            handler(env.src, env.message)
+            handler(src, message)
             self.delivered += 1
             self._m_delivered.inc()
-            self._link_latency(env.src, env.dst).observe(
-                self._cost.now_us() - env.sent_at_us
-            )
+            self._link_latency(src, dst).observe(self._cost.now_us() - sent_at_us)
             count += 1
         return count
 
@@ -175,29 +190,58 @@ class SimNetwork:
         """Advance simulated time by ``delta_us``, delivering en route.
 
         Time moves in hops to each delivery instant so that handlers
-        observing ``now_us()`` see causally consistent clocks.
+        observing ``now_us()`` see causally consistent clocks; a timer
+        pass follows each hop's deliveries and the final stretch.
         """
-        target = self._cost.now_us() + delta_us
+        clock = self._cost.clock
+        queue = self._queue
+        target = clock.now_us() + delta_us
         delivered = 0
-        while True:
-            nxt = self.next_delivery_us()
-            if nxt is None or nxt > target:
-                break
-            self._cost.clock.advance(max(0.0, nxt - self._cost.now_us()))
-            delivered += self.deliver_due()
-            self._run_tickers()
-        remaining = target - self._cost.now_us()
+        while queue and queue[0][0] <= target:
+            clock.advance(max(0.0, queue[0][0] - clock.now_us()))
+            delivered += self._deliver_due()
+            self._run_timers()
+        remaining = target - clock.now_us()
         if remaining > 0:
-            self._cost.clock.advance(remaining)
-        self._run_tickers()
+            clock.advance(remaining)
+        self._run_timers()
         return delivered
+
+    def run_until(
+        self, predicate: Callable[[], bool], step_us: float, max_us: float
+    ) -> float:
+        """The one wait loop: advance in ``step_us`` steps, polling
+        ``predicate()`` between them, until it holds.  Returns the time
+        spent stepping; ``>= max_us`` means the budget ran out first.
+
+        ``predicate`` must depend on simulated state only: steps that
+        deliver nothing and fire no timer move nothing but the clock, so
+        a run of them is taken in one jump without polling (the clock
+        still accumulates step by step, so floats match a stepped run).
+        """
+        clock = self._cost.clock
+        spent = 0.0
+        while spent < max_us and not predicate():
+            horizon = min(
+                self._queue[0][0] if self._queue else _NEVER,
+                self._timers[0][0] if self._timers else _NEVER,
+            )
+            while spent < max_us:
+                now = clock.now_us()
+                target = now + step_us
+                landing = now + (target - now)  # where advance() would stop
+                busy = max(target, landing) >= horizon
+                if busy or landing - self._last_pass_us > _SUSPEND_GUARD_US:
+                    self.advance(step_us)
+                    spent += step_us
+                    break
+                clock.advance(target - now)
+                self._last_pass_us = landing
+                spent += step_us
+        return spent
 
     def run_until_quiet(self, max_us: float = 10_000_000.0) -> None:
         """Advance until no messages remain (bounded by ``max_us``)."""
-        spent = 0.0
-        while self._queue and spent < max_us:
-            nxt = self.next_delivery_us()
-            assert nxt is not None
-            hop = max(0.0, nxt - self._cost.now_us())
-            self.advance(hop or 1.0)
-            spent += hop or 1.0
+        self.run_until(
+            lambda: not self._queue, self._cost.network_oneway_us, max_us
+        )

@@ -10,13 +10,17 @@ in Table 1.
 
 The implementation covers leader election with randomized timeouts,
 log replication with consistency checks and conflict rollback, commit
-on majority match, and apply callbacks per node.  It is tick-driven
-over the deterministic :class:`~repro.distributed.network.SimNetwork`.
+on majority match, and apply callbacks per node.  It is event-driven:
+each voter keeps one timer armed on the deterministic
+:class:`~repro.distributed.network.SimNetwork` — the election deadline,
+or the next heartbeat once it leads — and :meth:`RaftNode.tick` is what
+the network calls when that timer comes due.
 """
 
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -90,6 +94,8 @@ _ELECTION_TIMEOUT_RANGE_US = (1_500.0, 3_000.0)
 #: the testbed's stand-in for PD-style leader balancing across nodes.
 _PREFERRED_TIMEOUT_RANGE_US = (300.0, 500.0)
 _HEARTBEAT_INTERVAL_US = 400.0
+#: How often a wait on the group polls for its outcome.
+_POLL_STEP_US = 100.0
 
 
 class RaftNode:
@@ -110,6 +116,9 @@ class RaftNode:
         self.node_id = node_id
         self.voters = list(voters)
         self.learners = list(learners)
+        self._peer_voters = [v for v in voters if v != node_id]
+        self._peer_learners = [l for l in learners if l != node_id]
+        self._peers = self._peer_voters + self._peer_learners  # replication targets
         self.preferred = preferred
         self._network = network
         self._cost = cost
@@ -117,8 +126,6 @@ class RaftNode:
         self._apply_batch_fn = apply_batch_fn
         # zlib.crc32 is stable across processes (unlike str hash, which
         # is salted and would make elections nondeterministic).
-        import zlib
-
         self._rng = make_rng(seed ^ (zlib.crc32(node_id.encode()) & 0xFFFF))
 
         self.role = Role.LEARNER if node_id in learners else Role.FOLLOWER
@@ -135,7 +142,6 @@ class RaftNode:
         self._match_index: dict[str, int] = {}
         self._election_deadline_us = self._new_election_deadline()
         self._heartbeat_due_us = 0.0
-        self._last_tick_us = cost.now_us()
 
         registry = get_registry()
         self._m_elections = registry.counter("raft.elections")
@@ -143,6 +149,7 @@ class RaftNode:
         self._m_replication_lag = registry.histogram("raft.replication_lag")
 
         network.register(node_id, self._on_message)
+        self._arm()
 
     # ------------------------------------------------------------- helpers
 
@@ -158,43 +165,36 @@ class RaftNode:
     def last_log_term(self) -> int:
         return self.log[-1].term
 
-    def _other_voters(self) -> list[str]:
-        return [v for v in self.voters if v != self.node_id]
-
-    def _replication_targets(self) -> list[str]:
-        return self._other_voters() + [l for l in self.learners if l != self.node_id]
-
     def quorum(self) -> int:
         return len(self.voters) // 2 + 1
 
     def is_leader(self) -> bool:
         return self.role is Role.LEADER
 
-    # ------------------------------------------------------------- tick
+    # ------------------------------------------------------------- timer
 
-    #: A single simulated-time hop larger than this means the *whole
-    #: world* was suspended (a long local computation advanced the cost
-    #: clock), not that the leader went silent — re-arm timers instead
-    #: of starting elections, like clock-jump guards in real systems.
-    _SUSPEND_GUARD_US = 1_000.0
+    def _arm(self) -> None:
+        """Point this node's one timer at the deadline its role waits
+        for; called wherever the role or that deadline changes."""
+        if self.role is Role.LEADER:
+            self._network.arm(self, self._heartbeat_due_us)
+        elif self.role is not Role.LEARNER:
+            self._network.arm(self, self._election_deadline_us)
 
     def tick(self) -> None:
-        """Drive timeouts; the group calls this after advancing time."""
-        now = self._cost.now_us()
-        jump = now - self._last_tick_us
-        self._last_tick_us = now
-        if self.role is Role.LEARNER:
-            return
-        if jump > self._SUSPEND_GUARD_US:
-            self._election_deadline_us = self._new_election_deadline()
-            if self.role is Role.LEADER:
-                self._heartbeat_due_us = now  # catch followers up now
-            return
+        """The timer came due: a heartbeat round, or an election."""
         if self.role is Role.LEADER:
-            if now >= self._heartbeat_due_us:
-                self._send_heartbeats()
-        elif now >= self._election_deadline_us:
+            self._send_heartbeats()
+        else:
             self._start_election()
+
+    def rearm(self) -> None:
+        """The world was suspended, the leader did not go silent:
+        restart the election clock instead of acting on it."""
+        self._election_deadline_us = self._new_election_deadline()
+        if self.role is Role.LEADER:
+            self._heartbeat_due_us = self._cost.now_us()  # catch followers up now
+        self._arm()
 
     def _start_election(self) -> None:
         self._m_elections.inc()
@@ -204,6 +204,7 @@ class RaftNode:
         self._votes_received = {self.node_id}
         self.leader_id = None
         self._election_deadline_us = self._new_election_deadline()
+        self._arm()
         message = RequestVote(
             term=self.current_term,
             candidate_id=self.node_id,
@@ -213,29 +214,22 @@ class RaftNode:
         if len(self.voters) == 1:
             self._become_leader()
             return
-        self._network.broadcast(self.node_id, self._other_voters(), message)
+        for peer in self._peer_voters:
+            self._network.send(self.node_id, peer, message)
 
     def _become_leader(self) -> None:
         self.role = Role.LEADER
         self.leader_id = self.node_id
         nxt = self.last_log_index() + 1
-        self._next_index = {peer: nxt for peer in self._replication_targets()}
-        self._match_index = {peer: 0 for peer in self._replication_targets()}
+        self._next_index = dict.fromkeys(self._peers, nxt)
+        self._match_index = dict.fromkeys(self._peers, 0)
         self._send_heartbeats()
 
     # ------------------------------------------------------------- client API
 
     def client_propose(self, command: Any) -> int:
         """Append a command (leader only); returns its log index."""
-        if self.role is not Role.LEADER:
-            raise NotLeaderError(self.node_id, self.leader_id)
-        self.log.append(LogEntry(term=self.current_term, command=command))
-        index = self.last_log_index()
-        self._cost.charge(self._cost.wal_append_us)  # leader's local log write
-        self._send_heartbeats()  # eager replication
-        if len(self.voters) == 1:
-            self._advance_commit()
-        return index
+        return self.client_propose_batch([command])
 
     def client_propose_batch(self, commands: list[Any]) -> int:
         """Append a run of commands in one log write + one replication
@@ -246,8 +240,8 @@ class RaftNode:
             return self.last_log_index()
         term = self.current_term
         self.log.extend(LogEntry(term=term, command=c) for c in commands)
-        self._cost.charge_rows(self._cost.wal_append_us, len(commands))
-        self._send_heartbeats()
+        self._cost.charge_rows(self._cost.wal_append_us, len(commands))  # local log write
+        self._send_heartbeats()  # eager replication
         if len(self.voters) == 1:
             self._advance_commit()
         return self.last_log_index()
@@ -257,7 +251,8 @@ class RaftNode:
     def _send_heartbeats(self) -> None:
         self._m_heartbeats.inc()
         self._heartbeat_due_us = self._cost.now_us() + _HEARTBEAT_INTERVAL_US
-        for peer in self._replication_targets():
+        self._arm()
+        for peer in self._peers:
             self._send_append(peer)
 
     def _send_append(self, peer: str) -> None:
@@ -297,6 +292,7 @@ class RaftNode:
             self.voted_for = None
             if self.role is not Role.LEARNER:
                 self.role = Role.FOLLOWER
+                self._arm()
 
     def _on_request_vote(self, src: str, msg: RequestVote) -> None:
         self._maybe_step_down(msg.term)
@@ -310,6 +306,7 @@ class RaftNode:
                 grant = True
                 self.voted_for = msg.candidate_id
                 self._election_deadline_us = self._new_election_deadline()
+                self._arm()
         self._network.send(
             self.node_id, src, RequestVoteReply(term=self.current_term, granted=grant)
         )
@@ -337,6 +334,7 @@ class RaftNode:
         if self.role is Role.CANDIDATE:
             self.role = Role.FOLLOWER
         self._election_deadline_us = self._new_election_deadline()
+        self._arm()
         # Log consistency check.
         if msg.prev_log_index >= len(self.log) or (
             self.log[msg.prev_log_index].term != msg.prev_log_term
@@ -385,7 +383,7 @@ class RaftNode:
             if self.log[index].term != self.current_term:
                 continue  # §5.4.2: only commit entries from the current term
             votes = 1  # self
-            for voter in self._other_voters():
+            for voter in self._peer_voters:
                 if self._match_index.get(voter, 0) >= index:
                     votes += 1
             if votes >= self.quorum():
@@ -393,10 +391,9 @@ class RaftNode:
                 self._apply_committed()
                 # Learner (columnar replica) lag in log entries at the
                 # moment of commit — the Table 1 freshness story in data.
-                learners = [l for l in self.learners if l != self.node_id]
-                if learners:
+                if self._peer_learners:
                     behind = min(
-                        self._match_index.get(l, 0) for l in learners
+                        self._match_index.get(l, 0) for l in self._peer_learners
                     )
                     self._m_replication_lag.observe(
                         float(self.commit_index - behind)
@@ -454,29 +451,21 @@ class RaftGroup:
                 preferred=(node_id == preferred_leader),
                 apply_batch_fn=apply_batch_fns.get(node_id),
             )
-        network.add_ticker(self._tick_all)
-
-    def _tick_all(self) -> None:
-        for node in self.nodes.values():
-            node.tick()
 
     def shutdown(self) -> None:
         """Retire the group: deregister every replica from the network
-        and stop driving timeouts.  Used when resharding merges a shard
+        and cancel its timer.  Used when resharding merges a shard
         away — the group's log is dead weight once the map epoch flips."""
-        for node_id in self.nodes:
+        for node_id, node in self.nodes.items():
             self.network.unregister(node_id)
-        self.network.remove_ticker(self._tick_all)
+            self.network.cancel(node)
 
     def advance(self, delta_us: float) -> None:
-        """Advance the shared world clock (ticks every registered group)."""
+        """Advance the shared world clock (every group's timers run)."""
         self.network.advance(delta_us)
 
     def run_for(self, total_us: float, step_us: float = 100.0) -> None:
-        spent = 0.0
-        while spent < total_us:
-            self.advance(step_us)
-            spent += step_us
+        self.network.run_until(lambda: False, step_us, total_us)
 
     def leader(self) -> RaftNode | None:
         leaders = [n for n in self.nodes.values() if n.is_leader()]
@@ -486,14 +475,17 @@ class RaftGroup:
         return max(leaders, key=lambda n: n.current_term)
 
     def elect_leader(self, max_us: float = 50_000.0) -> RaftNode:
-        spent = 0.0
-        while spent < max_us:
+        leader = self.leader()
+        if leader is None:
+            spent = self.network.run_until(
+                lambda: self.leader() is not None, _POLL_STEP_US, max_us
+            )
+            if spent >= max_us:
+                raise ConsensusError(
+                    f"group {self.group_id}: no leader after {max_us}us"
+                )
             leader = self.leader()
-            if leader is not None:
-                return leader
-            self.advance(100.0)
-            spent += 100.0
-        raise ConsensusError(f"group {self.group_id}: no leader after {max_us}us")
+        return leader
 
     def propose_and_wait(self, command: Any, max_us: float = 400_000.0) -> int:
         """Propose on the leader and advance time until it commits.
@@ -502,27 +494,8 @@ class RaftGroup:
         on the new leader (at-least-once delivery; the testbed's state
         machine commands are all idempotent per txn id).
         """
-        spent = 0.0
-        while spent < max_us:
-            leader = self.elect_leader()
-            index = leader.client_propose(command)
-            term = leader.current_term
-            while spent < max_us:
-                if leader.commit_index >= index and leader.current_term == term:
-                    return index
-                if (
-                    not leader.is_leader()
-                    or leader.current_term != term
-                    or self.leader() is not leader
-                ):
-                    # Deposed — or a crashed leader that still believes
-                    # in itself while the group elected a successor at a
-                    # higher term: re-elect and re-propose either way.
-                    break
-                self.advance(100.0)
-                spent += 100.0
-        raise ConsensusError(
-            f"group {self.group_id}: command uncommitted after {max_us}us"
+        return self._replicate(
+            lambda leader: leader.client_propose(command), max_us, "command"
         )
 
     def propose_batch_and_wait(
@@ -531,24 +504,37 @@ class RaftGroup:
         """Batched :meth:`propose_and_wait`: one log append + one
         replication round for the whole run of commands."""
         if not commands:
-            leader = self.elect_leader()
-            return leader.last_log_index()
+            return self.elect_leader().last_log_index()
+        return self._replicate(
+            lambda leader: leader.client_propose_batch(commands), max_us, "batch"
+        )
+
+    def _replicate(
+        self, propose: Callable[[RaftNode], int], max_us: float, what: str
+    ) -> int:
         spent = 0.0
         while spent < max_us:
             leader = self.elect_leader()
-            index = leader.client_propose_batch(commands)
+            index = propose(leader)
             term = leader.current_term
-            while spent < max_us:
-                if leader.commit_index >= index and leader.current_term == term:
-                    return index
-                if (
-                    not leader.is_leader()
+
+            def committed() -> bool:
+                return leader.commit_index >= index and leader.current_term == term
+
+            def settled() -> bool:
+                # Committed — or deposed, or a crashed leader that still
+                # believes in itself while the group elected a successor
+                # at a higher term: re-elect and re-propose either way.
+                return (
+                    committed()
+                    or not leader.is_leader()
                     or leader.current_term != term
                     or self.leader() is not leader
-                ):
-                    break  # deposed or superseded: re-elect and re-propose
-                self.advance(100.0)
-                spent += 100.0
+                )
+
+            spent += self.network.run_until(settled, _POLL_STEP_US, max_us - spent)
+            if spent < max_us and committed():
+                return index
         raise ConsensusError(
-            f"group {self.group_id}: batch uncommitted after {max_us}us"
+            f"group {self.group_id}: {what} uncommitted after {max_us}us"
         )
