@@ -164,12 +164,15 @@ class RegionStateMachine:
     def apply(self, _index: int, command: tuple) -> None:
         self.applied_commands += 1
         op = command[0]
-        if op == "prepare":
+        if op in ("prepare", "intent"):
+            # 2PC's prepare, or the piggybacked one: PREPARED + the write
+            # intent durably logged in one command, decided by "resolve".
             _op, txn_id, writes, commit_ts = command
             ok = self._validate(writes)
             self.vote_log[txn_id] = ok
             if ok:
-                self.prepared[txn_id] = (writes, commit_ts)
+                staged = self.prepared if op == "prepare" else self.intents
+                staged[txn_id] = (writes, commit_ts)
         elif op == "commit":
             _op, txn_id = command
             staged = self.prepared.pop(txn_id, None)
@@ -186,14 +189,6 @@ class RegionStateMachine:
             # proposing, so the one command installs unconditionally.
             _op, txn_id, writes, commit_ts = command
             self._install(writes, commit_ts)
-        elif op == "intent":
-            # Piggybacked prepare: PREPARED + the write intent, durably
-            # logged in one command; the decision arrives via "resolve".
-            _op, txn_id, writes, commit_ts = command
-            ok = self._validate(writes)
-            self.vote_log[txn_id] = ok
-            if ok:
-                self.intents[txn_id] = (writes, commit_ts)
         elif op == "resolve":
             # The lazy commit round: idempotent — a re-proposed resolve
             # finds the intent already popped and does nothing.
@@ -399,16 +394,13 @@ class DistributedCluster:
             # Learners replay committed runs in batches; voters keep
             # the per-entry apply (their 2PC votes are read between
             # individual proposals).
-            def _learner_apply_batch(start, commands, _sid=sid):
-                self.columnar.learner_apply_batch(_sid, start, commands)
-
-            apply_batch_fns[learner_id] = _learner_apply_batch
+            apply_batch_fns[learner_id] = lambda start, commands: (
+                self.columnar.learner_apply_batch(sid, start, commands)
+            )
         else:
-
-            def _learner_apply(index, command, _sid=sid):
-                self.columnar.learner_apply(_sid, index, command)
-
-            apply_fns[learner_id] = _learner_apply
+            apply_fns[learner_id] = lambda index, command: (
+                self.columnar.learner_apply(sid, index, command)
+            )
         group = RaftGroup(
             group_id=f"region{sid}",
             voter_ids=voters,
@@ -655,7 +647,6 @@ class DistributedCluster:
     ) -> Timestamp:
         by_shard = self._route(rows, points, router)
         commit_ts = self.clock.tick()
-        schema = self.schemas[table]
         for sid, (shard_rows, _ps) in by_shard.items():
             self._charge_group_write(sid, len(shard_rows))
             self._groups[sid].propose_and_wait(
@@ -663,12 +654,9 @@ class DistributedCluster:
             )
         self.commits += 1
         if self._migration_taps:
-            for tap in self._migration_taps:
-                for row, point in zip(rows, points):
-                    if tap.lo <= point < tap.hi:
-                        tap.record(
-                            "insert", table, schema.key_of(row), row, commit_ts
-                        )
+            key_of = self.schemas[table].key_of
+            writes = [WriteOp(WriteKind.INSERT, table, key_of(r), r) for r in rows]
+            self._tap_commit(writes, points, commit_ts)
         return commit_ts
 
     # ------------------------------------------------------------- reads
@@ -758,15 +746,14 @@ class DistributedCluster:
         self._build()
         self.settle_all()
 
-        def drained() -> bool:
-            lagging = any(
-                self._groups[sid].elect_leader().commit_index
-                > self._groups[sid].nodes[f"r{sid}.learner"].last_applied
-                for sid in self._live_sids()
-            )
-            return not lagging and self.network.pending() == 0
-
-        self.network.run_until(drained, 500.0, max_us)
+        # No group awake means no learner behind: a leader hibernates
+        # only once its learner has acknowledged (and so applied up to)
+        # the commit index.
+        self.network.run_until(
+            lambda: all(self._groups[sid].hibernating() for sid in self._live_sids()),
+            500.0,
+            max_us,
+        )
 
     def sync(self) -> int:
         """Ship + merge learner delta logs into the column stores."""

@@ -34,10 +34,11 @@ _NEVER = float("inf")
 class SimNetwork:
     """Message bus and timer heap over the shared simulated clock.
 
-    A timer *owner* is any object with ``tick()`` (its timer came due)
-    and ``rearm()`` (the world was suspended while it was pending).  An
-    owner has one live timer at most; arming again supersedes it, and
-    the superseded heap entry is skipped when it surfaces.
+    A timer *owner* is any object with ``tick()`` (its timer came due),
+    ``rearm()`` (the world was suspended, or a fault woke it) and a
+    ``timer_due_us`` attribute the network keeps: the owner's one live
+    deadline, ``None`` while parked.  Arming again supersedes it; a
+    superseded heap entry is skipped when it surfaces.
     """
 
     def __init__(self, cost: CostModel | None = None):
@@ -48,7 +49,6 @@ class SimNetwork:
         self._queue: list[tuple] = []   # (deliver_at, seq, src, dst, message, sent_at)
         self._timers: list[tuple] = []  # (due_us, seq, owner)
         self._seq = itertools.count()
-        self._armed: dict[Any, float] = {}  # owner -> due_us of its live timer
         # owner -> rank: timers due at one instant fire in first-armed order.
         self._owners: dict[Any, int] = {}
         self._last_pass_us = self._cost.now_us()
@@ -70,28 +70,42 @@ class SimNetwork:
         ``due_us``, unless the timer is re-armed first."""
         if owner not in self._owners:
             self._owners[owner] = next(self._seq)
-        self._armed[owner] = due_us
+        owner.timer_due_us = due_us
         heapq.heappush(self._timers, (due_us, next(self._seq), owner))
+
+    def disarm(self, owner: Any) -> None:
+        """Park ``owner``'s timer until it arms again (hibernation)."""
+        owner.timer_due_us = None
 
     def cancel(self, owner: Any) -> None:
         """Forget ``owner`` and its timer (a retired Raft replica)."""
-        self._armed.pop(owner, None)
+        owner.timer_due_us = None
         self._owners.pop(owner, None)
+
+    def _rearm(self, parked: bool) -> None:
+        """``rearm()`` the armed owners (the world was suspended) or the
+        parked ones (a fault was injected: a hibernating follower has no
+        election timer to notice a dead or unreachable leader with, so
+        the fault itself has to be the wake signal)."""
+        for owner in [o for o in self._owners if (o.timer_due_us is None) == parked]:
+            owner.rearm()
 
     def _run_timers(self) -> None:
         """One timer pass: fire every due timer, in rank order — or, if
-        the world was suspended since the last pass, re-arm instead."""
+        the world was suspended since the last pass, re-arm instead
+        (parked owners stay parked)."""
         now = self._cost.now_us()
         since, self._last_pass_us = self._last_pass_us, now
         if now - since > _SUSPEND_GUARD_US:
-            for owner in list(self._owners):
-                owner.rearm()
+            self._rearm(parked=False)
             return
         timers = self._timers
+        if not timers or timers[0][0] > now:
+            return  # the common pass: nothing due
         due = {}
         while timers and timers[0][0] <= now:
             due_us, _seq, owner = heapq.heappop(timers)
-            if self._armed.get(owner) == due_us:
+            if owner.timer_due_us == due_us:
                 due[owner] = self._owners[owner]
         for owner in sorted(due, key=due.__getitem__):
             owner.tick()
@@ -115,26 +129,30 @@ class SimNetwork:
     def partition(self, a: str, b: str) -> None:
         """Cut the link between ``a`` and ``b`` (both directions)."""
         self._cut.add(frozenset((a, b)))
+        self._rearm(parked=True)
 
     def heal(self, a: str, b: str) -> None:
         self._cut.discard(frozenset((a, b)))
+        self._rearm(parked=True)
 
     def heal_all(self) -> None:
-        """Restore every cut link.  Crashed nodes stay down — bringing
-        them back is a different fault-injection action
-        (:meth:`restart` / :meth:`restart_all`)."""
+        """Restore every cut link; crashed nodes stay down (:meth:`restart_all`)."""
         self._cut.clear()
+        self._rearm(parked=True)
 
     def crash(self, node_id: str) -> None:
         """Silence a node: nothing is delivered to or from it."""
         self._down.add(node_id)
+        self._rearm(parked=True)
 
     def restart(self, node_id: str) -> None:
         self._down.discard(node_id)
+        self._rearm(parked=True)
 
     def restart_all(self) -> None:
         """Bring every crashed node back up (links are untouched)."""
         self._down.clear()
+        self._rearm(parked=True)
 
     def _link_ok(self, src: str, dst: str) -> bool:
         if src in self._down or dst in self._down:
@@ -158,34 +176,6 @@ class SimNetwork:
     def pending(self) -> int:
         return len(self._queue)
 
-    def _deliver_due(self) -> int:
-        """Deliver every message whose time has come; returns the count."""
-        count = 0
-        queue = self._queue
-        now = self._cost.now_us()
-        while queue and queue[0][0] <= now:
-            _at, _seq, src, dst, message, sent_at_us = heapq.heappop(queue)
-            handler = self._handlers.get(dst)
-            if handler is None or not self._link_ok(src, dst):
-                self.dropped += 1
-                self._m_dropped.inc()
-                continue
-            handler(src, message)
-            self.delivered += 1
-            self._m_delivered.inc()
-            self._link_latency(src, dst).observe(self._cost.now_us() - sent_at_us)
-            count += 1
-        return count
-
-    def _link_latency(self, src: str, dst: str) -> Histogram:
-        hist = self._link_hists.get((src, dst))
-        if hist is None:
-            hist = get_registry().histogram(
-                "network.latency_us", link=f"{src}->{dst}"
-            )
-            self._link_hists[(src, dst)] = hist
-        return hist
-
     def advance(self, delta_us: float) -> int:
         """Advance simulated time by ``delta_us``, delivering en route.
 
@@ -199,7 +189,24 @@ class SimNetwork:
         delivered = 0
         while queue and queue[0][0] <= target:
             clock.advance(max(0.0, queue[0][0] - clock.now_us()))
-            delivered += self._deliver_due()
+            now = clock.now_us()
+            while queue and queue[0][0] <= now:  # everything due at this instant
+                _at, _seq, src, dst, message, sent_at_us = heapq.heappop(queue)
+                handler = self._handlers.get(dst)
+                if handler is None or not self._link_ok(src, dst):
+                    self.dropped += 1
+                    self._m_dropped.inc()
+                    continue
+                handler(src, message)
+                self.delivered += 1
+                self._m_delivered.inc()
+                hist = self._link_hists.get((src, dst))
+                if hist is None:
+                    hist = self._link_hists[(src, dst)] = get_registry().histogram(
+                        "network.latency_us", link=f"{src}->{dst}"
+                    )
+                hist.observe(clock.now_us() - sent_at_us)
+                delivered += 1
             self._run_timers()
         remaining = target - clock.now_us()
         if remaining > 0:

@@ -15,6 +15,13 @@ each voter keeps one timer armed on the deterministic
 :class:`~repro.distributed.network.SimNetwork` — the election deadline,
 or the next heartbeat once it leads — and :meth:`RaftNode.tick` is what
 the network calls when that timer comes due.
+
+A quiescent group *hibernates* (TiKV's hibernate-region): a follower
+holding nothing uncommitted parks its election timer, and a leader whose
+voters and learners have all acknowledged its last log index and its
+commit index stops heartbeating.  A propose wakes the leader and, through
+its AppendEntries, the followers; a fault injected through the network
+wakes every parked replica — one without a timer cannot miss its leader.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ class AppendEntriesReply:
     term: int
     success: bool
     match_index: int
+    commit_index: int = 0  # the sender's, so the leader knows who is level
 
 
 _ELECTION_TIMEOUT_RANGE_US = (1_500.0, 3_000.0)
@@ -119,7 +127,9 @@ class RaftNode:
         self._peer_voters = [v for v in voters if v != node_id]
         self._peer_learners = [l for l in learners if l != node_id]
         self._peers = self._peer_voters + self._peer_learners  # replication targets
-        self.preferred = preferred
+        self._timeout_range_us = (
+            _PREFERRED_TIMEOUT_RANGE_US if preferred else _ELECTION_TIMEOUT_RANGE_US
+        )
         self._network = network
         self._cost = cost
         self._apply_fn = apply_fn
@@ -136,37 +146,32 @@ class RaftNode:
         self.commit_index = 0
         self.last_applied = 0
         self.leader_id: str | None = None
+        #: The armed deadline (kept by the network); None = hibernating.
+        self.timer_due_us: float | None = None
 
         self._votes_received: set[str] = set()
         self._next_index: dict[str, int] = {}
         self._match_index: dict[str, int] = {}
-        self._election_deadline_us = self._new_election_deadline()
+        self._peer_commit: dict[str, int] = {}  # acknowledged since last (re)arm
+        self._election_deadline_us = 0.0
         self._heartbeat_due_us = 0.0
 
         registry = get_registry()
         self._m_elections = registry.counter("raft.elections")
         self._m_heartbeats = registry.counter("raft.heartbeats")
+        self._m_wakeups = registry.counter("raft.wakeups")
         self._m_replication_lag = registry.histogram("raft.replication_lag")
 
         network.register(node_id, self._on_message)
-        self._arm()
+        self._restart_election_timer()
 
     # ------------------------------------------------------------- helpers
-
-    def _new_election_deadline(self) -> float:
-        lo, hi = (
-            _PREFERRED_TIMEOUT_RANGE_US if self.preferred else _ELECTION_TIMEOUT_RANGE_US
-        )
-        return self._cost.now_us() + self._rng.uniform(lo, hi)
 
     def last_log_index(self) -> int:
         return len(self.log) - 1
 
     def last_log_term(self) -> int:
         return self.log[-1].term
-
-    def quorum(self) -> int:
-        return len(self.voters) // 2 + 1
 
     def is_leader(self) -> bool:
         return self.role is Role.LEADER
@@ -176,25 +181,47 @@ class RaftNode:
     def _arm(self) -> None:
         """Point this node's one timer at the deadline its role waits
         for; called wherever the role or that deadline changes."""
-        if self.role is Role.LEADER:
-            self._network.arm(self, self._heartbeat_due_us)
-        elif self.role is not Role.LEARNER:
-            self._network.arm(self, self._election_deadline_us)
+        if self.role is Role.LEARNER:
+            return
+        leads = self.role is Role.LEADER
+        if leads and self.timer_due_us is None:
+            self._m_wakeups.inc()  # a hibernating group wakes; its leader counts it
+        self._network.arm(
+            self, self._heartbeat_due_us if leads else self._election_deadline_us
+        )
+
+    def _restart_election_timer(self) -> None:
+        timeout_us = self._rng.uniform(*self._timeout_range_us)
+        self._election_deadline_us = self._cost.now_us() + timeout_us
+        self._arm()
+
+    def _quiescent(self) -> bool:
+        """Every voter and learner has acknowledged both the last log
+        index and the commit index: there is nothing left to tell."""
+        last = self.last_log_index()
+        return self.commit_index == last and all(
+            self._match_index[peer] == last and self._peer_commit.get(peer) == last
+            for peer in self._peers
+        )
 
     def tick(self) -> None:
         """The timer came due: a heartbeat round, or an election."""
-        if self.role is Role.LEADER:
-            self._send_heartbeats()
-        else:
+        if self.role is not Role.LEADER:
             self._start_election()
+        elif self._quiescent():
+            self._network.disarm(self)  # hibernate
+        else:
+            self._send_heartbeats()
 
     def rearm(self) -> None:
-        """The world was suspended, the leader did not go silent:
-        restart the election clock instead of acting on it."""
-        self._election_deadline_us = self._new_election_deadline()
+        """The network's wake-up call — the world was suspended, or a
+        fault was injected while this node was parked: restart the
+        election clock, and as leader forget who was level, so a full
+        heartbeat round must confirm it before hibernating again."""
         if self.role is Role.LEADER:
             self._heartbeat_due_us = self._cost.now_us()  # catch followers up now
-        self._arm()
+            self._peer_commit.clear()
+        self._restart_election_timer()
 
     def _start_election(self) -> None:
         self._m_elections.inc()
@@ -203,17 +230,13 @@ class RaftNode:
         self.voted_for = self.node_id
         self._votes_received = {self.node_id}
         self.leader_id = None
-        self._election_deadline_us = self._new_election_deadline()
-        self._arm()
-        message = RequestVote(
-            term=self.current_term,
-            candidate_id=self.node_id,
-            last_log_index=self.last_log_index(),
-            last_log_term=self.last_log_term(),
-        )
+        self._restart_election_timer()
         if len(self.voters) == 1:
             self._become_leader()
             return
+        message = RequestVote(
+            self.current_term, self.node_id, self.last_log_index(), self.last_log_term()
+        )
         for peer in self._peer_voters:
             self._network.send(self.node_id, peer, message)
 
@@ -223,6 +246,7 @@ class RaftNode:
         nxt = self.last_log_index() + 1
         self._next_index = dict.fromkeys(self._peers, nxt)
         self._match_index = dict.fromkeys(self._peers, 0)
+        self._peer_commit = {}
         self._send_heartbeats()
 
     # ------------------------------------------------------------- client API
@@ -256,19 +280,15 @@ class RaftNode:
             self._send_append(peer)
 
     def _send_append(self, peer: str) -> None:
-        next_idx = self._next_index.get(peer, self.last_log_index() + 1)
+        next_idx = self._next_index[peer]  # never past the leader's own log
         prev_idx = next_idx - 1
-        if prev_idx >= len(self.log):
-            prev_idx = self.last_log_index()
-            next_idx = prev_idx + 1
-        entries = tuple(self.log[next_idx:])
         message = AppendEntries(
-            term=self.current_term,
-            leader_id=self.node_id,
-            prev_log_index=prev_idx,
-            prev_log_term=self.log[prev_idx].term,
-            entries=entries,
-            leader_commit=self.commit_index,
+            self.current_term,
+            self.node_id,
+            prev_idx,
+            self.log[prev_idx].term,
+            tuple(self.log[next_idx:]),
+            self.commit_index,
         )
         self._network.send(self.node_id, peer, message)
 
@@ -298,18 +318,13 @@ class RaftNode:
         self._maybe_step_down(msg.term)
         grant = False
         if msg.term >= self.current_term and self.role is not Role.LEARNER:
-            up_to_date = (msg.last_log_term, msg.last_log_index) >= (
-                self.last_log_term(),
-                self.last_log_index(),
-            )
+            mine = (self.last_log_term(), self.last_log_index())
+            up_to_date = (msg.last_log_term, msg.last_log_index) >= mine
             if up_to_date and self.voted_for in (None, msg.candidate_id):
                 grant = True
                 self.voted_for = msg.candidate_id
-                self._election_deadline_us = self._new_election_deadline()
-                self._arm()
-        self._network.send(
-            self.node_id, src, RequestVoteReply(term=self.current_term, granted=grant)
-        )
+                self._restart_election_timer()
+        self._network.send(self.node_id, src, RequestVoteReply(self.current_term, grant))
 
     def _on_vote_reply(self, src: str, msg: RequestVoteReply) -> None:
         self._maybe_step_down(msg.term)
@@ -317,33 +332,28 @@ class RaftNode:
             return
         if msg.granted:
             self._votes_received.add(src)
-            if len(self._votes_received) >= self.quorum():
+            if len(self._votes_received) > len(self.voters) // 2:
                 self._become_leader()
+
+    def _reply_append(self, dst: str, success: bool, match_index: int = 0) -> None:
+        reply = AppendEntriesReply(self.current_term, success, match_index, self.commit_index)
+        self._network.send(self.node_id, dst, reply)
 
     def _on_append_entries(self, src: str, msg: AppendEntries) -> None:
         self._maybe_step_down(msg.term)
         if msg.term < self.current_term:
-            self._network.send(
-                self.node_id,
-                src,
-                AppendEntriesReply(self.current_term, False, 0),
-            )
+            self._reply_append(src, False)
             return
         # A valid leader exists: reset election pressure.
         self.leader_id = msg.leader_id
         if self.role is Role.CANDIDATE:
             self.role = Role.FOLLOWER
-        self._election_deadline_us = self._new_election_deadline()
-        self._arm()
         # Log consistency check.
         if msg.prev_log_index >= len(self.log) or (
             self.log[msg.prev_log_index].term != msg.prev_log_term
         ):
-            self._network.send(
-                self.node_id,
-                src,
-                AppendEntriesReply(self.current_term, False, 0),
-            )
+            self._restart_election_timer()
+            self._reply_append(src, False)
             return
         # Append, truncating conflicts.
         index = msg.prev_log_index
@@ -358,11 +368,12 @@ class RaftNode:
         if msg.leader_commit > self.commit_index:
             self.commit_index = min(msg.leader_commit, self.last_log_index())
             self._apply_committed()
-        self._network.send(
-            self.node_id,
-            src,
-            AppendEntriesReply(self.current_term, True, index),
-        )
+        if self.commit_index == self.last_log_index():
+            # Nothing uncommitted held, the leader owes us no news: hibernate.
+            self._network.disarm(self)
+        else:
+            self._restart_election_timer()
+        self._reply_append(src, True, index)
 
     def _on_append_reply(self, src: str, msg: AppendEntriesReply) -> None:
         self._maybe_step_down(msg.term)
@@ -371,7 +382,10 @@ class RaftNode:
         if msg.success:
             self._match_index[src] = max(self._match_index.get(src, 0), msg.match_index)
             self._next_index[src] = self._match_index[src] + 1
+            self._peer_commit[src] = msg.commit_index
             self._advance_commit()
+            if self.timer_due_us is not None and self._quiescent():
+                self._network.disarm(self)  # hibernate
         else:
             # Back off and retry immediately.
             self._next_index[src] = max(1, self._next_index.get(src, 1) - 1)
@@ -386,18 +400,14 @@ class RaftNode:
             for voter in self._peer_voters:
                 if self._match_index.get(voter, 0) >= index:
                     votes += 1
-            if votes >= self.quorum():
+            if votes > len(self.voters) // 2:
                 self.commit_index = index
                 self._apply_committed()
                 # Learner (columnar replica) lag in log entries at the
                 # moment of commit — the Table 1 freshness story in data.
                 if self._peer_learners:
-                    behind = min(
-                        self._match_index.get(l, 0) for l in self._peer_learners
-                    )
-                    self._m_replication_lag.observe(
-                        float(self.commit_index - behind)
-                    )
+                    behind = min(self._match_index[l] for l in self._peer_learners)
+                    self._m_replication_lag.observe(float(index - behind))
                 break
 
     def _apply_committed(self) -> None:
@@ -405,9 +415,7 @@ class RaftNode:
             # Batched replay: hand the whole newly-committed run to the
             # state machine in one call (TiDB-style learner batching).
             start = self.last_applied + 1
-            commands = [
-                self.log[i].command for i in range(start, self.commit_index + 1)
-            ]
+            commands = [e.command for e in self.log[start : self.commit_index + 1]]
             self.last_applied = self.commit_index
             self._apply_batch_fn(start, commands)
             return
@@ -435,7 +443,6 @@ class RaftGroup:
     ):
         self.group_id = group_id
         self.network = network
-        self._cost = cost
         apply_fns = apply_fns or {}
         apply_batch_fns = apply_batch_fns or {}
         self.nodes: dict[str, RaftNode] = {}
@@ -467,6 +474,11 @@ class RaftGroup:
     def run_for(self, total_us: float, step_us: float = 100.0) -> None:
         self.network.run_until(lambda: False, step_us, total_us)
 
+    def hibernating(self) -> bool:
+        """The group is quiet: its leader has stopped heartbeating."""
+        leader = self.leader()
+        return leader is not None and leader.timer_due_us is None
+
     def leader(self) -> RaftNode | None:
         leaders = [n for n in self.nodes.values() if n.is_leader()]
         if not leaders:
@@ -481,9 +493,7 @@ class RaftGroup:
                 lambda: self.leader() is not None, _POLL_STEP_US, max_us
             )
             if spent >= max_us:
-                raise ConsensusError(
-                    f"group {self.group_id}: no leader after {max_us}us"
-                )
+                raise ConsensusError(f"group {self.group_id}: no leader after {max_us}us")
             leader = self.leader()
         return leader
 
@@ -494,9 +504,7 @@ class RaftGroup:
         on the new leader (at-least-once delivery; the testbed's state
         machine commands are all idempotent per txn id).
         """
-        return self._replicate(
-            lambda leader: leader.client_propose(command), max_us, "command"
-        )
+        return self._replicate([command], max_us)
 
     def propose_batch_and_wait(
         self, commands: list[Any], max_us: float = 400_000.0
@@ -505,36 +513,29 @@ class RaftGroup:
         replication round for the whole run of commands."""
         if not commands:
             return self.elect_leader().last_log_index()
-        return self._replicate(
-            lambda leader: leader.client_propose_batch(commands), max_us, "batch"
-        )
+        return self._replicate(commands, max_us)
 
-    def _replicate(
-        self, propose: Callable[[RaftNode], int], max_us: float, what: str
-    ) -> int:
-        spent = 0.0
-        while spent < max_us:
+    def _replicate(self, commands: list[Any], max_us: float) -> int:
+        left_us = max_us  # one budget across re-proposals
+        while left_us > 0:
             leader = self.elect_leader()
-            index = propose(leader)
+            index = leader.client_propose_batch(commands)
             term = leader.current_term
-
-            def committed() -> bool:
-                return leader.commit_index >= index and leader.current_term == term
 
             def settled() -> bool:
                 # Committed — or deposed, or a crashed leader that still
                 # believes in itself while the group elected a successor
                 # at a higher term: re-elect and re-propose either way.
                 return (
-                    committed()
-                    or not leader.is_leader()
+                    leader.commit_index >= index
                     or leader.current_term != term
                     or self.leader() is not leader
                 )
 
-            spent += self.network.run_until(settled, _POLL_STEP_US, max_us - spent)
-            if spent < max_us and committed():
+            left_us -= self.network.run_until(settled, _POLL_STEP_US, left_us)
+            if left_us > 0 and leader.commit_index >= index and leader.current_term == term:
                 return index
         raise ConsensusError(
-            f"group {self.group_id}: {what} uncommitted after {max_us}us"
+            f"group {self.group_id}: {len(commands)} command(s) uncommitted "
+            f"after {max_us}us"
         )

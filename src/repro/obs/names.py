@@ -34,6 +34,7 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "raft.elections",
         "raft.heartbeats",
         "raft.replication_lag",
+        "raft.wakeups",
         # stateless router tier
         "router.cached_epoch",
         "router.refreshes",

@@ -7,7 +7,14 @@ machinery (Raft quorums, learner lag, 2PC atomicity) exists to survive.
 import pytest
 
 from repro.common import Column, ConsensusError, CostModel, DataType, Schema
-from repro.distributed import DistributedCluster, RaftGroup, Role, SimNetwork
+from repro.distributed import (
+    DistributedCluster,
+    RaftGroup,
+    Role,
+    ShardMerge,
+    SimNetwork,
+)
+from repro.obs import get_registry
 
 
 def make_cluster(**kwargs):
@@ -183,3 +190,98 @@ class TestClusterFaults:
         assert cluster.commits == 12
         for i in range(12):
             assert cluster.read("acct", i) == (i, float(i))
+
+
+class TestHibernationFaults:
+    """Faults injected through the network are what wakes a hibernating
+    group: a parked follower has no timer to miss its leader with."""
+
+    def _quiet_group(self, seed=21):
+        cost = CostModel()
+        net = SimNetwork(cost)
+        group = RaftGroup("g", ["a", "b", "c"], ["lrn"], net, cost, seed=seed)
+        group.propose_and_wait(("warm", 0))
+        group.run_for(5_000)
+        assert group.hibernating()
+        return group, net, cost
+
+    def test_crashing_a_hibernating_leader_triggers_a_normal_election(self):
+        group, net, cost = self._quiet_group()
+        old = group.leader()
+        assert all(
+            n.timer_due_us is None for n in group.nodes.values()
+        )  # followers parked too
+        net.crash(old.node_id)
+        start = cost.now_us()
+
+        def succeeded() -> bool:
+            return any(n.is_leader() and n is not old for n in group.nodes.values())
+
+        assert net.run_until(succeeded, 100.0, 20_000.0) < 20_000.0
+        elapsed = cost.now_us() - start
+        # An election timeout drawn at the crash, then one vote round trip.
+        assert 1_500.0 <= elapsed <= 3_000.0 + cost.network_rtt_us + 200.0
+        group.propose_and_wait(("after-crash", 1))
+
+    def test_partitioned_hibernating_follower_converges_after_heal(self):
+        group, net, _cost = self._quiet_group()
+        leader = group.leader()
+        cut = next(n for n in group.nodes.values() if n.role is Role.FOLLOWER)
+        for other in group.nodes.values():
+            if other is not cut:
+                net.partition(cut.node_id, other.node_id)
+        group.propose_and_wait(("during", 1))  # a quorum of two remains
+        group.run_for(10_000)
+        assert ("during", 1) not in [e.command for e in cut.log]
+        net.heal_all()
+        group.run_for(30_000)
+        group.propose_and_wait(("after", 2))
+        group.run_for(10_000)
+        voters = [n for n in group.nodes.values() if n.role is not Role.LEARNER]
+        logs = {tuple(e.command for e in n.log[1:]) for n in voters}
+        assert len(logs) == 1
+        assert len({n.commit_index for n in group.nodes.values()}) == 1
+        assert group.hibernating()
+        assert leader.current_term <= group.leader().current_term
+
+    def test_retired_groups_never_tick_again(self):
+        cluster = make_cluster()
+        for i in range(12):
+            cluster.insert("acct", (i, float(i)))
+        ShardMerge(cluster, 0, 1).run()
+        retired = [n for sid in (0, 1) for n in cluster._groups[sid].nodes.values()]
+        assert all(n.timer_due_us is None for n in retired)
+
+        def boom():
+            raise AssertionError("a retired replica's timer fired")
+
+        for node in retired:
+            node.tick = boom
+        cluster.drain_replication()
+        heartbeats = get_registry().counter("raft.heartbeats")
+        beats, dropped = heartbeats.value, cluster.network.dropped
+        cluster.network.run_until(lambda: False, 100.0, 1_000_000.0)
+        assert heartbeats.value == beats  # the live groups sleep, the dead stay dead
+        for i in range(12, 20):
+            cluster.insert("acct", (i, float(i)))  # live traffic, live timers
+        cluster.drain_replication()
+        assert cluster.network.dropped == dropped  # no handler lookup miss
+        assert sorted(r[0] for r in cluster.row_scan("acct")) == list(range(20))
+
+    @pytest.mark.parametrize("n_nodes", [3, 8])
+    def test_draining_a_drained_cluster_is_free(self, n_nodes):
+        schema = Schema(
+            "acct",
+            [Column("id", DataType.INT64), Column("bal", DataType.FLOAT64)],
+            ["id"],
+        )
+        cluster = DistributedCluster(n_storage_nodes=n_nodes, seed=17)
+        cluster.create_table(schema)
+        for i in range(20):
+            cluster.insert("acct", (i, float(i)))
+        cluster.drain_replication()
+        for _ in range(3):
+            start, sent = cluster.cost.now_us(), cluster.network.sent
+            cluster.drain_replication()
+            assert cluster.cost.now_us() - start <= 500.0  # one poll step at most
+            assert cluster.network.sent == sent

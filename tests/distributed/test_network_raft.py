@@ -5,6 +5,7 @@ import pytest
 from repro.common import ConsensusError, CostModel, NotLeaderError
 from repro.distributed import RaftGroup, Role, SimNetwork
 from repro.distributed.raft import RaftNode
+from repro.obs import get_registry
 
 
 def make_group(voters=3, learners=1, seed=7):
@@ -194,3 +195,64 @@ class TestReplication:
             for node in group.nodes.values()
         ]
         assert len(set(logs)) == 1
+
+
+class TestHibernation:
+    """A quiescent group goes silent and parks its timers; a propose
+    wakes it at no cost in simulated latency."""
+
+    @staticmethod
+    def _quiesce(group):
+        group.propose_and_wait(("warm", 0))
+        group.run_for(5_000)  # the commit index reaches everyone, the acks return
+        assert group.hibernating()
+
+    def test_idle_group_is_silent_for_a_simulated_second(self):
+        group, net, _cost = make_group()
+        self._quiesce(group)
+        elections = get_registry().counter("raft.elections")
+        sent, held = net.sent, elections.value
+        terms = {n.node_id: n.current_term for n in group.nodes.values()}
+        group.run_for(1_000_000)
+        assert net.sent == sent
+        assert elections.value == held
+        assert terms == {n.node_id: n.current_term for n in group.nodes.values()}
+        assert net.pending() == 0
+
+    def test_propose_on_a_hibernating_group_pays_no_extra_latency(self):
+        group, _net, cost = make_group()
+        self._quiesce(group)
+        wakeups = get_registry().counter("raft.wakeups")
+        woke = wakeups.value
+        start = cost.now_us()
+        group.propose_and_wait(("cold", 1))
+        asleep_us = cost.now_us() - start
+        assert wakeups.value == woke + 1
+        assert not group.hibernating()  # the commit index is still to be told
+        start = cost.now_us()
+        group.propose_and_wait(("warm", 2))
+        assert cost.now_us() - start == asleep_us
+        # One round trip, found at the next 100 us poll.
+        assert asleep_us <= cost.wal_append_us + cost.network_rtt_us + 100.0
+
+    def test_hibernation_needs_every_replica_level(self):
+        """A leader with one crashed follower keeps heartbeating."""
+        group, net, _cost = make_group()
+        leader = group.elect_leader()
+        follower = next(n for n in group.nodes.values() if n.role is Role.FOLLOWER)
+        net.crash(follower.node_id)
+        group.propose_and_wait(("op", 1))
+        heartbeats = get_registry().counter("raft.heartbeats")
+        before = heartbeats.value
+        group.run_for(10_000)
+        assert not group.hibernating()
+        assert heartbeats.value - before >= 20  # one per 400 us, as ever
+        assert group.leader() is leader
+
+    def test_single_voter_group_hibernates(self):
+        group, net, _ = make_group(voters=1, learners=0)
+        leader = group.elect_leader()
+        leader.client_propose(("solo", 1))
+        group.run_for(1_000)
+        assert group.hibernating()
+        assert net.sent == 0

@@ -16,9 +16,18 @@ from repro.common import Column, DataType, Schema
 from repro.distributed import DistributedCluster, ShardSplit, WriteKind, WriteOp
 from repro.obs import get_registry
 
-#: Recorded on the polled kernel (world tickers, 100 us wait loops); the
-#: timer-heap kernel reproduces it to the last digit.
-EXPECTED_DIGEST = "196ec7bbfd278720d0abb5fe711d729a"
+#: Re-recorded once, when quiescent groups began to hibernate.  The
+#: polled kernel and the timer-heap kernel both gave
+#: 196ec7bbfd278720d0abb5fe711d729a; against it every replica's commit
+#: index and log length are unchanged, and what moved is what idle
+#: heartbeats and the never-ending drain caused: ``now_us`` 302140.2 ->
+#: 204442.2 (two ``sync()`` calls no longer burn 50 ms each),
+#: ``network`` (15805, 15410, 380) -> (3352, 3202, 147),
+#: ``raft.heartbeats`` 2694 -> 577, and — the followers' election
+#: deadlines now come from different RNG draws — one more election
+#: after the crashed leader restarts (``raft.elections`` 9 -> 10, shard
+#: 1's term 3 -> 4).
+EXPECTED_DIGEST = "f94fbd447152537e0fca8b5db32b71f7"
 
 
 def run_scenario(seed: int = 31) -> dict:
