@@ -2,13 +2,12 @@
 
 The learner-side replication path now ships whole committed runs to a
 single batch apply callback; these tests pin (1) Raft-level batch
-proposal/apply correctness against the scalar path, (2) the vectorized
-columnar replica producing the same state as the scalar fold, and
-(3) the ``("bulk", ...)`` command landing on both row regions and the
-learner-fed replica.
+proposal/apply correctness against the scalar path, (2) the columnar
+replica holding exactly what ``tests/oracle``'s dict table model holds
+after the same committed writes, and (3) the ``("bulk", ...)`` command
+landing on both row regions and the learner-fed replica.
 """
 
-import numpy as np
 import pytest
 
 from repro.common import (
@@ -21,6 +20,8 @@ from repro.common import (
 )
 from repro.distributed import RaftGroup, SimNetwork
 from repro.distributed.cluster import DistributedCluster, WriteKind, WriteOp
+
+from ..oracle import TableModel
 
 
 def make_schema():
@@ -111,38 +112,42 @@ def build_cluster(vectorized):
     return cluster
 
 
+MIXED_OPS = (
+    [("insert", i, (i, float(i))) for i in range(30)]
+    + [("update", i, (i, float(i) * 10)) for i in range(0, 30, 3)]
+    + [("delete", i, None) for i in range(0, 30, 5)]
+)
+
+
 def mixed_workload(cluster):
-    for i in range(30):
-        cluster.execute_transaction(
-            [WriteOp(WriteKind.INSERT, "t", i, (i, float(i)))]
-        )
-    for i in range(0, 30, 3):
-        cluster.execute_transaction(
-            [WriteOp(WriteKind.UPDATE, "t", i, (i, float(i) * 10))]
-        )
-    for i in range(0, 30, 5):
-        cluster.execute_transaction([WriteOp(WriteKind.DELETE, "t", i, None)])
+    kinds = {
+        "insert": WriteKind.INSERT,
+        "update": WriteKind.UPDATE,
+        "delete": WriteKind.DELETE,
+    }
+    for kind, key, row in MIXED_OPS:
+        cluster.execute_transaction([WriteOp(kinds[kind], "t", key, row)])
     cluster.drain_replication()
     cluster.sync()
 
 
 class TestVectorizedReplica:
-    def test_matches_scalar_fold(self):
-        states = []
+    def test_matches_model(self):
+        model = TableModel().apply_all(
+            (kind, key, row, ts) for ts, (kind, key, row) in enumerate(MIXED_OPS, 1)
+        )
         for vectorized in (True, False):
             cluster = build_cluster(vectorized)
             mixed_workload(cluster)
             result = cluster.analytic_scan("t", None, ALWAYS_TRUE)
-            order = np.argsort(result.arrays["id"], kind="stable")
-            states.append(
-                (
-                    result.arrays["id"][order].tolist(),
-                    result.arrays["v"][order].tolist(),
-                    cluster.columnar.applied_ts,
-                    cluster.freshness_lag_ts(),
-                )
+            got = sorted(
+                zip(result.arrays["id"].tolist(), result.arrays["v"].tolist())
             )
-        assert states[0] == states[1]
+            assert got == model.rows()
+            assert len(cluster.columnar.column_stores["t"]) == len(model)
+            # Drained and merged: the learner is at the OLTP horizon.
+            assert cluster.columnar.applied_ts == cluster.clock.now()
+            assert cluster.freshness_lag_ts() == 0
 
 
 class TestClusterBulkLoad:

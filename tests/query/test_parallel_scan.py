@@ -25,6 +25,8 @@ from repro.parallel import (
 )
 from repro.storage import ColumnStore, scan_mode
 
+from ..oracle import assert_matches
+
 
 def schema():
     return Schema(
@@ -259,13 +261,15 @@ def test_engine_differential_serial_vs_parallel_vs_scalar(cat):
     from repro.query.parser import parse
 
     scalar_exec = Executor(engine._catalog, engine.cost, vectorized=False)
+    tables = {"orders": (order_schema(), rows)}
     for sql in ENGINE_SQL:
-        serial = engine.query(sql).rows
+        serial = engine.query(sql)
         with scan_parallel(workers=4):
-            parallel = engine.query(sql).rows
-        scalar = scalar_exec.execute(engine.planner.plan(parse(sql))).rows
-        assert serial == parallel, sql
-        assert sorted(serial) == sorted(scalar), sql
+            parallel = engine.query(sql)
+        scalar = scalar_exec.execute(engine.planner.plan(parse(sql)))
+        assert serial.rows == parallel.rows, sql
+        assert_matches(serial, sql, tables)
+        assert_matches(scalar, sql, tables)
 
 
 @pytest.mark.parametrize("cat", ["a", "b", "c", "d"])

@@ -1,7 +1,7 @@
 """Planner + executor: access paths, joins, aggregation, ordering.
 
-Every executor result is validated against a brute-force Python
-evaluation of the same query over the same rows.
+Every executor result is validated against the brute-force oracle
+(``tests/oracle``) evaluating the same query over the same rows.
 """
 
 import random
@@ -19,6 +19,8 @@ from repro.common import (
 from repro.query import AccessPath, DualStoreTableAccess, Executor, Planner, parse
 from repro.storage.column_store import ColumnStore
 from repro.storage.row_store import MVCCRowStore
+
+from ..oracle import assert_matches
 
 
 def build_catalog(seed=4, n_orders=300, n_customers=25):
@@ -55,8 +57,6 @@ def build_catalog(seed=4, n_orders=300, n_customers=25):
     customer_rows = [(i, i % 3, f"c{i}") for i in range(n_customers)]
     catalog = {}
     data = {}
-    for schema, rows in (("orders", order_rows), ("customer", customer_rows)):
-        pass
     for schema, rows in ((orders, order_rows), (customers, customer_rows)):
         store = MVCCRowStore(schema, cost)
         for row in rows:
@@ -64,7 +64,7 @@ def build_catalog(seed=4, n_orders=300, n_customers=25):
         col = ColumnStore(schema, cost)
         col.append_rows(rows, commit_ts=1)
         catalog[schema.table_name] = DualStoreTableAccess(store, col, cost)
-        data[schema.table_name] = rows
+        data[schema.table_name] = (schema, rows)
     return catalog, cost, data
 
 
@@ -116,136 +116,34 @@ class TestAccessPathChoice:
 
 
 class TestExecutionCorrectness:
-    def brute_group_sum(self, rows, key_idx, val_idx, pred=lambda r: True):
-        out = {}
-        for r in rows:
-            if pred(r):
-                out.setdefault(r[key_idx], [0, 0.0])
-                out[r[key_idx]][0] += 1
-                out[r[key_idx]][1] += r[val_idx]
-        return out
-
-    def test_filtered_aggregate(self, env):
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(o_amount), COUNT(*) FROM orders WHERE o_region = 'e'",
+            "SELECT o_region, COUNT(*) AS n, SUM(o_amount) AS s "
+            "FROM orders GROUP BY o_region ORDER BY o_region",
+            "SELECT AVG(o_amount), MIN(o_amount), MAX(o_amount) FROM orders",
+            "SELECT SUM(o_amount) / COUNT(*) AS mean FROM orders",
+            "SELECT SUM(o_amount * 2 + 1) FROM orders",
+            "SELECT c_tier, SUM(o_amount) AS s FROM orders "
+            "JOIN customer ON o_c_id = c_id GROUP BY c_tier ORDER BY c_tier",
+            "SELECT COUNT(*) FROM orders JOIN customer ON o_c_id = c_id "
+            "WHERE o_region = 'w' AND c_tier = 1",
+            "SELECT o_id, o_amount FROM orders WHERE o_amount > 90 "
+            "ORDER BY o_amount DESC LIMIT 5",
+            "SELECT o_region, o_id FROM orders WHERE o_id < 20 "
+            "ORDER BY o_region ASC, o_id DESC",
+        ],
+        ids=[
+            "filtered_aggregate", "group_by", "avg_min_max",
+            "aggregate_arithmetic", "expression_in_aggregate", "join_group",
+            "join_with_filters_both_sides", "projection_order_limit",
+            "multi_key_order",
+        ],
+    )
+    def test_matches_oracle(self, env, sql):
         _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse("SELECT SUM(o_amount), COUNT(*) FROM orders WHERE o_region = 'e'")
-            )
-        )
-        expect = [r for r in data["orders"] if r[3] == "e"]
-        assert result.rows[0][1] == len(expect)
-        assert result.rows[0][0] == pytest.approx(sum(r[2] for r in expect))
-
-    def test_group_by(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse(
-                    "SELECT o_region, COUNT(*) AS n, SUM(o_amount) AS s "
-                    "FROM orders GROUP BY o_region ORDER BY o_region"
-                )
-            )
-        )
-        brute = self.brute_group_sum(data["orders"], 3, 2)
-        assert [r[0] for r in result.rows] == sorted(brute)
-        for region, n, s in result.rows:
-            assert n == brute[region][0]
-            assert s == pytest.approx(brute[region][1])
-
-    def test_avg_min_max(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse("SELECT AVG(o_amount), MIN(o_amount), MAX(o_amount) FROM orders")
-            )
-        )
-        amounts = [r[2] for r in data["orders"]]
-        avg, mn, mx = result.rows[0]
-        assert avg == pytest.approx(sum(amounts) / len(amounts))
-        assert mn == min(amounts)
-        assert mx == max(amounts)
-
-    def test_aggregate_arithmetic(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(parse("SELECT SUM(o_amount) / COUNT(*) AS mean FROM orders"))
-        )
-        amounts = [r[2] for r in data["orders"]]
-        assert result.rows[0][0] == pytest.approx(sum(amounts) / len(amounts))
-
-    def test_expression_in_aggregate(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(parse("SELECT SUM(o_amount * 2 + 1) FROM orders"))
-        )
-        expect = sum(r[2] * 2 + 1 for r in data["orders"])
-        assert result.rows[0][0] == pytest.approx(expect)
-
-    def test_join_group(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse(
-                    "SELECT c_tier, SUM(o_amount) AS s FROM orders "
-                    "JOIN customer ON o_c_id = c_id GROUP BY c_tier ORDER BY c_tier"
-                )
-            )
-        )
-        cmap = {r[0]: r for r in data["customer"]}
-        brute = {}
-        for r in data["orders"]:
-            tier = cmap[r[1]][1]
-            brute[tier] = brute.get(tier, 0.0) + r[2]
-        assert {r[0]: pytest.approx(r[1]) for r in result.rows} == brute
-
-    def test_join_with_filters_both_sides(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse(
-                    "SELECT COUNT(*) FROM orders JOIN customer ON o_c_id = c_id "
-                    "WHERE o_region = 'w' AND c_tier = 1"
-                )
-            )
-        )
-        cmap = {r[0]: r for r in data["customer"]}
-        expect = sum(
-            1 for r in data["orders"] if r[3] == "w" and cmap[r[1]][1] == 1
-        )
-        assert result.rows[0][0] == expect
-
-    def test_projection_order_limit(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse(
-                    "SELECT o_id, o_amount FROM orders WHERE o_amount > 90 "
-                    "ORDER BY o_amount DESC LIMIT 5"
-                )
-            )
-        )
-        brute = sorted(
-            [(r[0], r[2]) for r in data["orders"] if r[2] > 90],
-            key=lambda t: t[1],
-            reverse=True,
-        )[:5]
-        assert result.rows == [tuple(b) for b in brute]
-
-    def test_multi_key_order(self, env):
-        _c, planner, ex, data = env
-        result = ex.execute(
-            planner.plan(
-                parse(
-                    "SELECT o_region, o_id FROM orders WHERE o_id < 20 "
-                    "ORDER BY o_region ASC, o_id DESC"
-                )
-            )
-        )
-        brute = sorted(
-            [(r[3], r[0]) for r in data["orders"] if r[0] < 20],
-            key=lambda t: (t[0], -t[1]),
-        )
-        assert result.rows == brute
+        assert_matches(ex.execute(planner.plan(parse(sql))), sql, data)
 
     def test_row_and_column_paths_agree(self, env):
         catalog, _planner, _ex, _data = env
@@ -270,7 +168,7 @@ class TestExecutionCorrectness:
     def test_scalar_helper(self, env):
         _c, planner, ex, data = env
         result = ex.execute(planner.plan(parse("SELECT COUNT(*) FROM orders")))
-        assert result.scalar() == len(data["orders"])
+        assert result.scalar() == len(data["orders"][1])
 
     def test_star_projection(self, env):
         _c, planner, ex, data = env

@@ -1,5 +1,5 @@
 """Property test: randomized queries agree across access paths and with
-a brute-force reference evaluator.
+the brute-force oracle (``tests/oracle``).
 
 This is the testbed's strongest end-to-end guarantee: for arbitrary
 generated predicates/aggregations, the row path, the column path, and
@@ -8,7 +8,6 @@ plain Python produce identical answers.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import (
@@ -27,6 +26,8 @@ from repro.query import AccessPath, DualStoreTableAccess, Executor, Planner
 from repro.query.ast import AggFunc, Aggregate, ColumnRef, Query, SelectItem
 from repro.storage.column_store import ColumnStore
 from repro.storage.row_store import MVCCRowStore
+
+from ..oracle import assert_matches, filter_rows
 
 SCHEMA = Schema(
     "t",
@@ -56,6 +57,7 @@ def build_catalog():
 
 
 CATALOG, COST = build_catalog()
+TABLES = {"t": (SCHEMA, ROWS)}
 
 # --------------------------------------------------------- predicate strategy
 
@@ -83,10 +85,6 @@ predicates = st.recursive(
 )
 
 
-def brute_filter(pred):
-    return [r for r in ROWS if pred.matches(r, SCHEMA)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(pred=predicates)
 def test_paths_agree_on_filtered_count(pred):
@@ -99,7 +97,7 @@ def test_paths_agree_on_filtered_count(pred):
     for path in (AccessPath.ROW_SCAN, AccessPath.COLUMN_SCAN):
         planner = Planner(CATALOG, COST, force_path=path)
         results.append(Executor(CATALOG, COST).execute(planner.plan(query)).scalar())
-    expect = len(brute_filter(pred))
+    expect = len(filter_rows(pred, SCHEMA, ROWS))
     assert results[0] == expect
     assert results[1] == expect
 
@@ -114,20 +112,8 @@ def test_aggregates_match_brute_force(pred, agg):
         where=pred,
     )
     planner = Planner(CATALOG, COST)
-    got = Executor(CATALOG, COST).execute(planner.plan(query)).scalar()
-    matching = [r[2] for r in brute_filter(pred)]
-    if agg is AggFunc.COUNT:
-        assert got == len(matching)
-    elif not matching:
-        assert got is None
-    elif agg is AggFunc.SUM:
-        assert got == pytest.approx(sum(matching))
-    elif agg is AggFunc.AVG:
-        assert got == pytest.approx(sum(matching) / len(matching))
-    elif agg is AggFunc.MIN:
-        assert got == min(matching)
-    else:
-        assert got == max(matching)
+    result = Executor(CATALOG, COST).execute(planner.plan(query))
+    assert_matches(result, query, TABLES)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,10 +130,4 @@ def test_group_by_matches_brute_force(pred):
     )
     planner = Planner(CATALOG, COST)
     result = Executor(CATALOG, COST).execute(planner.plan(query))
-    brute: dict[str, float] = {}
-    for row in brute_filter(pred):
-        brute[row[3]] = brute.get(row[3], 0.0) + row[2]
-    got = {r[0]: r[1] for r in result.rows}
-    assert set(got) == set(brute)
-    for key, total in brute.items():
-        assert got[key] == pytest.approx(total)
+    assert_matches(result, query, TABLES)

@@ -1,13 +1,12 @@
-"""Differential tests: vectorized kernels vs the scalar reference path.
+"""Differential tests: the executor kernels vs the brute-force oracle.
 
-The executor ships two modes sharing one plan shape: the default
-vectorized kernels (searchsorted equi-join, np.unique DISTINCT,
-np.lexsort ORDER BY, reduceat aggregation, mask-based HAVING) and the
-retained row-at-a-time scalar reference (``vectorized=False``).  These
-tests prove the two are semantically identical — including NULL,
-duplicate-key, and empty-input behaviour — and cover the satellite
-fixes: aggregate dtype preservation, group-code overflow, and the new
-cost charges for DISTINCT / residual filtering.
+The executor's kernels (searchsorted equi-join, np.unique DISTINCT,
+np.lexsort ORDER BY, reduceat aggregation, mask-based HAVING) are
+compared against ``tests/oracle`` — a row-at-a-time evaluator over
+plain lists — on rows, column names and Python value types, including
+NULL, duplicate-key, and empty-input behaviour.  Also covered:
+aggregate dtype preservation, group-code overflow, and the cost
+charges for DISTINCT / residual filtering.
 """
 
 import math
@@ -35,6 +34,8 @@ from repro.query.executor import (
 )
 from repro.common.predicate import ALWAYS_TRUE
 from repro.storage.row_store import MVCCRowStore
+
+from ..oracle import assert_matches
 
 
 def build_catalog(seed=11, n_orders=400, n_customers=30):
@@ -73,7 +74,9 @@ def build_catalog(seed=11, n_orders=400, n_customers=30):
     customer_rows = [(i, i % 4, f"c{i % 7}") for i in range(n_customers)]
     cost = CostModel()
     catalog = {}
+    tables = {}
     for schema, rows in ((orders, order_rows), (customers, customer_rows)):
+        tables[schema.table_name] = (schema, rows)
         store = MVCCRowStore(schema, cost)
         for row in rows:
             store.install_insert(row, commit_ts=1)
@@ -82,55 +85,41 @@ def build_catalog(seed=11, n_orders=400, n_customers=30):
         # the executor kernels, not storage codecs.  scan_columns falls
         # back to rows_to_columns over the MVCC snapshot.
         catalog[schema.table_name] = DualStoreTableAccess(store, None, cost)
-    return catalog, cost
+    return catalog, cost, tables
 
 
 @pytest.fixture(scope="module")
 def env():
-    catalog, cost = build_catalog()
-    return catalog, Planner(catalog, cost), cost
+    catalog, cost, tables = build_catalog()
+    return catalog, Planner(catalog, cost), cost, tables
 
 
-def run_both(env, query):
-    """Execute via both modes; same plan, fresh cost models."""
-    catalog, planner, _cost = env
+#: Executor arms under test; each must agree with the oracle.
+ARMS = (True, False)
+
+
+def check(env, query, ordered=None):
+    """Execute ``query`` (SQL or AST) on every arm and compare each with
+    the oracle.  Single-table scans come back in key order — the order
+    the oracle's tables are listed in — so without GROUP BY the exact
+    row sequence is compared; joins and groups compare as multisets
+    plus the ORDER BY keys.  Returns the (first arm's) result."""
+    catalog, planner, _cost, tables = env
     logical = parse(query) if isinstance(query, str) else query
+    if ordered is None:
+        ordered = len(logical.tables) == 1 and not logical.group_by
     plan = planner.plan(logical)
-    vec = Executor(catalog, CostModel(), vectorized=True).execute(plan)
-    ref = Executor(catalog, CostModel(), vectorized=False).execute(plan)
-    return vec, ref
-
-
-def rows_equal(a, b):
-    """Tuple-list equality that treats NaN == NaN (both mean NULL-ish)."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for va, vb in zip(ra, rb):
-            if isinstance(va, float) and isinstance(vb, float):
-                if math.isnan(va) and math.isnan(vb):
-                    continue
-                if va != vb:
-                    return False
-            elif va != vb:
-                return False
-    return True
-
-
-def assert_identical(env, query):
-    vec, ref = run_both(env, query)
-    assert vec.columns == ref.columns
-    assert rows_equal(vec.rows, ref.rows), (
-        f"vectorized != scalar for {query!r}:\n{vec.rows[:5]}\nvs\n{ref.rows[:5]}"
-    )
-    return vec
+    results = []
+    for vectorized in ARMS:
+        result = Executor(catalog, CostModel(), vectorized=vectorized).execute(plan)
+        assert_matches(result, logical, tables, ordered=ordered)
+        results.append(result)
+    return results[0]
 
 
 class TestJoinKernel:
     def test_join_differential(self, env):
-        assert_identical(
+        check(
             env,
             "SELECT o_id, c_name FROM orders JOIN customer ON o_c_id = c_id",
         )
@@ -176,14 +165,14 @@ class TestJoinKernel:
         assert b_vec.tolist() == b_ref.tolist() == [1]
 
     def test_join_with_filter_and_projection(self, env):
-        assert_identical(
+        check(
             env,
             "SELECT o_id, o_amount, c_tier FROM orders JOIN customer "
             "ON o_c_id = c_id WHERE o_qty > 10",
         )
 
     def test_join_empty_probe_via_predicate(self, env):
-        vec = assert_identical(
+        vec = check(
             env,
             "SELECT o_id, c_name FROM orders JOIN customer "
             "ON o_c_id = c_id WHERE o_qty > 1000",
@@ -193,28 +182,26 @@ class TestJoinKernel:
 
 class TestDistinctKernel:
     def test_distinct_differential(self, env):
-        assert_identical(env, "SELECT DISTINCT o_region FROM orders")
+        check(env, "SELECT DISTINCT o_region FROM orders")
 
     def test_distinct_multi_column(self, env):
-        assert_identical(env, "SELECT DISTINCT o_region, o_qty FROM orders")
+        check(env, "SELECT DISTINCT o_region, o_qty FROM orders")
 
     def test_distinct_preserves_first_occurrence_order(self, env):
-        vec, ref = run_both(env, "SELECT DISTINCT o_qty FROM orders")
-        assert vec.rows == ref.rows  # exact order, not just same set
+        # exact order, not just same set
+        check(env, "SELECT DISTINCT o_qty FROM orders", ordered=True)
 
     def test_distinct_with_nulls(self, env):
         """None (string NULL) dedups; NaN (float NULL) never equals NaN,
-        so NaN rows all survive — in both modes."""
-        vec, ref = run_both(env, "SELECT DISTINCT o_region FROM orders")
-        assert vec.rows == ref.rows
+        so NaN rows all survive."""
+        vec = check(env, "SELECT DISTINCT o_region FROM orders")
         assert (None,) in vec.rows
-        vec_f, ref_f = run_both(env, "SELECT DISTINCT o_amount FROM orders")
-        assert rows_equal(vec_f.rows, ref_f.rows)
+        vec_f = check(env, "SELECT DISTINCT o_amount FROM orders")
         n_nan = sum(1 for (v,) in vec_f.rows if isinstance(v, float) and math.isnan(v))
-        assert n_nan > 1  # NaNs kept distinct, matching the scalar set
+        assert n_nan > 1  # NaNs kept distinct, like a set of fresh floats
 
     def test_distinct_empty_input(self, env):
-        vec = assert_identical(
+        vec = check(
             env, "SELECT DISTINCT o_region FROM orders WHERE o_qty > 1000"
         )
         assert vec.rows == []
@@ -222,73 +209,64 @@ class TestDistinctKernel:
 
 class TestOrderLimitKernel:
     def test_multi_key_mixed_direction(self, env):
-        assert_identical(
+        check(
             env, "SELECT o_qty, o_id FROM orders ORDER BY o_qty DESC, o_id ASC"
         )
 
     def test_order_stability_differential(self, env):
         """Ties on the sort key must keep input order (stable), exactly
-        like the scalar repeated-stable-sort reference."""
-        vec, ref = run_both(env, "SELECT o_qty, o_id FROM orders ORDER BY o_qty")
-        assert vec.rows == ref.rows
+        like the oracle's repeated stable sorts."""
+        check(env, "SELECT o_qty, o_id FROM orders ORDER BY o_qty", ordered=True)
 
     def test_top_k_fast_path(self, env):
         """LIMIT < n with one key takes argpartition; results must equal
         the full stable sort's prefix, ties included."""
         for limit in (1, 7, 50):
-            vec, ref = run_both(
+            vec = check(
                 env, f"SELECT o_qty, o_id FROM orders ORDER BY o_qty LIMIT {limit}"
             )
-            assert vec.rows == ref.rows
             assert len(vec.rows) == limit
 
     def test_top_k_descending(self, env):
-        vec, ref = run_both(
-            env, "SELECT o_qty, o_id FROM orders ORDER BY o_qty DESC LIMIT 10"
-        )
-        assert vec.rows == ref.rows
+        check(env, "SELECT o_qty, o_id FROM orders ORDER BY o_qty DESC LIMIT 10")
 
     def test_order_by_string_column(self, env):
-        assert_identical(
+        check(
             env,
             "SELECT c_name, c_id FROM customer ORDER BY c_name, c_id",
         )
 
     def test_order_by_float_with_nulls_falls_back(self, env):
         """NaN sort keys are not vectorizable; the fallback must keep the
-        scalar semantics bit-for-bit."""
-        vec, ref = run_both(
-            env, "SELECT o_amount, o_id FROM orders ORDER BY o_amount LIMIT 30"
-        )
-        assert rows_equal(vec.rows, ref.rows)
+        row-at-a-time semantics bit-for-bit."""
+        check(env, "SELECT o_amount, o_id FROM orders ORDER BY o_amount LIMIT 30")
 
     def test_limit_without_order(self, env):
-        assert_identical(env, "SELECT o_id FROM orders LIMIT 5")
+        check(env, "SELECT o_id FROM orders LIMIT 5")
 
     def test_randomized_differential(self, env):
         rng = random.Random(7)
         directions = ["ASC", "DESC"]
         for _ in range(10):
             # o_region excluded: None sort keys raise TypeError in the
-            # scalar reference, and the vectorized path mirrors that.
+            # oracle, and the executor mirrors that.
             keys = rng.sample(["o_qty", "o_id", "o_c_id"], rng.randrange(1, 3))
             order = ", ".join(f"{k} {rng.choice(directions)}" for k in keys)
             limit = rng.choice(["", f" LIMIT {rng.randrange(1, 60)}"])
             q = f"SELECT o_id, o_qty, o_c_id FROM orders ORDER BY {order}{limit}"
-            vec, ref = run_both(env, q)
-            assert vec.rows == ref.rows, q
+            check(env, q)
 
 
 class TestAggregateKernels:
     def test_group_aggregate_differential(self, env):
-        assert_identical(
+        check(
             env,
             "SELECT o_region, COUNT(*), SUM(o_qty), MIN(o_qty), MAX(o_qty) "
             "FROM orders GROUP BY o_region",
         )
 
     def test_sum_min_max_preserve_int_dtype(self, env):
-        vec, _ = run_both(
+        vec = check(
             env,
             "SELECT SUM(o_qty), MIN(o_qty), MAX(o_qty), COUNT(*) "
             "FROM orders GROUP BY o_region",
@@ -298,17 +276,17 @@ class TestAggregateKernels:
                 assert isinstance(value, int) and not isinstance(value, bool), row
 
     def test_avg_stays_float(self, env):
-        vec, _ = run_both(env, "SELECT AVG(o_qty) FROM orders")
+        vec = check(env, "SELECT AVG(o_qty) FROM orders")
         assert isinstance(vec.rows[0][0], float)
 
     def test_global_aggregate_empty_input(self, env):
-        vec = assert_identical(
+        vec = check(
             env, "SELECT COUNT(*), SUM(o_qty) FROM orders WHERE o_qty > 1000"
         )
         assert vec.rows == [(0, None)]
 
     def test_having_differential(self, env):
-        assert_identical(
+        check(
             env,
             "SELECT o_region, SUM(o_qty) FROM orders GROUP BY o_region "
             "HAVING SUM(o_qty) > 400",
@@ -316,8 +294,7 @@ class TestAggregateKernels:
 
     def test_having_division_by_zero_rejects_group(self, env):
         """A group whose HAVING expression divides by zero computes None
-        in the scalar path and must be filtered identically vectorized."""
-        catalog, planner, _cost = env
+        row-at-a-time and must be filtered identically by the mask."""
         query = Query(
             tables=["orders"],
             select=[
@@ -342,8 +319,7 @@ class TestAggregateKernels:
                 )
             ],
         )
-        vec, ref = run_both(env, query)
-        assert vec.rows == ref.rows == []  # every group divides by zero
+        assert check(env, query).rows == []  # every group divides by zero
 
 
 class TestGroupCodeOverflow:
@@ -364,30 +340,19 @@ class TestGroupCodeOverflow:
         assert len({s.pop() for s in by_tuple.values()}) == len(by_tuple)
 
     def test_group_by_many_columns_end_to_end(self, env):
-        vec, ref = run_both(
+        check(
             env,
             "SELECT o_region, o_qty, o_c_id, COUNT(*) FROM orders "
             "GROUP BY o_region, o_qty, o_c_id",
         )
-        assert rows_equal(vec.rows, ref.rows)
-        brute = {}
-        catalog, _planner, _cost = env
-        # brute-force over the raw rows
-        store = catalog["orders"].row_store
-        for row in store.scan(2**60):
-            key = (row[3], row[4], row[1])
-            brute[key] = brute.get(key, 0) + 1
-        assert len(vec.rows) == len(brute)
-        for region, qty, c_id, count in vec.rows:
-            assert brute[(region, qty, c_id)] == count
 
 
 class TestCostCharges:
     def test_distinct_is_charged(self, env):
-        catalog, planner, _ = env
+        catalog, planner, _, _tables = env
         plan = planner.plan(parse("SELECT DISTINCT o_region FROM orders"))
         plain = planner.plan(parse("SELECT o_region FROM orders"))
-        for vectorized in (True, False):
+        for vectorized in ARMS:
             cost_d = CostModel()
             Executor(catalog, cost_d, vectorized=vectorized).execute(plan)
             cost_p = CostModel()
@@ -397,20 +362,16 @@ class TestCostCharges:
     def test_residual_equality_is_charged(self, env):
         """A second join edge between already-joined tables becomes a
         residual equality, which now charges per filtered row."""
-        catalog, planner, _ = env
-        base = parse("SELECT o_id FROM orders JOIN customer ON o_c_id = c_id")
+        catalog, planner, _, _tables = env
         residual_query = parse(
             "SELECT o_id FROM orders JOIN customer ON o_c_id = c_id"
         )
         residual_query.joins.append(JoinCondition("o_qty", "c_tier"))
         plan_residual = planner.plan(residual_query)
         assert plan_residual.residual_equalities  # the extra edge is residual
-        del base
-        vec = Executor(catalog, CostModel()).execute(plan_residual)
-        ref = Executor(catalog, CostModel(), vectorized=False).execute(plan_residual)
-        assert vec.rows == ref.rows
+        check(env, residual_query)
         # Same plan, same path: the only difference is the new charge.
-        for vectorized in (True, False):
+        for vectorized in ARMS:
             charged = CostModel()
             free = CostModel(residual_filter_per_row_us=0.0)
             Executor(catalog, charged, vectorized=vectorized).execute(plan_residual)
@@ -420,14 +381,14 @@ class TestCostCharges:
 
 class TestProjectionMaterialization:
     def test_star_projection(self, env):
-        assert_identical(env, "SELECT * FROM customer")
+        check(env, "SELECT * FROM customer")
 
     def test_arithmetic_projection(self, env):
-        assert_identical(env, "SELECT o_id, o_qty * 2 FROM orders WHERE o_qty < 5")
+        check(env, "SELECT o_id, o_qty * 2 FROM orders WHERE o_qty < 5")
 
     def test_python_scalars_at_boundary(self, env):
         """Late materialization must still hand back Python scalars."""
-        vec, _ = run_both(env, "SELECT o_id, o_amount, o_region FROM orders LIMIT 20")
+        vec = check(env, "SELECT o_id, o_amount, o_region FROM orders LIMIT 20")
         for o_id, amount, region in vec.rows:
             assert isinstance(o_id, int)
             assert amount is None or isinstance(amount, float) or math.isnan(amount)

@@ -16,6 +16,8 @@ from repro.common import (
 )
 from repro.storage.column_store import ColumnStore
 
+from ..oracle import TableModel, store_state
+
 
 def make_schema():
     return Schema(
@@ -285,16 +287,16 @@ class TestDeleteBatch:
         assert removed == 3
         assert sorted(batched.all_rows()) == sorted(scalar.all_rows())
 
-    def test_compact_vectorized_matches_scalar(self):
+    def test_compact_matches_model(self):
         data = rows(30)
-        stores = []
+        model = TableModel(data, ts=2)
+        for key in (0, 7, 22):
+            model.apply("delete", key, None, 2)
         for vectorized in (True, False):
             store = ColumnStore(make_schema())
             store.append_rows(data[:15], commit_ts=1)
             store.append_rows(data[15:], commit_ts=2)
             store.delete_batch([0, 7, 22])
             store.compact(vectorized=vectorized)
-            stores.append(store)
-        assert sorted(stores[0].all_rows()) == sorted(stores[1].all_rows())
-        assert stores[0].max_commit_ts() == stores[1].max_commit_ts()
-        assert len(stores[0].segments) == 1
+            assert store_state(store) == model.state()
+            assert len(store.segments) == 1

@@ -1,16 +1,15 @@
-"""Batch-vectorized sync vs the scalar reference paths.
+"""Batch-vectorized sync vs the dict table model.
 
-Every Table 2 DS technique keeps its original row-at-a-time
-implementation behind ``vectorized=False``; these property-style tests
-drive both sides with the same randomized insert/update/delete mix
-(tombstones included) and require identical post-sync main-store
-content and identical freshness timestamps.
+Every Table 2 DS technique is driven with a randomized
+insert/update/delete mix (tombstones included) and must leave the main
+store holding exactly what ``tests/oracle``'s ``TableModel`` — a dict,
+written in commit order, last writer wins — holds, at the same
+freshness timestamp.
 
-The vectorized collapse emits winners in commit order while the scalar
-reference iterates dict insertion order, so raw segment layout may
-differ — equality is therefore asserted on the sorted logical row set
-plus ``max_commit_ts`` and live counts, which is exactly what every
-reader (scan, zone-map pruning aside) observes.
+The collapse emits winners in commit order, so raw segment layout is
+an implementation detail — equality is asserted on the sorted logical
+row set plus ``max_commit_ts`` and live counts, which is exactly what
+every reader (scan, zone-map pruning aside) observes.
 """
 
 import numpy as np
@@ -30,6 +29,8 @@ from repro.sync import (
     sorted_dictionary_merge,
     sorted_dictionary_merge_many,
 )
+
+from ..oracle import TableModel, store_state
 
 
 def make_schema():
@@ -67,35 +68,47 @@ def apply_ops(target, ops, start_ts=1):
     return ts - 1
 
 
-def store_state(main: ColumnStore):
-    return (sorted(main.all_rows()), main.max_commit_ts(), len(main))
+def model_ops(ops, start_ts=1):
+    """The same ops as ``(kind, key, row, ts)`` for the table model."""
+    return [
+        (kind, key, (key, float(value)), ts)
+        for ts, (kind, key, value) in enumerate(ops, start_ts)
+    ]
+
+
+#: Synchronizer arms under test; each must agree with the model.
+ARMS = (True, False)
 
 
 class TestDeltaMergeDifferential:
     @settings(max_examples=40, deadline=None)
     @given(ops=ops_strategy)
-    def test_vectorized_matches_scalar(self, ops):
-        states = []
-        for vectorized in (True, False):
+    def test_matches_model(self, ops):
+        # Pre-existing main rows so merge-applied deletes matter.
+        base = [(k, -1.0) for k in range(3)]
+        model = TableModel(base).apply_all(model_ops(ops))
+        for vectorized in ARMS:
             schema = make_schema()
             cost = CostModel()
             delta = InMemoryDeltaStore(schema, cost)
             main = ColumnStore(schema, cost)
-            # Pre-existing main rows so merge-applied deletes matter.
-            main.append_rows([(k, -1.0) for k in range(3)], commit_ts=0)
+            main.append_rows(base, commit_ts=0)
             merger = InMemoryDeltaMerger(
                 delta, main, cost, threshold_rows=1, vectorized=vectorized
             )
             apply_ops(delta, ops)
             merger.merge()
-            states.append(store_state(main))
-        assert states[0] == states[1]
+            assert store_state(main) == model.state()
 
     @settings(max_examples=20, deadline=None)
     @given(ops=ops_strategy, cut=st.integers(min_value=0, max_value=60))
-    def test_partial_cut_matches_scalar(self, ops, cut):
-        states = []
-        for vectorized in (True, False):
+    def test_partial_cut_matches_model(self, ops, cut):
+        merged = model_ops(ops)[:cut]  # op i commits at ts i + 1
+        residual = ops[cut:]
+        model = TableModel().apply_all(merged)
+        # The horizon advances to the cut itself, if anything drained.
+        expect = model.state(ts=cut if merged else 0)
+        for vectorized in ARMS:
             schema = make_schema()
             cost = CostModel()
             delta = InMemoryDeltaStore(schema, cost)
@@ -105,44 +118,45 @@ class TestDeltaMergeDifferential:
             )
             apply_ops(delta, ops)
             merger.merge(up_to_ts=cut)
-            states.append((store_state(main), len(delta), delta.updated_keys()))
-        assert states[0] == states[1]
+            assert store_state(main) == expect
+            assert len(delta) == len(residual)
+            assert delta.updated_keys() == {key for _, key, _ in residual}
 
 
 class TestLogMergeDifferential:
     @settings(max_examples=40, deadline=None)
     @given(ops=ops_strategy)
-    def test_vectorized_matches_scalar(self, ops):
-        states = []
-        stats = []
-        for vectorized in (True, False):
+    def test_matches_model(self, ops):
+        base = [(k, -1.0) for k in range(3)]
+        model = TableModel(base).apply_all(model_ops(ops))
+        # A file seals every 7 entries and indexes each key once; an
+        # indexed key is superseded when a newer file rewrote it.
+        files = [ops[i:i + 7] for i in range(0, len(ops), 7)]
+        indexed = sum(len({key for _, key, _ in f}) for f in files)
+        superseded = indexed - len({key for _, key, _ in ops})
+        for vectorized in ARMS:
             schema = make_schema()
             cost = CostModel()
             log = LogDeltaManager(schema, cost, seal_threshold=7)
             main = ColumnStore(schema, cost)
-            main.append_rows([(k, -1.0) for k in range(3)], commit_ts=0)
+            main.append_rows(base, commit_ts=0)
             merger = LogDeltaMerger(
                 log, main, cost, threshold_files=1, vectorized=vectorized
             )
             apply_ops(log, ops)
             log.seal()
             merger.merge()
-            states.append(store_state(main))
-            stats.append(
-                (merger.stats.entries_read, merger.stats.entries_superseded)
-            )
-        assert states[0] == states[1]
-        # The collapse must account for exactly the same superseded set
-        # the scalar newest-file-first index walk skips.
-        assert stats[0] == stats[1]
+            assert store_state(main) == model.state()
+            assert merger.stats.entries_read == len(ops)
+            assert merger.stats.entries_superseded == superseded
 
 
 class TestRebuildDifferential:
     @settings(max_examples=30, deadline=None)
     @given(ops=ops_strategy)
-    def test_vectorized_matches_scalar(self, ops):
-        states = []
-        for vectorized in (True, False):
+    def test_matches_model(self, ops):
+        model = TableModel([(100, -1.0)]).apply_all(model_ops(ops))
+        for vectorized in ARMS:
             schema = make_schema()
             cost = CostModel()
             rows = MVCCRowStore(schema, cost)
@@ -163,8 +177,7 @@ class TestRebuildDifferential:
                     rows.install_insert((key, float(value)), ts)
                 ts += 1
             rebuilder.rebuild(snapshot_ts=ts)
-            states.append(store_state(main))
-        assert states[0] == states[1]
+            assert store_state(main) == model.state(ts=ts)
 
 
 class TestDictionaryMergeMany:
@@ -197,8 +210,8 @@ class TestDictionaryMergeMany:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_freshness_timestamps_match(seed):
-    """Both paths advance the main store's sync horizon identically."""
+def test_freshness_timestamp_matches_model(seed):
+    """A merge advances the main store's sync horizon to the newest op."""
     rng = np.random.default_rng(seed)
     ops = [
         (
@@ -208,8 +221,8 @@ def test_freshness_timestamps_match(seed):
         )
         for _ in range(40)
     ]
-    sync_ts = []
-    for vectorized in (True, False):
+    model = TableModel().apply_all(model_ops(ops))
+    for vectorized in ARMS:
         schema = make_schema()
         cost = CostModel()
         delta = InMemoryDeltaStore(schema, cost)
@@ -219,5 +232,4 @@ def test_freshness_timestamps_match(seed):
         )
         apply_ops(delta, ops)
         merger.merge()
-        sync_ts.append(main.max_commit_ts())
-    assert sync_ts[0] == sync_ts[1]
+        assert main.max_commit_ts() == model.max_ts == len(ops)
