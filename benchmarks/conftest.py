@@ -9,12 +9,23 @@ kernels to pytest-benchmark for wall-clock measurement.
 
 from __future__ import annotations
 
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.bench import TpccLoader, TpccScale
+from repro.common import CostModel
 from repro.common.metrics import BenchReport
 from repro.engines import make_engine
 from repro.obs import get_registry
+from repro.query import Executor, Planner, parse
+
+#: ``tests.oracle`` — the brute-force reference the perf benches check
+#: against — lives beside this directory; bare ``pytest benchmarks/``
+#: does not put the repo root on the path, ``python -m pytest`` does.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 #: One compact scale for all engine benches: big enough for stable
 #: shapes, small enough that the distributed engine stays fast.
@@ -122,6 +133,40 @@ def print_table(title: str, headers: list[str], rows: list[list], widths=None):
                 for v, w in zip(row, widths)
             )
         )
+
+
+def best_of(fn, k: int = 5):
+    """``(best seconds, last result)`` of ``k`` timed calls after one
+    warmup (decode caches, allocator, branch predictors)."""
+    fn()
+    best = float("inf")
+    result = None
+    for _ in range(k):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def assert_workloads_match_oracle(catalog, tables, workloads) -> None:
+    """Every SQL in ``workloads`` returns the brute-force oracle's rows,
+    column names and Python value types on ``catalog``.  The oracle's
+    nested-loop join is quadratic: pass a small catalog."""
+    from tests.oracle import assert_matches
+
+    planner = Planner(catalog, CostModel())
+    executor = Executor(catalog, CostModel())
+    for sql in workloads:
+        assert_matches(executor.execute(planner.plan(parse(sql))), sql, tables)
+
+
+def assert_absolute_report(payload: dict, counts=("rows",)) -> None:
+    """``BENCH_*.json`` schema 2: per-workload fields are row counts,
+    ``*_s`` seconds or ``*_per_s`` rates — no ratio columns."""
+    assert payload["schema"] == 2
+    for name, fields in payload["workloads"].items():
+        for key in fields:
+            assert key in counts or key.endswith(("_s", "_per_s")), (name, key)
 
 
 @pytest.fixture(scope="session")

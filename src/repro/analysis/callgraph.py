@@ -1,9 +1,8 @@
 """Lightweight per-module call graph for the flow-ish rules.
 
-HTL002 (mutation-without-invalidation) and HTL003 (vectorized cost
-parity) need to know whether a method *reaches* some sink — a version
-bump, a ``scan_cache.invalidate``, a ``cost.charge`` — possibly through
-helper methods.  Full inter-procedural analysis is overkill for a
+HTL002 (mutation-without-invalidation) needs to know whether a method
+*reaches* some sink — a version bump, a ``scan_cache.invalidate`` —
+possibly through helper methods.  Full inter-procedural analysis is overkill for a
 single-package testbed, so resolution is name-based and module-local:
 
 * ``self.foo(...)`` resolves to the method ``foo`` of the enclosing

@@ -2,8 +2,7 @@
 
 The testbed's credibility rests on invariants no generic linter can
 see — determinism (SimClock/SeededRNG only), cache-version bumps on
-every write path, simulated-cost parity across vectorized/scalar
-splits, registered metric names, and no swallowed errors on the
+every write path, registered metric names, and no swallowed errors on the
 txn/WAL/Raft paths.  ``htaplint`` turns those reviewer conventions into
 machine-checked gates: an AST pass per file, a rule registry, per-line
 suppression comments, JSON/human output, and exit codes for CI.
@@ -58,7 +57,7 @@ class Finding:
 
 # --------------------------------------------------------------------- suppressions
 
-#: ``# htaplint: ignore[HTL001,HTL003] -- reason`` (reason mandatory).
+#: ``# htaplint: ignore[HTL001,HTL002] -- reason`` (reason mandatory).
 _SUPPRESS_RE = re.compile(
     r"#\s*htaplint:\s*ignore"
     r"(?:\[(?P<rules>[A-Z0-9,\s]*)\])?"

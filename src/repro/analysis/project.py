@@ -2,7 +2,7 @@
 
 The module-local :mod:`~repro.analysis.callgraph` deliberately treats
 every cross-object call as opaque, which is the right cost/precision
-point for HTL002/HTL003 but useless for the elastic cluster's
+point for HTL002 but useless for the elastic cluster's
 exactly-once invariants: the path from
 ``DistributedCluster.execute_transaction`` to a Raft ``propose_and_wait``
 crosses four modules, two constructor-assigned fields

@@ -2,15 +2,14 @@
 
 Each module calls :func:`repro.analysis.core.register` at import time;
 the driver imports this package lazily so adding a rule means adding a
-module here, nothing else.  HTL001–HTL005 are module-local (name-based
-callgraph); HTL006–HTL009 are whole-program (project index + CFG
+module here, nothing else.  HTL001, HTL002, HTL004 and HTL005 are
+module-local (name-based callgraph); HTL006–HTL009 are whole-program (project index + CFG
 dominance, see :mod:`repro.analysis.project` /
 :mod:`repro.analysis.dataflow`).
 """
 
 from . import (
     buffer_escape,
-    cost_parity,
     determinism,
     epoch_guard,
     error_swallow,
@@ -22,7 +21,6 @@ from . import (
 
 __all__ = [
     "buffer_escape",
-    "cost_parity",
     "determinism",
     "epoch_guard",
     "error_swallow",

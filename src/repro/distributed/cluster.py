@@ -262,7 +262,6 @@ class DistributedCluster:
         cost: CostModel | None = None,
         clock: LogicalClock | None = None,
         seed: int = 0,
-        vectorized: bool = True,
         point_fn: Callable[[str, Any], int] = hash_point,
         placement: PlacementPolicy | None = None,
         commit_protocol: str = "fast",
@@ -282,7 +281,6 @@ class DistributedCluster:
         self.replication = replication
         self._initial_shards = n_regions if n_regions is not None else n_storage_nodes
         self._seed = seed
-        self.vectorized = vectorized
         self._point_fn = point_fn
         self.placement = placement or PlacementPolicy()
         self.commit_protocol = commit_protocol
@@ -291,7 +289,7 @@ class DistributedCluster:
         self.router = Router(self.metadata, cost=self.cost, point_fn=self.point_of)
         self.coordinator = TwoPhaseCoordinator(cost=self.cost)
         self.piggyback = PiggybackCoordinator(cost=self.cost)
-        self.columnar = ColumnarReplica({}, self.cost, vectorized=vectorized)
+        self.columnar = ColumnarReplica({}, self.cost)
         # Grow-only, shard-id-indexed (ids are allocated monotonically;
         # merged-away shards keep their slot so indices never shift).
         self._groups: list[RaftGroup] = []
@@ -358,9 +356,7 @@ class DistributedCluster:
         if self._built:
             return
         self._built = True
-        self.columnar = ColumnarReplica(
-            self.schemas, self.cost, vectorized=self.vectorized
-        )
+        self.columnar = ColumnarReplica(self.schemas, self.cost)
         for sid in self.metadata.current().shard_ids():
             self._make_shard(sid)
         for group in self._groups:
@@ -389,18 +385,14 @@ class DistributedCluster:
             for v in voters
         }
         apply_fns = {v: sms[v].apply for v in voters}
-        apply_batch_fns = {}
-        if self.vectorized:
-            # Learners replay committed runs in batches; voters keep
-            # the per-entry apply (their 2PC votes are read between
-            # individual proposals).
-            apply_batch_fns[learner_id] = lambda start, commands: (
+        # Learners replay committed runs in batches; voters keep the
+        # per-entry apply (their 2PC votes are read between individual
+        # proposals).
+        apply_batch_fns = {
+            learner_id: lambda start, commands: (
                 self.columnar.learner_apply_batch(sid, start, commands)
             )
-        else:
-            apply_fns[learner_id] = lambda index, command: (
-                self.columnar.learner_apply(sid, index, command)
-            )
+        }
         group = RaftGroup(
             group_id=f"region{sid}",
             voter_ids=voters,

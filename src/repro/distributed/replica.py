@@ -37,7 +37,6 @@ from ..storage.delta_batch import (
     DeltaBatch,
 )
 from ..storage.delta_log import LogDeltaManager
-from ..storage.delta_store import DeltaEntry, collapse_entries
 
 #: Learner-stream commands the columnar replica deliberately skips
 #: (voter-side resharding machinery; see the module docstring).
@@ -68,10 +67,8 @@ class ColumnarReplica:
         schemas: dict[str, Schema],
         cost: CostModel,
         seal_threshold: int = 64,
-        vectorized: bool = True,
     ):
         self._cost = cost
-        self.vectorized = vectorized
         self.delta_logs = {
             name: LogDeltaManager(schema, cost=cost, seal_threshold=seal_threshold)
             for name, schema in schemas.items()
@@ -94,58 +91,6 @@ class ColumnarReplica:
         self._h_merge_latency = registry.histogram(
             "sync.merge_latency_us", technique="replica_merge"
         )
-
-    def learner_apply(self, region: int, _index: int, command: tuple) -> None:
-        from .cluster import WriteKind
-
-        op = command[0]
-        if op in ("prepare", "intent"):
-            _op, txn_id, writes, commit_ts = command
-            self._pending[(region, txn_id)] = (writes, commit_ts)
-        elif op == "commit1p":
-            # Single-shard 1PC: the one command is already the decision.
-            _op, txn_id, writes, commit_ts = command
-            for w in writes:
-                log = self.delta_logs[w.table]
-                if w.kind is WriteKind.INSERT:
-                    log.record_insert(w.row, commit_ts)
-                elif w.kind is WriteKind.UPDATE:
-                    log.record_update(w.row, commit_ts)
-                else:
-                    log.record_delete(w.key, commit_ts)
-            self.applied_ts = max(self.applied_ts, commit_ts)
-        elif op in ("commit", "resolve"):
-            if op == "resolve" and not command[2]:
-                # A resolved abort: drop the staged intent.
-                self._pending.pop((region, command[1]), None)
-                return
-            staged = self._pending.pop((region, command[1]), None)
-            if staged is None:
-                return
-            writes, commit_ts = staged
-            for w in writes:
-                log = self.delta_logs[w.table]
-                if w.kind is WriteKind.INSERT:
-                    log.record_insert(w.row, commit_ts)
-                elif w.kind is WriteKind.UPDATE:
-                    log.record_update(w.row, commit_ts)
-                else:
-                    log.record_delete(w.key, commit_ts)
-            self.applied_ts = max(self.applied_ts, commit_ts)
-        elif op == "abort":
-            _op, txn_id = command
-            self._pending.pop((region, txn_id), None)
-        elif op in ("bulk", "rehome"):
-            _op, table, rows, commit_ts = command
-            log = self.delta_logs[table]
-            for row in rows:
-                if op == "rehome":
-                    log.record_update(row, commit_ts)
-                else:
-                    log.record_insert(row, commit_ts)
-            self.applied_ts = max(self.applied_ts, commit_ts)
-        elif op in _LEARNER_IGNORED_OPS:
-            return
 
     def learner_apply_batch(
         self, region: int, _start_index: int, commands: list[tuple]
@@ -283,52 +228,29 @@ class ColumnarReplica:
                 continue
             self._m_merge_events.inc()
             store = self.column_stores[table]
-            if self.vectorized:
-                # Concatenate the files' column slabs without ever
-                # materializing DeltaEntry objects.
-                kinds: list[int] = []
-                keys: list = []
-                rows: list = []
-                ts: list = []
-                for f in files:
-                    self._cost.charge(self._cost.page_read_us * f.page_count())
-                    f_kinds, f_keys, f_rows, f_ts = f.columns()
-                    kinds.extend(f_kinds)
-                    keys.extend(f_keys)
-                    rows.extend(f_rows)
-                    ts.extend(f_ts)
-                batch_entries += len(keys)
-                merged += self._fold_vectorized(store, kinds, keys, rows, ts)
-                if ts:
-                    store.advance_sync_ts(max(ts))
-            else:
-                entries: list[DeltaEntry] = []
-                for f in files:
-                    self._cost.charge(self._cost.page_read_us * f.page_count())
-                    entries.extend(f.entries)
-                batch_entries += len(entries)
-                merged += self._fold_scalar(store, entries)
-                if entries:
-                    store.advance_sync_ts(max(e.commit_ts for e in entries))
+            # Concatenate the files' column slabs without ever
+            # materializing DeltaEntry objects.
+            kinds: list[int] = []
+            keys: list = []
+            rows: list = []
+            ts: list = []
+            for f in files:
+                self._cost.charge(self._cost.page_read_us * f.page_count())
+                f_kinds, f_keys, f_rows, f_ts = f.columns()
+                kinds.extend(f_kinds)
+                keys.extend(f_keys)
+                rows.extend(f_rows)
+                ts.extend(f_ts)
+            batch_entries += len(keys)
+            merged += self._fold(store, kinds, keys, rows, ts)
+            if ts:
+                store.advance_sync_ts(max(ts))
         elapsed = self._cost.now_us() - start
         self._h_merge_batch.observe(batch_entries)
         self._h_merge_latency.observe(elapsed)
         return merged
 
-    def _fold_scalar(self, store: ColumnStore, entries: list[DeltaEntry]) -> int:
-        live, tombstones = collapse_entries(entries)
-        if tombstones:
-            store.delete_keys(tombstones)
-        if not live:
-            return 0
-        rows = list(live.values())
-        max_ts = max(e.commit_ts for e in entries)
-        self._cost.charge_rows(self._cost.merge_per_row_us, len(rows))
-        store.append_rows(rows, commit_ts=max_ts)
-        self._m_merge_rows.inc(len(rows))
-        return len(rows)
-
-    def _fold_vectorized(
+    def _fold(
         self,
         store: ColumnStore,
         kinds: list[int],

@@ -34,7 +34,7 @@ from ..query.stats_cache import StatsCache
 from ..obs import get_registry
 from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_arrays
 from ..storage.column_store import ColumnStore
-from ..storage.delta_store import InMemoryDeltaStore, collapse_entries
+from ..storage.delta_store import InMemoryDeltaStore
 from ..txn.wal import WalKind, WriteAheadLog
 from .base import EngineInfo, EngineSession, HTAPEngine
 
@@ -44,10 +44,9 @@ _NODE = "node0"
 class HanaTable:
     """One table's L1-delta / L2-delta / Main trio."""
 
-    def __init__(self, schema: Schema, cost: CostModel, vectorized: bool = True):
+    def __init__(self, schema: Schema, cost: CostModel):
         self.schema = schema
         self._cost = cost
-        self.vectorized = vectorized
         self.l1 = InMemoryDeltaStore(schema, cost)
         self.l2 = ColumnStore(schema, cost)
         self.main = ColumnStore(schema, cost)
@@ -107,33 +106,19 @@ class HanaTable:
 
     def merge_l1_to_l2(self) -> int:
         """Columnarize the L1 delta into L2 (upserting over Main/L2)."""
-        if self.vectorized:
-            batch = self.l1.clear_batch()
-            self._l1_view.clear()
-            if not len(batch):
-                return 0
-            collapsed = batch.collapse()
-            touched = collapsed.touched_keys()
-            self.main.delete_batch(touched)
-            self.l2.delete_batch(touched)
-            max_ts = batch.max_commit_ts()
-            if collapsed.live_keys:
-                arrays = rows_to_columns(self.schema, collapsed.live_rows)
-                self.l2.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
-            moved = len(collapsed.live_keys)
-        else:
-            entries = self.l1.clear()
-            self._l1_view.clear()
-            if not entries:
-                return 0
-            live, tombstones = collapse_entries(entries)
-            touched = set(live) | tombstones
-            self.main.delete_keys(touched)
-            self.l2.delete_keys(touched)
-            max_ts = max(e.commit_ts for e in entries)
-            if live:
-                self.l2.append_rows(list(live.values()), commit_ts=max_ts)
-            moved = len(live)
+        batch = self.l1.clear_batch()
+        self._l1_view.clear()
+        if not len(batch):
+            return 0
+        collapsed = batch.collapse()
+        touched = collapsed.touched_keys()
+        self.main.delete_batch(touched)
+        self.l2.delete_batch(touched)
+        max_ts = batch.max_commit_ts()
+        if collapsed.live_keys:
+            arrays = rows_to_columns(self.schema, collapsed.live_rows)
+            self.l2.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
+        moved = len(collapsed.live_keys)
         self.l2.advance_sync_ts(max_ts)
         self.main.advance_sync_ts(max_ts)
         self.l1_to_l2_merges += 1
@@ -143,22 +128,13 @@ class HanaTable:
     def merge_l2_to_main(self) -> int:
         """Fold L2 into Main and re-sort dictionaries (compact)."""
         max_ts = max(self.l2.max_commit_ts(), self.main.max_commit_ts())
-        if self.vectorized:  # htaplint: ignore[HTL003] -- scalar arm charges inside l2.all_rows() (store-side materialize, opaque to the module-local call graph); the inline charge_rows below mirrors it
-            # Move L2 as whole column arrays; the simulated materialize
-            # charge matches the scalar all_rows() path.
-            result = self.l2.scan(with_keys=True)
-            moved = len(result.keys)
-            self._cost.charge_rows(self._cost.column_materialize_per_row_us, moved)
-            if moved:
-                self.main.delete_batch(result.keys)
-                self.main.append_batch(result.arrays, result.keys, commit_ts=max_ts)
-        else:
-            rows = self.l2.all_rows()
-            moved = len(rows)
-            if rows:
-                keys = [self.schema.key_of(r) for r in rows]
-                self.main.delete_keys(keys)
-                self.main.append_rows(rows, commit_ts=max_ts)
+        # Move L2 as whole column arrays, charged one materialize per row.
+        result = self.l2.scan(with_keys=True)
+        moved = len(result.keys)
+        self._cost.charge_rows(self._cost.column_materialize_per_row_us, moved)
+        if moved:
+            self.main.delete_batch(result.keys)
+            self.main.append_batch(result.arrays, result.keys, commit_ts=max_ts)
         # Dictionary-encoded sorting merge: the compaction rebuilds every
         # segment (and thus every sorted dictionary) in one pass.
         self._cost.charge(
@@ -166,7 +142,7 @@ class HanaTable:
             * max(len(self.main), 1)
             * len(self.schema.columns)
         )
-        self.main.compact(vectorized=self.vectorized)
+        self.main.compact()
         self.main.advance_sync_ts(max_ts)
         self.l2 = ColumnStore(self.schema, self._cost)
         self.l2.advance_sync_ts(max_ts)
@@ -307,10 +283,8 @@ class ColumnDeltaEngine(HTAPEngine):
         l2_threshold: int = 2048,
         l1_fraction: float = 0.05,
         group_commit_size: int = 8,
-        vectorized: bool = True,
     ):
         super().__init__(cost, clock)
-        self.vectorized = vectorized
         self.wal = WriteAheadLog(
             cost=self.cost,
             group_commit_size=group_commit_size,
@@ -333,7 +307,7 @@ class ColumnDeltaEngine(HTAPEngine):
     def create_table(self, schema: Schema) -> None:
         if schema.table_name in self._tables:
             raise TransactionError(f"table {schema.table_name!r} already exists")
-        table = HanaTable(schema, self.cost, vectorized=self.vectorized)
+        table = HanaTable(schema, self.cost)
         self._tables[schema.table_name] = table
         self._register_adapter(schema.table_name, _HanaTableAccess(self, schema.table_name))
 

@@ -32,7 +32,7 @@ from ..query.statistics import TableStats
 from ..query.stats_cache import StatsCache
 from ..storage.code_batch import overlay_arrays
 from ..storage.column_store import ColumnStore
-from ..storage.delta_store import InMemoryDeltaStore, collapse_entries
+from ..storage.delta_store import InMemoryDeltaStore
 from ..storage.disk_row_store import DiskRowStore
 from ..txn.wal import WalKind, WriteAheadLog
 from .base import EngineInfo, EngineSession, HTAPEngine
@@ -60,10 +60,8 @@ class DiskRowIMCSEngine(HTAPEngine):
         column_budget_bytes: int | None = None,
         column_selector: str = "heatmap",
         group_commit_size: int = 8,
-        vectorized: bool = True,
     ):
         super().__init__(cost, clock)
-        self.vectorized = vectorized
         self.wal = WriteAheadLog(
             cost=self.cost,
             group_commit_size=group_commit_size,
@@ -225,36 +223,22 @@ class DiskRowIMCSEngine(HTAPEngine):
     def _propagate(self, table: str) -> int:
         delta = self._deltas[table]
         imcs = self._imcs[table]
-        if self.vectorized:
-            batch = delta.clear_batch()
-            if not len(batch):
-                return 0
-            self.scan_cache.invalidate(table)
-            self._m_propagations.inc()
-            collapsed = batch.collapse()
-            imcs.delete_batch(collapsed.touched_keys())
-            max_ts = batch.max_commit_ts()
-            if collapsed.live_keys:
-                self.cost.charge_rows(
-                    self.cost.merge_per_row_us, len(collapsed.live_keys)
-                )
-                arrays = rows_to_columns(delta.schema, collapsed.live_rows)
-                imcs.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
-            imcs.advance_sync_ts(max_ts)
-            return len(collapsed.live_keys)
-        entries = delta.clear()
-        if not entries:
+        batch = delta.clear_batch()
+        if not len(batch):
             return 0
         self.scan_cache.invalidate(table)
         self._m_propagations.inc()
-        live, tombstones = collapse_entries(entries)
-        imcs.delete_keys(set(live) | tombstones)
-        max_ts = max(e.commit_ts for e in entries)
-        if live:
-            self.cost.charge_rows(self.cost.merge_per_row_us, len(live))
-            imcs.append_rows(list(live.values()), commit_ts=max_ts)
+        collapsed = batch.collapse()
+        imcs.delete_batch(collapsed.touched_keys())
+        max_ts = batch.max_commit_ts()
+        if collapsed.live_keys:
+            self.cost.charge_rows(
+                self.cost.merge_per_row_us, len(collapsed.live_keys)
+            )
+            arrays = rows_to_columns(delta.schema, collapsed.live_rows)
+            imcs.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
         imcs.advance_sync_ts(max_ts)
-        return len(live)
+        return len(collapsed.live_keys)
 
     def freshness_lag(self) -> int:
         newest = self.clock.now()

@@ -47,7 +47,6 @@ class DistributedReplicaEngine(HTAPEngine):
         n_analytic_nodes: int = 1,
         n_regions: int | None = None,
         seed: int = 0,
-        vectorized: bool = True,
         commit_protocol: str = "fast",
     ):
         super().__init__(cost, clock)
@@ -59,7 +58,6 @@ class DistributedReplicaEngine(HTAPEngine):
             cost=self.cost,
             clock=self.clock,
             seed=seed,
-            vectorized=vectorized,
             commit_protocol=commit_protocol,
         )
         # One ledger shared with the cluster so all busy time lands in

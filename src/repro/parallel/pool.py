@@ -12,7 +12,7 @@ make that true:
   the shared :class:`~repro.common.clock.SimClock`.  A task *returns*
   its simulated charge and the caller accounts it on the shared clock
   in submission order, which keeps the simulated timeline bit-identical
-  to the serial path (the cost-parity discipline, HTL003);
+  to the serial path (the cost-parity discipline);
 * worker threads never mutate the store they read: scans snapshot the
   segment list up front and segments are sealed/immutable.
 

@@ -6,18 +6,18 @@ grouped aggregation reduces them with ``reduceat`` kernels — the
 "aggregations over compressed data and SIMD instructions" style of
 columnar AP execution the survey describes, expressed in NumPy.
 
-Two execution modes share one plan shape:
-
-* **vectorized** (the default): the join is a sort/searchsorted merge
-  over factorized key codes, projection is columnar with late
-  materialization (tuples are built only at the result boundary),
-  DISTINCT is ``np.unique`` over packed key codes, and multi-key
-  ORDER BY is ``np.lexsort`` with a top-k ``argpartition`` fast path
-  when LIMIT is present;
-* **scalar** (``vectorized=False``): the retained row-at-a-time
-  reference implementation.  The perf microbench measures the
-  vectorized kernels against it, and the differential tests prove the
-  two produce identical results (including NULL and empty inputs).
+One execution mode: the join is a sort/searchsorted merge over
+factorized key codes, projection is columnar with late materialization
+(tuples are built only at the result boundary), DISTINCT is
+``np.unique`` over packed key codes, and multi-key ORDER BY is
+``np.lexsort`` with a top-k ``argpartition`` fast path when LIMIT is
+present.  Column scans that can serve dictionary codes stay encoded
+past the scan boundary (joins, GROUP BY and DISTINCT run on codes;
+materialization is deferred to result emit).  Inputs a kernel cannot
+take (mixed object types, NULLs in sort keys) fall back to
+row-at-a-time helpers.  The differential tests compare every operator
+against the brute-force evaluator in ``tests/oracle`` (including NULL
+and empty inputs).
 
 Scans can additionally be served from an MVCC-aware
 :class:`~repro.query.scan_cache.ScanCache` keyed on
@@ -67,8 +67,8 @@ _PACK_LIMIT = 2**62
 
 class _Unvectorizable(Exception):
     """Internal: a kernel cannot run vectorized on this data (mixed
-    object types, NULLs in sort keys, ...); fall back to the scalar
-    reference path so semantics stay byte-identical."""
+    object types, NULLs in sort keys, ...); fall back to the
+    row-at-a-time helper for that operator."""
 
 
 class Executor:
@@ -79,19 +79,10 @@ class Executor:
         catalog: Catalog,
         cost: CostModel | None = None,
         scan_cache: ScanCache | None = None,
-        vectorized: bool = True,
-        compressed: bool = True,
     ):
         self._catalog = catalog
         self._cost = cost or CostModel()
         self._scan_cache = scan_cache
-        self._vectorized = vectorized
-        #: Compressed execution: column scans that can serve dictionary
-        #: codes stay encoded past the scan boundary (joins, GROUP BY and
-        #: DISTINCT run on codes; materialization is deferred to result
-        #: emit).  ``compressed=False`` is the decode-first reference the
-        #: differential tests and the pipeline bench compare against.
-        self._compressed = compressed
         reg = get_registry()
         self._code_join_counter = reg.counter("exec.code_space_joins")
         self._code_group_counter = reg.counter("exec.code_space_groups")
@@ -127,11 +118,8 @@ class Executor:
         if query.group_by or query.has_aggregates():
             columns, rows = self._aggregate(query, batch)
             rows = self._order_and_limit(query, columns, rows)
-        elif self._vectorized:
-            columns, rows = self._project_vectorized(query, batch)
         else:
-            columns, rows = self._project_scalar(query, batch)
-            rows = self._order_and_limit(query, columns, rows)
+            columns, rows = self._project(query, batch)
         return QueryResult(
             columns=columns,
             rows=rows,
@@ -149,10 +137,8 @@ class Executor:
         needed = sorted(set(scan.columns))
         if not needed:
             needed = [schema.primary_key[0]]
-        encoded = (
-            self._compressed
-            and scan.path is AccessPath.COLUMN_SCAN
-            and hasattr(adapter, "scan_columns_encoded")
+        encoded = scan.path is AccessPath.COLUMN_SCAN and hasattr(
+            adapter, "scan_columns_encoded"
         )
         cache = self._scan_cache
         cache_key = None
@@ -274,9 +260,8 @@ class Executor:
         if is_code_column(probe_values) and is_code_column(build_values):
             # Code-space join: remap the build side's codes into the
             # probe side's dictionary and join on the integer codes.
-            # The remap is charged here, before (and regardless of) the
-            # vectorized/scalar split — both arms pay the same
-            # code-alignment price (the HTL003 parity discipline).
+            # The remap is charged here, before the probe — the kernel
+            # and its row-at-a-time fallback pay the same price.
             probe_values, build_values, n_remapped = align_build_codes(
                 probe_values, build_values
             )
@@ -294,16 +279,11 @@ class Executor:
                 build_values = build_values.decode()
         self._cost.charge_rows(self._cost.hash_build_per_row_us, len(build_values))
         self._cost.charge_rows(self._cost.hash_probe_per_row_us, len(probe_values))
-        if self._vectorized:
-            try:
-                probe_positions, build_positions = self._probe_positions(
-                    probe_values, build_values
-                )
-            except _Unvectorizable:
-                probe_positions, build_positions = _equi_join_positions_scalar(
-                    probe_values, build_values
-                )
-        else:
+        try:
+            probe_positions, build_positions = self._probe_positions(
+                probe_values, build_values
+            )
+        except _Unvectorizable:
             probe_positions, build_positions = _equi_join_positions_scalar(
                 probe_values, build_values
             )
@@ -426,8 +406,6 @@ class Executor:
         """
         from .ast import AggFunc
 
-        if not self._vectorized:
-            return None
         pool = get_default_pool()
         n = _batch_len(batch)
         morsel_rows = getattr(pool, "morsel_rows", None) if pool else None
@@ -503,9 +481,7 @@ class Executor:
         """Indexes of groups passing every HAVING condition."""
         if not query.having or n_groups == 0:
             return list(range(n_groups))
-        if self._vectorized and not any(
-            arr.dtype == object for arr in agg_values.values()
-        ):
+        if not any(arr.dtype == object for arr in agg_values.values()):
             try:
                 mask = np.ones(n_groups, dtype=bool)
                 for having in query.having:
@@ -582,46 +558,7 @@ class Executor:
             arrays.append(value if is_code_column(value) else np.asarray(value))
         return columns, arrays
 
-    def _project_scalar(self, query: Query, batch: Batch) -> tuple[list[str], list[tuple]]:
-        """Row-at-a-time reference: materialize tuples, then dedup."""
-        n = _batch_len(batch)
-        columns, arrays = self._projection_arrays(query, batch)
-        if not any(is_code_column(arr) for arr in arrays):
-            self._cost.charge_rows(self._cost.column_materialize_per_row_us, n)
-            rows = [
-                tuple(_to_py(arr[i]) for arr in arrays)
-                for i in range(n)
-            ]
-            if query.distinct:
-                self._cost.charge_rows(self._cost.distinct_per_row_us, n)
-                rows = _distinct_rows_scalar(rows)
-            return columns, rows
-        # Compressed reference arm: dedup row-at-a-time on dictionary
-        # codes (equal codes <=> equal values within one dictionary),
-        # then decode only the survivors at the result boundary — the
-        # same charge points as the vectorized late path.
-        keep: list[int] | range = range(n)
-        if query.distinct:
-            self._cost.charge_rows(self._cost.distinct_per_row_us, n)
-            seen: set = set()
-            kept: list[int] = []
-            for i in range(n):
-                key = tuple(
-                    int(arr.codes[i]) if is_code_column(arr) else _to_py(arr[i])
-                    for arr in arrays
-                )
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(i)
-            keep = kept
-            self._code_distinct_counter.inc()
-        self._cost.charge_rows(
-            self._cost.column_materialize_per_row_us, len(keep)
-        )
-        rows = [tuple(_to_py(arr[i]) for arr in arrays) for i in keep]
-        return columns, rows
-
-    def _project_vectorized(
+    def _project(
         self, query: Query, batch: Batch
     ) -> tuple[list[str], list[tuple]]:
         """Columnar late materialization: DISTINCT / ORDER BY / LIMIT run
@@ -662,11 +599,10 @@ class Executor:
                 self._code_distinct_counter.inc()
         if late:
             # Result emit: only post-DISTINCT survivors pay the
-            # materialization charge (mirroring the scalar reference
-            # arm).  The physical gather is deferred further still —
-            # ORDER BY sorts directly on dictionary codes (the sorted
-            # dictionary makes code order value order), so after LIMIT
-            # only the emitted rows are decoded at all.
+            # materialization charge.  The physical gather is deferred
+            # further still — ORDER BY sorts directly on dictionary
+            # codes (the sorted dictionary makes code order value
+            # order), so after LIMIT only the emitted rows are decoded.
             n_emit = len(arrays[0]) if arrays else 0
             self._cost.charge_rows(
                 self._cost.column_materialize_per_row_us, n_emit
@@ -677,7 +613,7 @@ class Executor:
             try:
                 sel = _order_selection(query, columns, arrays)
             except _Unvectorizable:
-                # NULL/NaN sort keys: the scalar reference semantics
+                # NULL/NaN sort keys: the row-at-a-time sort's semantics
                 # (including its errors) are authoritative.
                 arrays = [
                     arr.decode() if is_code_column(arr) else arr
@@ -956,7 +892,8 @@ def _co_factorize(
 def _equi_join_positions_scalar(
     probe_values: np.ndarray, build_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The retained dict-based reference join (row-at-a-time)."""
+    """Dict-based row-at-a-time join: the fallback for key columns the
+    vectorized probe cannot factorize."""
     table: dict[Any, list[int]] = {}
     for i, v in enumerate(build_values.tolist()):
         table.setdefault(v, []).append(i)

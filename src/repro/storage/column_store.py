@@ -340,48 +340,16 @@ class ColumnStore:
     # ------------------------------------------------------------- writes
 
     def append_rows(self, rows: Sequence[Row], commit_ts: Timestamp) -> Segment:
-        """Seal ``rows`` into a new segment (upserting over prior versions)."""
+        """Validate and pivot ``rows``, then seal them via :meth:`append_batch`."""
         if not rows:
             raise StorageError("cannot seal an empty segment")
-        self.mutations += 1
         validated = [self.schema.validate_row(r) for r in rows]
-        keys = [self.schema.key_of(r) for r in validated]
-        # Upsert semantics: a key re-appended supersedes its old position.
-        stale = [k for k in keys if k in self._locations]
-        if stale:
-            self.delete_keys(stale)
-        arrays = rows_to_columns(self.schema, validated)
-        encodings: dict[str, Encoding] = {}
-        zone_maps: dict[str, ZoneMap] = {}
-        for col in self.schema.columns:
-            arr = arrays[col.name]
-            encodings[col.name] = self._encode_column(arr)
-            zone = build_zone_map(arr, encodings[col.name])
-            if zone is not None:
-                zone_maps[col.name] = zone
-        self._widen_zone_index(zone_maps)
-        segment = Segment(
-            segment_id=self._next_segment_id,
-            n_rows=len(validated),
-            encodings=encodings,
-            keys=keys,
-            zone_maps=zone_maps,
-            delete_mask=np.zeros(len(validated), dtype=bool),
-            max_commit_ts=commit_ts,
+        key_of = self.schema.key_of
+        return self.append_batch(
+            rows_to_columns(self.schema, validated),
+            [key_of(r) for r in validated],
+            commit_ts,
         )
-        self._next_segment_id += 1
-        self._segments.append(segment)
-        self._segment_by_id[segment.segment_id] = segment
-        for pos, key in enumerate(keys):
-            self._locations[key] = (segment.segment_id, pos)
-        self._max_commit_ts = max(self._max_commit_ts, commit_ts)
-        seal_factor = sum(
-            SEAL_COST_FACTOR.get(enc.name, 1.0) for enc in encodings.values()
-        ) / max(len(encodings), 1)
-        self._cost.charge_rows(
-            self._cost.segment_seal_per_row_us * seal_factor, len(validated)
-        )
-        return segment
 
     def append_batch(
         self,
@@ -389,18 +357,21 @@ class ColumnStore:
         keys: Sequence[Key],
         commit_ts: Timestamp,
     ) -> Segment:
-        """Seal pre-pivoted column ``arrays`` into one segment.
+        """Seal pre-pivoted column ``arrays`` into one segment — the one
+        way rows land in a column image.
 
-        The bulk counterpart of :meth:`append_rows`: callers supply
-        already-encoded cell arrays (e.g. from ``rows_to_columns`` or a
-        prior scan) plus the matching key list, so the seal skips the
-        per-row validate/key-extract/pivot hops entirely.  Upsert
-        semantics, zone maps, encodings and the simulated seal charge
-        match the scalar path exactly.
+        Callers supply already-encoded cell arrays (e.g. from
+        ``rows_to_columns`` or a prior scan) plus the matching key list.
+        A key already in the store is upserted: its old position is
+        deleted.  A key repeated *within* the batch is rejected before
+        any state changes — the pk directory could only address one of
+        the copies.
         """
         n = len(keys)
         if n == 0:
             raise StorageError("cannot seal an empty segment")
+        if len(set(keys)) != n:
+            raise StorageError("batch repeats a primary key")
         self.mutations += 1
         stale = [k for k in keys if k in self._locations]
         if stale:
@@ -474,7 +445,8 @@ class ColumnStore:
                 self._zone_ranges.pop(name, None)
 
     def _delete_positions(self, keys: Iterable[Key]) -> int:
-        """Flip delete bits without bumping the write version."""
+        """Flip delete bits without bumping the write version: hits are
+        grouped per segment and land as one fancy-indexed assignment."""
         if not self._locations:
             return 0
         by_segment: dict[int, list[int]] = {}
@@ -495,23 +467,10 @@ class ColumnStore:
     def delete_keys(self, keys: Iterable[Key]) -> int:
         """Flip delete bits for ``keys``; returns how many were present."""
         self.mutations += 1
-        if not self._locations:
-            return 0
-        hit = 0
-        for key in keys:
-            loc = self._locations.pop(key, None)
-            if loc is None:
-                continue
-            segment_id, pos = loc
-            segment = self._segment_by_id[segment_id]
-            segment.delete_mask[pos] = True
-            segment.dead_count += 1
-            hit += 1
-        return hit
+        return self._delete_positions(keys)
 
     def delete_batch(self, keys: Sequence[Key]) -> int:
-        """Bulk :meth:`delete_keys`: group hits per segment and flip
-        each segment's bits with one fancy-indexed assignment."""
+        """:meth:`delete_keys` under the name the batch mergers use."""
         self.mutations += 1
         return self._delete_positions(keys)
 
@@ -863,32 +822,22 @@ class ColumnStore:
         dead = sum(seg.dead_count for seg in self._segments)
         return dead / total
 
-    def compact(self, vectorized: bool = False) -> None:
+    def compact(self) -> None:
         """Rewrite all live rows into a single fresh segment.
 
-        ``vectorized=True`` moves the surviving rows as whole column
-        arrays (scan → reset → :meth:`append_batch`) instead of
-        materializing Python row tuples; the simulated materialize and
-        seal charges are kept identical to the scalar path.
+        The survivors move as whole column arrays (scan → reset →
+        :meth:`append_batch`), charged one materialize per row plus the
+        seal.
         """
         self.mutations += 1
         max_ts = self._max_commit_ts
-        if vectorized:
-            result = self.scan(with_keys=True)
-            n = len(result.keys)
-            self._cost.charge_rows(self._cost.column_materialize_per_row_us, n)
-            self._segments.clear()
-            self._segment_by_id.clear()
-            self._locations.clear()
-            self._zone_ranges.clear()  # rebuilt by the re-seal below
-            if n:
-                self.append_batch(result.arrays, result.keys, commit_ts=max_ts)
-        else:
-            rows = self.all_rows()
-            self._segments.clear()
-            self._segment_by_id.clear()
-            self._locations.clear()
-            self._zone_ranges.clear()
-            if rows:
-                self.append_rows(rows, commit_ts=max_ts)
+        result = self.scan(with_keys=True)
+        n = len(result.keys)
+        self._cost.charge_rows(self._cost.column_materialize_per_row_us, n)
+        self._segments.clear()
+        self._segment_by_id.clear()
+        self._locations.clear()
+        self._zone_ranges.clear()  # rebuilt by the re-seal below
+        if n:
+            self.append_batch(result.arrays, result.keys, commit_ts=max_ts)
         self._max_commit_ts = max_ts

@@ -1,6 +1,6 @@
 """Columnar batch representation of delta entries.
 
-The scalar sync paths move one :class:`~repro.storage.delta_store.DeltaEntry`
+An entry-at-a-time sync moves one :class:`~repro.storage.delta_store.DeltaEntry`
 at a time through Python dicts.  A :class:`DeltaBatch` keeps the same
 information as parallel columns (kind codes, keys, row tuples, commit
 timestamps) so the last-writer-wins collapse — the inner loop of every

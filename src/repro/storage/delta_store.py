@@ -11,8 +11,8 @@ Entries are held *columnar* internally (parallel kind/key/row/ts
 columns plus dense per-key codes) so merges can drain them as a
 :class:`~repro.storage.delta_batch.DeltaBatch` and collapse them with
 one NumPy scatter instead of a per-entry Python loop.  The classic
-:class:`DeltaEntry` object view is materialized on demand for the
-scalar reference paths.
+:class:`DeltaEntry` object view is materialized on demand for
+entry-at-a-time readers.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def collapse_entries(
 ) -> tuple[dict[Key, Row], set[Key]]:
     """Final row image per key plus tombstoned keys, for a merge batch.
 
-    The scalar reference collapse; the vectorized equivalent lives in
+    The entry-at-a-time collapse; the batch equivalent lives in
     :mod:`repro.storage.delta_batch`.
     """
     live: dict[Key, Row] = {}

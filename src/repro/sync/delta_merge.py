@@ -12,11 +12,10 @@ store.  Implements the survey's two optimizations:
   never observe a half-merged store: until phase 2 completes they see
   main + full delta, afterwards main' + residual delta.
 
-The default merge is *batch-vectorized*: the delta drains as a
-columnar :class:`~repro.storage.delta_batch.DeltaBatch`, collapses
-with one NumPy scatter, and lands via the column store's bulk
-``append_batch``/``delete_batch`` path.  ``vectorized=False`` keeps
-the original entry-at-a-time loop as a differential reference.
+The merge is *batch-vectorized*: the delta drains as a columnar
+:class:`~repro.storage.delta_batch.DeltaBatch`, collapses with one
+NumPy scatter, and lands via the column store's bulk
+``append_batch``/``delete_batch`` path.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..common.cost import CostModel
 from ..common.types import rows_to_columns
 from ..obs import get_registry
 from ..storage.column_store import ColumnStore
-from ..storage.delta_store import InMemoryDeltaStore, collapse_entries
+from ..storage.delta_store import InMemoryDeltaStore
 
 
 @dataclass
@@ -55,7 +54,6 @@ class InMemoryDeltaMerger:
         cost: CostModel | None = None,
         threshold_rows: int = 1024,
         on_advance=None,
-        vectorized: bool = True,
     ):
         if threshold_rows < 1:
             raise ValueError("threshold_rows must be >= 1")
@@ -66,7 +64,6 @@ class InMemoryDeltaMerger:
         #: Called (no args) after a merge advances the AP image — scan
         #: caches over ``main`` hook invalidation here.
         self.on_advance = on_advance
-        self.vectorized = vectorized
         self.stats = MergeStats()
         registry = get_registry()
         self._m_merges = registry.counter("sync.delta_merge.events")
@@ -91,11 +88,7 @@ class InMemoryDeltaMerger:
         """Run the two-phase migration; returns rows moved into main."""
         start = self._cost.now_us()
         cut = up_to_ts if up_to_ts is not None else self.delta.max_commit_ts()
-        moved = (
-            self._merge_vectorized(cut)
-            if self.vectorized
-            else self._merge_scalar(cut)
-        )
+        moved = self._merge(cut)
         if moved is None:
             return 0
         rows, tombstones, drained = moved
@@ -109,23 +102,7 @@ class InMemoryDeltaMerger:
             self.on_advance()
         return rows
 
-    def _merge_scalar(self, cut: Timestamp):
-        # Phase 1: detach the prefix of the delta up to the cut.
-        batch = self.delta.drain_up_to(cut)
-        if not batch:
-            return None
-        live, tombstones = collapse_entries(batch)
-        # Phase 2: apply atomically to the main store.
-        stale = set(live) | tombstones
-        self.main.delete_keys(stale)
-        if live:
-            rows = list(live.values())
-            self._cost.charge_rows(self._cost.merge_per_row_us, len(rows))
-            self.main.append_rows(rows, commit_ts=cut)
-        self.main.advance_sync_ts(cut)
-        return len(live), len(tombstones), len(batch)
-
-    def _merge_vectorized(self, cut: Timestamp):
+    def _merge(self, cut: Timestamp):
         # Phase 1: detach the prefix columnar — no DeltaEntry objects.
         batch = self.delta.drain_batch_up_to(cut)
         n = len(batch)

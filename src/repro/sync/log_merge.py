@@ -7,14 +7,14 @@ into the column store.  Each file's B+-tree key index lets the merger
 drop superseded entries without decoding whole files when a newer file
 already rewrote the key.
 
-The default merge is *batch-vectorized*: all drained files concatenate
-into one columnar :class:`~repro.storage.delta_batch.DeltaBatch` whose
-last-writer-wins collapse picks exactly the entries the scalar
-newest-file-first index walk would (files are commit-ordered, and each
-file's index already keeps only the newest position per key), then the
-survivors land via ``delete_batch``/``append_batch``.  The simulated
-page-I/O and index-probe charges are kept identical to the scalar
-reference (``vectorized=False``).
+The merge is *batch-vectorized*: all drained files concatenate into
+one columnar :class:`~repro.storage.delta_batch.DeltaBatch` whose
+last-writer-wins collapse picks exactly the entries a newest-file-first
+index walk would (files are commit-ordered, and each file's index
+already keeps only the newest position per key), then the survivors
+land via ``delete_batch``/``append_batch``.  The simulated charges are
+that walk's: every page of every file read, one index probe per
+indexed key.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from ..obs import get_registry
 from ..storage.column_store import ColumnStore
 from ..storage.delta_batch import DeltaBatch
 from ..storage.delta_log import DeltaLogFile, LogDeltaManager
-from ..storage.delta_store import DeltaEntry, DeltaKind
 
 
 @dataclass
@@ -51,7 +50,6 @@ class LogDeltaMerger:
         cost: CostModel | None = None,
         threshold_files: int = 4,
         on_advance=None,
-        vectorized: bool = True,
     ):
         self.log = log
         self.main = main
@@ -60,7 +58,6 @@ class LogDeltaMerger:
         #: Called (no args) after a merge advances the AP image — scan
         #: caches over ``main`` hook invalidation here.
         self.on_advance = on_advance
-        self.vectorized = vectorized
         self.stats = LogMergeStats()
         registry = get_registry()
         self._m_merges = registry.counter("sync.log_merge.events")
@@ -91,11 +88,7 @@ class LogDeltaMerger:
         if not files:
             return 0
         entries_total = sum(len(f) for f in files)
-        rows_merged = (
-            self._merge_files_vectorized(files)
-            if self.vectorized
-            else self._merge_files(files)
-        )
+        rows_merged = self._fold_files(files)
         elapsed = self._cost.now_us() - start
         self.stats.merges += 1
         self.stats.merge_time_us += elapsed
@@ -107,44 +100,7 @@ class LogDeltaMerger:
             self.on_advance()
         return rows_merged
 
-    def _merge_files(self, files: list[DeltaLogFile]) -> int:
-        # Newest-file-wins: walk files newest-first and use each file's
-        # B+-tree index to skip keys already superseded.
-        winners: dict[object, DeltaEntry] = {}
-        max_ts = 0
-        for file in reversed(files):
-            self._cost.charge(self._cost.page_read_us * file.page_count())
-            self.stats.pages_read += file.page_count()
-            self.stats.files_merged += 1
-            max_ts = max(max_ts, file.max_commit_ts)
-            for key in file.key_index.keys():
-                self._cost.charge(self._cost.index_lookup_us)
-                if key in winners:
-                    self.stats.entries_superseded += 1
-                    continue
-                entry = file.lookup(_untuple(key))
-                assert entry is not None
-                winners[key] = entry
-            self.stats.entries_read += len(file)
-        tombstones = [
-            _untuple(k) for k, e in winners.items() if e.kind is DeltaKind.DELETE
-        ]
-        live = {
-            _untuple(k): e.row for k, e in winners.items() if e.kind is not DeltaKind.DELETE
-        }
-        if tombstones:
-            self.main.delete_keys(tombstones)
-        rows = list(live.values())
-        if rows:
-            self._cost.charge_rows(self._cost.merge_per_row_us, len(rows))
-            self.main.append_rows(rows, commit_ts=max_ts)
-        if max_ts:
-            self.main.advance_sync_ts(max_ts)
-        self.stats.rows_merged += len(rows)
-        return len(rows)
-
-    def _merge_files_vectorized(self, files: list[DeltaLogFile]) -> int:
-        # Charge the same page reads and index probes as the scalar walk.
+    def _fold_files(self, files: list[DeltaLogFile]) -> int:
         max_ts = 0
         index_probes = 0
         kinds: list[int] = []
@@ -182,9 +138,3 @@ class LogDeltaMerger:
         self.stats.rows_merged += len(collapsed.live_keys)
         return len(collapsed.live_keys)
 
-
-def _untuple(index_key):
-    """Delta-log indexes wrap scalar keys in 1-tuples; unwrap them."""
-    if isinstance(index_key, tuple) and len(index_key) == 1:
-        return index_key[0]
-    return index_key

@@ -37,7 +37,6 @@ class ColumnStoreRebuilder:
         cost: CostModel | None = None,
         staleness_threshold: float = 0.2,
         on_advance=None,
-        vectorized: bool = True,
     ):
         if not 0.0 < staleness_threshold <= 1.0:
             raise ValueError("staleness_threshold must be in (0, 1]")
@@ -48,7 +47,6 @@ class ColumnStoreRebuilder:
         #: Called (no args) after a rebuild replaces the AP image — scan
         #: caches over ``main`` hook invalidation here.
         self.on_advance = on_advance
-        self.vectorized = vectorized
         self.stats = RebuildStats()
         self._changes_since_rebuild = 0
         self._rows_at_rebuild = 0
@@ -83,27 +81,21 @@ class ColumnStoreRebuilder:
     def rebuild(self, snapshot_ts: Timestamp) -> int:
         """Full repopulation at ``snapshot_ts``; returns rows loaded.
 
-        Both paths keep the same shape — drop the snapshot's keys from
-        the old image, compact the remainder, reload the snapshot — so
-        rows absent from the snapshot survive either way.  Vectorized
-        pivots the snapshot once and seals it via ``append_batch``.
+        Drop the snapshot's keys from the old image, compact the
+        remainder, reload the snapshot — rows absent from the snapshot
+        survive.  The snapshot is pivoted once and sealed via
+        ``append_batch``.
         """
         start = self._cost.now_us()
         rows = self.rows.snapshot_rows(snapshot_ts)
         self._cost.charge_rows(self._cost.rebuild_per_row_us, max(len(rows), 1))
         key_of = self.main.schema.key_of
         stale_keys = [key_of(r) for r in rows]
-        if self.vectorized:
-            self.main.delete_batch(stale_keys)
-            self.main.compact(vectorized=True)  # drop dead space
-            if rows:
-                arrays = rows_to_columns(self.main.schema, rows)
-                self.main.append_batch(arrays, stale_keys, commit_ts=snapshot_ts)
-        else:
-            self.main.delete_keys(stale_keys)
-            self.main.compact()  # drop dead space from previous image
-            if rows:
-                self.main.append_rows(rows, commit_ts=snapshot_ts)
+        self.main.delete_batch(stale_keys)
+        self.main.compact()  # drop dead space from the previous image
+        if rows:
+            arrays = rows_to_columns(self.main.schema, rows)
+            self.main.append_batch(arrays, stale_keys, commit_ts=snapshot_ts)
         self.main.advance_sync_ts(snapshot_ts)
         self._changes_since_rebuild = 0
         self._rows_at_rebuild = len(rows)

@@ -25,7 +25,6 @@ class TestRegistry:
         assert ids == [
             "HTL001",
             "HTL002",
-            "HTL003",
             "HTL004",
             "HTL005",
             "HTL006",
@@ -296,116 +295,6 @@ class TestHTL002Invalidation:
 
     def test_epoch_fence_with_bump_passes(self):
         assert findings(EPOCH_CACHE_CLEAN) == []
-
-
-PARITY_FIRES = """\
-class Merger:
-    def merge(self, rows):
-        if self.vectorized:
-            self.cost.charge_rows(1.0, len(rows))
-            out = fold(rows)
-        else:
-            out = [fold_one(r) for r in rows]
-        return out
-"""
-
-PARITY_CLEAN_BOTH = PARITY_FIRES.replace(
-    "            out = [fold_one(r) for r in rows]",
-    "            self.cost.charge_rows(1.0, len(rows))\n"
-    "            out = [fold_one(r) for r in rows]",
-)
-
-PARITY_CLEAN_NEITHER = """\
-class Merger:
-    def merge(self, rows):
-        if self.vectorized:
-            out = fold(rows)
-        else:
-            out = [fold_one(r) for r in rows]
-        self.cost.charge_rows(1.0, len(rows))
-        return out
-"""
-
-PARITY_CLEAN_TRANSITIVE = """\
-class Merger:
-    def _scalar(self, rows):
-        self.cost.charge_rows(1.0, len(rows))
-        return [fold_one(r) for r in rows]
-
-    def merge(self, rows):
-        if self.vectorized:
-            self.cost.charge_rows(1.0, len(rows))
-            return fold(rows)
-        else:
-            return self._scalar(rows)
-"""
-
-
-class TestHTL003CostParity:
-    def test_one_armed_charge_fires(self):
-        found = findings(PARITY_FIRES)
-        assert rule_ids(found) == ["HTL003"]
-        assert "scalar" in found[0].message
-
-    def test_both_arms_charging_passes(self):
-        assert findings(PARITY_CLEAN_BOTH) == []
-
-    def test_shared_charge_after_split_passes(self):
-        assert findings(PARITY_CLEAN_NEITHER) == []
-
-    def test_charge_through_helper_method_passes(self):
-        assert findings(PARITY_CLEAN_TRANSITIVE) == []
-
-    def test_ternary_split_fires(self):
-        found = findings(
-            "def f(cost, vectorized, rows):\n"
-            "    return cost.charge_rows(1.0, 1) if vectorized else rows\n"
-        )
-        assert rule_ids(found) == ["HTL003"]
-
-    def test_suppression_with_reason_silences(self):
-        suppressed = PARITY_FIRES.replace(
-            "        if self.vectorized:",
-            "        if self.vectorized:  # htaplint: ignore[HTL003] -- "
-            "fixture: scalar arm charges inside the store",
-        )
-        assert findings(suppressed) == []
-
-
-CODE_JOIN_FIRES = """\
-class CodeJoin:
-    def probe(self, probe, build):
-        probe_codes, build_codes, remapped = align_build_codes(probe, build)
-        if self.vectorized:
-            self.cost.charge_rows(self.remap_per_value_us, remapped)
-            return searchsorted_probe(probe_codes, build_codes)
-        else:
-            return [lookup(c, build_codes) for c in probe_codes.tolist()]
-"""
-
-CODE_JOIN_CLEAN = """\
-class CodeJoin:
-    def probe(self, probe, build):
-        probe_codes, build_codes, remapped = align_build_codes(probe, build)
-        self.cost.charge_rows(self.remap_per_value_us, remapped)
-        if self.vectorized:
-            return searchsorted_probe(probe_codes, build_codes)
-        else:
-            return [lookup(c, build_codes) for c in probe_codes.tolist()]
-"""
-
-
-class TestHTL003CodeSpaceKernels:
-    """The compressed-execution shape: dictionary-remap charges must sit
-    *outside* the vectorized/scalar split (the executor hoists them), or
-    the scalar reference path silently undercounts."""
-
-    def test_remap_charge_inside_vectorized_arm_fires(self):
-        found = findings(CODE_JOIN_FIRES)
-        assert rule_ids(found) == ["HTL003"]
-
-    def test_remap_charge_hoisted_before_split_passes(self):
-        assert findings(CODE_JOIN_CLEAN) == []
 
 
 METRICS = frozenset({"engine.queries", "wal.fsyncs"})

@@ -30,7 +30,6 @@ class TestCli:
         for rule_id in (
             "HTL001",
             "HTL002",
-            "HTL003",
             "HTL004",
             "HTL005",
             "HTL006",

@@ -100,13 +100,12 @@ class TestRaftBatchApply:
         assert leader in {"v0", "v1", "v2"}
 
 
-def build_cluster(vectorized):
+def build_cluster():
     cluster = DistributedCluster(
         n_storage_nodes=3,
         replication=3,
         n_analytic_nodes=1,
         seed=3,
-        vectorized=vectorized,
     )
     cluster.create_table(make_schema())
     return cluster
@@ -131,28 +130,27 @@ def mixed_workload(cluster):
     cluster.sync()
 
 
-class TestVectorizedReplica:
+class TestColumnarReplica:
     def test_matches_model(self):
         model = TableModel().apply_all(
             (kind, key, row, ts) for ts, (kind, key, row) in enumerate(MIXED_OPS, 1)
         )
-        for vectorized in (True, False):
-            cluster = build_cluster(vectorized)
-            mixed_workload(cluster)
-            result = cluster.analytic_scan("t", None, ALWAYS_TRUE)
-            got = sorted(
-                zip(result.arrays["id"].tolist(), result.arrays["v"].tolist())
-            )
-            assert got == model.rows()
-            assert len(cluster.columnar.column_stores["t"]) == len(model)
-            # Drained and merged: the learner is at the OLTP horizon.
-            assert cluster.columnar.applied_ts == cluster.clock.now()
-            assert cluster.freshness_lag_ts() == 0
+        cluster = build_cluster()
+        mixed_workload(cluster)
+        result = cluster.analytic_scan("t", None, ALWAYS_TRUE)
+        got = sorted(
+            zip(result.arrays["id"].tolist(), result.arrays["v"].tolist())
+        )
+        assert got == model.rows()
+        assert len(cluster.columnar.column_stores["t"]) == len(model)
+        # Drained and merged: the learner is at the OLTP horizon.
+        assert cluster.columnar.applied_ts == cluster.clock.now()
+        assert cluster.freshness_lag_ts() == 0
 
 
 class TestClusterBulkLoad:
     def test_rows_visible_on_row_and_column_paths(self):
-        cluster = build_cluster(vectorized=True)
+        cluster = build_cluster()
         rows = [(i, float(i)) for i in range(40)]
         ts = cluster.bulk_load("t", rows)
         assert ts > 0
@@ -164,9 +162,9 @@ class TestClusterBulkLoad:
 
     def test_matches_transactional_load(self):
         rows = [(i, float(i)) for i in range(25)]
-        bulk = build_cluster(vectorized=True)
+        bulk = build_cluster()
         bulk.bulk_load("t", rows)
-        txn = build_cluster(vectorized=True)
+        txn = build_cluster()
         for row in rows:
             txn.execute_transaction(
                 [WriteOp(WriteKind.INSERT, "t", row[0], row)]
@@ -180,12 +178,12 @@ class TestClusterBulkLoad:
         assert sorted(a.arrays["v"].tolist()) == sorted(b.arrays["v"].tolist())
 
     def test_unknown_table_rejected(self):
-        cluster = build_cluster(vectorized=True)
+        cluster = build_cluster()
         with pytest.raises(KeyNotFoundError):
             cluster.bulk_load("nope", [(1, 1.0)])
 
     def test_empty_load_is_noop(self):
-        cluster = build_cluster(vectorized=True)
+        cluster = build_cluster()
         before = cluster.commits
         cluster.bulk_load("t", [])
         assert cluster.commits == before

@@ -121,10 +121,6 @@ def oracle_tables(orders):
     }
 
 
-#: Executor arms under test; each must agree with the oracle.
-ARMS = (True, False)
-
-
 def build_reference_catalog(n=400):
     """Dual-store tables whose string columns dictionary-encode."""
     cost = CostModel()
@@ -166,16 +162,13 @@ def assert_rows_and_types_equal(a, b, context=""):
 # ------------------------------------------------------- reference catalog
 
 
-class TestCompressedVsDecodeFirst:
+class TestCompressedVsOracle:
     @pytest.mark.parametrize("idx", range(len(SQL)))
     def test_rows_and_types_identical(self, env, idx):
         catalog, planner, _cost = env
         plan = planner.plan(parse(SQL[idx]))
-        for compressed in ARMS:
-            result = Executor(
-                catalog, CostModel(), compressed=compressed
-            ).execute(plan)
-            assert_matches(result, SQL[idx], oracle_tables(order_rows()))
+        result = Executor(catalog, CostModel()).execute(plan)
+        assert_matches(result, SQL[idx], oracle_tables(order_rows()))
 
     @pytest.mark.parametrize("idx", range(len(SQL)))
     def test_identical_under_forced_column_scans(self, env, idx):
@@ -184,11 +177,8 @@ class TestCompressedVsDecodeFirst:
         catalog, _planner, cost = env
         planner = Planner(catalog, cost, force_path=AccessPath.COLUMN_SCAN)
         plan = planner.plan(parse(SQL[idx]))
-        for compressed in ARMS:
-            result = Executor(
-                catalog, CostModel(), compressed=compressed
-            ).execute(plan)
-            assert_matches(result, SQL[idx], oracle_tables(order_rows()))
+        result = Executor(catalog, CostModel()).execute(plan)
+        assert_matches(result, SQL[idx], oracle_tables(order_rows()))
 
     def test_code_space_operators_engage(self, env):
         """The compressed run must hit the code-space kernels — a silent
@@ -245,10 +235,10 @@ class TestCostParity:
     """
 
     @staticmethod
-    def _run(sql, vectorized=True, morsel_rows=None):
+    def _run(sql, morsel_rows=None):
         catalog, cost = build_reference_catalog()
         plan = Planner(catalog, cost).plan(parse(sql))
-        executor = Executor(catalog, cost, vectorized=vectorized)
+        executor = Executor(catalog, cost)
         before = cost.now_us()
         if morsel_rows is None:
             result = executor.execute(plan)
@@ -258,14 +248,11 @@ class TestCostParity:
         return result, cost.now_us() - before
 
     @pytest.mark.parametrize("idx", range(len(SQL)))
-    def test_vectorized_vs_scalar_compressed(self, idx):
-        """HTL003 at the operator level: the vectorized code-space
-        kernels and the retained scalar reference charge identically."""
-        vec, vec_cost = self._run(SQL[idx], vectorized=True)
-        ref, ref_cost = self._run(SQL[idx], vectorized=False)
-        assert vec_cost == ref_cost, SQL[idx]
-        for result in (vec, ref):
-            assert_matches(result, SQL[idx], oracle_tables(order_rows()))
+    def test_morsel_parallel_matches_oracle(self, idx):
+        """The pooled run answers to the oracle itself, not only to the
+        serial run it is compared with below."""
+        parallel, _cost = self._run(SQL[idx], morsel_rows=32)
+        assert_matches(parallel, SQL[idx], oracle_tables(order_rows()))
 
     @pytest.mark.parametrize("idx", range(len(SQL)))
     def test_serial_vs_morsel_parallel(self, idx):
@@ -311,18 +298,11 @@ class TestEngineDifferential:
         engine.force_sync()
         return engine
 
-    def _decode_first(self, engine, sql):
-        plan = engine.planner.plan(parse(sql))
-        return Executor(engine._catalog, engine.cost, compressed=False).execute(
-            plan
-        )
-
     def test_compressed_matches_oracle(self, cat):
         engine = self._engine(cat)
         tables = oracle_tables(order_rows(300))
         for sql in SQL:
             assert_matches(engine.query(sql), sql, tables)
-            assert_matches(self._decode_first(engine, sql), sql, tables)
 
     def test_serial_equals_morsel_parallel(self, cat):
         engine = self._engine(cat)
@@ -353,9 +333,6 @@ class TestEngineDifferential:
         before_sync = order_rows(300) if cat == "b" else fresh
         for rows in (before_sync, fresh):
             assert_matches(engine.query(sql), sql, oracle_tables(rows))
-            assert_matches(
-                self._decode_first(engine, sql), sql, oracle_tables(rows)
-            )
             engine.force_sync()
 
 
@@ -449,20 +426,3 @@ class TestScanCacheKeys:
             second = executor.execute(plan)
         assert cache.hits == 1, "morsel-parallel rescan must hit the warm entry"
         assert_rows_and_types_equal(first, second)
-
-    def test_compressed_and_decoded_keys_diverge(self):
-        """An encoded batch must never serve a decode-first executor
-        (and vice versa): the modes append distinct cache keys."""
-        from repro.query.scan_cache import ScanCache
-
-        catalog, cost = build_reference_catalog(n=200)
-        cache = ScanCache()
-        planner = Planner(catalog, cost)
-        plan = planner.plan(parse(SQL[0]))
-        compressed = Executor(catalog, cost, scan_cache=cache).execute(plan)
-        decoded = Executor(
-            catalog, cost, scan_cache=cache, compressed=False
-        ).execute(plan)
-        assert cache.misses == 2 and cache.hits == 0
-        for result in (compressed, decoded):
-            assert_matches(result, SQL[0], oracle_tables(order_rows(200)))

@@ -94,27 +94,19 @@ def env():
     return catalog, Planner(catalog, cost), cost, tables
 
 
-#: Executor arms under test; each must agree with the oracle.
-ARMS = (True, False)
-
-
 def check(env, query, ordered=None):
-    """Execute ``query`` (SQL or AST) on every arm and compare each with
-    the oracle.  Single-table scans come back in key order — the order
-    the oracle's tables are listed in — so without GROUP BY the exact
-    row sequence is compared; joins and groups compare as multisets
-    plus the ORDER BY keys.  Returns the (first arm's) result."""
+    """Execute ``query`` (SQL or AST) and compare with the oracle.
+    Single-table scans come back in key order — the order the oracle's
+    tables are listed in — so without GROUP BY the exact row sequence
+    is compared; joins and groups compare as multisets plus the
+    ORDER BY keys.  Returns the result."""
     catalog, planner, _cost, tables = env
     logical = parse(query) if isinstance(query, str) else query
     if ordered is None:
         ordered = len(logical.tables) == 1 and not logical.group_by
-    plan = planner.plan(logical)
-    results = []
-    for vectorized in ARMS:
-        result = Executor(catalog, CostModel(), vectorized=vectorized).execute(plan)
-        assert_matches(result, logical, tables, ordered=ordered)
-        results.append(result)
-    return results[0]
+    result = Executor(catalog, CostModel()).execute(planner.plan(logical))
+    assert_matches(result, logical, tables, ordered=ordered)
+    return result
 
 
 class TestJoinKernel:
@@ -352,12 +344,11 @@ class TestCostCharges:
         catalog, planner, _, _tables = env
         plan = planner.plan(parse("SELECT DISTINCT o_region FROM orders"))
         plain = planner.plan(parse("SELECT o_region FROM orders"))
-        for vectorized in ARMS:
-            cost_d = CostModel()
-            Executor(catalog, cost_d, vectorized=vectorized).execute(plan)
-            cost_p = CostModel()
-            Executor(catalog, cost_p, vectorized=vectorized).execute(plain)
-            assert cost_d.now_us() > cost_p.now_us()
+        cost_d = CostModel()
+        Executor(catalog, cost_d).execute(plan)
+        cost_p = CostModel()
+        Executor(catalog, cost_p).execute(plain)
+        assert cost_d.now_us() > cost_p.now_us()
 
     def test_residual_equality_is_charged(self, env):
         """A second join edge between already-joined tables becomes a
@@ -371,12 +362,11 @@ class TestCostCharges:
         assert plan_residual.residual_equalities  # the extra edge is residual
         check(env, residual_query)
         # Same plan, same path: the only difference is the new charge.
-        for vectorized in ARMS:
-            charged = CostModel()
-            free = CostModel(residual_filter_per_row_us=0.0)
-            Executor(catalog, charged, vectorized=vectorized).execute(plan_residual)
-            Executor(catalog, free, vectorized=vectorized).execute(plan_residual)
-            assert charged.now_us() > free.now_us()
+        charged = CostModel()
+        free = CostModel(residual_filter_per_row_us=0.0)
+        Executor(catalog, charged).execute(plan_residual)
+        Executor(catalog, free).execute(plan_residual)
+        assert charged.now_us() > free.now_us()
 
 
 class TestProjectionMaterialization:

@@ -14,6 +14,7 @@ from repro.common import (
     Schema,
     StorageError,
 )
+from repro.common.types import rows_to_columns
 from repro.storage.column_store import ColumnStore
 
 from ..oracle import TableModel, store_state
@@ -58,6 +59,27 @@ class TestAppendScan:
     def test_empty_append_rejected(self):
         with pytest.raises(StorageError):
             ColumnStore(make_schema()).append_rows([], commit_ts=1)
+
+    @pytest.mark.parametrize("entry", ["append_rows", "append_batch"])
+    def test_in_batch_duplicate_key_rejected(self, entry):
+        """Two rows under one key in a single batch would both stay live
+        while the pk directory addresses only the last: refused before
+        anything changes, free of simulated charge."""
+        cost = CostModel()
+        store = ColumnStore(make_schema(), cost)
+        store.append_rows(rows(2, start=10), commit_ts=1)
+        state = store_state(store)  # (reading the state charges a scan)
+        before = (store.mutations, cost.now_us())
+        batch = [(1, 1.0, "a"), (1, 2.0, "b"), (2, 3.0, "c")]
+        with pytest.raises(StorageError):
+            if entry == "append_rows":
+                store.append_rows(batch, commit_ts=2)
+            else:
+                store.append_batch(
+                    rows_to_columns(store.schema, batch), [1, 1, 2], commit_ts=2
+                )
+        assert (store.mutations, cost.now_us()) == before
+        assert store_state(store) == state
 
     def test_multiple_segments(self):
         store = ColumnStore(make_schema())
@@ -292,11 +314,10 @@ class TestDeleteBatch:
         model = TableModel(data, ts=2)
         for key in (0, 7, 22):
             model.apply("delete", key, None, 2)
-        for vectorized in (True, False):
-            store = ColumnStore(make_schema())
-            store.append_rows(data[:15], commit_ts=1)
-            store.append_rows(data[15:], commit_ts=2)
-            store.delete_batch([0, 7, 22])
-            store.compact(vectorized=vectorized)
-            assert store_state(store) == model.state()
-            assert len(store.segments) == 1
+        store = ColumnStore(make_schema())
+        store.append_rows(data[:15], commit_ts=1)
+        store.append_rows(data[15:], commit_ts=2)
+        store.delete_batch([0, 7, 22])
+        store.compact()
+        assert store_state(store) == model.state()
+        assert len(store.segments) == 1

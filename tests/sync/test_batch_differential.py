@@ -76,10 +76,6 @@ def model_ops(ops, start_ts=1):
     ]
 
 
-#: Synchronizer arms under test; each must agree with the model.
-ARMS = (True, False)
-
-
 class TestDeltaMergeDifferential:
     @settings(max_examples=40, deadline=None)
     @given(ops=ops_strategy)
@@ -87,18 +83,15 @@ class TestDeltaMergeDifferential:
         # Pre-existing main rows so merge-applied deletes matter.
         base = [(k, -1.0) for k in range(3)]
         model = TableModel(base).apply_all(model_ops(ops))
-        for vectorized in ARMS:
-            schema = make_schema()
-            cost = CostModel()
-            delta = InMemoryDeltaStore(schema, cost)
-            main = ColumnStore(schema, cost)
-            main.append_rows(base, commit_ts=0)
-            merger = InMemoryDeltaMerger(
-                delta, main, cost, threshold_rows=1, vectorized=vectorized
-            )
-            apply_ops(delta, ops)
-            merger.merge()
-            assert store_state(main) == model.state()
+        schema = make_schema()
+        cost = CostModel()
+        delta = InMemoryDeltaStore(schema, cost)
+        main = ColumnStore(schema, cost)
+        main.append_rows(base, commit_ts=0)
+        merger = InMemoryDeltaMerger(delta, main, cost, threshold_rows=1)
+        apply_ops(delta, ops)
+        merger.merge()
+        assert store_state(main) == model.state()
 
     @settings(max_examples=20, deadline=None)
     @given(ops=ops_strategy, cut=st.integers(min_value=0, max_value=60))
@@ -108,19 +101,16 @@ class TestDeltaMergeDifferential:
         model = TableModel().apply_all(merged)
         # The horizon advances to the cut itself, if anything drained.
         expect = model.state(ts=cut if merged else 0)
-        for vectorized in ARMS:
-            schema = make_schema()
-            cost = CostModel()
-            delta = InMemoryDeltaStore(schema, cost)
-            main = ColumnStore(schema, cost)
-            merger = InMemoryDeltaMerger(
-                delta, main, cost, threshold_rows=1, vectorized=vectorized
-            )
-            apply_ops(delta, ops)
-            merger.merge(up_to_ts=cut)
-            assert store_state(main) == expect
-            assert len(delta) == len(residual)
-            assert delta.updated_keys() == {key for _, key, _ in residual}
+        schema = make_schema()
+        cost = CostModel()
+        delta = InMemoryDeltaStore(schema, cost)
+        main = ColumnStore(schema, cost)
+        merger = InMemoryDeltaMerger(delta, main, cost, threshold_rows=1)
+        apply_ops(delta, ops)
+        merger.merge(up_to_ts=cut)
+        assert store_state(main) == expect
+        assert len(delta) == len(residual)
+        assert delta.updated_keys() == {key for _, key, _ in residual}
 
 
 class TestLogMergeDifferential:
@@ -134,21 +124,18 @@ class TestLogMergeDifferential:
         files = [ops[i:i + 7] for i in range(0, len(ops), 7)]
         indexed = sum(len({key for _, key, _ in f}) for f in files)
         superseded = indexed - len({key for _, key, _ in ops})
-        for vectorized in ARMS:
-            schema = make_schema()
-            cost = CostModel()
-            log = LogDeltaManager(schema, cost, seal_threshold=7)
-            main = ColumnStore(schema, cost)
-            main.append_rows(base, commit_ts=0)
-            merger = LogDeltaMerger(
-                log, main, cost, threshold_files=1, vectorized=vectorized
-            )
-            apply_ops(log, ops)
-            log.seal()
-            merger.merge()
-            assert store_state(main) == model.state()
-            assert merger.stats.entries_read == len(ops)
-            assert merger.stats.entries_superseded == superseded
+        schema = make_schema()
+        cost = CostModel()
+        log = LogDeltaManager(schema, cost, seal_threshold=7)
+        main = ColumnStore(schema, cost)
+        main.append_rows(base, commit_ts=0)
+        merger = LogDeltaMerger(log, main, cost, threshold_files=1)
+        apply_ops(log, ops)
+        log.seal()
+        merger.merge()
+        assert store_state(main) == model.state()
+        assert merger.stats.entries_read == len(ops)
+        assert merger.stats.entries_superseded == superseded
 
 
 class TestRebuildDifferential:
@@ -156,28 +143,25 @@ class TestRebuildDifferential:
     @given(ops=ops_strategy)
     def test_matches_model(self, ops):
         model = TableModel([(100, -1.0)]).apply_all(model_ops(ops))
-        for vectorized in ARMS:
-            schema = make_schema()
-            cost = CostModel()
-            rows = MVCCRowStore(schema, cost)
-            main = ColumnStore(schema, cost)
-            main.append_rows([(100, -1.0)], commit_ts=0)  # survives rebuild
-            rebuilder = ColumnStoreRebuilder(
-                rows, main, cost, vectorized=vectorized
-            )
-            ts = 1
-            for kind, key, value in ops:
-                live = rows.read(key, snapshot_ts=ts) is not None
-                if kind == "delete":
-                    if live:
-                        rows.install_delete(key, ts)
-                elif live:
-                    rows.install_update(key, (key, float(value)), ts)
-                else:
-                    rows.install_insert((key, float(value)), ts)
-                ts += 1
-            rebuilder.rebuild(snapshot_ts=ts)
-            assert store_state(main) == model.state(ts=ts)
+        schema = make_schema()
+        cost = CostModel()
+        rows = MVCCRowStore(schema, cost)
+        main = ColumnStore(schema, cost)
+        main.append_rows([(100, -1.0)], commit_ts=0)  # survives rebuild
+        rebuilder = ColumnStoreRebuilder(rows, main, cost)
+        ts = 1
+        for kind, key, value in ops:
+            live = rows.read(key, snapshot_ts=ts) is not None
+            if kind == "delete":
+                if live:
+                    rows.install_delete(key, ts)
+            elif live:
+                rows.install_update(key, (key, float(value)), ts)
+            else:
+                rows.install_insert((key, float(value)), ts)
+            ts += 1
+        rebuilder.rebuild(snapshot_ts=ts)
+        assert store_state(main) == model.state(ts=ts)
 
 
 class TestDictionaryMergeMany:
@@ -222,14 +206,11 @@ def test_freshness_timestamp_matches_model(seed):
         for _ in range(40)
     ]
     model = TableModel().apply_all(model_ops(ops))
-    for vectorized in ARMS:
-        schema = make_schema()
-        cost = CostModel()
-        delta = InMemoryDeltaStore(schema, cost)
-        main = ColumnStore(schema, cost)
-        merger = InMemoryDeltaMerger(
-            delta, main, cost, threshold_rows=1, vectorized=vectorized
-        )
-        apply_ops(delta, ops)
-        merger.merge()
-        assert main.max_commit_ts() == model.max_ts == len(ops)
+    schema = make_schema()
+    cost = CostModel()
+    delta = InMemoryDeltaStore(schema, cost)
+    main = ColumnStore(schema, cost)
+    merger = InMemoryDeltaMerger(delta, main, cost, threshold_rows=1)
+    apply_ops(delta, ops)
+    merger.merge()
+    assert main.max_commit_ts() == model.max_ts == len(ops)

@@ -1,6 +1,7 @@
 """The public API surface: every export resolves and basic flows work."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -33,6 +34,26 @@ def test_all_is_sorted(package):
     module = importlib.import_module(package)
     exports = list(module.__all__)
     assert exports == sorted(exports), f"{package}.__all__ is not sorted"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_no_fork_flags_on_exported_classes(package):
+    """One implementation per operation: no exported class may grow a
+    ``vectorized=`` / ``compressed=`` switch (again)."""
+    module = importlib.import_module(package)
+    for export in module.__all__:
+        cls = getattr(module, export)
+        if not inspect.isclass(cls):
+            continue
+        for name, member in inspect.getmembers(cls, callable):
+            if name.startswith("_") and name != "__init__":
+                continue
+            try:
+                params = inspect.signature(member).parameters
+            except (TypeError, ValueError):  # builtins without signatures
+                continue
+            forked = {"vectorized", "compressed"} & set(params)
+            assert not forked, f"{package}.{export}.{name} takes {sorted(forked)}"
 
 
 def test_version():
