@@ -33,6 +33,7 @@ from repro.parallel import scan_parallel
 from repro.storage import ColumnStore, scan_mode
 
 from conftest import obs_report, print_table
+from tests.oracle import reference_scan
 
 N_ROWS = int(os.environ.get("SCAN_BENCH_ROWS", "100000"))
 FULL_SIZE = N_ROWS >= 100_000
@@ -96,11 +97,12 @@ def best_of_pair(fast_fn, base_fn, k=BEST_OF):
 
 
 def assert_no_divergence(fast, ref, name):
-    assert set(fast.arrays) == set(ref.arrays), name
+    arrays, keys = ref
+    assert set(fast.arrays) == set(arrays), name
     for col in fast.arrays:
-        assert fast.arrays[col].dtype == ref.arrays[col].dtype, (name, col)
-        np.testing.assert_array_equal(fast.arrays[col], ref.arrays[col], err_msg=name)
-    assert fast.keys == ref.keys, name
+        assert fast.arrays[col].dtype == arrays[col].dtype, (name, col)
+        np.testing.assert_array_equal(fast.arrays[col], arrays[col], err_msg=name)
+    assert fast.keys == keys, name
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +132,9 @@ def report():
         fast_r = store.scan(predicate=pred, parallel=False)
         with scan_mode(prune=False, code_space=False, parallel=False):
             ref_r = store.scan(predicate=pred)
-        assert_no_divergence(fast_r, ref_r, name)
+        oracle = reference_scan(store, None, pred)
+        assert_no_divergence(fast_r, oracle, name)
+        assert_no_divergence(ref_r, oracle, name)  # temporary: arm == oracle
 
         def baseline(p=pred):
             with scan_mode(prune=False, code_space=False, parallel=False):
@@ -162,7 +166,9 @@ def report():
             ),
         )
         tasks_run = pool.tasks_run
-    assert_no_divergence(pooled_r, serial_r, "parallel_scan")
+    oracle = reference_scan(store, None, pool_pred)
+    assert_no_divergence(pooled_r, oracle, "parallel_scan")
+    assert_no_divergence(serial_r, oracle, "parallel_scan")
     results["parallel_scan"] = {
         "rows": N_ROWS,
         "selectivity": len(serial_r) / max(len(store), 1),

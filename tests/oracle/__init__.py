@@ -5,12 +5,23 @@
   path must leave in a column image.
 * :mod:`.query` — a row-at-a-time evaluator of the ``Query`` AST over
   lists of tuples.  What any executor path must return.
+* :mod:`.scan` — a full-decode scan of a column store's segments.  What
+  any pruned / code-space scan must return.
 
-Plain Python throughout; shares only schema/AST definitions and the
-row-mode ``Predicate.matches`` with the code under test.
+The first two are plain Python and share only schema/AST definitions and
+the row-mode ``Predicate.matches`` with the code under test; the scan
+reference adds the codecs' public ``decode()`` and ``Predicate.mask``.
 """
 
 from .query import assert_matches, evaluate, filter_rows
+from .scan import reference_scan
 from .table import TableModel, store_state
 
-__all__ = ["TableModel", "assert_matches", "evaluate", "filter_rows", "store_state"]
+__all__ = [
+    "TableModel",
+    "assert_matches",
+    "evaluate",
+    "filter_rows",
+    "reference_scan",
+    "store_state",
+]
