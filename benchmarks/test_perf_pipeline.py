@@ -1,5 +1,5 @@
-"""Morsel-driven compressed-execution microbench: absolute seconds of
-code-space joins, GROUP BY, and DISTINCT.
+"""Compressed-execution microbench: absolute seconds of code-space
+joins, GROUP BY, and DISTINCT.
 
 Times the executor's compressed mode (dictionary codes flow past the
 scan boundary; materialization deferred to result emit) on four query
@@ -24,7 +24,6 @@ import pytest
 
 from repro.common import Column, CostModel, DataType, Schema
 from repro.obs import get_registry
-from repro.parallel import scan_parallel
 from repro.query import DualStoreTableAccess, Executor, Planner, parse
 from repro.storage import ColumnStore
 from repro.storage.row_store import MVCCRowStore
@@ -51,8 +50,6 @@ PIPELINE_METRICS = [
     "exec.code_space_joins",
     "exec.code_space_groups",
     "exec.code_space_distincts",
-    "exec.morsel_partials",
-    "parallel.morsels",
 ]
 
 WORKLOADS = {
@@ -174,25 +171,9 @@ def report():
             "ops_per_s": 1.0 / exec_t,
         }
 
-    # --- serial vs morsel-parallel compressed run --------------------
-    # Morsel granularity scaled to the row count so segments split (and
-    # the morsel series report) at reduced CI sizes too.
-    morsel_rows = max(N_ROWS // 40, 64)
-    plan = planner.plan(parse(WORKLOADS["join_groupby"]))
-    serial_r = compressed.execute(plan)
-    with scan_parallel(workers=4, morsel_rows=morsel_rows) as pool:
-        pooled_r = compressed.execute(plan)
-        tasks_run = pool.tasks_run
-    assert pooled_r.rows == serial_r.rows
-    results["morsel_parallel"] = {
-        "rows": N_ROWS,
-        "result_rows": len(pooled_r),
-        "pool_tasks": tasks_run,
-    }
-
     bench = obs_report("compressed_pipeline")
     payload = {
-        "bench": "morsel_compressed_pipeline",
+        "bench": "compressed_pipeline",
         "schema": 2,
         "rows": N_ROWS,
         "full_size": FULL_SIZE,
@@ -203,7 +184,7 @@ def report():
                 "counters": {
                     k: v
                     for k, v in bench.extras["obs"]["counters"].items()
-                    if k.startswith(("exec.", "parallel.", "scan."))
+                    if k.startswith(("exec.", "scan."))
                 }
             }
         },
@@ -216,18 +197,11 @@ def report():
         [
             [name, r["result_rows"], r["exec_s"] * 1e3, r["ops_per_s"]]
             for name, r in results.items()
-            if "exec_s" in r
         ],
         widths=[18, 14, 12, 12],
     )
     payload["report"] = bench
     return payload
-
-
-def test_morsel_parallel_ran_tasks(report):
-    # Wall-clock ratio is load-dependent (GIL); the contract here is
-    # determinism plus visible fan-out, not a speedup gate.
-    assert report["workloads"]["morsel_parallel"]["pool_tasks"] >= 2
 
 
 def test_pipeline_metrics_in_obs_report(report):
@@ -239,8 +213,8 @@ def test_pipeline_metrics_in_obs_report(report):
 
 def test_report_written(report):
     on_disk = json.loads(REPORT_PATH.read_text())
-    assert on_disk["bench"] == "morsel_compressed_pipeline"
+    assert on_disk["bench"] == "compressed_pipeline"
     assert on_disk["rows"] == N_ROWS
-    assert_absolute_report(on_disk, counts=("rows", "result_rows", "pool_tasks"))
+    assert_absolute_report(on_disk, counts=("rows", "result_rows"))
     for name in ("exec.code_space_joins", "exec.code_space_groups"):
         assert name in on_disk["extras"]["obs"]["counters"]

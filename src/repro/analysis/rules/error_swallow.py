@@ -5,8 +5,9 @@ pass`` in the WAL force path or the Raft apply loop converts a
 corruption bug into silent data loss that only surfaces as a wrong
 Table 1 number three PRs later.  The same holds for the query kernels
 (a broad except degrades a kernel bug into a silent scalar fallback —
-see ``executor._morsel_aggregate``), the session front door, and the
-TP→AP sync pipeline.  Within ``txn/``, ``distributed/``, ``query/``,
+see the ``_Unvectorizable`` handlers in ``query/executor.py``, which
+catch only that signal), the session front door, and the TP→AP sync
+pipeline.  Within ``txn/``, ``distributed/``, ``query/``,
 ``session/``, and ``sync/`` this rule flags:
 
 * any handler whose body is only ``pass``/``...`` (regardless of how

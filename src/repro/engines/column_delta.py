@@ -153,44 +153,20 @@ class HanaTable:
     # ------------------------------------------------------------- AP scan
 
     def scan_columns(
-        self, columns: list[str], predicate: Predicate, read_fresh: bool
+        self,
+        columns: list[str],
+        predicate: Predicate,
+        read_fresh: bool,
+        encode: bool = False,
     ) -> dict[str, np.ndarray]:
-        """Main + L2 + (optionally) visible L1 entries, newest wins."""
-        main_res = self.main.scan(columns, predicate)
-        l2_res = self.l2.scan(columns, predicate)
-        arrays = {
-            name: np.concatenate([main_res.arrays[name], l2_res.arrays[name]])
-            for name in main_res.arrays
-        }
-        keys = main_res.keys + l2_res.keys
-        if not read_fresh or not len(self.l1):
-            return arrays
-        live, tombstones = self.l1.effective_rows(
-            self.l1.max_commit_ts(), ALWAYS_TRUE
-        )
-        drop = tombstones | set(live)
-        if drop:
-            keep = [i for i, k in enumerate(keys) if k not in drop]
-            arrays = {name: arr[keep] for name, arr in arrays.items()}
-        fresh = [r for r in live.values() if predicate.matches(r, self.schema)]
-        if fresh:
-            fresh_arrays = rows_to_columns(self.schema, fresh)
-            arrays = {
-                name: np.concatenate([arrays[name], fresh_arrays[name]])
-                for name in arrays
-            }
-        return arrays
+        """Main + L2 + (optionally) visible L1 entries, newest wins.
 
-    def scan_columns_encoded(
-        self, columns: list[str], predicate: Predicate, read_fresh: bool
-    ) -> dict[str, np.ndarray]:
-        """Compressed variant of :meth:`scan_columns`: Main and L2 scan
-        with ``encode=True``; columns both layers serve as codes merge
-        via dictionary union (remap charged here, in the driver), and
-        the L1 overlay folds fresh rows into the code space with a
-        decoded fallback."""
-        main_res = self.main.scan(columns, predicate, encode=True)
-        l2_res = self.l2.scan(columns, predicate, encode=True)
+        With ``encode`` Main and L2 scan with ``encode=True``: columns
+        both layers serve as codes merge via dictionary union (remap
+        charged here), and the L1 overlay folds fresh rows into the
+        code space with a decoded fallback."""
+        main_res = self.main.scan(columns, predicate, encode=encode)
+        l2_res = self.l2.scan(columns, predicate, encode=encode)
         arrays: dict[str, np.ndarray] = {}
         remapped = 0
         for name in main_res.arrays:
@@ -601,12 +577,7 @@ class _HanaTableAccess:
 
     def scan_columns(self, columns: list[str], predicate: Predicate):
         return self._target().scan_columns(
-            columns, predicate, read_fresh=self._engine.read_fresh
-        )
-
-    def scan_columns_encoded(self, columns: list[str], predicate: Predicate):
-        return self._target().scan_columns_encoded(
-            columns, predicate, read_fresh=self._engine.read_fresh
+            columns, predicate, read_fresh=self._engine.read_fresh, encode=True
         )
 
     def code_space_hint(self, columns: list[str]) -> float:

@@ -484,6 +484,9 @@ class _HeatwaveTableAccess:
     def scan_columns(
         self, columns: list[str], predicate: Predicate
     ) -> dict[str, np.ndarray]:
+        """Pushdown serves dictionary columns as codes (CodeColumn); the
+        fallback stays decoded — the disk row store has no code space
+        to hand off."""
         needed = set(columns) | predicate.referenced_columns()
         self._engine.tracker.record_query(self._table, needed)
         if not self._columns_loaded(needed):
@@ -498,27 +501,6 @@ class _HeatwaveTableAccess:
             # Shared mode: merge the unpropagated delta at query time.
             return self._scan_with_delta(columns, predicate)
         result = self._engine.imcs_store(self._table).scan(
-            columns, predicate, with_keys=False
-        )
-        return result.arrays
-
-    def scan_columns_encoded(
-        self, columns: list[str], predicate: Predicate
-    ) -> dict[str, np.ndarray]:
-        """Compressed pushdown: the IMCS serves dictionary columns as
-        codes.  The fallback (columns not loaded) stays decoded — the
-        disk row store has no code space to hand off."""
-        needed = set(columns) | predicate.referenced_columns()
-        self._engine.tracker.record_query(self._table, needed)
-        if not self._columns_loaded(needed):
-            self._engine.fallbacks += 1
-            rows = self.scan_rows(predicate)
-            arrays = rows_to_columns(self.schema(), rows)
-            return {name: arrays[name] for name in columns}
-        self._engine.pushdowns += 1
-        if self._engine.read_fresh and len(self._engine._deltas[self._table]):
-            return self._scan_with_delta(columns, predicate, encode=True)
-        result = self._engine.imcs_store(self._table).scan(
             columns, predicate, with_keys=False, encode=True
         )
         return result.arrays
@@ -530,12 +512,10 @@ class _HeatwaveTableAccess:
             return 0.0
         return self._engine.imcs_store(self._table).encoded_column_fraction(columns)
 
-    def _scan_with_delta(
-        self, columns: list[str], predicate: Predicate, encode: bool = False
-    ):
+    def _scan_with_delta(self, columns: list[str], predicate: Predicate):
         engine = self._engine
         result = engine.imcs_store(self._table).scan(
-            columns, predicate, encode=encode
+            columns, predicate, encode=True
         )
         delta = engine._deltas[self._table]
         live, tombstones = delta.effective_rows(delta.max_commit_ts())

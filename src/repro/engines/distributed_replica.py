@@ -290,17 +290,6 @@ class _ReplicaTableAccess:
             columns,
             predicate,
             read_delta=self._engine.read_fresh,
-        )
-        return result.arrays
-
-    def scan_columns_encoded(
-        self, columns: list[str], predicate: Predicate
-    ) -> dict[str, np.ndarray]:
-        result = self._engine.cluster.analytic_scan(
-            self._table,
-            columns,
-            predicate,
-            read_delta=self._engine.read_fresh,
             encode=True,
         )
         return result.arrays

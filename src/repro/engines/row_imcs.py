@@ -298,26 +298,16 @@ class _ImcuTableAccess:
     def scan_columns(
         self, columns: list[str], predicate: Predicate
     ) -> dict[str, np.ndarray]:
-        imcu = self._engine.imcu(self._table)
-        if self._engine.read_fresh:
-            result = imcu.scan(self._engine.clock.now(), columns, predicate)
-            return result.arrays
-        # Isolated mode: serve the stale columnar image only (no patch
-        # reads against the primary) — faster, less fresh.
-        result = imcu.scan(imcu.smu.populate_ts, columns, predicate, patch=False)
-        return result.arrays
-
-    def scan_columns_encoded(
-        self, columns: list[str], predicate: Predicate
-    ) -> dict[str, np.ndarray]:
-        """Compressed scan: dictionary columns stay encoded (CodeColumn);
-        patch rows are folded into the code space at the merge."""
+        """Dictionary columns stay encoded (CodeColumn); patch rows are
+        folded into the code space at the merge."""
         imcu = self._engine.imcu(self._table)
         if self._engine.read_fresh:
             result = imcu.scan(
                 self._engine.clock.now(), columns, predicate, encode=True
             )
             return result.arrays
+        # Isolated mode: serve the stale columnar image only (no patch
+        # reads against the primary) — faster, less fresh.
         result = imcu.scan(
             imcu.smu.populate_ts, columns, predicate, patch=False, encode=True
         )

@@ -53,16 +53,10 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "reshard.rows_moved",
         "reshard.splits",
         "reshard.tail_writes",
-        # morsel-driven parallel scan pipeline
-        "parallel.merge_ns",
-        "parallel.morsels",
-        "parallel.tasks",
         # compressed (code-space) execution
         "exec.code_space_distincts",
         "exec.code_space_groups",
         "exec.code_space_joins",
-        "exec.morsel_partials",
-        "exec.morsel_probes",
         # predicate-aware column scans
         "scan.code_space_filters",
         "scan.segments_pruned",

@@ -42,7 +42,12 @@ class TableAccess(Protocol):
     def scan_columns(
         self, columns: list[str], predicate: Predicate
     ) -> dict[str, np.ndarray]:
-        """Column path: arrays for ``columns`` of matching rows."""
+        """Column path: arrays for ``columns`` of matching rows.
+
+        A column may come back as a
+        :class:`~repro.storage.code_batch.CodeColumn` (dictionary codes
+        + sorted dictionary) instead of a decoded ndarray; the executor
+        takes both and decodes at result emit."""
         ...
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:

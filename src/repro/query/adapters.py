@@ -92,22 +92,13 @@ class DualStoreTableAccess:
     def scan_columns(
         self, columns: list[str], predicate: Predicate
     ) -> dict[str, np.ndarray]:
+        """Column path: code-space-safe dictionary columns come back as
+        :class:`~repro.storage.code_batch.CodeColumn` (codes +
+        dictionary), everything else as a plain array."""
         if self._columns is None:
             rows = self.scan_rows(predicate)
             arrays = rows_to_columns(self.schema(), rows)
             return {name: arrays[name] for name in columns}
-        result = self._columns.scan(columns, predicate, with_keys=False)
-        return result.arrays
-
-    def scan_columns_encoded(
-        self, columns: list[str], predicate: Predicate
-    ) -> dict[str, np.ndarray]:
-        """Compressed-execution scan: code-space-safe dictionary columns
-        come back as :class:`~repro.storage.code_batch.CodeColumn`
-        (codes + dictionary) instead of decoded arrays; everything else
-        is a plain array, exactly as :meth:`scan_columns` returns it."""
-        if self._columns is None:
-            return self.scan_columns(columns, predicate)
         result = self._columns.scan(columns, predicate, with_keys=False, encode=True)
         return result.arrays
 

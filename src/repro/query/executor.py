@@ -37,7 +37,6 @@ from ..common.cost import CostModel
 from ..common.errors import QueryError
 from ..common.types import rows_to_columns
 from ..obs.registry import get_registry
-from ..parallel import get_default_pool, morsel_probe, partial_group_aggregate
 from ..storage.code_batch import align_build_codes, is_code_column
 from .access import AccessPath, Catalog
 from .ast import (
@@ -87,8 +86,6 @@ class Executor:
         self._code_join_counter = reg.counter("exec.code_space_joins")
         self._code_group_counter = reg.counter("exec.code_space_groups")
         self._code_distinct_counter = reg.counter("exec.code_space_distincts")
-        self._morsel_partial_counter = reg.counter("exec.morsel_partials")
-        self._morsel_probe_counter = reg.counter("exec.morsel_probes")
 
     # ------------------------------------------------------------- entry
 
@@ -137,9 +134,6 @@ class Executor:
         needed = sorted(set(scan.columns))
         if not needed:
             needed = [schema.primary_key[0]]
-        encoded = scan.path is AccessPath.COLUMN_SCAN and hasattr(
-            adapter, "scan_columns_encoded"
-        )
         cache = self._scan_cache
         cache_key = None
         if cache is not None:
@@ -150,13 +144,6 @@ class Executor:
                     cache_key = (
                         scan.table, scan.path, tuple(needed), scan.predicate, token
                     )
-                    if encoded:
-                        # Encoded entries append a marker *after* the
-                        # token, so keep-filters that read key[4] still
-                        # see the token.  Serial and morsel-parallel
-                        # scans share the key either way — a warm serial
-                        # entry serves a parallel rescan.
-                        cache_key = cache_key + ("enc",)
                     hit = cache.get(cache_key)
                 except TypeError:  # unhashable predicate/token: skip caching
                     cache_key = None
@@ -169,23 +156,16 @@ class Executor:
                         # Shallow copy: downstream operators build new
                         # dicts, but never hand the cached one around.
                         return dict(hit)
-        batch = self._scan_adapter(adapter, schema, scan, needed, encoded)
+        batch = self._scan_adapter(adapter, schema, scan, needed)
         if cache_key is not None:
             cache.put(cache_key, batch)
             return dict(batch)
         return batch
 
     def _scan_adapter(
-        self,
-        adapter,
-        schema,
-        scan: ScanPlan,
-        needed: list[str],
-        encoded: bool = False,
+        self, adapter, schema, scan: ScanPlan, needed: list[str]
     ) -> Batch:
         if scan.path is AccessPath.COLUMN_SCAN:
-            if encoded:
-                return adapter.scan_columns_encoded(needed, scan.predicate)
             return adapter.scan_columns(needed, scan.predicate)
         if scan.path is AccessPath.INDEX_LOOKUP:
             rows = adapter.index_lookup_rows(scan.predicate)
@@ -280,7 +260,7 @@ class Executor:
         self._cost.charge_rows(self._cost.hash_build_per_row_us, len(build_values))
         self._cost.charge_rows(self._cost.hash_probe_per_row_us, len(probe_values))
         try:
-            probe_positions, build_positions = self._probe_positions(
+            probe_positions, build_positions = _equi_join_positions(
                 probe_values, build_values
             )
         except _Unvectorizable:
@@ -294,34 +274,6 @@ class Executor:
             if name not in out:
                 out[name] = arr[build_positions]
         return out
-
-    def _probe_positions(
-        self, probe_values: np.ndarray, build_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized join probe, morsel-parallel when a pool is up.
-
-        Each probe morsel matches against the shared read-only build
-        side; the probe-major concatenation of per-morsel outputs equals
-        the flat probe exactly (each probe row's matches depend only on
-        that row).  No extra simulated charge: the per-row probe price
-        was charged flat, and morselization must not change it.
-        """
-        pool = get_default_pool()
-        morsel_rows = getattr(pool, "morsel_rows", None) if pool else None
-        n_probe = len(probe_values)
-        if pool is None or not morsel_rows or n_probe <= morsel_rows:
-            return _equi_join_positions(probe_values, build_values)
-
-        def probe_part(start: int, stop: int):
-            pp, bp = _equi_join_positions(probe_values[start:stop], build_values)
-            return pp + start, bp
-
-        parts = morsel_probe(n_probe, probe_part, pool)
-        self._morsel_probe_counter.inc(len(parts))
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
 
     # ------------------------------------------------------------- aggregate
 
@@ -342,42 +294,33 @@ class Executor:
             is_code_column(batch.get(col)) for col in query.group_by
         ):
             self._code_group_counter.inc()
-        morsel = None
-        if query.group_by and n:
-            morsel = self._morsel_aggregate(
-                query.group_by, batch, aggregates + having_aggs
-            )
-        if morsel is not None:
-            group_reps, counts, agg_values = morsel
-            n_groups = len(counts)
+        if query.group_by:
+            order, starts, group_reps = self._group(batch, query.group_by)
         else:
-            if query.group_by:
-                order, starts, group_reps = self._group(batch, query.group_by)
-            else:
-                order = np.arange(n)
-                starts = (
-                    np.array([0], dtype=np.int64) if n else np.array([], dtype=np.int64)
-                )
-                group_reps = {}
-            agg_values = {}
-            counts = _segment_counts(starts, n)
+            order = np.arange(n)
+            starts = (
+                np.array([0], dtype=np.int64) if n else np.array([], dtype=np.int64)
+            )
+            group_reps = {}
+        agg_values = {}
+        counts = _segment_counts(starts, n)
+        for agg in aggregates:
+            agg_values[agg.display()] = _reduce_aggregate(
+                agg, batch, order, starts, counts
+            )
+        # Global aggregate over an empty input still yields one row.
+        n_groups = len(starts) if (query.group_by or n) else 0
+        if not query.group_by and n == 0:
+            n_groups = 1
+            counts = np.array([0])
             for agg in aggregates:
-                agg_values[agg.display()] = _reduce_aggregate(
-                    agg, batch, order, starts, counts
+                agg_values[agg.display()] = np.array(
+                    [agg.compute(np.array([]), 0)], dtype=object
                 )
-            # Global aggregate over an empty input still yields one row.
-            n_groups = len(starts) if (query.group_by or n) else 0
-            if not query.group_by and n == 0:
-                n_groups = 1
-                counts = np.array([0])
-                for agg in aggregates:
-                    agg_values[agg.display()] = np.array(
-                        [agg.compute(np.array([]), 0)], dtype=object
-                    )
-            for agg in having_aggs:
-                agg_values[agg.display()] = _reduce_aggregate(
-                    agg, batch, order, starts, counts
-                )
+        for agg in having_aggs:
+            agg_values[agg.display()] = _reduce_aggregate(
+                agg, batch, order, starts, counts
+            )
         columns = [item.output_name for item in query.select]
         groups = self._having_survivors(query, n_groups, agg_values, group_reps)
         rows: list[tuple] = []
@@ -389,87 +332,6 @@ class Executor:
                 )
             rows.append(tuple(row))
         return columns, rows
-
-    def _morsel_aggregate(
-        self, group_by: list[str], batch: Batch, aggs: list[Aggregate]
-    ):
-        """Morsel-driven partial aggregation, or None for the flat kernel.
-
-        Eligible only when a pool is installed, the batch spans multiple
-        morsels, and every aggregate is *exactly mergeable* (COUNT,
-        MIN/MAX, integer/bool SUM — see
-        :data:`repro.parallel.EXACT_MERGE_KINDS`); MIN/MAX over encoded
-        columns reduce on dictionary codes and decode one value per
-        group.  The merged output is bit-identical to the flat kernel
-        for any morsel split, and no extra cost is charged — the
-        aggregation price was already charged per input row.
-        """
-        from .ast import AggFunc
-
-        pool = get_default_pool()
-        n = _batch_len(batch)
-        morsel_rows = getattr(pool, "morsel_rows", None) if pool else None
-        if pool is None or not morsel_rows or n <= morsel_rows:
-            return None
-        specs: list[tuple[str, np.ndarray | None]] = []
-        posts: list[np.ndarray | None] = []
-        for agg in aggs:
-            if agg.func is AggFunc.COUNT:
-                specs.append(("count", None))
-                posts.append(None)
-                continue
-            assert agg.arg is not None
-            # Only the *expected* expression-evaluation failures defer
-            # to the flat kernel (missing column -> QueryError; numpy
-            # type/shape mismatch on encoded or object columns ->
-            # TypeError/ValueError).  Anything else is a kernel bug and
-            # must surface, not degrade into a silent scalar fallback.
-            try:
-                values = agg.arg.evaluate(batch)
-            except (QueryError, TypeError, ValueError):
-                return None  # the flat kernel owns the error surface
-            if is_code_column(values):
-                if agg.func is AggFunc.MIN or agg.func is AggFunc.MAX:
-                    # Codes order like values (sorted dictionary): reduce
-                    # the codes, decode one winner per group.
-                    kind = "min" if agg.func is AggFunc.MIN else "max"
-                    specs.append((kind, np.asarray(values.codes)))
-                    posts.append(values.dictionary)
-                    continue
-                values = values.decode()
-            arr = np.asarray(values)
-            if agg.func is AggFunc.SUM and arr.dtype.kind in "biu":
-                if arr.dtype == np.bool_:
-                    arr = arr.astype(np.int64)
-                specs.append(("sum_int", arr))
-                posts.append(None)
-                continue
-            if (
-                agg.func in (AggFunc.MIN, AggFunc.MAX)
-                and arr.dtype.kind in "biufmM"
-            ):
-                specs.append(("min" if agg.func is AggFunc.MIN else "max", arr))
-                posts.append(None)
-                continue
-            return None  # AVG / float SUM / object values: flat kernel
-        for col in group_by:
-            if col not in batch:
-                return None  # flat path raises the reference QueryError
-        try:
-            combined = _pack_codes(
-                [batch[col] for col in group_by], nan_distinct=False
-            )
-        except _Unvectorizable:
-            return None
-        state = partial_group_aggregate(combined, specs, pool)
-        self._morsel_partial_counter.inc()
-        group_reps = {col: batch[col][state.first_rows] for col in group_by}
-        agg_values: dict[str, np.ndarray] = {}
-        for agg, post, reduced in zip(aggs, posts, state.reduced):
-            agg_values[agg.display()] = (
-                post[reduced] if post is not None else reduced
-            )
-        return group_reps, state.counts, agg_values
 
     def _having_survivors(
         self,
@@ -933,11 +795,10 @@ def _order_code_array(arr: np.ndarray) -> np.ndarray:
     back, so we refuse them here.
     """
     if is_code_column(arr):
-        # Sorted NULL-free dictionary: code order IS value order, so the
-        # codes sort without decoding.  Factorize like the int branch so
-        # DESC negation is overflow-safe.
-        _, inv = np.unique(np.asarray(arr.codes), return_inverse=True)
-        return np.asarray(inv, dtype=np.int64)
+        # Sorted NULL-free dictionary: code order IS value order, and
+        # codes are non-negative ints below the dictionary size, so they
+        # are the sort key as they stand (DESC negation cannot overflow).
+        return np.asarray(arr.codes, dtype=np.int64)
     arr = np.asarray(arr)
     if arr.dtype == object:
         if _is_none_mask(arr).any():

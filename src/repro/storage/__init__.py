@@ -7,7 +7,6 @@ from .column_store import (
     Segment,
     ZoneMap,
     build_zone_map,
-    scan_mode,
 )
 from .compression import (
     BitPackedEncoding,
@@ -60,5 +59,4 @@ __all__ = [
     "collapse_entries",
     "encode_keys",
     "encoding_for_name",
-    "scan_mode",
 ]

@@ -21,7 +21,7 @@ code space exact:
 Simulated-cost discipline: helpers here never touch the shared clock.
 They *report* how many codes were remapped; the caller prices that
 against :attr:`CostModel.code_remap_per_value_us` in its own charging
-sequence, keeping pooled/morsel scans cost-identical to serial ones.
+sequence.
 """
 
 from __future__ import annotations
@@ -120,19 +120,16 @@ def _remap_into(dictionary: np.ndarray, merged: np.ndarray) -> np.ndarray:
 def concat_code_parts(
     parts: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[CodeColumn, int]:
-    """Concatenate per-morsel ``(codes, dictionary)`` parts.
+    """Concatenate per-segment ``(codes, dictionary)`` parts.
 
-    Morsels of one segment share the dictionary *object* (see
-    ``DictionaryEncoding.slice``), and segments of a stable value
-    domain share dictionary *content* — both collapse to one canonical
-    dictionary and concatenate codes with zero remapping (the
+    Parts that share the dictionary *object*, and segments of a stable
+    value domain that share dictionary *content*, collapse to one
+    canonical dictionary and concatenate codes with zero remapping (the
     global-dictionary model: equal dictionaries define the same code
     space, so no map is applied and none is charged).  Only genuinely
     different dictionaries pay the sorted union + per-dictionary remap
     table.  Returns the merged column and how many codes were remapped
-    (for cost accounting).  Both dedup steps depend only on the
-    dictionaries' identity/content, never on how rows were cut, so any
-    morsel split settles the same remap count as the serial merge.
+    (for cost accounting).
     """
     canon: dict[int, np.ndarray] = {}
     dicts: list[np.ndarray] = []

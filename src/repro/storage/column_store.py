@@ -14,20 +14,15 @@ Scans are predicate-aware end to end:
    the codec allows (:mod:`repro.storage.segment_filter`), decoding a
    column only when they must;
 3. output columns are late-materialized — gathered at surviving
-   positions only;
-4. per-segment work optionally fans out to the deterministic
-   :mod:`repro.parallel` pool and merges back in segment-id order,
-   byte-identical to the serial loop.
+   positions only.
 
-:func:`scan_mode` switches the pruning/code-space/parallel behavior
-process-wide (ablation benches and differential tests use it to
-reproduce the pre-pruning full-decode path).
+The full-decode scan these steps must equal byte for byte lives in
+``tests/oracle/scan.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -222,50 +217,15 @@ class ColumnScanResult:
         return 0
 
 
-#: Process-wide scan behavior; :func:`scan_mode` overrides it for a
-#: block.  ``parallel=True`` means "use :func:`repro.parallel.
-#: get_default_pool` when one is installed" — with no pool installed
-#: scans stay serial.
-_SCAN_DEFAULTS = {"prune": True, "code_space": True, "parallel": True}
-
-
-@contextmanager
-def scan_mode(
-    *,
-    prune: bool | None = None,
-    code_space: bool | None = None,
-    parallel: bool | None = None,
-) -> Iterator[None]:
-    """Temporarily override the default scan pipeline behavior.
-
-    ``scan_mode(prune=False, code_space=False)`` reproduces the
-    pre-pruning full-decode scan (every needed column of every live
-    segment decoded before the predicate runs) — the ablation baseline
-    for the perf bench and the reference side of differential tests.
-    """
-    saved = dict(_SCAN_DEFAULTS)
-    if prune is not None:
-        _SCAN_DEFAULTS["prune"] = prune
-    if code_space is not None:
-        _SCAN_DEFAULTS["code_space"] = code_space
-    if parallel is not None:
-        _SCAN_DEFAULTS["parallel"] = parallel
-    try:
-        yield
-    finally:
-        _SCAN_DEFAULTS.update(saved)
-
-
 @dataclass
 class _SegmentPartial:
-    """One segment's (or morsel's) contribution to a scan.
+    """One segment's contribution to a scan.
 
-    Built entirely off the shared clock: simulated work is carried as
-    ``(per-value rate, value count)`` pairs so the merge can aggregate
-    integer counts per rate before pricing them — any morsel split of a
-    segment settles *bit-identical* cost to the serial segment scan.
-    ``arrays`` values are ndarrays, or :class:`CodeColumn` parts when
-    the scan hands codes across the boundary (``encode=True``).
+    Simulated work is carried as ``(per-value rate, value count)``
+    pairs: the scan sums the integer counts per rate over all segments
+    and prices each rate once.  ``arrays`` values are ndarrays, or
+    :class:`CodeColumn` parts when the scan hands codes across the
+    boundary (``encode=True``).
     """
 
     arrays: dict[str, object] | None  # None: no surviving rows
@@ -303,7 +263,6 @@ class ColumnStore:
         self._scanned_counter = reg.counter("scan.segments_scanned")
         self._pruned_counter = reg.counter("scan.segments_pruned")
         self._code_filter_counter = reg.counter("scan.code_space_filters")
-        self._morsel_counter = reg.counter("parallel.morsels")
 
     # ------------------------------------------------------------- metadata
 
@@ -511,9 +470,6 @@ class ColumnStore:
         predicate: Predicate = ALWAYS_TRUE,
         with_keys: bool = True,
         *,
-        prune: bool | None = None,
-        code_space: bool | None = None,
-        parallel: bool | None = None,
         encode: bool = False,
     ) -> ColumnScanResult:
         """Predicate-aware scan: prune, filter encoded, gather survivors.
@@ -522,9 +478,7 @@ class ColumnStore:
         code/run space where the codec allows (decoding a column only
         when it must); output columns are gathered at surviving
         positions only.  ``with_keys=False`` never allocates the key
-        list.  The keyword-only flags override :func:`scan_mode`'s
-        process-wide defaults; ``prune=False, code_space=False`` is the
-        pre-pruning full-decode reference path.
+        list.
 
         ``encode=True`` keeps output columns *encoded* across the scan
         boundary: a wanted column whose every surviving segment carries
@@ -534,85 +488,39 @@ class ColumnStore:
         the merge), so joins/GROUP BY/DISTINCT downstream can run on
         codes and defer materialization to result emit.
 
-        With a :mod:`repro.parallel` pool installed (and ``parallel``
-        on), work fans out to worker threads and merges in submission
-        order.  The unit of work is a *morsel* — a row range of a
-        surviving segment (``pool.morsel_rows``; whole segments when
-        unset).  Zone-map pruning runs once per segment here in the
-        driver, never per morsel, and workers never touch the shared
-        clock: each task reports (rate, value-count) charge pairs whose
-        integer counts the merge aggregates per rate before pricing, so
-        serial, segment-parallel and morsel-parallel scans produce
-        identical results *and* bit-identical simulated cost.
+        Simulated cost settles once per scan: each segment reports
+        (rate, value-count) charge pairs, the integer counts are summed
+        per rate, and each rate is priced once.
         """
         wanted = list(columns) if columns is not None else self.schema.column_names
         for name in wanted:
             self.schema.index_of(name)  # validate
-        needed = set(wanted) | predicate.referenced_columns()
-        if prune is None:
-            prune = _SCAN_DEFAULTS["prune"]
-        if code_space is None:
-            code_space = _SCAN_DEFAULTS["code_space"]
-        if parallel is None:
-            parallel = _SCAN_DEFAULTS["parallel"]
-        pool = None
-        if parallel:
-            from ..parallel import get_default_pool
-
-            pool = get_default_pool()
-        # Snapshot the segment list: appends racing with (or triggered
-        # mid-scan by) this scan never change what it returns.
+        # Snapshot the segment list: appends triggered mid-scan by this
+        # scan's own predicate never change what it returns.
         live = [seg for seg in self._segments if seg.live_count() > 0]
         survivors: list[Segment] = []
         pruned = 0
         charge = 0.0
-        if prune:
-            for segment in live:
-                charge += self._cost.zone_map_check_us
-                if segment.may_match(predicate, self.schema):
-                    survivors.append(segment)
-                else:
-                    pruned += 1
-        else:
-            survivors = live
+        for segment in live:
+            charge += self._cost.zone_map_check_us
+            if segment.may_match(predicate, self.schema):
+                survivors.append(segment)
+            else:
+                pruned += 1
         encode_cols = (
             self._encodable_columns(wanted, survivors) if encode else frozenset()
         )
-        morsel_rows = getattr(pool, "morsel_rows", None) if pool else None
-        tasks: list[tuple[Segment, int, int, int]] = []
-        for segment in survivors:
-            if morsel_rows and segment.n_rows > morsel_rows:
-                for index, start in enumerate(range(0, segment.n_rows, morsel_rows)):
-                    stop = min(start + morsel_rows, segment.n_rows)
-                    tasks.append((segment, start, stop, index))
-            else:
-                tasks.append((segment, 0, segment.n_rows, 0))
-
-        def task(desc: tuple[Segment, int, int, int]) -> _SegmentPartial:
-            segment, start, stop, index = desc
-            return self._scan_segment(
-                segment, start, stop, index, wanted, needed,
-                predicate, with_keys, code_space, encode_cols,
-            )
-
-        if pool is not None and len(tasks) > 1:
-            parts = pool.map_ordered(task, tasks)
-            if len(tasks) > len(survivors):
-                self._morsel_counter.inc(len(tasks))
-        else:
-            parts = [task(desc) for desc in tasks]
         out_arrays: dict[str, list] = {name: [] for name in wanted}
         out_keys: list[Key] | None = [] if with_keys else None
         code_filters = 0
         rate_counts: dict[float, int] = {}
-        for desc, part in zip(tasks, parts):  # already in submission order
+        for segment in survivors:
+            part = self._scan_segment(
+                segment, wanted, predicate, with_keys, encode_cols
+            )
             for rate, count in part.charges:
                 rate_counts[rate] = rate_counts.get(rate, 0) + count
-            if desc[3] == 0:
-                # Every morsel of a segment evaluates the same leaves;
-                # count each segment's code-space filters once (morsel 0
-                # is representative), matching the serial scan's tally.
-                code_filters += part.code_space_filters
+            code_filters += part.code_space_filters
             if part.arrays is None:
                 continue
             for name in wanted:
@@ -621,19 +529,19 @@ class ColumnStore:
                 out_keys.extend(part.keys)
         final: dict[str, object] = {}
         remapped = 0
-        for name, parts_ in out_arrays.items():
-            if not parts_:
+        for name, parts in out_arrays.items():
+            if not parts:
                 final[name] = np.array(
                     [], dtype=self.schema.column(name).dtype.numpy_dtype
                 )
             elif name in encode_cols:
                 column, n_remap = concat_code_parts(
-                    [(p.codes, p.dictionary) for p in parts_]
+                    [(p.codes, p.dictionary) for p in parts]
                 )
                 final[name] = column
                 remapped += n_remap
             else:
-                final[name] = np.concatenate(parts_)
+                final[name] = np.concatenate(parts)
         for rate, count in rate_counts.items():
             charge += rate * count
         if remapped:
@@ -659,9 +567,9 @@ class ColumnStore:
     ) -> frozenset[str]:
         """Wanted columns every surviving segment can serve as codes.
 
-        All-or-nothing per column and decided up front in the driver —
-        a fixed representation regardless of pool, morsel split, or
-        which segments end up empty, so scan results are deterministic.
+        All-or-nothing per column and decided before any segment is
+        read — a fixed representation regardless of which segments end
+        up empty.
         """
         if not survivors:
             return frozenset()
@@ -697,46 +605,22 @@ class ColumnStore:
     def _scan_segment(
         self,
         segment: Segment,
-        start: int,
-        stop: int,
-        morsel_index: int,
         wanted: list[str],
-        needed: set[str],
         predicate: Predicate,
         with_keys: bool,
-        code_space: bool,
         encode_cols: frozenset[str],
     ) -> _SegmentPartial:
-        """One morsel's scan work (rows ``[start, stop)`` of a segment);
-        thread-safe (no shared-state writes)."""
-        whole = start == 0 and stop == segment.n_rows
-        if whole:
-            encodings = segment.encodings
-        else:
-            encodings = {
-                name: enc.slice(start, stop)
-                for name, enc in segment.encodings.items()
-                if name in needed
-            }
+        """One segment's filter + gather; charges are reported, not
+        settled — the scan prices them once per rate."""
         data = EncodedColumns(
-            encodings,
-            stop - start,
+            segment.encodings,
+            segment.n_rows,
             self._cost.column_scan_per_value_us,
             self._cost.code_filter_per_value_us,
             SCAN_COST_FACTOR,
             self._cost.code_gather_per_value_us,
         )
-        if code_space:
-            mask = predicate_mask(predicate, data)
-        else:
-            # Reference behavior: decode every needed column up front
-            # and evaluate the predicate on materialized arrays.
-            decoded = {name: data.array(name) for name in needed}
-            if decoded:
-                mask = np.asarray(predicate.mask(decoded), dtype=bool)
-            else:
-                mask = np.ones(stop - start, dtype=bool)
-        mask = mask & ~segment.delete_mask[start:stop]
+        mask = predicate_mask(predicate, data) & ~segment.delete_mask
         if not mask.any():
             return _SegmentPartial(
                 None, None, data.charge_items(), data.code_space_filters
@@ -753,11 +637,11 @@ class ColumnStore:
                 )
                 for name in wanted
             }
-            keys: Sequence[Key] | None = None
-            if with_keys:
-                keys = segment.keys if whole else segment.keys[start:stop]
             return _SegmentPartial(
-                arrays, keys, data.charge_items(), data.code_space_filters
+                arrays,
+                segment.keys if with_keys else None,
+                data.charge_items(),
+                data.code_space_filters,
             )
         positions = np.flatnonzero(mask)
         arrays = {
@@ -770,9 +654,7 @@ class ColumnStore:
             )
             for name in wanted
         }
-        keys = (
-            [segment.keys[start + p] for p in positions] if with_keys else None
-        )
+        keys = [segment.keys[p] for p in positions] if with_keys else None
         return _SegmentPartial(
             arrays, keys, data.charge_items(), data.code_space_filters
         )

@@ -43,16 +43,6 @@ class Encoding:
         """Gather specific positions (default: decode then take)."""
         return self.decode()[positions]
 
-    def slice(self, start: int, stop: int) -> "Encoding":
-        """A view-like encoding over rows ``[start, stop)``.
-
-        Morsel-driven scans evaluate predicates per row range; every
-        codec can cut itself without decoding, so per-morsel work (and
-        its simulated charge) stays proportional to the morsel, not the
-        segment.
-        """
-        raise NotImplementedError
-
 
 @dataclass
 class PlainEncoding(Encoding):
@@ -78,9 +68,6 @@ class PlainEncoding(Encoding):
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self.data[positions]
-
-    def slice(self, start: int, stop: int) -> "PlainEncoding":
-        return PlainEncoding(data=self.data[start:stop])
 
 
 @dataclass
@@ -137,13 +124,6 @@ class DictionaryEncoding(Encoding):
 
     def cardinality(self) -> int:
         return len(self.dictionary)
-
-    def slice(self, start: int, stop: int) -> "DictionaryEncoding":
-        # The dictionary object is shared, so morsels of one segment
-        # keep code spaces that merge by identity (no remap).
-        return DictionaryEncoding(
-            dictionary=self.dictionary, codes=self.codes[start:stop]
-        )
 
     # --------------------------------------------------- code-space predicates
     #
@@ -243,21 +223,6 @@ class RunLengthEncoding(Encoding):
     def n_runs(self) -> int:
         return len(self.values)
 
-    def slice(self, start: int, stop: int) -> "RunLengthEncoding":
-        if start >= stop or len(self.run_ends) == 0:
-            return RunLengthEncoding(
-                values=self.values[:0], run_ends=np.array([], dtype=np.int64)
-            )
-        # Runs overlapping [start, stop): first run whose end exceeds
-        # start through the run containing stop-1.
-        first = int(np.searchsorted(self.run_ends, start, side="right"))
-        last = int(np.searchsorted(self.run_ends, stop - 1, side="right"))
-        ends = self.run_ends[first : last + 1] - start
-        ends[-1] = min(int(ends[-1]), stop - start)
-        return RunLengthEncoding(
-            values=self.values[first : last + 1], run_ends=ends
-        )
-
 
 @dataclass
 class BitPackedEncoding(Encoding):
@@ -294,9 +259,6 @@ class BitPackedEncoding(Encoding):
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self.offsets[positions].astype(np.int64) + self.base
-
-    def slice(self, start: int, stop: int) -> "BitPackedEncoding":
-        return BitPackedEncoding(base=self.base, offsets=self.offsets[start:stop])
 
 
 def choose_encoding(values: np.ndarray) -> Encoding:

@@ -20,9 +20,8 @@ from ..common.cost import CostModel
 from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
 from ..obs.registry import get_registry
-from .code_batch import CodeColumn, concat_code_parts, encode_against
+from .code_batch import CodeColumn, encode_against
 from .column_store import (
-    _SCAN_DEFAULTS,
     ColumnScanResult,
     ZoneMap,
     build_zone_map,
@@ -70,7 +69,6 @@ class InMemoryColumnUnit:
         self._scanned_counter = reg.counter("scan.segments_scanned")
         self._pruned_counter = reg.counter("scan.segments_pruned")
         self._code_filter_counter = reg.counter("scan.code_space_filters")
-        self._morsel_counter = reg.counter("parallel.morsels")
 
     # ------------------------------------------------------------- populate
 
@@ -153,8 +151,6 @@ class InMemoryColumnUnit:
         predicate: Predicate = ALWAYS_TRUE,
         patch: bool = True,
         *,
-        prune: bool | None = None,
-        code_space: bool | None = None,
         encode: bool = False,
     ) -> ColumnScanResult:
         """Columnar scan patched with current row-store truth.
@@ -169,14 +165,6 @@ class InMemoryColumnUnit:
         run — staleness is orthogonal to pruning).  Surviving scans
         evaluate the predicate in code/run space where the codec allows
         and late-materialize output columns at surviving positions.
-        ``prune``/``code_space`` default to :func:`~repro.storage.
-        column_store.scan_mode`'s process-wide settings.
-
-        With a :mod:`repro.parallel` pool installed, the unit splits
-        into row-range morsels fanned over the pool; the zone check and
-        patch step stay in the driver (pruning and patching are charged
-        once, not per morsel), and count-based charge merging keeps the
-        simulated cost bit-identical to the serial scan.
 
         ``encode=True`` keeps code-space-safe dictionary columns
         *encoded*: they come back as :class:`CodeColumn` (codes +
@@ -186,127 +174,45 @@ class InMemoryColumnUnit:
         code space via :func:`encode_against` (decode fallback when the
         patch values are not encodable).
         """
-        if prune is None:
-            prune = _SCAN_DEFAULTS["prune"]
-        if code_space is None:
-            code_space = _SCAN_DEFAULTS["code_space"]
-        pool = None
-        if _SCAN_DEFAULTS["parallel"]:
-            from ..parallel import get_default_pool
-
-            pool = get_default_pool()
         wanted = list(columns) if columns is not None else self.schema.column_names
-        needed = set(wanted) | predicate.referenced_columns()
         n = len(self._keys)
         arrays: dict[str, np.ndarray] = {}
         out_keys: list[Key] = []
         scanned = pruned = code_filters = 0
         unit_matches = True
-        if n and self._encodings and prune:
+        if n and self._encodings:
             self._cost.charge(self._cost.zone_map_check_us)
             unit_matches = zones_may_match(self.zone_maps, n, predicate)
         if n and self._encodings and unit_matches:
             scanned = 1
             encode_cols = self._encodable_columns(wanted) if encode else frozenset()
-            morsel_rows = getattr(pool, "morsel_rows", None) if pool else None
-            if morsel_rows and n > morsel_rows:
-                cuts = [
-                    (start, min(start + morsel_rows, n))
-                    for start in range(0, n, morsel_rows)
-                ]
-            else:
-                cuts = [(0, n)]
+            # Factors stay 1.0 here: the IMCU's per-value price never
+            # varied by codec.
+            data = EncodedColumns(
+                self._encodings,
+                n,
+                self._cost.column_scan_per_value_us,
+                self._cost.code_filter_per_value_us,
+                {},
+                self._cost.code_gather_per_value_us,
+            )
+            mask = predicate_mask(predicate, data)
             stale = self.smu.stale_keys
-            scan_us = self._cost.column_scan_per_value_us
-            code_us = self._cost.code_filter_per_value_us
-            gather_us = self._cost.code_gather_per_value_us
-            encodings = self._encodings
-            keys = self._keys
-
-            def one_morsel(cut: tuple[int, int]):
-                start, stop = cut
-                whole = start == 0 and stop == n
-                encs = (
-                    encodings
-                    if whole
-                    else {
-                        name: encodings[name].slice(start, stop)
-                        for name in needed
-                        if name in encodings
-                    }
+            if stale:
+                mask = mask & np.array(
+                    [k not in stale for k in self._keys], dtype=bool
                 )
-                # Factors stay 1.0 here: the IMCU's per-value price never
-                # varied by codec, and the reference path must keep parity.
-                data = EncodedColumns(
-                    encs, stop - start, scan_us, code_us, {}, gather_us
-                )
-                if code_space:
-                    mask = predicate_mask(predicate, data)
-                else:
-                    # Reference behavior: decode every needed column up
-                    # front and evaluate on materialized arrays.
-                    decoded = {name: data.array(name) for name in needed}
-                    if decoded:
-                        mask = np.asarray(predicate.mask(decoded), dtype=bool)
-                    else:
-                        mask = np.ones(stop - start, dtype=bool)
-                if stale:
-                    mask = mask & np.array(
-                        [k not in stale for k in keys[start:stop]], dtype=bool
-                    )
-                positions = np.flatnonzero(mask)
-                part_arrays: dict[str, object] = {}
-                for name in wanted:
-                    if name in encode_cols:
-                        part_arrays[name] = (
-                            data.codes(name, positions),
-                            data.encoding(name).dictionary,
-                        )
-                    else:
-                        part_arrays[name] = data.gather(name, positions)
-                part_keys = [keys[start + p] for p in positions]
-                return (
-                    part_arrays,
-                    part_keys,
-                    data.charge_items(),
-                    data.code_space_filters,
-                )
-
-            if pool is not None and len(cuts) > 1:
-                parts = pool.map_ordered(one_morsel, cuts)
-            else:
-                parts = [one_morsel(cut) for cut in cuts]
-            if len(cuts) > 1:
-                self._morsel_counter.inc(len(cuts))
-            rate_counts: dict[float, int] = {}
-            for index, part in enumerate(parts):
-                for rate, count in part[2]:
-                    rate_counts[rate] = rate_counts.get(rate, 0) + count
-                if index == 0:
-                    # Morsel 0 stands in for the serial filter tally —
-                    # every morsel re-runs the same per-leaf rewrites,
-                    # so summing would overcount versus a serial scan.
-                    code_filters = part[3]
-                out_keys.extend(part[1])
-            remapped = 0
+            positions = np.flatnonzero(mask)
             for name in wanted:
                 if name in encode_cols:
-                    col, n_remapped = concat_code_parts(
-                        [part[0][name] for part in parts]
+                    arrays[name] = CodeColumn(
+                        data.codes(name, positions), data.encoding(name).dictionary
                     )
-                    arrays[name] = col
-                    remapped += n_remapped
                 else:
-                    pieces = [part[0][name] for part in parts]
-                    arrays[name] = (
-                        pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-                    )
-            charge = 0.0
-            for rate, count in rate_counts.items():
-                charge += rate * count
-            if remapped:
-                charge += self._cost.code_remap_per_value_us * remapped
-            self._cost.charge(charge)
+                    arrays[name] = data.gather(name, positions)
+            out_keys.extend(self._keys[p] for p in positions)
+            code_filters = data.code_space_filters
+            self._cost.charge(data.charge_us)
         else:
             if n and self._encodings:
                 pruned = 1

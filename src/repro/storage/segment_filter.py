@@ -23,9 +23,8 @@ evaluation instead of guessing.
 :class:`EncodedColumns` is the per-segment column provider.  It is
 deliberately *pure with respect to shared state*: it accumulates its
 simulated cost in ``charge_us`` instead of charging a shared
-:class:`~repro.common.cost.CostModel`, so segment tasks can run on
-worker threads (:mod:`repro.parallel`) and the caller can account the
-charges on the shared clock in deterministic segment order.
+:class:`~repro.common.cost.CostModel`, so the scan settles one charge
+on the shared clock after every segment has reported.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ class EncodedColumns:
     """Lazy decoded-column cache over one segment, with cost accounting.
 
     Charges accumulate as ``{per-value rate: value count}`` instead of a
-    running float: integer counts sum exactly across any morsel split of
-    the segment, so a morsel-driven scan settles *bit-identical*
-    simulated cost to the serial scan no matter how the rows were cut
-    (``rate * (a + b) == rate * n`` exactly, whereas
+    running float: integer counts sum exactly across the segments of a
+    scan, so the settled cost does not depend on how the rows were cut
+    into segments (``rate * (a + b) == rate * n`` exactly, whereas
     ``rate*a + rate*b`` need not be).
     """
 
@@ -98,8 +96,8 @@ class EncodedColumns:
         return sum(rate * count for rate, count in self._charge_counts.items())
 
     def charge_items(self) -> tuple[tuple[float, int], ...]:
-        """(rate, value-count) pairs, in first-charge order — the merge
-        side aggregates counts per rate before pricing them."""
+        """(rate, value-count) pairs, in first-charge order — the scan
+        aggregates counts per rate before pricing them."""
         return tuple(self._charge_counts.items())
 
     def encoding(self, name: str) -> Encoding:

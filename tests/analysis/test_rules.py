@@ -145,17 +145,6 @@ class TestHTL001Determinism:
         )
         assert found == []
 
-    def test_shipped_morsel_scheduling_is_clean(self):
-        # The sweep itself: the parallel package's only sanctioned
-        # wall-clock use is pool.py's suppressed observability import.
-        from pathlib import Path
-
-        import repro.parallel as parallel_pkg
-        from repro.analysis import analyze_tree
-
-        pkg_dir = Path(parallel_pkg.__file__).resolve().parent
-        assert analyze_tree(pkg_dir, rule_ids=["HTL001"]) == []
-
 
 STORE_FIRES = """\
 class Store:

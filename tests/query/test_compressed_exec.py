@@ -8,8 +8,6 @@ row-at-a-time over plain lists.  These tests prove the contract:
 
 * results (rows, column names *and* Python value types) equal the
   oracle's, for every engine architecture and every operator mix;
-* simulated cost is invariant to *how* the compressed path runs —
-  serial vs morsel-parallel;
 * the code-space operators actually engage (counters move) rather than
   silently falling back to decode;
 * MVCC still holds: snapshots pin what a scan sees even when a
@@ -23,7 +21,6 @@ from repro.common import Column, CostModel, DataType, Schema
 from repro.common.predicate import Between
 from repro.engines import make_engine
 from repro.obs import get_registry
-from repro.parallel import scan_parallel
 from repro.query import DualStoreTableAccess, Executor, Planner, parse
 from repro.query.access import AccessPath
 from repro.storage import ColumnStore
@@ -88,7 +85,7 @@ def region_rows():
 
 #: The operator battery: code-space joins, GROUP BY, DISTINCT, HAVING,
 #: code-space predicates, late materialization under ORDER BY/LIMIT,
-#: and the flat-kernel escapes (float SUM/AVG).
+#: and float SUM/AVG.
 SQL = [
     "SELECT o_region, COUNT(*) FROM orders GROUP BY o_region",
     "SELECT o_region, o_priority, COUNT(*), SUM(o_cust) FROM orders "
@@ -133,7 +130,7 @@ def build_reference_catalog(n=400):
         column_store = ColumnStore(schema, cost)
         for row in rows:
             row_store.install_insert(row, commit_ts=1)
-        # Several sealed segments so morsel/segment fan-out has work.
+        # Several sealed segments so dictionaries merge across them.
         for start in range(0, len(rows), 100):
             column_store.append_rows(rows[start:start + 100], commit_ts=1)
         catalog[schema.table_name] = DualStoreTableAccess(
@@ -146,17 +143,6 @@ def build_reference_catalog(n=400):
 def env():
     catalog, cost = build_reference_catalog()
     return catalog, Planner(catalog, cost), cost
-
-
-def assert_rows_and_types_equal(a, b, context=""):
-    assert a.columns == b.columns, context
-    assert len(a.rows) == len(b.rows), context
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra == rb, f"{context}: {ra} != {rb}"
-        for va, vb in zip(ra, rb):
-            assert type(va) is type(vb), (
-                f"{context}: {va!r} is {type(va)}, {vb!r} is {type(vb)}"
-            )
 
 
 # ------------------------------------------------------- reference catalog
@@ -205,16 +191,14 @@ class TestCompressedVsOracle:
         catalog, _planner, _cost = env
         from repro.common.predicate import ALWAYS_TRUE
 
-        batch = catalog["orders"].scan_columns_encoded(
+        batch = catalog["orders"].scan_columns(
             ["o_region", "o_amount"], ALWAYS_TRUE
         )
         assert isinstance(batch["o_region"], CodeColumn)
         assert not isinstance(batch["o_amount"], CodeColumn)
         np.testing.assert_array_equal(
             batch["o_region"].decode(),
-            catalog["orders"].scan_columns(["o_region"], ALWAYS_TRUE)[
-                "o_region"
-            ],
+            catalog["orders"].column_store.scan(["o_region"]).arrays["o_region"],
         )
 
     def test_code_space_hint_fraction(self, env):
@@ -223,64 +207,6 @@ class TestCompressedVsOracle:
         assert adapter.code_space_hint(["o_region", "o_priority"]) == 1.0
         assert adapter.code_space_hint(["o_amount"]) == 0.0
         assert 0.0 < adapter.code_space_hint(["o_region", "o_amount"]) < 1.0
-
-
-class TestCostParity:
-    """Simulated cost must not depend on *how* the compressed path runs.
-
-    Each arm gets its own (deterministic) catalog and cost model so the
-    clock starts from the same state — summing identical charges at
-    different clock offsets would otherwise round differently in the
-    last ulp and mask real parity bugs behind an approx.
-    """
-
-    @staticmethod
-    def _run(sql, morsel_rows=None):
-        catalog, cost = build_reference_catalog()
-        plan = Planner(catalog, cost).plan(parse(sql))
-        executor = Executor(catalog, cost)
-        before = cost.now_us()
-        if morsel_rows is None:
-            result = executor.execute(plan)
-        else:
-            with scan_parallel(workers=4, morsel_rows=morsel_rows):
-                result = executor.execute(plan)
-        return result, cost.now_us() - before
-
-    @pytest.mark.parametrize("idx", range(len(SQL)))
-    def test_morsel_parallel_matches_oracle(self, idx):
-        """The pooled run answers to the oracle itself, not only to the
-        serial run it is compared with below."""
-        parallel, _cost = self._run(SQL[idx], morsel_rows=32)
-        assert_matches(parallel, SQL[idx], oracle_tables(order_rows()))
-
-    @pytest.mark.parametrize("idx", range(len(SQL)))
-    def test_serial_vs_morsel_parallel(self, idx):
-        """Byte-identical rows and bit-identical simulated cost for any
-        morsel split (count-based charge accounting)."""
-        serial, serial_cost = self._run(SQL[idx])
-        for morsel_rows in (32, 77):
-            parallel, parallel_cost = self._run(
-                SQL[idx], morsel_rows=morsel_rows
-            )
-            assert_rows_and_types_equal(
-                serial, parallel, f"{SQL[idx]} @ morsel_rows={morsel_rows}"
-            )
-            assert serial_cost == parallel_cost, SQL[idx]
-
-    def test_morsel_partials_and_probes_engage(self, env):
-        catalog, planner, cost = env
-        reg = get_registry()
-        partials = reg.counter_total("exec.morsel_partials")
-        probes = reg.counter_total("exec.morsel_probes")
-        morsels = reg.counter_total("parallel.morsels")
-        executor = Executor(catalog, cost)
-        with scan_parallel(workers=4, morsel_rows=32):
-            executor.execute(planner.plan(parse(SQL[1])))   # group by
-            executor.execute(planner.plan(parse(SQL[10])))  # join + group
-        assert reg.counter_total("exec.morsel_partials") > partials
-        assert reg.counter_total("exec.morsel_probes") > probes
-        assert reg.counter_total("parallel.morsels") > morsels
 
 
 # ----------------------------------------------------------------- engines
@@ -304,16 +230,6 @@ class TestEngineDifferential:
         for sql in SQL:
             assert_matches(engine.query(sql), sql, tables)
 
-    def test_serial_equals_morsel_parallel(self, cat):
-        engine = self._engine(cat)
-        for sql in SQL:
-            serial = engine.query(sql)
-            with scan_parallel(workers=4, morsel_rows=48):
-                parallel = engine.query(sql)
-            assert_rows_and_types_equal(
-                serial, parallel, f"engine {cat}: {sql}"
-            )
-
     def test_freshness_after_writes(self, cat):
         """MVCC freshness: writes are visible with and without a sync
         in between."""
@@ -336,7 +252,7 @@ class TestEngineDifferential:
             engine.force_sync()
 
 
-# ------------------------------------------------------------ MVCC / cache
+# ------------------------------------------------------------------- MVCC
 
 
 class _WritingPredicate(Between):
@@ -370,59 +286,10 @@ class TestMidScanWrites:
         store = self._store()
         pred = _WritingPredicate(store, "o_id", 0, 10_000)
         before = store.segment_count()
-        with scan_parallel(workers=1, morsel_rows=32):
-            result = store.scan(
-                ["o_id", "o_region"], pred, with_keys=False, encode=True
-            )
+        result = store.scan(
+            ["o_id", "o_region"], pred, with_keys=False, encode=True
+        )
         assert store.segment_count() > before  # the writes landed...
         assert len(result) == 200              # ...unseen by the scan
         assert isinstance(result.arrays["o_region"], CodeColumn)
         assert max(result.arrays["o_id"].tolist()) < 50_000
-
-    def test_serial_and_parallel_encoded_agree_under_writes(self):
-        outs = []
-        for parallel in (False, True):
-            store = self._store()
-            pred = _WritingPredicate(store, "o_id", 30, 170)
-            if parallel:
-                with scan_parallel(workers=1, morsel_rows=32):
-                    result = store.scan(
-                        ["o_id", "o_region"], pred, with_keys=False,
-                        encode=True,
-                    )
-            else:
-                result = store.scan(
-                    ["o_id", "o_region"], pred, with_keys=False,
-                    parallel=False, encode=True,
-                )
-            outs.append(result)
-        np.testing.assert_array_equal(
-            outs[0].arrays["o_id"], outs[1].arrays["o_id"]
-        )
-        np.testing.assert_array_equal(
-            outs[0].arrays["o_region"].decode(),
-            outs[1].arrays["o_region"].decode(),
-        )
-
-
-class TestScanCacheKeys:
-    """Satellite: pooled/morsel scans share cache keys with serial ones."""
-
-    def _executor_env(self):
-        from repro.query.scan_cache import ScanCache
-
-        catalog, cost = build_reference_catalog(n=200)
-        cache = ScanCache()
-        planner = Planner(catalog, cost)
-        executor = Executor(catalog, cost, scan_cache=cache)
-        return planner, executor, cache
-
-    def test_warm_serial_entry_serves_parallel_rescan(self):
-        planner, executor, cache = self._executor_env()
-        plan = planner.plan(parse(SQL[0]))
-        first = executor.execute(plan)
-        assert cache.misses == 1 and cache.hits == 0
-        with scan_parallel(workers=4, morsel_rows=32):
-            second = executor.execute(plan)
-        assert cache.hits == 1, "morsel-parallel rescan must hit the warm entry"
-        assert_rows_and_types_equal(first, second)

@@ -2,9 +2,9 @@
 
 The contract under test is *exactness*: whatever combination of
 pruning, code-space evaluation, and codecs a scan uses, it must return
-byte-identical results to the pre-pruning full-decode reference path
-(``scan_mode(prune=False, code_space=False)``) — including NULL
-sentinels, NaN, cross-dtype literals, and absent dictionary values.
+byte-identical results to the full-decode reference scan in
+``tests/oracle/scan.py`` — including NULL sentinels, NaN, cross-dtype
+literals, and absent dictionary values.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.common.predicate import (
 )
 from repro.common.types import NULL_INT
 from repro.engines import make_engine
-from repro.storage import ColumnStore, ZoneMap, build_zone_map, scan_mode
+from repro.storage import ColumnStore, ZoneMap, build_zone_map
 from repro.storage.compression import (
     DictionaryEncoding,
     PlainEncoding,
@@ -55,26 +55,17 @@ def build_store(n_segments=5, seg_rows=40):
     return store
 
 
-def assert_arrays_equal(got, want, keys_got, keys_want):
-    assert set(got) == set(want)
-    for name in want:
-        a, b = got[name], want[name]
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    assert keys_got == keys_want
-
-
 def assert_scans_equal(store, predicate, columns=None, with_keys=True):
     """Optimized scan == ``tests/oracle`` full-decode scan, byte for byte."""
     got = store.scan(columns, predicate, with_keys=with_keys)
     arrays, keys = reference_scan(store, columns, predicate, with_keys)
-    assert_arrays_equal(got.arrays, arrays, got.keys, keys)
-    # TEMPORARY (removed with the arm): the oracle equals the retained
-    # full-decode arm on arrays, dtypes and keys.
-    with scan_mode(prune=False, code_space=False, parallel=False):
-        ref = store.scan(columns, predicate, with_keys=with_keys)
-    assert_arrays_equal(ref.arrays, arrays, ref.keys, keys)
-    return got, ref
+    assert set(got.arrays) == set(arrays)
+    for name in arrays:
+        a, b = got.arrays[name], arrays[name]
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.keys == keys
+    return got
 
 
 # ----------------------------------------------------------------- zone maps
@@ -130,10 +121,9 @@ class TestPruning:
     def test_selective_scan_prunes_segments(self):
         store = build_store(5, 40)
         pred = Between("id", 10, 19)  # entirely inside segment 0
-        got, ref = assert_scans_equal(store, pred)
+        got = assert_scans_equal(store, pred)
         assert got.segments_pruned == 4
         assert got.segments_scanned == 1
-        assert ref.segments_pruned == 0  # reference path never prunes
 
     def test_pruned_scan_is_cheaper(self):
         store = build_store(5, 40)
@@ -142,8 +132,7 @@ class TestPruning:
         store.scan(predicate=pred, with_keys=False)
         pruned_cost = store._cost.now_us() - c0
         c0 = store._cost.now_us()
-        with scan_mode(prune=False, code_space=False):
-            store.scan(predicate=pred, with_keys=False)
+        store.scan(with_keys=False)  # ALWAYS_TRUE: nothing to prune
         full_cost = store._cost.now_us() - c0
         assert pruned_cost < full_cost / 2
 
@@ -152,7 +141,7 @@ class TestPruning:
         store.append_rows([(NULL_INT, 1.0, "a")], commit_ts=1)
         store.append_rows([(5, 3.0, "c")], commit_ts=2)
         pred = Comparison("id", ">", 0)
-        got, _ = assert_scans_equal(store, pred)
+        got = assert_scans_equal(store, pred)
         assert got.segments_pruned == 1
 
     def test_or_predicates_never_prune_wrongly(self):
@@ -163,7 +152,7 @@ class TestPruning:
     def test_deleted_rows_stay_deleted_after_pruning(self):
         store = build_store(3, 20)
         store.delete_batch([0, 1, 25])
-        got, _ = assert_scans_equal(store, Comparison("id", "<", 30))
+        got = assert_scans_equal(store, Comparison("id", "<", 30))
         assert 0 not in (got.keys or [])
 
     def test_table_range_and_pruned_fraction(self):
@@ -208,12 +197,12 @@ class TestCodeSpacePredicates:
     @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
     def test_string_comparisons(self, op):
         store = self.dict_store()
-        got, _ = assert_scans_equal(store, Comparison("tag", op, "tag2"))
+        got = assert_scans_equal(store, Comparison("tag", op, "tag2"))
         assert got.code_space_filters >= 1
 
     def test_absent_value_equality(self):
         store = self.dict_store()
-        got, _ = assert_scans_equal(store, Comparison("tag", "=", "missing"))
+        got = assert_scans_equal(store, Comparison("tag", "=", "missing"))
         assert len(got) == 0
 
     def test_absent_value_between_boundaries(self):
@@ -224,7 +213,7 @@ class TestCodeSpacePredicates:
     def test_in_list_with_absent_and_present(self):
         store = self.dict_store()
         pred = InList("tag", ["tag1", "tag3", "zzz"])
-        got, _ = assert_scans_equal(store, pred)
+        got = assert_scans_equal(store, pred)
         assert got.code_space_filters >= 1
 
     def test_in_list_cross_dtype_coercion(self):
@@ -236,7 +225,7 @@ class TestCodeSpacePredicates:
 
     def test_nan_literal_falls_back(self):
         store = self.dict_store()
-        got, _ = assert_scans_equal(store, Comparison("value", "=", float("nan")))
+        got = assert_scans_equal(store, Comparison("value", "=", float("nan")))
         assert len(got) == 0
 
     def test_nan_in_dictionary_falls_back(self):
@@ -253,7 +242,7 @@ class TestCodeSpacePredicates:
         rows = [(i, float(i // 25), "x") for i in range(100)]  # long runs
         store.append_rows(rows, commit_ts=1)
         assert isinstance(store.segments[0].encodings["value"], RunLengthEncoding)
-        got, _ = assert_scans_equal(store, Comparison("value", ">=", 2.0))
+        got = assert_scans_equal(store, Comparison("value", ">=", 2.0))
         assert len(got) == 50
 
     def test_not_and_nested_boolean_trees(self):
@@ -262,14 +251,6 @@ class TestCodeSpacePredicates:
             Between("id", 10, 60) | Comparison("tag", "=", "tag4")
         )
         assert_scans_equal(store, pred)
-
-    def test_code_space_off_decodes_but_matches(self):
-        store = self.dict_store()
-        with scan_mode(code_space=False):
-            got = store.scan(predicate=Comparison("tag", "=", "tag1"))
-        assert got.code_space_filters == 0
-        ref = store.scan(predicate=Comparison("tag", "=", "tag1"))
-        np.testing.assert_array_equal(got.arrays["id"], ref.arrays["id"])
 
 
 # ----------------------------------------------------------------- regression
@@ -300,28 +281,6 @@ class TestKeyMaterialization:
         assert result.keys == []
 
 
-# ----------------------------------------------------------------- scan_mode
-
-
-class TestScanMode:
-    def test_restores_defaults_on_exit(self):
-        from repro.storage.column_store import _SCAN_DEFAULTS
-
-        before = dict(_SCAN_DEFAULTS)
-        with scan_mode(prune=False, code_space=False, parallel=False):
-            assert _SCAN_DEFAULTS["prune"] is False
-        assert _SCAN_DEFAULTS == before
-
-    def test_restores_on_exception(self):
-        from repro.storage.column_store import _SCAN_DEFAULTS
-
-        before = dict(_SCAN_DEFAULTS)
-        with pytest.raises(RuntimeError):
-            with scan_mode(prune=False):
-                raise RuntimeError("boom")
-        assert _SCAN_DEFAULTS == before
-
-
 # ----------------------------------------------------------------- engines
 
 
@@ -349,6 +308,7 @@ def order_schema():
 
 @pytest.mark.parametrize("cat", ["a", "b", "c", "d"])
 def test_engine_differential_pruned_vs_reference(cat):
+    """All four engines' pruned / code-space scans answer to the oracle."""
     kwargs = {"seed": 5} if cat == "b" else {}
     engine = make_engine(cat, **kwargs)
     engine.create_table(order_schema())
@@ -360,8 +320,4 @@ def test_engine_differential_pruned_vs_reference(cat):
     engine.force_sync()
     tables = {"orders": (order_schema(), rows)}
     for sql in ENGINE_SQL:
-        fast = engine.query(sql)
-        with scan_mode(prune=False, code_space=False, parallel=False):
-            slow = engine.query(sql).rows
-        assert fast.rows == slow, sql
-        assert_matches(fast, sql, tables)
+        assert_matches(engine.query(sql), sql, tables)

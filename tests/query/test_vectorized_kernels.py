@@ -33,6 +33,9 @@ from repro.query.executor import (
     _pack_codes,
 )
 from repro.common.predicate import ALWAYS_TRUE
+from repro.query.access import AccessPath
+from repro.storage import ColumnStore
+from repro.storage.code_batch import is_code_column
 from repro.storage.row_store import MVCCRowStore
 
 from ..oracle import assert_matches
@@ -232,6 +235,39 @@ class TestOrderLimitKernel:
         """NaN sort keys are not vectorizable; the fallback must keep the
         row-at-a-time semantics bit-for-bit."""
         check(env, "SELECT o_amount, o_id FROM orders ORDER BY o_amount LIMIT 30")
+
+    def test_order_by_dictionary_codes(self):
+        """A dictionary-coded sort key arrives as a CodeColumn and sorts
+        on its codes: ASC and DESC, ties kept in scan order, LIMIT's
+        top-k path, multi-key — over two segments whose dictionaries
+        differ, so the codes were remapped into a merged dictionary."""
+        schema = Schema(
+            "t",
+            [
+                Column("id", DataType.INT64),
+                Column("tag", DataType.STRING),
+                Column("grp", DataType.STRING),
+            ],
+            ["id"],
+        )
+        rows = [(i, f"t{(i * 7) % 5 + 3 * (i >= 40)}", "ab"[i % 2]) for i in range(80)]
+        cost = CostModel()
+        row_store, column_store = MVCCRowStore(schema, cost), ColumnStore(schema, cost)
+        for row in rows:
+            row_store.install_insert(row, commit_ts=1)
+        column_store.append_rows(rows[:40], commit_ts=1)
+        column_store.append_rows(rows[40:], commit_ts=1)
+        catalog = {"t": DualStoreTableAccess(row_store, column_store, cost)}
+        batch = catalog["t"].scan_columns(["tag", "grp"], ALWAYS_TRUE)
+        assert is_code_column(batch["tag"]) and is_code_column(batch["grp"])
+        planner = Planner(catalog, cost, force_path=AccessPath.COLUMN_SCAN)
+        for order in ("tag", "tag DESC", "grp DESC, tag", "tag DESC, id DESC"):
+            for limit in ("", " LIMIT 7"):
+                sql = f"SELECT tag, grp, id FROM t ORDER BY {order}{limit}"
+                result = Executor(catalog, CostModel()).execute(
+                    planner.plan(parse(sql))
+                )
+                assert_matches(result, sql, {"t": (schema, rows)}, ordered=True)
 
     def test_limit_without_order(self, env):
         check(env, "SELECT o_id FROM orders LIMIT 5")

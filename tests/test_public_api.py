@@ -13,12 +13,16 @@ PACKAGES = [
     "repro.txn",
     "repro.distributed",
     "repro.sync",
-    "repro.parallel",
     "repro.query",
     "repro.scheduler",
     "repro.engines",
     "repro.bench",
 ]
+
+
+FORK_FLAGS = {
+    "vectorized", "compressed", "prune", "code_space", "parallel", "morsel_rows",
+}
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -39,7 +43,8 @@ def test_all_is_sorted(package):
 @pytest.mark.parametrize("package", PACKAGES)
 def test_no_fork_flags_on_exported_classes(package):
     """One implementation per operation: no exported class may grow a
-    ``vectorized=`` / ``compressed=`` switch (again)."""
+    ``vectorized=`` / ``compressed=`` switch or a scan-pipeline knob
+    (again)."""
     module = importlib.import_module(package)
     for export in module.__all__:
         cls = getattr(module, export)
@@ -52,8 +57,25 @@ def test_no_fork_flags_on_exported_classes(package):
                 params = inspect.signature(member).parameters
             except (TypeError, ValueError):  # builtins without signatures
                 continue
-            forked = {"vectorized", "compressed"} & set(params)
+            forked = FORK_FLAGS & set(params)
             assert not forked, f"{package}.{export}.{name} takes {sorted(forked)}"
+
+
+def test_one_scan_path():
+    """No scan-mode switch, no scan pool, no encoded adapter twin."""
+    import importlib.util
+    import pkgutil
+
+    import repro.storage
+
+    assert not hasattr(repro.storage, "scan_mode")
+    assert importlib.util.find_spec("repro.parallel") is None
+    for package in ("repro.engines", "repro.query"):
+        root = importlib.import_module(package)
+        for info in pkgutil.iter_modules(root.__path__, package + "."):
+            module = importlib.import_module(info.name)
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                assert "scan_columns_encoded" not in vars(cls), f"{info.name}.{name}"
 
 
 def test_version():
