@@ -6,9 +6,15 @@ snippet proving `# htaplint: ignore[RULE] -- reason` silences exactly
 that rule on exactly that line.
 """
 
+import ast
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import SUPPRESSION_AUDIT_RULE, all_rules, analyze_source
+
+SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def findings(source: str, path: str = "snippet.py", **kwargs):
@@ -284,6 +290,61 @@ class TestHTL002Invalidation:
 
     def test_epoch_fence_with_bump_passes(self):
         assert findings(EPOCH_CACHE_CLEAN) == []
+
+
+class TestHTL002MutationOnShippedStores:
+    """The rule earns its place: delete one real version bump from a
+    shipped store and it must name exactly that method.  The version
+    token is the scan cache's fence, so a missing bump is a stale hit."""
+
+    #: What the rule cannot see, kept visible: state written through a
+    #: local alias (``segment.delete_mask``, ``old.end_ts``) is not a
+    #: ``self.<attr>`` write, and ``compact`` still reaches a bump
+    #: through ``append_batch`` on its non-empty branch.  The
+    #: token-completeness battery in tests/query/test_scan_cache.py
+    #: drives those four paths end to end.
+    _blind = pytest.mark.xfail(strict=True, reason="HTL002 blind spot")
+    _column, _row, _disk = (
+        ("storage/column_store.py", "ColumnStore", "self.mutations += 1"),
+        ("storage/row_store.py", "MVCCRowStore", "self._installs += 1"),
+        ("storage/disk_row_store.py", "DiskRowStore", "self.mutations += 1"),
+    )
+    BUMPS = [
+        pytest.param(*store, method, id=f"{store[1]}.{method}", marks=marks)
+        for store, method, marks in [
+            (_column, "append_batch", ()),
+            (_row, "install_update", ()),
+            (_disk, "update", ()),
+            (_column, "delete_keys", _blind),
+            (_column, "delete_batch", _blind),
+            (_column, "compact", _blind),
+            (_row, "install_delete", _blind),
+        ]
+    ]
+
+    @pytest.mark.parametrize("rel_path, cls, bump, method", BUMPS)
+    def test_deleting_the_bump_fires_on_that_method(self, rel_path, cls, bump, method):
+        source = (SRC_ROOT / rel_path).read_text()
+        assert analyze_source(source, path=rel_path, rule_ids=["HTL002"]) == []
+        class_node = next(
+            node for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+        )
+        fn = next(
+            node for node in class_node.body
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        )
+        lines = source.splitlines()
+        (bump_at,) = [
+            i for i in range(fn.lineno - 1, fn.end_lineno)
+            if lines[i].strip() == bump
+        ]
+        lines[bump_at] = lines[bump_at].replace(bump, "pass")
+        found = analyze_source(
+            "\n".join(lines) + "\n", path=rel_path, rule_ids=["HTL002"]
+        )
+        assert [(f.rule, f.line) for f in found] == [("HTL002", fn.lineno)]
+        assert f"{cls}.{method} " in found[0].message
 
 
 METRICS = frozenset({"engine.queries", "wal.fsyncs"})
