@@ -1,9 +1,9 @@
 """Lightweight per-module call graph for the flow-ish rules.
 
 HTL002 (mutation-without-invalidation) needs to know whether a method
-*reaches* some sink — a version bump, a ``scan_cache.invalidate`` —
-possibly through helper methods.  Full inter-procedural analysis is overkill for a
-single-package testbed, so resolution is name-based and module-local:
+*reaches* its sink — a version bump — possibly through helper methods.
+Full inter-procedural analysis is overkill for a single-package
+testbed, so resolution is name-based and module-local:
 
 * ``self.foo(...)`` resolves to the method ``foo`` of the enclosing
   class (if defined there);

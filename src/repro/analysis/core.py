@@ -203,7 +203,7 @@ def all_rules() -> list[RuleInfo]:
 def attr_chain(node: ast.AST) -> list[str]:
     """Dotted name parts of an attribute/call chain, outermost last.
 
-    ``self.scan_cache.invalidate`` -> ["self", "scan_cache", "invalidate"];
+    ``self.plan_cache.invalidate`` -> ["self", "plan_cache", "invalidate"];
     nested calls/subscripts are looked through:
     ``self._chains.setdefault(k, []).append`` ->
     ["self", "_chains", "setdefault", "append"].

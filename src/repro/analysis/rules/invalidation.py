@@ -5,24 +5,19 @@ assembled from store counters (``ColumnStore.mutations``,
 ``MVCCRowStore.installs``, ...).  A write path that changes what a scan
 returns *without* moving any token component makes a stale cached batch
 indistinguishable from a fresh one — the one bug class the cache design
-cannot survive.  PR 2/3 wired the bumps by hand through dozens of call
-sites; this rule machine-checks the convention at two layers:
+cannot survive: the token is the cache's only fence, no write path
+invalidates it besides.  PR 2/3 wired the bumps by hand through dozens
+of call sites; this rule machine-checks the convention.
 
-**Store layer.**  A class that declares a version counter (an attribute
-named ``mutations``, ``installs``/``_installs``, or ``epoch``/``_epoch``
-initialized in ``__init__``) is *version-tracked*.  The rule learns which ``self.*``
-attributes its bumping methods mutate (the scan-visible state) and then
-flags any public method that mutates one of those attributes while
-neither bumping the counter itself nor (transitively, through
-same-class helpers) calling a method that does.
-
-**Engine layer.**  Classes deriving from ``HTAPEngine`` own a
-``scan_cache``; any public engine method that directly calls a store
-write primitive (``append_rows``, ``install_insert``,
-``record_delete``, ...) must reach a ``scan_cache.invalidate(...)`` on
-the same path.  Commit-listener plumbing (private methods) is exempt —
-it is reached via the transaction manager, whose listeners carry the
-invalidate.
+A class that declares a version counter (an attribute named
+``mutations``, ``installs``/``_installs``, or ``epoch``/``_epoch``
+initialized in ``__init__``) is *version-tracked*.  The rule learns
+which ``self.*`` attributes its bumping methods mutate (the
+scan-visible state) and then flags any public method that mutates one
+of those attributes while neither bumping the counter itself nor
+(transitively, through same-class helpers) calling a method that does.
+State written through a local alias (``segment.delete_mask``,
+``old.end_ts``) is outside what it sees.
 
 Watermark-only methods (e.g. ``advance_sync_ts``) that move a timestamp
 no token includes are the intended use of a per-line suppression with a
@@ -57,28 +52,6 @@ _MUTATOR_CALLS = {
     "discard",
     "clear",
 }
-
-#: Store write primitives an engine method may call directly.
-_WRITE_PRIMITIVES = {
-    "install_insert",
-    "install_update",
-    "install_delete",
-    "append_rows",
-    "append_batch",
-    "delete_keys",
-    "delete_batch",
-    "record_insert",
-    "record_update",
-    "record_delete",
-    "record_insert_batch",
-    "record_delete_batch",
-    "append_batch_columns",
-}
-
-_ENGINE_BASES = {"HTAPEngine"}
-
-
-# --------------------------------------------------------------- store layer
 
 
 def _self_attr_of_target(node: ast.AST) -> str | None:
@@ -205,60 +178,11 @@ def _collect_self_calls(fn: ast.FunctionDef) -> set[str]:
     return names
 
 
-# --------------------------------------------------------------- engine layer
-
-
-def _calls_write_primitive(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _WRITE_PRIMITIVES
-        ):
-            return True
-    return False
-
-
-def _invalidates_cache(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            chain = attr_chain(node.func)
-            if (
-                len(chain) >= 2
-                and chain[-1] == "invalidate"
-                and chain[-2] == "scan_cache"
-            ):
-                return True
-    return False
-
-
-def _engine_layer(ctx: FileContext, module_index: ModuleIndex) -> Iterator[Finding]:
-    for ci in module_index.classes.values():
-        if not (_ENGINE_BASES & set(ci.base_names)):
-            continue
-        for name, fn in ci.methods.items():
-            if name.startswith("_"):
-                continue  # listener plumbing; reached via txn listeners
-            if not _calls_write_primitive(fn):
-                continue
-            if reaches(fn, _invalidates_cache, ci, module_index):
-                continue
-            yield Finding(
-                "HTL002",
-                ctx.path,
-                fn.lineno,
-                f"engine method {ci.node.name}.{name} calls a store write "
-                "primitive but never reaches scan_cache.invalidate(); "
-                "cached batches for the table stay resident until eviction",
-            )
-
-
 @register(
     "HTL002",
     "mutation-without-invalidation",
-    "write path that changes scan results without a version bump/invalidate",
+    "write path that changes scan results without a version bump",
 )
 def check(ctx: FileContext) -> Iterator[Finding]:
     module_index = ModuleIndex.build(ctx.tree)
     yield from _store_layer(ctx, module_index)
-    yield from _engine_layer(ctx, module_index)

@@ -46,7 +46,7 @@ class MixedWorkloadRunner:
         self.driver = ChBenchmarkDriver(engine)
         # Warm start: fold the initial load into the columnar side so the
         # first measured window reflects steady state, not load shape.
-        engine.force_sync() if hasattr(engine, "force_sync") else engine.sync()
+        engine.force_sync()
 
     # --------------------------------------------------------------- pure
 

@@ -81,6 +81,7 @@ class Schema:
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...]
     _index_of: dict = field(default_factory=dict, compare=False, repr=False)
+    _key_indexes: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __init__(
         self,
@@ -103,6 +104,9 @@ class Schema:
             if self.columns[index_of[key_col]].nullable:
                 raise SchemaError(f"primary key column {key_col!r} must not be nullable")
         object.__setattr__(self, "_index_of", index_of)
+        object.__setattr__(
+            self, "_key_indexes", tuple(index_of[name] for name in self.primary_key)
+        )
 
     @property
     def column_names(self) -> list[str]:
@@ -127,11 +131,11 @@ class Schema:
         return self.columns[self.index_of(name)]
 
     def key_indexes(self) -> tuple[int, ...]:
-        return tuple(self.index_of(name) for name in self.primary_key)
+        return self._key_indexes
 
     def key_of(self, row: Row) -> Key:
         """Extract the primary key of ``row`` (scalar for 1-column keys)."""
-        idx = self.key_indexes()
+        idx = self._key_indexes
         if len(idx) == 1:
             return row[idx[0]]
         return tuple(row[i] for i in idx)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
-from ..common.errors import QueryError
+from ..common.errors import QueryError, TransactionAborted
 from ..common.predicate import ALWAYS_TRUE, Predicate, bind_predicate
 from ..common.types import Key, Row, Schema
 from ..distributed.cluster import BusyLedger
@@ -79,6 +79,26 @@ class EngineSession(abc.ABC):
     @abc.abstractmethod
     def abort(self) -> None: ...
 
+    def _validate_writes(self, txn_id: int, writes, exists) -> None:
+        """Commit-time validation for sessions that buffer ``(kind,
+        table, key, row)`` writes: against committed state as
+        ``exists(table, key)`` reports it, an insert needs its key
+        absent and an update or delete needs it present.  Only a key's
+        first write is checked — later ones were staged against this
+        transaction's own view.  On a lost race the session aborts
+        before anything is logged or installed."""
+        seen: set[tuple[str, Key]] = set()
+        for kind, table, key, _row in writes:
+            if (table, key) in seen:
+                continue
+            seen.add((table, key))
+            if exists(table, key) == (kind == "insert"):
+                self.abort()
+                raise TransactionAborted(
+                    txn_id,
+                    f"{kind} of key {key!r} in {table!r} lost to a concurrent commit",
+                )
+
     def __enter__(self) -> "EngineSession":
         return self
 
@@ -111,12 +131,12 @@ class HTAPEngine(abc.ABC):
         #: overhead) until a bench or test calls ``tracer.enable()``.
         self.tracer = SimTracer(self.cost.clock)
         #: MVCC-aware snapshot-scan cache shared by this engine's
-        #: executor; write/sync paths invalidate it per table, and the
-        #: adapters' ``cache_token()`` version-fences it besides.
+        #: executor, fenced by the adapters' ``cache_token()`` alone;
+        #: no write path touches it.
         self.scan_cache = ScanCache(labels={"engine": self.info.name})
         #: Parameterized plan cache for prepared statements; fenced on
         #: per-table stats epochs and invalidated eagerly on DDL and
-        #: sync/merge (the same write paths as the scan cache).
+        #: sync/merge.
         self.plan_cache = PlanCache(labels={"engine": self.info.name})
         labels = {"engine": self.info.name}
         registry = get_registry()
@@ -143,10 +163,10 @@ class HTAPEngine(abc.ABC):
         """
         with self.tracer.span("engine.sync", engine=self.info.name):
             moved = self._sync()
-        # Sync advances the AP image; cached batches for it are stale.
-        # A no-op sync moved nothing — the version tokens fencing every
-        # cache entry did not change, so the cache stays valid and warm
-        # (coalesced, once-per-batch invalidation).
+        # Sync replaced the AP image: every batch cached off the old one
+        # is dead by its token already, and dropping them here frees
+        # their memory at once.  A no-op sync moved no token, so the
+        # cache stays warm.
         if moved:
             self.scan_cache.invalidate()
             # Merge/sync replaces the columnar image the cached plans
@@ -160,6 +180,11 @@ class HTAPEngine(abc.ABC):
     @abc.abstractmethod
     def _sync(self) -> int:
         """Architecture-specific data synchronization; returns rows moved."""
+
+    @abc.abstractmethod
+    def force_sync(self) -> int:
+        """Bring the whole columnar image up to date regardless of
+        thresholds; returns rows moved."""
 
     @abc.abstractmethod
     def freshness_lag(self) -> int:
@@ -353,8 +378,8 @@ class HTAPEngine(abc.ABC):
                     s.insert(table, row)
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Load fresh rows on the fast path: one WAL batch, one delta
-        batch, one cache invalidation for the whole set.
+        """Load fresh rows on the fast path: one WAL batch and one delta
+        batch for the whole set.
 
         The base implementation falls back to row-at-a-time sessions;
         engines override with their architecture's true bulk ingest.

@@ -79,8 +79,12 @@ class HanaTable:
             return row
         return self.main.get_row(key)
 
-    def key_exists(self, key: Key) -> bool:
-        return self.read_latest(key) is not None
+    def contains_key(self, key: Key) -> bool:
+        """:meth:`read_latest` as an existence probe: directory lookups
+        only, no charge."""
+        if key in self._l1_view:
+            return self._l1_view[key] is not None
+        return self.l2.contains_key(key) or self.main.contains_key(key)
 
     # ------------------------------------------------------------- writes
 
@@ -301,22 +305,12 @@ class ColumnDeltaEngine(HTAPEngine):
         include_unforced: bool = False,
         **kwargs,
     ) -> "ColumnDeltaEngine":
-        """Rebuild an engine from a crashed instance's redo log.
-
-        Replays committed transactions in LSN order into fresh L1
-        layers (redo-winners-only; the WAL never holds loser effects).
-        By default only durable commits (covered by an fsync) replay;
-        ``include_unforced=True`` gives clean-shutdown semantics.
-        """
+        """Rebuild an engine from a crashed instance's redo log:
+        :meth:`WriteAheadLog.redo` replayed into fresh L1 layers."""
         engine = cls(**kwargs)
         for schema in schemas:
             engine.create_table(schema)
-        committed = (
-            wal.committed_txn_ids() if include_unforced else wal.durable_txn_ids()
-        )
-        for record in wal.records:
-            if record.txn_id not in committed or record.table is None:
-                continue  # BEGIN/COMMIT/ABORT markers carry no data
+        for record in wal.redo(include_unforced):
             engine.clock.advance_to(record.commit_ts)
             if record.kind is WalKind.INSERT:
                 engine.table(record.table).apply_insert(record.row, record.commit_ts)
@@ -334,8 +328,8 @@ class ColumnDeltaEngine(HTAPEngine):
         return _HanaSession(self, txn_id)
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load: one WAL batch + one L1 batch + one invalidation
-        for the whole set (rows must be fresh keys)."""
+        """Fast load: one WAL batch + one L1 batch for the whole set
+        (rows must be fresh keys)."""
         if not rows:
             return
         target = self.table(table)
@@ -351,7 +345,6 @@ class ColumnDeltaEngine(HTAPEngine):
             commit_ts,
         )
         target.apply_insert_batch(rows, commit_ts)
-        self.scan_cache.invalidate(table)
         self.commits += 1
         self._m_tp_commits.inc()
         self.ledger.charge(_NODE, self.cost.now_us() - before)
@@ -484,6 +477,11 @@ class _HanaSession(EngineSession):
     def commit(self) -> Timestamp:
         self._require_open()
         engine = self._engine
+        self._validate_writes(
+            self._txn_id,
+            self._writes,
+            lambda table, key: engine.table(table).contains_key(key),
+        )
         before = engine.cost.now_us()
         commit_ts = engine.clock.tick()
         engine.wal.append(self._txn_id, WalKind.BEGIN)
@@ -502,8 +500,6 @@ class _HanaSession(EngineSession):
             else:
                 target.apply_delete(key, commit_ts)
         engine.wal.append(self._txn_id, WalKind.COMMIT, commit_ts=commit_ts)
-        for table in {t for _kind, t, _key, _row in self._writes}:
-            engine.scan_cache.invalidate(table)
         engine.commits += 1
         engine._m_tp_commits.inc()
         self._done = True

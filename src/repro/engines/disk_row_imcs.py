@@ -136,19 +136,13 @@ class DiskRowIMCSEngine(HTAPEngine):
         include_unforced: bool = False,
         **kwargs,
     ) -> "DiskRowIMCSEngine":
-        """Rebuild from a crashed instance's redo log (durable commits
-        only, LSN order), then re-extract the IMCS from the row store.
-        ``include_unforced=True`` also replays the unforced group-commit
-        tail (clean-shutdown semantics)."""
+        """Rebuild from a crashed instance's redo log
+        (:meth:`WriteAheadLog.redo`), then re-extract the IMCS from the
+        row store."""
         engine = cls(**kwargs)
         for schema in schemas:
             engine.create_table(schema)
-        committed = (
-            wal.committed_txn_ids() if include_unforced else wal.durable_txn_ids()
-        )
-        for record in wal.records:
-            if record.txn_id not in committed or record.table is None:
-                continue  # BEGIN/COMMIT/ABORT markers carry no data
+        for record in wal.redo(include_unforced):
             engine.clock.advance_to(record.commit_ts)
             store = engine.store(record.table)
             if record.kind is WalKind.INSERT:
@@ -174,9 +168,8 @@ class DiskRowIMCSEngine(HTAPEngine):
         return _HeatwaveSession(self, txn_id)
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load into the disk row store: one WAL batch and one
-        cache invalidation, skipping the per-row session dup checks
-        (rows must be fresh keys)."""
+        """Fast load into the disk row store: one WAL batch, skipping
+        the per-row session dup checks (rows must be fresh keys)."""
         if not rows:
             return
         store = self.store(table)
@@ -193,7 +186,6 @@ class DiskRowIMCSEngine(HTAPEngine):
         )
         for row in rows:
             store.insert(row, commit_ts)
-        self.scan_cache.invalidate(table)
         self.commits += 1
         self._m_tp_commits.inc()
         self.ledger.charge(_PRIMARY, self.cost.now_us() - before)
@@ -226,7 +218,6 @@ class DiskRowIMCSEngine(HTAPEngine):
         batch = delta.clear_batch()
         if not len(batch):
             return 0
-        self.scan_cache.invalidate(table)
         self._m_propagations.inc()
         collapsed = batch.collapse()
         imcs.delete_batch(collapsed.touched_keys())
@@ -272,7 +263,6 @@ class DiskRowIMCSEngine(HTAPEngine):
 
     def _reload_table(self, table: str) -> None:
         """(Re)extract loaded columns from the row store into the IMCS."""
-        self.scan_cache.invalidate(table)
         store = self._stores[table]
         rows = [row for _key, row in store.iter_rows()]
         self._imcs[table] = ColumnStore(store.schema, self.cost)
@@ -381,6 +371,11 @@ class _HeatwaveSession(EngineSession):
     def commit(self) -> Timestamp:
         self._require_open()
         engine = self._engine
+        self._validate_writes(
+            self._txn_id,
+            self._writes,
+            lambda table, key: engine.store(table).contains_key(key),
+        )
         before = engine.cost.now_us()
         commit_ts = engine.clock.tick()
         engine.wal.append(self._txn_id, WalKind.BEGIN)
@@ -399,8 +394,6 @@ class _HeatwaveSession(EngineSession):
             else:
                 store.delete(key, commit_ts)
         engine.wal.append(self._txn_id, WalKind.COMMIT, commit_ts=commit_ts)
-        for table in {t for _kind, t, _key, _row in self._writes}:
-            engine.scan_cache.invalidate(table)
         engine.commits += 1
         engine._m_tp_commits.inc()
         self._done = True

@@ -104,7 +104,6 @@ class DistributedReplicaEngine(HTAPEngine):
         if not rows:
             return
         self.cluster.bulk_load(table, rows)
-        self.scan_cache.invalidate(table)
         self._m_tp_commits.inc()
 
     # ------------------------------------------------------------- DS / metrics
@@ -217,8 +216,6 @@ class _ClusterSession(EngineSession):
         if not self._writes:
             return self._engine.clock.now()
         commit_ts = self._engine.cluster.execute_transaction(self._writes)
-        for table in {w.table for w in self._writes}:
-            self._engine.scan_cache.invalidate(table)
         self._engine._m_tp_commits.inc()
         return commit_ts
 

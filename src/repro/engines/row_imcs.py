@@ -18,10 +18,10 @@ import numpy as np
 
 from ..common.cost import CostModel
 from ..common.clock import LogicalClock, Timestamp
-from ..common.predicate import ALWAYS_TRUE, Comparison, Predicate, key_equality
+from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..query.access import AccessPath
-from ..query.optimizer import split_conjuncts
+from ..query.adapters import index_lookup_rows
 from ..query.statistics import TableStats
 from ..query.stats_cache import StatsCache
 from ..storage.imcu import InMemoryColumnUnit
@@ -29,15 +29,6 @@ from ..txn.transaction import Transaction, TransactionManager
 from .base import EngineInfo, EngineSession, HTAPEngine
 
 _NODE = "node0"
-
-
-def _is_image_scan_entry(key) -> bool:
-    """Scan-cache keys whose token pins only the stale columnar image
-    (see ``_ImcuTableAccess.cache_token``): primary-side commits cannot
-    change what those scans return, so write-path invalidation keeps
-    them — they die by token when the IMCU repopulates."""
-    token = key[4]
-    return isinstance(token, tuple) and bool(token) and token[0] == "imcs"
 
 
 class RowIMCSEngine(HTAPEngine):
@@ -91,7 +82,6 @@ class RowIMCSEngine(HTAPEngine):
         imcu = self._imcus[table]
         for entry in entries:
             imcu.on_change(entry.key)
-        self.scan_cache.invalidate(table, keep=_is_image_scan_entry)
 
     # ------------------------------------------------------------- OLTP
 
@@ -99,10 +89,9 @@ class RowIMCSEngine(HTAPEngine):
         return _RowImcsSession(self)
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load into the primary: one WAL batch append, direct
-        version-chain installs, and one cache invalidation for the
-        whole set.  Rows must be fresh keys (install_insert still
-        raises on a live duplicate)."""
+        """Fast load into the primary: one WAL batch append and direct
+        version-chain installs.  Rows must be fresh keys
+        (install_insert still raises on a live duplicate)."""
         if not rows:
             return
         from ..txn.wal import WalKind
@@ -126,7 +115,6 @@ class RowIMCSEngine(HTAPEngine):
             imcu.on_change(key_of(row))
         tm.commits += 1
         self._m_tp_commits.inc()
-        self.scan_cache.invalidate(table, keep=_is_image_scan_entry)
         self.ledger.charge(_NODE, self.cost.now_us() - before)
 
     # ------------------------------------------------------------- DS / metrics
@@ -322,29 +310,11 @@ class _ImcuTableAccess:
         """Fraction of ``columns`` the IMCU serves as dictionary codes."""
         return self._engine.imcu(self._table).encoded_column_fraction(columns)
 
+    def indexed_columns(self) -> set[str]:
+        """Secondary-index columns the planner may treat as sargable."""
+        return set(self._store()._secondary)
+
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        schema = self.schema()
-        snapshot = self._engine.read_snapshot_ts()
-        key = key_equality(predicate, schema.primary_key)
-        if key is not None:
-            row = self._store().read(key, snapshot)
-            if row is not None and predicate.matches(row, schema):
-                return [row]
-            return []
-        store = self._store()
-        for conjunct in split_conjuncts(predicate):
-            if (
-                isinstance(conjunct, Comparison)
-                and conjunct.op == "="
-                and store.has_index(conjunct.column)
-            ):
-                keys = store.index_lookup_range(
-                    conjunct.column, conjunct.value, conjunct.value
-                )
-                rows = []
-                for k in keys:
-                    row = store.read(k, snapshot)
-                    if row is not None and predicate.matches(row, schema):
-                        rows.append(row)
-                return rows
-        return None
+        return index_lookup_rows(
+            self._store(), self._engine.read_snapshot_ts(), predicate
+        )

@@ -64,11 +64,15 @@ class TableAccess(Protocol):
     #     snapshot + every relevant mutation counter).  Enables the
     #     MVCC-aware :class:`~repro.query.scan_cache.ScanCache`; return
     #     None (or omit the method) to opt the table out of caching.
+    #     The token is the cache's only fence — no write path
+    #     invalidates it — so it MUST move on every change a scan can
+    #     observe: a commit, merge, sync, vacuum, reload or mode switch
+    #     that leaves it equal serves a stale batch.
     #     ``path`` is the access path about to run: an adapter may
     #     return a *narrower* token for a path whose result depends on
     #     fewer versions (e.g. an isolated-mode column scan reads only
-    #     the stale columnar image, so primary-side writes need not
-    #     invalidate it), but must stay conservative when unsure.
+    #     the stale columnar image, so primary-side writes leave its
+    #     entries servable), but must stay conservative when unsure.
     #
     # ``note_cached_scan(columns, predicate) -> None``
     #     Called on a scan-cache hit so the engine can keep its own

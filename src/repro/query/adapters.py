@@ -23,6 +23,35 @@ from .statistics import TableStats
 from .stats_cache import StatsCache
 
 
+def index_lookup_rows(
+    store: MVCCRowStore, snapshot_ts: Timestamp, predicate: Predicate
+) -> list[Row] | None:
+    """Rows of ``store`` visible at ``snapshot_ts`` that match
+    ``predicate``, found through the primary key or the first indexed
+    equality conjunct; None when the predicate names no usable index."""
+    schema = store.schema
+    key = key_equality(predicate, schema.primary_key)
+    if key is not None:
+        row = store.read(key, snapshot_ts)
+        return [row] if row is not None and predicate.matches(row, schema) else []
+    for conjunct in split_conjuncts(predicate):
+        if (
+            isinstance(conjunct, Comparison)
+            and conjunct.op == "="
+            and store.has_index(conjunct.column)
+        ):
+            keys = store.index_lookup_range(
+                conjunct.column, conjunct.value, conjunct.value
+            )
+            rows = []
+            for k in keys:
+                row = store.read(k, snapshot_ts)
+                if row is not None and predicate.matches(row, schema):
+                    rows.append(row)
+            return rows
+    return None
+
+
 class DualStoreTableAccess:
     """Row + column access over the same logical table."""
 
@@ -116,29 +145,7 @@ class DualStoreTableAccess:
         return self._columns.encoded_column_fraction(columns)
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        schema = self.schema()
-        snapshot_ts = self._snapshot_ts_fn()
-        key = key_equality(predicate, schema.primary_key)
-        if key is not None:
-            row = self._rows.read(key, snapshot_ts)
-            return [row] if row is not None and predicate.matches(row, schema) else []
-        # Secondary index: any indexed equality column.
-        for conjunct in split_conjuncts(predicate):
-            if (
-                isinstance(conjunct, Comparison)
-                and conjunct.op == "="
-                and self._rows.has_index(conjunct.column)
-            ):
-                keys = self._rows.index_lookup_range(
-                    conjunct.column, conjunct.value, conjunct.value
-                )
-                rows = []
-                for k in keys:
-                    row = self._rows.read(k, snapshot_ts)
-                    if row is not None and predicate.matches(row, schema):
-                        rows.append(row)
-                return rows
-        return None
+        return index_lookup_rows(self._rows, self._snapshot_ts_fn(), predicate)
 
     # ------------------------------------------------------------- plumbing
 

@@ -12,19 +12,26 @@ The version token comes from the engine's table adapter
 (``cache_token()``) and encodes the reader snapshot plus every
 mutation counter that can change what the scan would return (row-store
 installs/vacuums, delta sizes, merge generations, replica apply
-timestamps).  Two consequences:
+timestamps).  It is the cache's *only* invalidation mechanism:
 
 * a hit is provably snapshot-correct — any commit, merge, sync, or
   vacuum changes the token, so the stale entry can never be returned
   for the new state (it just stops being reachable);
 * batches are never shared across snapshot timestamps — a different
-  ``snapshot_ts`` is a different key (MVCC isolation).
+  ``snapshot_ts`` is a different key (MVCC isolation);
+* no write path touches the cache.  A commit leaves its dead entries
+  behind and the LRU retires them, so OLTP never walks analytical
+  state.
 
-Token mismatches leave dead entries behind; the engine write paths
-*also* call :meth:`ScanCache.invalidate` so stale batches are dropped
-eagerly instead of waiting for LRU eviction.  Hit/miss/eviction/
-invalidation counts are exported as plain attributes and through the
-``obs`` :class:`~repro.obs.registry.MetricsRegistry`
+The one caller of :meth:`ScanCache.invalidate` left is a sync that
+replaces a columnar image wholesale (``HTAPEngine.sync`` when rows
+moved, and each ``force_sync``).  That drop is for memory, not for
+correctness: the whole-table batches of the old image are large and
+all dead at once (``olap_suite`` peak RSS 418.4 MB with the sync-time
+drop, 436.2 MB without it; 414.1 MB when commits dropped eagerly too).
+
+Hit/miss/eviction/invalidation counts are exported as plain attributes
+and through the ``obs`` :class:`~repro.obs.registry.MetricsRegistry`
 (``scan_cache.hits`` / ``scan_cache.misses`` / ``scan_cache.evictions``
 / ``scan_cache.invalidations``, plus the ``scan_cache.entries`` and
 ``scan_cache.bytes`` gauges).
@@ -33,7 +40,7 @@ invalidation counts are exported as plain attributes and through the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -43,11 +50,14 @@ Batch = dict
 CacheKey = tuple
 """(table, path, columns, predicate, token) — see module docstring."""
 
-#: Sized for the session tier: a 1k-session prepared-statement mix
-#: keeps a few hundred live (predicate, token) point-read batches; at
-#: 64 the LRU thrashed (evictions ≫ hits) while batches average well
-#: under a kilobyte, so a deeper cache costs ~¼ MB.
-DEFAULT_CAPACITY = 512
+#: Sized for the session tier, where every commit strands the point-read
+#: batches keyed on the old token and only the LRU retires them: the
+#: smallest power of two at which ``point_frontdoor`` hits at least as
+#: often as it did when commits dropped their dead entries eagerly
+#: (seeds 1 / 2: 6 830 / 6 631 hits then; 6 512 / 6 342 at 512,
+#: 6 821 / 6 603 at 1024, 6 928 / 6 722 at 2048).  Those batches average
+#: well under a kilobyte, so the depth costs about 3 MB of RSS.
+DEFAULT_CAPACITY = 2048
 
 
 class ScanCache:
@@ -70,10 +80,6 @@ class ScanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Entries dropped by test/bench ``clear()`` resets — kept out
-        #: of ``invalidations`` so that obs series only counts real
-        #: write-path invalidations.
-        self.clears = 0
         self.bytes = 0
         labels = dict(labels or {})
         reg = get_registry()
@@ -145,58 +151,23 @@ class ScanCache:
 
     # ------------------------------------------------------------- invalidation
 
-    def invalidate(
-        self,
-        table: str | None = None,
-        keep: Callable[[CacheKey], bool] | None = None,
-    ) -> int:
-        """Drop entries for ``table`` (or all); returns how many dropped.
+    def invalidate(self) -> int:
+        """Drop every entry; returns how many were dropped.
 
         Correctness never depends on this being called — version tokens
-        already fence stale entries off — but engines call it on their
-        write/sync paths so dead batches free memory immediately.
-        ``keep`` lets a write path spare entries its mutation provably
-        cannot affect (e.g. scans of a stale columnar image whose token
-        only moves on repopulation); keeping too much is still safe.
-        """
-        if table is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._entry_bytes.clear()
-            self.bytes = 0
-        else:
-            stale = [
-                key
-                for key in self._entries
-                if key[0] == table and (keep is None or not keep(key))
-            ]
-            dropped = len(stale)
-            for key in stale:
-                del self._entries[key]
-                self.bytes -= self._entry_bytes.pop(key)
-        if dropped:
-            self.invalidations += dropped
-            self._invalidation_counter.inc(dropped)
-            self._entries_gauge.set(len(self._entries))
-            self._bytes_gauge.set(self.bytes)
-        return dropped
-
-    def clear(self) -> None:
-        """Drop everything *without* counting an invalidation.
-
-        Resets between tests/bench phases are bookkeeping, not
-        write-path activity; routing them through :meth:`invalidate`
-        inflated the ``scan_cache.invalidations`` obs series on every
-        reset.  Clears are tallied separately in :attr:`clears`.
+        already fence stale entries off; it frees memory (see the module
+        docstring).
         """
         dropped = len(self._entries)
         self._entries.clear()
         self._entry_bytes.clear()
         self.bytes = 0
         if dropped:
-            self.clears += dropped
+            self.invalidations += dropped
+            self._invalidation_counter.inc(dropped)
             self._entries_gauge.set(0)
             self._bytes_gauge.set(0)
+        return dropped
 
     # ------------------------------------------------------------- stats
 
@@ -207,7 +178,6 @@ class ScanCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "clears": self.clears,
             "entries": len(self._entries),
             "bytes": self.bytes,
         }

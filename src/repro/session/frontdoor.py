@@ -230,7 +230,7 @@ class FrontDoor:
         self.tuner.observe_round(self._arrivals["oltp"])
         self._arrivals = {cls: 0 for cls in self._arrivals}
         if alloc.run_sync:
-            engine.force_sync() if hasattr(engine, "force_sync") else engine.sync()
+            engine.force_sync()
         tp_done, tp_busy = self._drain("oltp", alloc.oltp_slots * cfg.round_slot_us)
         ap_done, ap_busy = self._drain("olap", alloc.olap_slots * cfg.round_slot_us)
         lag = engine.image_freshness_lag()

@@ -80,7 +80,7 @@ class DiskRowStore:
     def insert(self, row: Row, commit_ts: Timestamp) -> Key:
         row = self.schema.validate_row(row)
         key = self.schema.key_of(row)
-        if self._index.get(self._index_key(key)) is not None:
+        if self.contains_key(key):
             raise DuplicateKeyError(f"key {key!r} already in {self.schema.table_name!r}")
         page = self._page_with_space()
         slot = page.free_slot()
@@ -138,6 +138,10 @@ class DiskRowStore:
         return page
 
     # ------------------------------------------------------------- reads
+
+    def contains_key(self, key: Key) -> bool:
+        """Index-only existence probe: no page fetch, no charge."""
+        return self._index.get(self._index_key(key)) is not None
 
     def read(self, key: Key) -> Row | None:
         loc = self._index.get(self._index_key(key))

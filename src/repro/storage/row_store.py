@@ -79,7 +79,9 @@ class MVCCRowStore:
         return self.version_count() * width * 48
 
     def last_committed_ts(self, key: Key) -> Timestamp | None:
-        """Begin ts of the newest version (None if the key never existed).
+        """Commit ts of the newest change to ``key`` — the begin of its
+        newest version, or that version's end once it is deleted (None
+        if the key never existed).
 
         The first-committer-wins conflict check compares this against a
         transaction's begin timestamp.
@@ -87,7 +89,8 @@ class MVCCRowStore:
         chain = self._chains.get(key)
         if not chain:
             return None
-        return chain[-1].begin_ts
+        newest = chain[-1]
+        return newest.begin_ts if newest.end_ts == INFINITY_TS else newest.end_ts
 
     def key_exists_at(self, key: Key, snapshot_ts: Timestamp) -> bool:
         return self.read(key, snapshot_ts) is not None

@@ -22,22 +22,13 @@ def recover(
 ) -> dict[str, MVCCRowStore]:
     """Replay ``wal`` into brand-new stores; returns table -> store.
 
-    Only records of transactions with a COMMIT record are applied
-    (redo-winners-only); everything else is ignored.  By default only
-    *durable* commits — those whose COMMIT record was covered by an
-    fsync (``wal.durable_lsn``) — are replayed: a crash loses the
-    unforced group-commit tail, exactly as a real engine would.  Pass
-    ``include_unforced=True`` to replay everything logged (clean-
-    shutdown semantics, or verifying the WAL against a live instance).
+    Applies :meth:`WriteAheadLog.redo`: winners only, and only durable
+    ones unless ``include_unforced`` (a crash loses the unforced
+    group-commit tail, exactly as a real engine would).
     """
     cost = cost or CostModel()
-    committed = (
-        wal.committed_txn_ids() if include_unforced else wal.durable_txn_ids()
-    )
     stores = {name: MVCCRowStore(schema, cost=cost) for name, schema in schemas.items()}
-    for record in wal.records:
-        if record.txn_id not in committed:
-            continue
+    for record in wal.redo(include_unforced):
         if record.kind is WalKind.INSERT:
             stores[record.table].install_insert(record.row, record.commit_ts)
         elif record.kind is WalKind.UPDATE:

@@ -200,3 +200,17 @@ class WriteAheadLog:
         """Txn ids whose COMMIT record made it to stable storage — the
         set a crash-restart is allowed to replay."""
         return self.committed_txn_ids(up_to_lsn=self.durable_lsn)
+
+    def redo(self, include_unforced: bool = False) -> Iterator[WalRecord]:
+        """The redo pass: the INSERT / UPDATE / DELETE records of winner
+        transactions, in LSN order.  By default a winner is a *durable*
+        commit (its COMMIT record was covered by an fsync) — a crash
+        loses the unforced group-commit tail.  ``include_unforced=True``
+        replays every logged commit (clean-shutdown semantics, or
+        checking the log against a live instance)."""
+        winners = self.committed_txn_ids(
+            None if include_unforced else self.durable_lsn
+        )
+        return (
+            r for r in self._records if r.txn_id in winners and r.table is not None
+        )

@@ -210,20 +210,6 @@ ZONE_STORE_CLEAN = ZONE_STORE_FIRES.replace(
     "        self.mutations += 1\n        self._zone_ranges.clear()",
 )
 
-ENGINE_FIRES = """\
-class FastEngine(HTAPEngine):
-    def bulk_write(self, rows):
-        self.row_store.append_rows(rows, commit_ts=1)
-"""
-
-ENGINE_CLEAN = """\
-class FastEngine(HTAPEngine):
-    def bulk_write(self, rows):
-        self.row_store.append_rows(rows, commit_ts=1)
-        self.scan_cache.invalidate("t")
-"""
-
-
 EPOCH_CACHE_FIRES = """\
 class StatsFence:
     def __init__(self):
@@ -263,14 +249,6 @@ class TestHTL002Invalidation:
 
     def test_zone_index_mutation_with_bump_passes(self):
         assert findings(ZONE_STORE_CLEAN) == []
-
-    def test_engine_write_without_invalidate_fires(self):
-        found = findings(ENGINE_FIRES)
-        assert rule_ids(found) == ["HTL002"]
-        assert "scan_cache.invalidate" in found[0].message
-
-    def test_engine_write_with_invalidate_passes(self):
-        assert findings(ENGINE_CLEAN) == []
 
     def test_suppression_with_reason_silences(self):
         suppressed = STORE_FIRES.replace(

@@ -10,6 +10,7 @@ from repro.common import (
     DuplicateKeyError,
     KeyNotFoundError,
     Schema,
+    TransactionAborted,
 )
 from repro.engines import (
     ColumnDeltaEngine,
@@ -148,6 +149,43 @@ class TestUniformApi:
         assert engine.image_freshness_lag() <= 1
 
 
+@pytest.mark.parametrize("lost", ["insert", "update", "delete"])
+@pytest.mark.parametrize("cat", ALL)
+def test_failed_commit_is_atomic(cat, lost):
+    """Two sessions stage writes to one key; the second to commit has
+    lost (its insert's key now exists, its update's or delete's is gone)
+    and aborts whole: nothing of it becomes visible, it is finished, and
+    what the log replays to is what the live engine holds."""
+    engine, _rows = build(cat, n=30)
+    winner, loser = engine.session(), engine.session()
+    loser.insert("orders", (600, 1, 1.0, "e"))  # installs first if anything does
+    if lost == "insert":
+        loser.insert("orders", (500, 2, 2.0, "w"))
+        winner.insert("orders", (500, 1, 9.0, "e"))
+    elif lost == "update":
+        loser.update("orders", (5, 2, 2.0, "w"))
+        winner.delete("orders", 5)
+    else:
+        loser.delete("orders", 5)
+        winner.delete("orders", 5)
+    winner.commit()
+
+    def committed(eng):
+        with eng.session() as s:
+            return sorted(s.scan("orders"))
+
+    expected = committed(engine)
+    with pytest.raises(TransactionAborted):
+        loser.commit()
+    assert loser.finished
+    assert committed(engine) == expected
+    if cat in "cd":
+        recovered = type(engine).recover(
+            engine.wal, [order_schema()], include_unforced=True
+        )
+        assert committed(recovered) == expected
+
+
 class TestFreshSemantics:
     """Fresh engines (a, d) see uncommitted-to-column data at query time."""
 
@@ -192,6 +230,20 @@ class TestArchitectureSpecific:
         assert imcu.staleness() > 0.0
         engine.force_sync()
         assert imcu.staleness() == 0.0
+
+    def test_a_secondary_index_is_planned(self):
+        """The adapter tells the planner which columns are indexed, so an
+        equality on one plans (and runs) as an index lookup."""
+        engine = make_engine("a")
+        engine.create_table(
+            Schema("t", [Column("id", DataType.INT64), Column("v", DataType.INT64)], ["id"])
+        )
+        engine.bulk_load("t", [(i, i % 100) for i in range(200)])
+        sql = "SELECT id FROM t WHERE v = 3"
+        assert "column_scan" in engine.explain(sql)
+        engine.txn_manager.store("t").create_index("v")
+        assert "index_lookup" in engine.explain(sql)
+        assert sorted(engine.query(sql).rows) == [(3,), (103,)]
 
     def test_b_isolation_nodes_disjoint(self):
         engine, _ = build("b", n=30)

@@ -1,15 +1,12 @@
-"""Snapshot-scan cache: MVCC correctness, invalidation, and counters.
+"""Snapshot-scan cache: MVCC correctness, token completeness, counters.
 
 The cache may only ever serve a batch that byte-matches what a fresh
-scan at the same snapshot would produce.  Two independent mechanisms
-enforce that, and both are tested here:
-
-* **version tokens** — every adapter folds its snapshot timestamp and
-  mutation counters into the cache key, so a write (or a different
-  reader snapshot) misses even if nobody called invalidate();
-* **explicit invalidation** — engine write/merge paths call
-  ``scan_cache.invalidate(table)`` so stale entries free memory
-  eagerly instead of lingering until eviction.
+scan at the same snapshot would produce.  One mechanism enforces that:
+every adapter folds its snapshot timestamp and mutation counters into
+the cache key, so a write (or a different reader snapshot) misses
+without anyone telling the cache.  ``invalidate()`` only frees memory
+when a sync replaces a columnar image; the token-completeness battery
+at the end of this file runs with it patched out.
 """
 
 import pytest
@@ -68,17 +65,6 @@ class TestScanCacheUnit:
         assert cache.get(("t", 1)) is not None
         assert cache.evictions == 1
 
-    def test_invalidate_by_table(self):
-        cache = ScanCache()
-        cache.put(("orders", "x"), {"a": 1})
-        cache.put(("orders", "y"), {"a": 2})
-        cache.put(("customer", "x"), {"a": 3})
-        dropped = cache.invalidate("orders")
-        assert dropped == 2
-        assert cache.get(("customer", "x")) is not None
-        assert cache.get(("orders", "x")) is None
-        assert cache.invalidations == 2
-
     def test_invalidate_all(self):
         cache = ScanCache()
         cache.put(("a", 1), {})
@@ -114,26 +100,6 @@ class TestScanCacheUnit:
         stats = cache.stats
         assert stats["misses"] == 1
         assert stats["entries"] == 0
-
-    def test_clear_does_not_count_invalidations(self):
-        """Test/bench resets used to route through invalidate() and
-        inflate the scan_cache.invalidations obs series — regression."""
-        reg = get_registry()
-        cache = ScanCache(labels={"engine": "test"})
-        cache.put(("t", 1), {"a": [1]})
-        cache.put(("t", 2), {"a": [2]})
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.bytes == 0
-        assert cache.invalidations == 0
-        assert cache.clears == 2
-        assert cache.stats["clears"] == 2
-        assert reg.counter_total("scan_cache.invalidations") == 0
-        # A real write-path invalidation still counts as before.
-        cache.put(("t", 3), {"a": [3]})
-        cache.invalidate("t")
-        assert cache.invalidations == 1
-        assert cache.clears == 2
 
 
 def build_snapshot_env(snapshot_holder):

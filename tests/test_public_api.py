@@ -78,6 +78,41 @@ def test_one_scan_path():
                 assert "scan_columns_encoded" not in vars(cls), f"{info.name}.{name}"
 
 
+def test_scan_cache_fences_itself():
+    """Version tokens are the scan cache's one invalidation mechanism:
+    no table-scoped drop, no ``keep=``, no ``clear``, no lint half
+    policing them — and no engine write path that mentions the cache."""
+    import ast
+    import pkgutil
+
+    import repro.analysis.rules.invalidation as htl002
+    import repro.engines
+    from repro.query import ScanCache
+
+    assert list(inspect.signature(ScanCache.invalidate).parameters) == ["self"]
+    assert not hasattr(ScanCache, "clear")
+    assert not hasattr(htl002, "_engine_layer")
+
+    allowed = {"HTAPEngine.__init__", "HTAPEngine.sync", "HTAPEngine.executor"}
+    for info in pkgutil.iter_modules(repro.engines.__path__):
+        source = inspect.getsource(importlib.import_module(f"repro.engines.{info.name}"))
+
+        def visit(node, where):
+            if isinstance(node, ast.ClassDef):
+                where = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where}.{node.name}"
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name == "scan_cache":
+                assert where in allowed or where.endswith(".force_sync"), (
+                    f"repro.engines.{info.name}: {where} touches the scan cache"
+                )
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(source), "<module>")
+
+
 def test_version():
     import repro
 
