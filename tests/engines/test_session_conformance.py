@@ -1,0 +1,258 @@
+"""Session conformance: four engines, one transaction semantics.
+
+Every architecture and a dict-backed reference session built on
+``tests/oracle``'s ``TableModel`` are driven with the same generated
+operation sequences — insert / update / delete / read / predicate scan
+/ commit / abort / use-after-finish, keys drawn from a range small
+enough that same-key-twice, update-out-of-predicate and
+delete-then-reinsert all occur — and must agree on every read, every
+scan row set, the *type* of every error, the committed state after
+every commit, and, after ``force_sync()``, what the analytical path
+returns.  Sessions never interleave here, so snapshot reads (a) and
+latest reads (b, c, d) are indistinguishable by design; lost races are
+``test_engines.py::test_failed_commit_is_atomic``'s.
+"""
+
+import random
+
+import pytest
+
+from repro.common import (
+    ALWAYS_TRUE,
+    Column,
+    Comparison,
+    DataType,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    Schema,
+    TransactionError,
+)
+from repro.engines import make_engine
+
+from ..oracle import TableModel
+
+ALL = ["a", "b", "c", "d"]
+TABLES = ("t", "u")
+SCHEMAS = {
+    name: Schema(
+        name,
+        [
+            Column("id", DataType.INT64),
+            Column("v", DataType.FLOAT64),
+            Column("tag", DataType.STRING),
+        ],
+        ["id"],
+    )
+    for name in TABLES
+}
+PREDICATES = (ALWAYS_TRUE, Comparison("v", ">=", 5.0), Comparison("tag", "=", "a"))
+WRITES = ("insert", "update", "delete")
+
+
+class ModelSession:
+    """The reference: a private copy of each table's committed rows
+    takes the writes; commit replays them into the ``TableModel``s in
+    staged order, abort forgets them."""
+
+    def __init__(self, models: dict[str, TableModel], ts: int):
+        self._models = models
+        self._ts = ts
+        self._rows = {t: {r[0]: r for r in m.rows()} for t, m in models.items()}
+        self._staged: list[tuple] = []
+        self.finished = False
+
+    def _open(self) -> None:
+        if self.finished:
+            raise TransactionError("transaction already finished")
+
+    def read(self, table, key):
+        self._open()
+        return self._rows[table].get(key)
+
+    def scan(self, table, predicate=ALWAYS_TRUE):
+        self._open()
+        schema = SCHEMAS[table]
+        return [r for r in self._rows[table].values() if predicate.matches(r, schema)]
+
+    def insert(self, table, row):
+        self._open()
+        if row[0] in self._rows[table]:
+            raise DuplicateKeyError(f"key {row[0]!r} exists")
+        self._rows[table][row[0]] = row
+        self._staged.append((table, "insert", row[0], row))
+        return row[0]
+
+    def update(self, table, row):
+        self._open()
+        if row[0] not in self._rows[table]:
+            raise KeyNotFoundError(f"key {row[0]!r} not found")
+        self._rows[table][row[0]] = row
+        self._staged.append((table, "update", row[0], row))
+
+    def delete(self, table, key):
+        self._open()
+        if key not in self._rows[table]:
+            raise KeyNotFoundError(f"key {key!r} not found")
+        del self._rows[table][key]
+        self._staged.append((table, "delete", key, None))
+
+    def commit(self):
+        self._open()
+        self.finished = True
+        for table, kind, key, row in self._staged:
+            self._models[table].apply(kind, key, row, self._ts)
+
+    def abort(self):
+        self._open()
+        self.finished = True
+
+
+def outcome(session, op):
+    """``op`` applied to ``session``: its comparable result, or the
+    type of the error it raised."""
+    name, *args = op
+    try:
+        result = getattr(session, name)(*args)
+    except (DuplicateKeyError, KeyNotFoundError, TransactionError) as err:
+        return type(err)
+    if name == "scan":
+        return sorted(result)
+    return None if name == "commit" else result  # commit timestamps differ
+
+
+def generate(seed: int, repeat_keys: bool, n_txns: int = 24):
+    """Transactions as op lists.  Without ``repeat_keys`` a transaction
+    writes each key at most once (reads and scans still revisit it)."""
+    rng = random.Random(seed)
+    for _ in range(n_txns):
+        ops, written = [], set()
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.choice(WRITES + WRITES + ("read", "scan"))
+            table, key = rng.choice(TABLES), rng.randrange(5)
+            if kind == "scan":
+                ops.append(("scan", table, rng.choice(PREDICATES)))
+                continue
+            if kind in WRITES:
+                if not repeat_keys and (table, key) in written:
+                    kind = "read"
+                written.add((table, key))
+            if kind in ("insert", "update"):
+                row = (key, float(rng.randrange(10)), rng.choice("ab"))
+                ops.append((kind, table, row))
+            else:
+                ops.append((kind, table, key))
+        ops.append((rng.choice(("commit", "commit", "commit", "abort")),))
+        if rng.random() < 0.25:  # use after finish
+            ops.append(rng.choice([("read", "t", 0), ("delete", "t", 0), ("commit",), ("abort",)]))
+        yield ops
+
+
+class Harness:
+    """One engine beside the reference, fed the same transactions."""
+
+    def __init__(self, cat: str):
+        self.engine = make_engine(cat, **({"seed": 5} if cat == "b" else {}))
+        for schema in SCHEMAS.values():
+            self.engine.create_table(schema)
+        self.models = {t: TableModel() for t in TABLES}
+        self.txns = 0
+
+    def run(self, ops) -> None:
+        self.txns += 1
+        session, model = self.engine.session(), ModelSession(self.models, self.txns)
+        for step, op in enumerate(ops):
+            got, want = outcome(session, op), outcome(model, op)
+            assert got == want, f"txn {self.txns} step {step}: {op!r}"
+        assert session.finished and model.finished
+        self.check_committed()
+
+    def check_committed(self) -> None:
+        with self.engine.session() as s:
+            for table in TABLES:
+                assert sorted(s.scan(table)) == self.models[table].rows(), table
+
+    def check_analytical(self) -> None:
+        self.engine.force_sync()
+        for table in TABLES:
+            result = self.engine.query(f"SELECT id, v, tag FROM {table}")
+            assert sorted(result.rows) == self.models[table].rows(), table
+
+
+# Commit-time validation on (b) checks every write of a repeated key
+# against committed state instead of only the first (ISSUE 20).
+b_repeats = pytest.mark.xfail(
+    strict=True, reason="engine (b) aborts a transaction that writes one key twice"
+)
+
+
+def sweep(harness: Harness, seed: int, repeat_keys: bool) -> None:
+    for i, ops in enumerate(generate(seed, repeat_keys)):
+        harness.run(ops)
+        if i == 11:
+            harness.check_analytical()
+    harness.check_analytical()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cat", ALL)
+def test_generated_sequences_distinct_keys(cat, seed):
+    sweep(Harness(cat), seed, repeat_keys=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cat", ["a", pytest.param("b", marks=b_repeats), "c", "d"])
+def test_generated_sequences_repeated_keys(cat, seed):
+    sweep(Harness(cat), seed, repeat_keys=True)
+
+
+ROW, ROW2 = (1, 7.0, "a"), (1, 2.0, "b")
+LIVE = [[("insert", "t", ROW)]]
+GONE = [*LIVE, [("delete", "t", 1)]]
+#: name -> (transactions committed first, the writes of the one under test)
+SAME_KEY_TWICE = {
+    "insert_update": ([], [("insert", "t", ROW), ("update", "t", ROW2)]),
+    "insert_delete": ([], [("insert", "t", ROW), ("delete", "t", 1)]),
+    "reinsert_delete": (GONE, [("insert", "t", ROW), ("delete", "t", 1)]),
+    "delete_insert": (LIVE, [("delete", "t", 1), ("insert", "t", ROW2)]),
+    "update_delete": (LIVE, [("update", "t", ROW2), ("delete", "t", 1)]),
+    "update_update": (LIVE, [("update", "t", ROW2), ("update", "t", ROW)]),
+    "delete_insert_delete": (
+        LIVE, [("delete", "t", 1), ("insert", "t", ROW2), ("delete", "t", 1)]
+    ),
+}
+XFAILS = {
+    # (b) validates the second write against committed state as well;
+    # update→delete and update→update happen to pass that.
+    **{
+        ("b", p): b_repeats
+        for p in SAME_KEY_TWICE
+        if p not in ("update_delete", "update_update")
+    },
+    ("a", "reinsert_delete"): pytest.mark.xfail(
+        strict=True,
+        reason="(a) installs the delete of an insert+delete no-op when the key "
+        "has an ended version chain (last_committed_ts is not None)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cat,pattern",
+    [
+        pytest.param(c, p, marks=XFAILS.get((c, p), ()))
+        for c in ALL
+        for p in SAME_KEY_TWICE
+    ],
+)
+def test_same_key_twice(cat, pattern):
+    """Each pattern commits, reads its own writes on the way (the scan
+    sees the update leave the ``v >= 5`` predicate), and the learner /
+    delta stream that carries both writes folds to the model's state."""
+    history, writes = SAME_KEY_TWICE[pattern]
+    harness = Harness(cat)
+    for ops in history:
+        harness.run([*ops, ("commit",)])
+    probes = [("read", "t", 1), ("scan", "t", PREDICATES[1])]
+    ops = [step for write in writes for step in (write, *probes)]
+    harness.run([*ops, ("commit",)])
+    harness.check_analytical()

@@ -214,3 +214,77 @@ def test_freshness_timestamp_matches_model(seed):
     apply_ops(delta, ops)
     merger.merge()
     assert main.max_commit_ts() == model.max_ts == len(ops)
+
+
+# --------------------------------------------------------------- the fold
+#
+# Every synchronizer ends in the same step: a collapsed batch lands in a
+# column image.  Named batches, each through every way of folding one.
+
+BASE = [(k, -1.0) for k in range(4)]  # keys 0-1 and 2-3 in two older segments
+
+FOLD_CASES = {
+    "tombstone_only": [("delete", 1, 0.0), ("delete", 7, 0.0)],  # 7 was never there
+    "live_only": [("insert", 5, 1.0), ("insert", 6, 2.0)],
+    "upsert_over_sealed_keys": [("update", 0, 9.0), ("update", 3, 8.0)],
+    "insert_then_delete_in_batch": [
+        ("insert", 5, 1.0), ("delete", 5, 0.0), ("insert", 6, 1.0)
+    ],
+    "delete_then_reinsert_in_batch": [("delete", 2, 0.0), ("insert", 2, 4.0)],
+}
+
+
+def fold_by_delta_merge(main, cost, ops):
+    delta = InMemoryDeltaStore(main.schema, cost)
+    apply_ops(delta, ops)
+    return InMemoryDeltaMerger(delta, main, cost, threshold_rows=1).merge()
+
+
+def fold_by_log_merge(main, cost, ops):
+    log = LogDeltaManager(main.schema, cost, seal_threshold=2)
+    apply_ops(log, ops)
+    return LogDeltaMerger(log, main, cost, threshold_files=1).merge(seal_first=True)
+
+
+FOLDS = {"delta_merge": fold_by_delta_merge, "log_merge": fold_by_log_merge}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+@pytest.mark.parametrize("fold", FOLDS)
+def test_fold_matches_model(fold, case):
+    ops = FOLD_CASES[case]
+    model = TableModel(BASE).apply_all(model_ops(ops))
+    cost = CostModel()
+    main = ColumnStore(make_schema(), cost)
+    main.append_rows(BASE[:2], commit_ts=0)
+    main.append_rows(BASE[2:], commit_ts=0)
+    landed = FOLDS[fold](main, cost, ops)
+    assert store_state(main) == model.state()  # rows, horizon, live count
+    written = {key for _, key, _ in ops}
+    assert landed == sum(1 for row in model.rows() if row[0] in written)
+
+
+def test_hana_l1_merge_keeps_each_key_in_one_columnar_layer():
+    """(d)'s invariant: after an L1→L2 merge a key lives in at most one
+    of {Main, L2} — an update of a Main-resident key moves it to L2, a
+    delete leaves it in neither."""
+    from repro.engines.column_delta import HanaTable
+
+    table = HanaTable(make_schema(), CostModel())
+    table.apply_insert_batch(BASE, commit_ts=1)
+    table.merge_l1_to_l2()
+    table.merge_l2_to_main()
+    assert all(table.main.contains_key(k) for k in range(4))
+    table.apply_update((0, 9.0), commit_ts=2)
+    table.apply_delete(1, commit_ts=3)
+    table.apply_insert((5, 5.0), commit_ts=4)
+    assert table.merge_l1_to_l2() == 2
+    model = TableModel(BASE).apply_all(
+        [("update", 0, (0, 9.0), 2), ("delete", 1, None, 3), ("insert", 5, (5, 5.0), 4)]
+    )
+    for key in (*range(4), 5):
+        assert table.main.contains_key(key) + table.l2.contains_key(key) <= 1, key
+    assert table.l2.contains_key(0) and not table.main.contains_key(0)
+    assert not table.contains_key(1)
+    assert sorted(table.all_latest_rows()) == model.rows()
+    assert table.main.max_commit_ts() == table.l2.max_commit_ts() == model.max_ts
