@@ -58,6 +58,7 @@ from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..obs import get_registry
 from ..storage.column_store import ColumnScanResult
+from ..txn.transaction import first_lost_write
 from .metadata import MetadataService, PlacementPolicy, ShardMap, hash_point
 from .network import SimNetwork
 from .raft import RaftGroup
@@ -231,13 +232,9 @@ class RegionStateMachine:
             raise TwoPhaseCommitError(f"unknown region command {op!r}")
 
     def _validate(self, writes: list[WriteOp]) -> bool:
-        for w in writes:
-            table = self.rows[w.table]
-            if w.kind is WriteKind.INSERT and w.key in table:
-                return False
-            if w.kind in (WriteKind.UPDATE, WriteKind.DELETE) and w.key not in table:
-                return False
-        return True
+        rows = self.rows
+        staged = [(w.kind.value, w.table, w.key) for w in writes]
+        return first_lost_write(staged, lambda table, key: key in rows[table]) is None
 
     def _install(self, writes: list[WriteOp], commit_ts: Timestamp) -> None:
         for w in writes:

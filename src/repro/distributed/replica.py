@@ -227,7 +227,6 @@ class ColumnarReplica:
             if not files:
                 continue
             self._m_merge_events.inc()
-            store = self.column_stores[table]
             # Concatenate the files' column slabs without ever
             # materializing DeltaEntry objects.
             kinds: list[int] = []
@@ -242,34 +241,15 @@ class ColumnarReplica:
                 rows.extend(f_rows)
                 ts.extend(f_ts)
             batch_entries += len(keys)
-            merged += self._fold(store, kinds, keys, rows, ts)
-            if ts:
-                store.advance_sync_ts(max(ts))
+            collapsed = DeltaBatch.from_columns(kinds, keys, rows, ts).collapse()
+            folded = self.column_stores[table].fold(collapsed, max(ts))
+            self._cost.charge_rows(self._cost.merge_per_row_us, folded)
+            self._m_merge_rows.inc(folded)
+            merged += folded
         elapsed = self._cost.now_us() - start
         self._h_merge_batch.observe(batch_entries)
         self._h_merge_latency.observe(elapsed)
         return merged
-
-    def _fold(
-        self,
-        store: ColumnStore,
-        kinds: list[int],
-        keys: list,
-        rows: list,
-        ts: list,
-    ) -> int:
-        from ..common.types import rows_to_columns
-
-        collapsed = DeltaBatch.from_columns(kinds, keys, rows, ts).collapse()
-        if collapsed.tombstones:
-            store.delete_batch(collapsed.tombstones)
-        if not collapsed.live_keys:
-            return 0
-        self._cost.charge_rows(self._cost.merge_per_row_us, len(collapsed.live_keys))
-        arrays = rows_to_columns(store.schema, collapsed.live_rows)
-        store.append_batch(arrays, collapsed.live_keys, commit_ts=max(ts))
-        self._m_merge_rows.inc(len(collapsed.live_keys))
-        return len(collapsed.live_keys)
 
     def unmerged_entries(self) -> int:
         return sum(log.pending_entries() for log in self.delta_logs.values())

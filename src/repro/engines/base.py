@@ -15,6 +15,26 @@ TableAccess adapters.  Uniform API:
 Engines charge simulated time to the shared clock (latency) and busy
 time to named nodes in the ledger (throughput/makespan); the Table 1
 bench derives every metric from those two ledgers.
+
+What is identical across architectures lives here once, so an engine
+module says only what the paper says differs.  An engine supplies:
+
+* its storage layout: ``create_table`` plus one
+  :class:`EngineTableAccess` per table (``schema`` / ``stats`` /
+  ``cache_token`` / the three scan paths / the two planner hints);
+* its data synchronization: ``_sync``, ``force_sync``,
+  ``freshness_lag``, ``bulk_load``, ``memory_report``;
+* its transactions.  (a) wraps an MVCC ``Transaction`` — snapshot
+  reads and first-committer-wins are what that architecture *is*.
+  (b), (c), (d) read the latest committed state and buffer writes, so
+  they share :class:`WriteSetSession` and supply only
+  ``_schema_of(table)``, ``_read_committed(table, key)``,
+  ``_scan_committed(table, predicate)``, ``_commit_writes(txn_id,
+  writes)`` and ``_abort_txn(txn_id)``;
+* (c) and (d), whose commit is a redo log on one node, get the last
+  two from :class:`LoggedEngine` (WAL, commit body, counters,
+  ``recover``) and supply ``_contains_key(table, key)`` and
+  ``_install(kind, table, key, row, ts)`` instead.
 """
 
 from __future__ import annotations
@@ -28,18 +48,32 @@ from typing import Sequence
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
-from ..common.errors import QueryError, TransactionAborted
+from ..common.errors import (
+    DuplicateKeyError,
+    KeyNotFoundError,
+    QueryError,
+    TransactionAborted,
+    TransactionError,
+)
 from ..common.predicate import ALWAYS_TRUE, Predicate, bind_predicate
 from ..common.types import Key, Row, Schema
 from ..distributed.cluster import BusyLedger
 from ..obs import SimTracer, get_registry
-from ..query.access import AccessPath
+from ..query.access import AccessPath, TableAccess
 from ..query.ast import Query, QueryResult
 from ..query.executor import Executor
 from ..query.optimizer import Planner, PhysicalPlan
 from ..query.parser import parse
 from ..query.plan_cache import CachedPlan, PlanCache, param_signature
 from ..query.scan_cache import ScanCache
+from ..txn.transaction import first_lost_write
+from ..txn.wal import WalKind, WriteAheadLog
+
+_WAL_KIND = {
+    "insert": WalKind.INSERT,
+    "update": WalKind.UPDATE,
+    "delete": WalKind.DELETE,
+}
 
 
 @dataclass
@@ -79,26 +113,6 @@ class EngineSession(abc.ABC):
     @abc.abstractmethod
     def abort(self) -> None: ...
 
-    def _validate_writes(self, txn_id: int, writes, exists) -> None:
-        """Commit-time validation for sessions that buffer ``(kind,
-        table, key, row)`` writes: against committed state as
-        ``exists(table, key)`` reports it, an insert needs its key
-        absent and an update or delete needs it present.  Only a key's
-        first write is checked — later ones were staged against this
-        transaction's own view.  On a lost race the session aborts
-        before anything is logged or installed."""
-        seen: set[tuple[str, Key]] = set()
-        for kind, table, key, _row in writes:
-            if (table, key) in seen:
-                continue
-            seen.add((table, key))
-            if exists(table, key) == (kind == "insert"):
-                self.abort()
-                raise TransactionAborted(
-                    txn_id,
-                    f"{kind} of key {key!r} in {table!r} lost to a concurrent commit",
-                )
-
     def __enter__(self) -> "EngineSession":
         return self
 
@@ -109,6 +123,99 @@ class EngineSession(abc.ABC):
             self.commit()
         else:
             self.abort()
+
+
+class WriteSetSession(EngineSession):
+    """The transaction of engines (b), (c), (d): reads see the latest
+    committed state under this transaction's own writes; writes are
+    staged as ``(kind, table, key, row)`` in order, uncoalesced, and
+    handed to the engine at commit.  The engine validates them against
+    committed state (:func:`~repro.txn.transaction.first_lost_write`)
+    before anything is logged or installed; a commit it refuses with
+    :class:`TransactionAborted` counts as one abort."""
+
+    def __init__(self, engine: "HTAPEngine", txn_id: int):
+        self._engine = engine
+        self._txn_id = txn_id
+        self._writes: list[tuple[str, str, Key, Row | None]] = []
+        self._view: dict[tuple[str, Key], Row | None] = {}
+
+    def _require_open(self) -> None:
+        if self.finished:
+            raise TransactionError(f"transaction {self._txn_id} already finished")
+
+    def read(self, table: str, key: Key) -> Row | None:
+        self._require_open()
+        if (table, key) in self._view:
+            return self._view[(table, key)]
+        return self._engine._read_committed(table, key)
+
+    def scan(self, table: str, predicate: Predicate = ALWAYS_TRUE) -> list[Row]:
+        self._require_open()
+        schema = self._engine._schema_of(table)
+        rows = {
+            schema.key_of(r): r
+            for r in self._engine._scan_committed(table, predicate)
+        }
+        for (t, key), row in self._view.items():
+            if t != table:
+                continue
+            if row is not None and predicate.matches(row, schema):
+                rows[key] = row
+            else:  # deleted, or updated out of the predicate
+                rows.pop(key, None)
+        return list(rows.values())
+
+    def _stage(self, kind: str, table: str, key: Key, row: Row | None) -> None:
+        """Stage one write; an insert needs ``key`` absent from this
+        transaction's view, an update or delete needs it present."""
+        exists = self.read(table, key) is not None
+        if exists and kind == "insert":
+            raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
+        if not exists and kind != "insert":
+            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
+        self._writes.append((kind, table, key, row))
+        self._view[(table, key)] = row
+
+    def insert(self, table: str, row: Row) -> Key:
+        self._require_open()
+        schema = self._engine._schema_of(table)
+        row = schema.validate_row(row)
+        key = schema.key_of(row)
+        self._stage("insert", table, key, row)
+        return key
+
+    def update(self, table: str, row: Row) -> None:
+        self._require_open()
+        schema = self._engine._schema_of(table)
+        row = schema.validate_row(row)
+        self._stage("update", table, schema.key_of(row), row)
+
+    def delete(self, table: str, key: Key) -> None:
+        self._stage("delete", table, key, None)
+
+    def commit(self) -> Timestamp:
+        self._require_open()
+        self.finished = True
+        try:
+            return self._engine._commit_writes(self._txn_id, self._writes)
+        except TransactionAborted:
+            self._engine._abort_txn(self._txn_id)
+            raise
+
+    def abort(self) -> None:
+        self._require_open()
+        self.finished = True
+        self._engine._abort_txn(self._txn_id)
+
+
+class EngineTableAccess(TableAccess):
+    """A catalog adapter bound to one table of one engine."""
+
+    def __init__(self, engine: "HTAPEngine", table: str):
+        super().__init__()
+        self._engine = engine
+        self._table = table
 
 
 class HTAPEngine(abc.ABC):
@@ -217,7 +324,7 @@ class HTAPEngine(abc.ABC):
     def catalog(self) -> dict[str, Any]:
         return self._catalog
 
-    def _register_adapter(self, table: str, adapter: Any) -> None:
+    def _register_adapter(self, table: str, adapter: TableAccess) -> None:
         self._catalog[table] = adapter
         self._planner = None
         self._executor = None
@@ -290,12 +397,8 @@ class HTAPEngine(abc.ABC):
         self._m_ap_queries.inc()
         return result
 
-    def _stats_epoch_of(self, table: str) -> int | None:
-        """Current stats epoch, or None when the adapter has no epoch
-        protocol (which opts its statements out of plan caching)."""
-        adapter = self._catalog[table]
-        epoch_fn = getattr(adapter, "stats_epoch", None)
-        return None if epoch_fn is None else epoch_fn()
+    def _stats_epoch_of(self, table: str) -> int:
+        return self._catalog[table].stats_epoch()
 
     def execute_prepared(
         self, statement: str, params: Sequence[Any] = ()
@@ -332,21 +435,17 @@ class HTAPEngine(abc.ABC):
         # Epochs are read *after* planning: plan() pulled stats through
         # the same StatsCache, so these are exactly the versions the
         # plan was costed against.
-        stats_token = tuple(self._stats_epoch_of(t) for t in tables)
-        if None not in stats_token:
-            # A table without the epoch protocol cannot be fenced, so
-            # statements touching it are never cached.
-            self.plan_cache.store(
-                statement,
-                signature,
-                CachedPlan(
-                    plan=plan,
-                    template_predicates=self.planner.scan_predicates(template),
-                    param_count=len(params),
-                    tables=tables,
-                    stats_token=stats_token,
-                ),
-            )
+        self.plan_cache.store(
+            statement,
+            signature,
+            CachedPlan(
+                plan=plan,
+                template_predicates=self.planner.scan_predicates(template),
+                param_count=len(params),
+                tables=tables,
+                stats_token=tuple(self._stats_epoch_of(t) for t in tables),
+            ),
+        )
         return self.run_plan(plan)
 
     def explain(self, query: str | Query) -> str:
@@ -394,3 +493,97 @@ class HTAPEngine(abc.ABC):
 
     def reset_meters(self) -> None:
         self.ledger.reset()
+
+
+class LoggedEngine(HTAPEngine):
+    """What (c) and (d) share: a single-node redo log.  Commit validates
+    the write set, then logs and installs each write in staged order
+    under one BEGIN/COMMIT pair; recovery replays the same log through
+    the same :meth:`_install`."""
+
+    def __init__(
+        self, cost: CostModel | None, clock: LogicalClock | None, group_commit_size: int
+    ):
+        super().__init__(cost, clock)
+        self.wal = WriteAheadLog(
+            cost=self.cost,
+            group_commit_size=group_commit_size,
+            labels={"engine": self.info.name},
+        )
+        self.commits = 0
+        self.aborts = 0
+        self._next_txn_id = 1
+
+    @abc.abstractmethod
+    def _contains_key(self, table: str, key: Key) -> bool:
+        """Uncharged probe of committed state, for commit validation."""
+
+    @abc.abstractmethod
+    def _install(
+        self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
+    ) -> None:
+        """Apply one logged ``"insert"`` / ``"update"`` / ``"delete"``."""
+
+    def _recovered(self) -> None:
+        """Called once the redo pass is through (nothing to do here)."""
+
+    @classmethod
+    def recover(
+        cls,
+        wal: WriteAheadLog,
+        schemas: list[Schema],
+        include_unforced: bool = False,
+        **kwargs,
+    ) -> "LoggedEngine":
+        """Rebuild an engine from a crashed instance's redo log:
+        :meth:`WriteAheadLog.redo` replayed through :meth:`_install`."""
+        engine = cls(**kwargs)
+        for schema in schemas:
+            engine.create_table(schema)
+        for record in wal.redo(include_unforced):
+            engine.clock.advance_to(record.commit_ts)
+            engine._install(
+                record.kind.value, record.table, record.key, record.row, record.commit_ts
+            )
+        engine._recovered()
+        return engine
+
+    def _allocate_txn_id(self) -> int:
+        txn_id = self._next_txn_id
+        self._next_txn_id += 1
+        return txn_id
+
+    def session(self) -> EngineSession:
+        return WriteSetSession(self, self._allocate_txn_id())
+
+    def _charged(self, fn, *args):
+        """``fn(*args)`` with its simulated cost booked to the TP node."""
+        before = self.cost.now_us()
+        try:
+            return fn(*args)
+        finally:
+            self.ledger.charge(self.tp_nodes()[0], self.cost.now_us() - before)
+
+    def _commit_writes(self, txn_id: int, writes) -> Timestamp:
+        lost = first_lost_write(writes, self._contains_key)
+        if lost is not None:
+            kind, table, key, _row = lost
+            raise TransactionAborted(
+                txn_id, f"{kind} of key {key!r} in {table!r} lost to a concurrent commit"
+            )
+        before = self.cost.now_us()
+        commit_ts = self.clock.tick()
+        self.wal.append(txn_id, WalKind.BEGIN)
+        for kind, table, key, row in writes:
+            self.wal.append(txn_id, _WAL_KIND[kind], table, key, row, commit_ts)
+            self._install(kind, table, key, row, commit_ts)
+        self.wal.append(txn_id, WalKind.COMMIT, commit_ts=commit_ts)
+        self.commits += 1
+        self._m_tp_commits.inc()
+        self.ledger.charge(self.tp_nodes()[0], self.cost.now_us() - before)
+        return commit_ts
+
+    def _abort_txn(self, txn_id: int) -> None:
+        self.wal.append(txn_id, WalKind.ABORT)
+        self.aborts += 1
+        self._m_tp_aborts.inc()

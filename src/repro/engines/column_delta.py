@@ -25,18 +25,17 @@ import numpy as np
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
-from ..common.errors import DuplicateKeyError, KeyNotFoundError, TransactionError
-from ..common.predicate import ALWAYS_TRUE, Predicate, key_equality
+from ..common.errors import KeyNotFoundError, TransactionError
+from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
-from ..query.access import AccessPath
+from ..query.adapters import pk_lookup_rows
 from ..query.statistics import TableStats
-from ..query.stats_cache import StatsCache
 from ..obs import get_registry
 from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_arrays
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
-from ..txn.wal import WalKind, WriteAheadLog
-from .base import EngineInfo, EngineSession, HTAPEngine
+from ..txn.wal import WalKind
+from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
 _NODE = "node0"
 
@@ -115,16 +114,12 @@ class HanaTable:
         if not len(batch):
             return 0
         collapsed = batch.collapse()
-        touched = collapsed.touched_keys()
-        self.main.delete_batch(touched)
-        self.l2.delete_batch(touched)
         max_ts = batch.max_commit_ts()
-        if collapsed.live_keys:
-            arrays = rows_to_columns(self.schema, collapsed.live_rows)
-            self.l2.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
-        moved = len(collapsed.live_keys)
-        self.l2.advance_sync_ts(max_ts)
+        # L1 overrides both columnar layers, so what it folds into L2
+        # leaves Main: a key lives in at most one of {Main, L2}.
+        self.main.delete_batch(collapsed.touched_keys())
         self.main.advance_sync_ts(max_ts)
+        moved = self.l2.fold(collapsed, max_ts)
         self.l1_to_l2_merges += 1
         self._m_l1_merges.inc()
         return moved
@@ -246,7 +241,7 @@ def _store_keys(store: ColumnStore):
                 yield key
 
 
-class ColumnDeltaEngine(HTAPEngine):
+class ColumnDeltaEngine(LoggedEngine):
     """HANA-style single-node engine over HanaTable layers."""
 
     info = EngineInfo(
@@ -264,12 +259,7 @@ class ColumnDeltaEngine(HTAPEngine):
         l1_fraction: float = 0.05,
         group_commit_size: int = 8,
     ):
-        super().__init__(cost, clock)
-        self.wal = WriteAheadLog(
-            cost=self.cost,
-            group_commit_size=group_commit_size,
-            labels={"engine": self.info.name},
-        )
+        super().__init__(cost, clock, group_commit_size)
         self.l1_threshold = l1_threshold
         self.l2_threshold = l2_threshold
         #: L1 also merges once it reaches this fraction of the columnar
@@ -278,9 +268,6 @@ class ColumnDeltaEngine(HTAPEngine):
         #: reason).
         self.l1_fraction = l1_fraction
         self._tables: dict[str, HanaTable] = {}
-        self.commits = 0
-        self.aborts = 0
-        self._next_txn_id = 1
 
     # ------------------------------------------------------------- schema
 
@@ -297,35 +284,36 @@ class ColumnDeltaEngine(HTAPEngine):
         except KeyError:
             raise KeyNotFoundError(f"no table {name!r}") from None
 
-    @classmethod
-    def recover(
-        cls,
-        wal: WriteAheadLog,
-        schemas: list[Schema],
-        include_unforced: bool = False,
-        **kwargs,
-    ) -> "ColumnDeltaEngine":
-        """Rebuild an engine from a crashed instance's redo log:
-        :meth:`WriteAheadLog.redo` replayed into fresh L1 layers."""
-        engine = cls(**kwargs)
-        for schema in schemas:
-            engine.create_table(schema)
-        for record in wal.redo(include_unforced):
-            engine.clock.advance_to(record.commit_ts)
-            if record.kind is WalKind.INSERT:
-                engine.table(record.table).apply_insert(record.row, record.commit_ts)
-            elif record.kind is WalKind.UPDATE:
-                engine.table(record.table).apply_update(record.row, record.commit_ts)
-            elif record.kind is WalKind.DELETE:
-                engine.table(record.table).apply_delete(record.key, record.commit_ts)
-        return engine
-
     # ------------------------------------------------------------- OLTP
+    #
+    # The write-set session reads through L1 → L2 → Main; a session
+    # scan is a full materialization filtered afterwards (no row heap).
+    # Writes — live or replayed from the log — land in the L1 delta.
 
-    def session(self) -> EngineSession:
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        return _HanaSession(self, txn_id)
+    def _schema_of(self, table: str) -> Schema:
+        return self.table(table).schema
+
+    def _read_committed(self, table: str, key: Key) -> Row | None:
+        return self._charged(self.table(table).read_latest, key)
+
+    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+        target = self.table(table)
+        rows = self._charged(target.all_latest_rows)
+        return [r for r in rows if predicate.matches(r, target.schema)]
+
+    def _contains_key(self, table: str, key: Key) -> bool:
+        return self.table(table).contains_key(key)
+
+    def _install(
+        self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
+    ) -> None:
+        target = self.table(table)
+        if kind == "insert":
+            target.apply_insert(row, ts)
+        elif kind == "update":
+            target.apply_update(row, ts)
+        else:
+            target.apply_delete(key, ts)
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
         """Fast load: one WAL batch + one L1 batch for the whole set
@@ -335,12 +323,10 @@ class ColumnDeltaEngine(HTAPEngine):
         target = self.table(table)
         rows = [target.schema.validate_row(r) for r in rows]
         before = self.cost.now_us()
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
         commit_ts = self.clock.tick()
         key_of = target.schema.key_of
         self.wal.append_batch(
-            txn_id,
+            self._allocate_txn_id(),
             [(WalKind.INSERT, table, key_of(row), row) for row in rows],
             commit_ts,
         )
@@ -394,135 +380,8 @@ class ColumnDeltaEngine(HTAPEngine):
         return out
 
 
-class _HanaSession(EngineSession):
-    """Buffered-write transaction with commit-time validation."""
-
-    def __init__(self, engine: ColumnDeltaEngine, txn_id: int):
-        self._engine = engine
-        self._txn_id = txn_id
-        self._writes: list[tuple[str, str, Key, Row | None]] = []
-        self._view: dict[tuple[str, Key], Row | None] = {}
-        self._done = False
-
-    def _charged(self, fn, *args):
-        before = self._engine.cost.now_us()
-        try:
-            return fn(*args)
-        finally:
-            self._engine.ledger.charge(_NODE, self._engine.cost.now_us() - before)
-
-    def _require_open(self) -> None:
-        if self._done:
-            raise TransactionError(f"transaction {self._txn_id} already finished")
-
-    # --------------------------------------------------------------- reads
-
-    def read(self, table: str, key: Key) -> Row | None:
-        self._require_open()
-        if (table, key) in self._view:
-            return self._view[(table, key)]
-        return self._charged(self._engine.table(table).read_latest, key)
-
-    def scan(self, table: str, predicate: Predicate = ALWAYS_TRUE) -> list[Row]:
-        self._require_open()
-        schema = self._engine.table(table).schema
-        rows = {
-            schema.key_of(r): r
-            for r in self._charged(self._engine.table(table).all_latest_rows)
-            if predicate.matches(r, schema)
-        }
-        for (t, key), row in self._view.items():
-            if t != table:
-                continue
-            if row is None:
-                rows.pop(key, None)
-            elif predicate.matches(row, schema):
-                rows[key] = row
-            else:
-                rows.pop(key, None)
-        return list(rows.values())
-
-    # --------------------------------------------------------------- writes
-
-    def insert(self, table: str, row: Row) -> Key:
-        self._require_open()
-        schema = self._engine.table(table).schema
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is not None:
-            raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
-        self._writes.append(("insert", table, key, row))
-        self._view[(table, key)] = row
-        return key
-
-    def update(self, table: str, row: Row) -> None:
-        self._require_open()
-        schema = self._engine.table(table).schema
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(("update", table, key, row))
-        self._view[(table, key)] = row
-
-    def delete(self, table: str, key: Key) -> None:
-        self._require_open()
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(("delete", table, key, None))
-        self._view[(table, key)] = None
-
-    # --------------------------------------------------------------- finish
-
-    def commit(self) -> Timestamp:
-        self._require_open()
-        engine = self._engine
-        self._validate_writes(
-            self._txn_id,
-            self._writes,
-            lambda table, key: engine.table(table).contains_key(key),
-        )
-        before = engine.cost.now_us()
-        commit_ts = engine.clock.tick()
-        engine.wal.append(self._txn_id, WalKind.BEGIN)
-        for kind, table, key, row in self._writes:
-            wal_kind = {
-                "insert": WalKind.INSERT,
-                "update": WalKind.UPDATE,
-                "delete": WalKind.DELETE,
-            }[kind]
-            engine.wal.append(self._txn_id, wal_kind, table, key, row, commit_ts)
-            target = engine.table(table)
-            if kind == "insert":
-                target.apply_insert(row, commit_ts)
-            elif kind == "update":
-                target.apply_update(row, commit_ts)
-            else:
-                target.apply_delete(key, commit_ts)
-        engine.wal.append(self._txn_id, WalKind.COMMIT, commit_ts=commit_ts)
-        engine.commits += 1
-        engine._m_tp_commits.inc()
-        self._done = True
-        self.finished = True
-        engine.ledger.charge(_NODE, engine.cost.now_us() - before)
-        return commit_ts
-
-    def abort(self) -> None:
-        self._require_open()
-        self._engine.wal.append(self._txn_id, WalKind.ABORT)
-        self._engine.aborts += 1
-        self._engine._m_tp_aborts.inc()
-        self._done = True
-        self.finished = True
-
-
-class _HanaTableAccess:
+class _HanaTableAccess(EngineTableAccess):
     """TableAccess over the three HANA layers."""
-
-    def __init__(self, engine: ColumnDeltaEngine, table: str):
-        self._engine = engine
-        self._table = table
-        self._stats = StatsCache(self._compute_stats)
 
     def _target(self) -> HanaTable:
         return self._engine.table(self._table)
@@ -537,17 +396,6 @@ class _HanaTableAccess:
         target = self._target()
         version = len(target.l1) + len(target.l2) + len(target.main)
         return self._stats.get(version)
-
-    def stats_epoch(self) -> int:
-        """Plan-cache fence: version of the currently served statistics
-        (optional protocol, see access.py)."""
-        self.stats()
-        return self._stats.epoch
-
-    def available_paths(self) -> set[AccessPath]:
-        # The "row path" here is a full materialization — the primary
-        # store is columnar, so there is no cheap tuple heap to scan.
-        return {AccessPath.ROW_SCAN, AccessPath.INDEX_LOOKUP, AccessPath.COLUMN_SCAN}
 
     def cache_token(self, path=None):
         """Scan-cache version token: L1 size/high-water commit ts plus
@@ -566,6 +414,8 @@ class _HanaTableAccess:
         )
 
     def scan_rows(self, predicate: Predicate) -> list[Row]:
+        # The "row path" here is a full materialization — the primary
+        # store is columnar, so there is no cheap tuple heap to scan.
         schema = self.schema()
         return [
             r for r in self._target().all_latest_rows() if predicate.matches(r, schema)
@@ -603,11 +453,4 @@ class _HanaTableAccess:
         return prunable / total
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        schema = self.schema()
-        key = key_equality(predicate, schema.primary_key)
-        if key is None:
-            return None
-        row = self._target().read_latest(key)
-        if row is not None and predicate.matches(row, schema):
-            return [row]
-        return []
+        return pk_lookup_rows(self.schema(), predicate, self._target().read_latest)

@@ -18,29 +18,28 @@ import numpy as np
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
-from ..common.errors import DuplicateKeyError, KeyNotFoundError, TransactionError
-from ..common.predicate import ALWAYS_TRUE, Predicate, key_equality
+from ..common.errors import KeyNotFoundError, TransactionError
+from ..common.predicate import Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
 from ..obs import get_registry
-from ..query.access import AccessPath
+from ..query.adapters import pk_lookup_rows
 from ..query.column_selection import (
     AccessTracker,
     HeatmapColumnSelector,
     LearnedColumnSelector,
 )
 from ..query.statistics import TableStats
-from ..query.stats_cache import StatsCache
 from ..storage.code_batch import overlay_arrays
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
 from ..storage.disk_row_store import DiskRowStore
-from ..txn.wal import WalKind, WriteAheadLog
-from .base import EngineInfo, EngineSession, HTAPEngine
+from ..txn.wal import WalKind
+from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
 _PRIMARY = "mysql"
 
 
-class DiskRowIMCSEngine(HTAPEngine):
+class DiskRowIMCSEngine(LoggedEngine):
     """Disk RDBMS primary + IMCS cluster with change propagation."""
 
     info = EngineInfo(
@@ -61,12 +60,7 @@ class DiskRowIMCSEngine(HTAPEngine):
         column_selector: str = "heatmap",
         group_commit_size: int = 8,
     ):
-        super().__init__(cost, clock)
-        self.wal = WriteAheadLog(
-            cost=self.cost,
-            group_commit_size=group_commit_size,
-            labels={"engine": self.info.name},
-        )
+        super().__init__(cost, clock, group_commit_size)
         self.n_imcs_nodes = max(1, n_imcs_nodes)
         self.buffer_capacity = buffer_capacity
         self.propagation_threshold = propagation_threshold
@@ -85,11 +79,8 @@ class DiskRowIMCSEngine(HTAPEngine):
         self._imcs: dict[str, ColumnStore] = {}
         self._deltas: dict[str, InMemoryDeltaStore] = {}
         self._loaded: dict[str, set[str]] = {}
-        self.commits = 0
-        self.aborts = 0
         self.pushdowns = 0
         self.fallbacks = 0
-        self._next_txn_id = 1
         self._m_propagations = get_registry().counter(
             "sync.propagation.events", engine=self.info.name
         )
@@ -128,32 +119,6 @@ class DiskRowIMCSEngine(HTAPEngine):
         except KeyError:
             raise KeyNotFoundError(f"no table {table!r}") from None
 
-    @classmethod
-    def recover(
-        cls,
-        wal: WriteAheadLog,
-        schemas: list[Schema],
-        include_unforced: bool = False,
-        **kwargs,
-    ) -> "DiskRowIMCSEngine":
-        """Rebuild from a crashed instance's redo log
-        (:meth:`WriteAheadLog.redo`), then re-extract the IMCS from the
-        row store."""
-        engine = cls(**kwargs)
-        for schema in schemas:
-            engine.create_table(schema)
-        for record in wal.redo(include_unforced):
-            engine.clock.advance_to(record.commit_ts)
-            store = engine.store(record.table)
-            if record.kind is WalKind.INSERT:
-                store.insert(record.row, record.commit_ts)
-            elif record.kind is WalKind.UPDATE:
-                store.update(record.key, record.row, record.commit_ts)
-            elif record.kind is WalKind.DELETE:
-                store.delete(record.key, record.commit_ts)
-        engine.force_sync()
-        return engine
-
     def imcs_store(self, table: str) -> ColumnStore:
         return self._imcs[table]
 
@@ -161,11 +126,35 @@ class DiskRowIMCSEngine(HTAPEngine):
         return self._loaded[table]
 
     # ------------------------------------------------------------- OLTP
+    #
+    # The write-set session reads and validates against the disk row
+    # store; every access is the primary node's work.
 
-    def session(self) -> EngineSession:
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        return _HeatwaveSession(self, txn_id)
+    def _schema_of(self, table: str) -> Schema:
+        return self.store(table).schema
+
+    def _read_committed(self, table: str, key: Key) -> Row | None:
+        return self._charged(self.store(table).read, key)
+
+    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+        return self._charged(self.store(table).scan, predicate)
+
+    def _contains_key(self, table: str, key: Key) -> bool:
+        return self.store(table).contains_key(key)
+
+    def _install(
+        self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
+    ) -> None:
+        store = self.store(table)
+        if kind == "insert":
+            store.insert(row, ts)
+        elif kind == "update":
+            store.update(key, row, ts)
+        else:
+            store.delete(key, ts)
+
+    def _recovered(self) -> None:
+        self.force_sync()  # re-extract the IMCS from the replayed row store
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
         """Fast load into the disk row store: one WAL batch, skipping
@@ -175,12 +164,10 @@ class DiskRowIMCSEngine(HTAPEngine):
         store = self.store(table)
         rows = [store.schema.validate_row(r) for r in rows]
         before = self.cost.now_us()
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
         commit_ts = self.clock.tick()
         key_of = store.schema.key_of
         self.wal.append_batch(
-            txn_id,
+            self._allocate_txn_id(),
             [(WalKind.INSERT, table, key_of(row), row) for row in rows],
             commit_ts,
         )
@@ -213,23 +200,13 @@ class DiskRowIMCSEngine(HTAPEngine):
         return moved
 
     def _propagate(self, table: str) -> int:
-        delta = self._deltas[table]
-        imcs = self._imcs[table]
-        batch = delta.clear_batch()
+        batch = self._deltas[table].clear_batch()
         if not len(batch):
             return 0
         self._m_propagations.inc()
-        collapsed = batch.collapse()
-        imcs.delete_batch(collapsed.touched_keys())
-        max_ts = batch.max_commit_ts()
-        if collapsed.live_keys:
-            self.cost.charge_rows(
-                self.cost.merge_per_row_us, len(collapsed.live_keys)
-            )
-            arrays = rows_to_columns(delta.schema, collapsed.live_rows)
-            imcs.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
-        imcs.advance_sync_ts(max_ts)
-        return len(collapsed.live_keys)
+        moved = self._imcs[table].fold(batch.collapse(), batch.max_commit_ts())
+        self.cost.charge_rows(self.cost.merge_per_row_us, moved)
+        return moved
 
     def freshness_lag(self) -> int:
         newest = self.clock.now()
@@ -294,129 +271,8 @@ class DiskRowIMCSEngine(HTAPEngine):
         }
 
 
-class _HeatwaveSession(EngineSession):
-    """Buffered-write transaction validated against the disk store."""
-
-    def __init__(self, engine: DiskRowIMCSEngine, txn_id: int):
-        self._engine = engine
-        self._txn_id = txn_id
-        self._writes: list[tuple[str, str, Key, Row | None]] = []
-        self._view: dict[tuple[str, Key], Row | None] = {}
-        self._done = False
-
-    def _charged(self, fn, *args):
-        before = self._engine.cost.now_us()
-        try:
-            return fn(*args)
-        finally:
-            self._engine.ledger.charge(
-                _PRIMARY, self._engine.cost.now_us() - before
-            )
-
-    def _require_open(self) -> None:
-        if self._done:
-            raise TransactionError(f"transaction {self._txn_id} already finished")
-
-    def read(self, table: str, key: Key) -> Row | None:
-        self._require_open()
-        if (table, key) in self._view:
-            return self._view[(table, key)]
-        return self._charged(self._engine.store(table).read, key)
-
-    def scan(self, table: str, predicate: Predicate = ALWAYS_TRUE) -> list[Row]:
-        self._require_open()
-        store = self._engine.store(table)
-        rows = {
-            store.schema.key_of(r): r for r in self._charged(store.scan, predicate)
-        }
-        for (t, key), row in self._view.items():
-            if t != table:
-                continue
-            if row is None:
-                rows.pop(key, None)
-            elif predicate.matches(row, store.schema):
-                rows[key] = row
-            else:
-                rows.pop(key, None)
-        return list(rows.values())
-
-    def insert(self, table: str, row: Row) -> Key:
-        self._require_open()
-        schema = self._engine.store(table).schema
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is not None:
-            raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
-        self._writes.append(("insert", table, key, row))
-        self._view[(table, key)] = row
-        return key
-
-    def update(self, table: str, row: Row) -> None:
-        self._require_open()
-        schema = self._engine.store(table).schema
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(("update", table, key, row))
-        self._view[(table, key)] = row
-
-    def delete(self, table: str, key: Key) -> None:
-        self._require_open()
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(("delete", table, key, None))
-        self._view[(table, key)] = None
-
-    def commit(self) -> Timestamp:
-        self._require_open()
-        engine = self._engine
-        self._validate_writes(
-            self._txn_id,
-            self._writes,
-            lambda table, key: engine.store(table).contains_key(key),
-        )
-        before = engine.cost.now_us()
-        commit_ts = engine.clock.tick()
-        engine.wal.append(self._txn_id, WalKind.BEGIN)
-        for kind, table, key, row in self._writes:
-            wal_kind = {
-                "insert": WalKind.INSERT,
-                "update": WalKind.UPDATE,
-                "delete": WalKind.DELETE,
-            }[kind]
-            engine.wal.append(self._txn_id, wal_kind, table, key, row, commit_ts)
-            store = engine.store(table)
-            if kind == "insert":
-                store.insert(row, commit_ts)
-            elif kind == "update":
-                store.update(key, row, commit_ts)
-            else:
-                store.delete(key, commit_ts)
-        engine.wal.append(self._txn_id, WalKind.COMMIT, commit_ts=commit_ts)
-        engine.commits += 1
-        engine._m_tp_commits.inc()
-        self._done = True
-        self.finished = True
-        engine.ledger.charge(_PRIMARY, engine.cost.now_us() - before)
-        return commit_ts
-
-    def abort(self) -> None:
-        self._require_open()
-        self._engine.wal.append(self._txn_id, WalKind.ABORT)
-        self._engine.aborts += 1
-        self._engine._m_tp_aborts.inc()
-        self._done = True
-        self.finished = True
-
-
-class _HeatwaveTableAccess:
+class _HeatwaveTableAccess(EngineTableAccess):
     """TableAccess with pushdown-or-fallback semantics."""
-
-    def __init__(self, engine: DiskRowIMCSEngine, table: str):
-        self._engine = engine
-        self._table = table
-        self._stats = StatsCache(self._compute_stats)
 
     def schema(self) -> Schema:
         return self._engine.store(self._table).schema
@@ -428,17 +284,8 @@ class _HeatwaveTableAccess:
     def stats(self) -> TableStats:
         return self._stats.get(self._engine.commits)
 
-    def stats_epoch(self) -> int:
-        """Plan-cache fence: version of the currently served statistics
-        (optional protocol, see access.py)."""
-        self.stats()
-        return self._stats.epoch
-
     def _columns_loaded(self, needed: set[str]) -> bool:
         return needed <= self._engine.loaded_columns(self._table)
-
-    def available_paths(self) -> set[AccessPath]:
-        return {AccessPath.ROW_SCAN, AccessPath.INDEX_LOOKUP, AccessPath.COLUMN_SCAN}
 
     def cache_token(self, path=None):
         """Scan-cache version token: primary write version, IMCS write
@@ -469,10 +316,7 @@ class _HeatwaveTableAccess:
         return self._engine.imcs_store(self._table).pruned_row_fraction(predicate)
 
     def scan_rows(self, predicate: Predicate) -> list[Row]:
-        before = self._engine.cost.now_us()
-        rows = self._engine.store(self._table).scan(predicate)
-        self._engine.ledger.charge(_PRIMARY, self._engine.cost.now_us() - before)
-        return rows
+        return self._engine._scan_committed(self._table, predicate)
 
     def scan_columns(
         self, columns: list[str], predicate: Predicate
@@ -521,13 +365,8 @@ class _HeatwaveTableAccess:
         )
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        schema = self.schema()
-        key = key_equality(predicate, schema.primary_key)
-        if key is None:
-            return None
-        before = self._engine.cost.now_us()
-        row = self._engine.store(self._table).read(key)
-        self._engine.ledger.charge(_PRIMARY, self._engine.cost.now_us() - before)
-        if row is not None and predicate.matches(row, schema):
-            return [row]
-        return []
+        return pk_lookup_rows(
+            self.schema(),
+            predicate,
+            lambda key: self._engine._read_committed(self._table, key),
+        )

@@ -11,22 +11,20 @@ scale out with node counts.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
-from ..common.errors import (
-    DuplicateKeyError,
-    KeyNotFoundError,
-    TransactionError,
-)
-from ..common.predicate import ALWAYS_TRUE, Predicate, key_equality
+from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..distributed.cluster import DistributedCluster, WriteKind, WriteOp
-from ..query.access import AccessPath
+from ..query.adapters import pk_lookup_rows
 from ..query.statistics import TableStats
-from ..query.stats_cache import StatsCache
-from .base import EngineInfo, EngineSession, HTAPEngine
+from .base import EngineInfo, EngineSession, EngineTableAccess, HTAPEngine, WriteSetSession
+
+_WRITE_KIND = {kind.value: kind for kind in WriteKind}
 
 
 class DistributedReplicaEngine(HTAPEngine):
@@ -63,6 +61,7 @@ class DistributedReplicaEngine(HTAPEngine):
         # One ledger shared with the cluster so all busy time lands in
         # one place.
         self.ledger = self.cluster.ledger
+        self._session_ids = itertools.count(1)
 
     @property
     def router(self):
@@ -93,9 +92,34 @@ class DistributedReplicaEngine(HTAPEngine):
         self.cluster.install_boundaries(points)
 
     # ------------------------------------------------------------- OLTP
+    #
+    # The write-set session reads the row regions through the cluster
+    # and commits through 2PC over Raft; the cluster numbers, validates
+    # and logs the transaction itself, region by region.
 
     def session(self) -> EngineSession:
-        return _ClusterSession(self)
+        return WriteSetSession(self, next(self._session_ids))
+
+    def _schema_of(self, table: str) -> Schema:
+        return self.cluster.schemas[table]
+
+    def _read_committed(self, table: str, key: Key) -> Row | None:
+        return self.cluster.read(table, key)
+
+    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+        return self.cluster.row_scan(table, predicate)
+
+    def _commit_writes(self, _txn_id: int, writes) -> Timestamp:
+        if not writes:
+            return self.clock.now()  # read-only: nothing to propose
+        commit_ts = self.cluster.execute_transaction(
+            [WriteOp(_WRITE_KIND[kind], table, key, row) for kind, table, key, row in writes]
+        )
+        self._m_tp_commits.inc()
+        return commit_ts
+
+    def _abort_txn(self, _txn_id: int) -> None:
+        self._m_tp_aborts.inc()
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
         """Fast load through the cluster's bulk Raft command: one
@@ -144,96 +168,8 @@ class DistributedReplicaEngine(HTAPEngine):
         }
 
 
-class _ClusterSession(EngineSession):
-    """Buffered writes committed through 2PC+Raft."""
-
-    def __init__(self, engine: DistributedReplicaEngine):
-        self._engine = engine
-        self._writes: list[WriteOp] = []
-        self._view: dict[tuple[str, Key], Row | None] = {}
-        self._done = False
-
-    def _require_open(self) -> None:
-        if self._done:
-            raise TransactionError("transaction already finished")
-
-    def read(self, table: str, key: Key) -> Row | None:
-        self._require_open()
-        if (table, key) in self._view:
-            return self._view[(table, key)]
-        return self._engine.cluster.read(table, key)
-
-    def scan(self, table: str, predicate: Predicate = ALWAYS_TRUE) -> list[Row]:
-        self._require_open()
-        schema = self._engine.cluster.schemas[table]
-        rows = {
-            schema.key_of(r): r
-            for r in self._engine.cluster.row_scan(table, predicate)
-        }
-        for (t, key), row in self._view.items():
-            if t != table:
-                continue
-            if row is None:
-                rows.pop(key, None)
-            elif predicate.matches(row, schema):
-                rows[key] = row
-            else:
-                rows.pop(key, None)
-        return list(rows.values())
-
-    def insert(self, table: str, row: Row) -> Key:
-        self._require_open()
-        schema = self._engine.cluster.schemas[table]
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is not None:
-            raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
-        self._writes.append(WriteOp(WriteKind.INSERT, table, key, row))
-        self._view[(table, key)] = row
-        return key
-
-    def update(self, table: str, row: Row) -> None:
-        self._require_open()
-        schema = self._engine.cluster.schemas[table]
-        row = schema.validate_row(row)
-        key = schema.key_of(row)
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(WriteOp(WriteKind.UPDATE, table, key, row))
-        self._view[(table, key)] = row
-
-    def delete(self, table: str, key: Key) -> None:
-        self._require_open()
-        if self.read(table, key) is None:
-            raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
-        self._writes.append(WriteOp(WriteKind.DELETE, table, key, None))
-        self._view[(table, key)] = None
-
-    def commit(self) -> Timestamp:
-        self._require_open()
-        self._done = True
-        self.finished = True
-        if not self._writes:
-            return self._engine.clock.now()
-        commit_ts = self._engine.cluster.execute_transaction(self._writes)
-        self._engine._m_tp_commits.inc()
-        return commit_ts
-
-    def abort(self) -> None:
-        self._require_open()
-        self._done = True
-        self.finished = True
-        self._engine._m_tp_aborts.inc()
-        self._writes.clear()
-
-
-class _ReplicaTableAccess:
+class _ReplicaTableAccess(EngineTableAccess):
     """TableAccess over the learner-fed columnar replica + row regions."""
-
-    def __init__(self, engine: DistributedReplicaEngine, table: str):
-        self._engine = engine
-        self._table = table
-        self._stats = StatsCache(self._compute_stats)
 
     def schema(self) -> Schema:
         return self._engine.cluster.schemas[self._table]
@@ -248,15 +184,6 @@ class _ReplicaTableAccess:
 
     def stats(self) -> TableStats:
         return self._stats.get(self._engine.cluster.commits)
-
-    def stats_epoch(self) -> int:
-        """Plan-cache fence: version of the currently served statistics
-        (optional protocol, see access.py)."""
-        self.stats()
-        return self._stats.epoch
-
-    def available_paths(self) -> set[AccessPath]:
-        return {AccessPath.ROW_SCAN, AccessPath.INDEX_LOOKUP, AccessPath.COLUMN_SCAN}
 
     def cache_token(self, path=None):
         """Scan-cache version token: cluster commit count (fences writes
@@ -306,11 +233,8 @@ class _ReplicaTableAccess:
         return store.encoded_column_fraction(columns)
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        schema = self.schema()
-        key = key_equality(predicate, schema.primary_key)
-        if key is None:
-            return None
-        row = self._engine.cluster.read(self._table, key)
-        if row is not None and predicate.matches(row, schema):
-            return [row]
-        return []
+        return pk_lookup_rows(
+            self.schema(),
+            predicate,
+            lambda key: self._engine.cluster.read(self._table, key),
+        )

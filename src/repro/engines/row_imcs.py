@@ -18,15 +18,15 @@ import numpy as np
 
 from ..common.cost import CostModel
 from ..common.clock import LogicalClock, Timestamp
+from ..common.errors import TransactionAborted
 from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..query.access import AccessPath
 from ..query.adapters import index_lookup_rows
 from ..query.statistics import TableStats
-from ..query.stats_cache import StatsCache
 from ..storage.imcu import InMemoryColumnUnit
 from ..txn.transaction import Transaction, TransactionManager
-from .base import EngineInfo, EngineSession, HTAPEngine
+from .base import EngineInfo, EngineSession, EngineTableAccess, HTAPEngine
 
 _NODE = "node0"
 
@@ -217,7 +217,11 @@ class _RowImcsSession(EngineSession):
 
     def commit(self) -> Timestamp:
         self.finished = True
-        commit_ts = self._charged(self._txn.commit)
+        try:
+            commit_ts = self._charged(self._txn.commit)
+        except TransactionAborted:  # lost first-committer-wins
+            self._engine._m_tp_aborts.inc()
+            raise
         self._engine._m_tp_commits.inc()
         return commit_ts
 
@@ -227,13 +231,8 @@ class _RowImcsSession(EngineSession):
         self._engine._m_tp_aborts.inc()
 
 
-class _ImcuTableAccess:
+class _ImcuTableAccess(EngineTableAccess):
     """TableAccess over (row store, IMCU) with query-time patching."""
-
-    def __init__(self, engine: RowIMCSEngine, table: str):
-        self._engine = engine
-        self._table = table
-        self._stats = StatsCache(self._compute_stats)
 
     def _store(self):
         return self._engine.txn_manager.store(self._table)
@@ -247,15 +246,6 @@ class _ImcuTableAccess:
 
     def stats(self) -> TableStats:
         return self._stats.get(self._store().installs)
-
-    def stats_epoch(self) -> int:
-        """Plan-cache fence: version of the currently served statistics
-        (optional protocol, see access.py)."""
-        self.stats()
-        return self._stats.epoch
-
-    def available_paths(self) -> set[AccessPath]:
-        return {AccessPath.ROW_SCAN, AccessPath.INDEX_LOOKUP, AccessPath.COLUMN_SCAN}
 
     def cache_token(self, path: AccessPath | None = None):
         """Scan-cache version token: the reader snapshot (including any

@@ -6,18 +6,25 @@ cheap per lookup, expensive per full scan) and/or a column path
 (vectorized, cheap per value).  The optimizer's job — the "hybrid
 row/column scan" of Table 2 — is choosing between them per table per
 query, with identical results either way.
+
+The base class is the whole protocol.  Every catalog adapter inherits
+it; the planner and executor call its methods directly and probe for
+nothing, so an adapter that lacks one fails at construction, not at
+the first query that would have needed it.
 """
 
 from __future__ import annotations
 
+import abc
 import enum
-from typing import Protocol
+from typing import Hashable
 
 import numpy as np
 
 from ..common.predicate import Predicate
 from ..common.types import Row, Schema
 from .statistics import TableStats
+from .stats_cache import StatsCache
 
 
 class AccessPath(enum.Enum):
@@ -26,19 +33,72 @@ class AccessPath(enum.Enum):
     COLUMN_SCAN = "column_scan"    # vectorized scan of the columnar image
 
 
-class TableAccess(Protocol):
-    """What the planner/executor need from one engine table."""
+class TableAccess(abc.ABC):
+    """What the planner/executor need from one engine table.
 
+    The base class *is* the protocol: every catalog adapter inherits
+    it, the query layer calls these methods directly and probes for
+    nothing."""
+
+    def __init__(self) -> None:
+        self._stats = StatsCache(self._compute_stats)
+
+    @abc.abstractmethod
     def schema(self) -> Schema: ...
 
-    def stats(self) -> TableStats: ...
+    @abc.abstractmethod
+    def _compute_stats(self) -> TableStats:
+        """Fresh statistics; :meth:`stats` serves them through the
+        slack-based :class:`StatsCache`."""
 
-    def available_paths(self) -> set[AccessPath]: ...
+    @abc.abstractmethod
+    def stats(self) -> TableStats:
+        """``self._stats.get(version)`` for the table's change counter."""
 
+    def stats_epoch(self) -> int:
+        """Version of the statistics the planner would see right now
+        (refreshing them first if they drifted past the stats-cache
+        slack).  The plan cache fences cached plans on it: equal epochs
+        guarantee the plan was costed against the statistics currently
+        being served."""
+        self.stats()
+        return self._stats.epoch
+
+    def available_paths(self) -> set[AccessPath]:
+        return set(AccessPath)
+
+    def indexed_columns(self) -> set[str]:
+        """Secondary-index columns the planner may treat as sargable,
+        beside the primary key."""
+        return set()
+
+    @abc.abstractmethod
+    def cache_token(self, path: AccessPath | None = None) -> Hashable | None:
+        """A value pinning down exactly what a scan would return (reader
+        snapshot + every relevant mutation counter); None opts the table
+        out of the :class:`~repro.query.scan_cache.ScanCache`.
+
+        The token is the cache's only fence — no write path invalidates
+        it — so it MUST move on every change a scan can observe: a
+        commit, merge, sync, vacuum, reload or mode switch that leaves
+        it equal serves a stale batch.  ``path`` is the access path
+        about to run: an adapter may return a *narrower* token for a
+        path whose result depends on fewer versions (e.g. an
+        isolated-mode column scan reads only the stale columnar image,
+        so primary-side writes leave its entries servable), but must
+        stay conservative when unsure."""
+
+    def note_cached_scan(self, columns: list[str], predicate: Predicate) -> None:
+        """Called on a scan-cache hit so the engine can keep its own
+        bookkeeping (column-selection heat, adaptive stats) in step even
+        though no physical scan ran."""
+        return None  # most adapters keep none
+
+    @abc.abstractmethod
     def scan_rows(self, predicate: Predicate) -> list[Row]:
         """Row path: matching rows from the (freshest) row-side store."""
-        ...
 
+    @abc.abstractmethod
     def scan_columns(
         self, columns: list[str], predicate: Predicate
     ) -> dict[str, np.ndarray]:
@@ -48,52 +108,25 @@ class TableAccess(Protocol):
         :class:`~repro.storage.code_batch.CodeColumn` (dictionary codes
         + sorted dictionary) instead of a decoded ndarray; the executor
         takes both and decodes at result emit."""
-        ...
 
+    @abc.abstractmethod
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
         """Index path: matching rows, or None when no usable index."""
-        ...
 
-    # --------------------------------------------------- optional protocol
-    #
-    # Adapters *may* also expose the following methods; the query layer
-    # probes for them with getattr and degrades gracefully when absent:
-    #
-    # ``cache_token(path: AccessPath | None = None) -> Hashable | None``
-    #     A value pinning down exactly what a scan would return (reader
-    #     snapshot + every relevant mutation counter).  Enables the
-    #     MVCC-aware :class:`~repro.query.scan_cache.ScanCache`; return
-    #     None (or omit the method) to opt the table out of caching.
-    #     The token is the cache's only fence — no write path
-    #     invalidates it — so it MUST move on every change a scan can
-    #     observe: a commit, merge, sync, vacuum, reload or mode switch
-    #     that leaves it equal serves a stale batch.
-    #     ``path`` is the access path about to run: an adapter may
-    #     return a *narrower* token for a path whose result depends on
-    #     fewer versions (e.g. an isolated-mode column scan reads only
-    #     the stale columnar image, so primary-side writes leave its
-    #     entries servable), but must stay conservative when unsure.
-    #
-    # ``note_cached_scan(columns, predicate) -> None``
-    #     Called on a scan-cache hit so the engine can keep its own
-    #     bookkeeping (freshness probes, adaptive stats) in step even
-    #     though no physical scan ran.
-    #
-    # ``stats_epoch() -> int``
-    #     Version of the statistics the planner would see right now
-    #     (refreshing them first if they drifted past the stats-cache
-    #     slack).  The plan cache fences cached plans on it: equal
-    #     epochs guarantee the plan was costed against the statistics
-    #     currently being served.  Tables without it opt out of plan
-    #     caching for statements that reference them.
-    #
-    # ``scan_pruning_hint(predicate) -> float``
-    #     Planning-time estimate in [0, 1]: the fraction of the table's
-    #     columnar rows living in segments whose zone maps exclude
-    #     ``predicate``.  The optimizer discounts the COLUMN_SCAN price
-    #     by this fraction (floored at one zone-map check), which is how
-    #     segment skipping becomes visible to access-path choice.  Must
-    #     be an uncharged estimate — it runs during planning.
+    @abc.abstractmethod
+    def scan_pruning_hint(self, predicate: Predicate) -> float:
+        """Planning-time estimate in [0, 1]: the fraction of the table's
+        columnar rows living in segments whose zone maps exclude
+        ``predicate``.  The optimizer discounts the COLUMN_SCAN price by
+        this fraction (floored at one zone-map check), which is how
+        segment skipping becomes visible to access-path choice.  Must be
+        an uncharged estimate — it runs during planning."""
+
+    @abc.abstractmethod
+    def code_space_hint(self, columns: list[str]) -> float:
+        """Planning-time estimate in [0, 1]: the fraction of ``columns``
+        (row-weighted) the column path hands off as dictionary codes,
+        which skip the per-row materialize at the scan boundary."""
 
 
 Catalog = dict

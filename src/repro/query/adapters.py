@@ -9,18 +9,32 @@ patching; unit tests use it directly.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..common.clock import Timestamp
 from ..common.cost import CostModel
 from ..common.predicate import Comparison, Predicate, key_equality
-from ..common.types import Row, Schema, rows_to_columns
+from ..common.types import Key, Row, Schema, rows_to_columns
 from ..storage.column_store import ColumnStore
 from ..storage.row_store import MVCCRowStore
-from .access import AccessPath
+from .access import AccessPath, TableAccess
 from .optimizer import split_conjuncts
 from .statistics import TableStats
-from .stats_cache import StatsCache
+
+
+def pk_lookup_rows(
+    schema: Schema, predicate: Predicate, read: Callable[[Key], Row | None]
+) -> list[Row] | None:
+    """The primary-key index path: when ``predicate`` pins the whole
+    key, the row ``read(key)`` returns if it also matches; None when the
+    predicate does not determine the key."""
+    key = key_equality(predicate, schema.primary_key)
+    if key is None:
+        return None
+    row = read(key)
+    return [row] if row is not None and predicate.matches(row, schema) else []
 
 
 def index_lookup_rows(
@@ -30,10 +44,9 @@ def index_lookup_rows(
     ``predicate``, found through the primary key or the first indexed
     equality conjunct; None when the predicate names no usable index."""
     schema = store.schema
-    key = key_equality(predicate, schema.primary_key)
-    if key is not None:
-        row = store.read(key, snapshot_ts)
-        return [row] if row is not None and predicate.matches(row, schema) else []
+    rows = pk_lookup_rows(schema, predicate, lambda key: store.read(key, snapshot_ts))
+    if rows is not None:
+        return rows
     for conjunct in split_conjuncts(predicate):
         if (
             isinstance(conjunct, Comparison)
@@ -52,7 +65,7 @@ def index_lookup_rows(
     return None
 
 
-class DualStoreTableAccess:
+class DualStoreTableAccess(TableAccess):
     """Row + column access over the same logical table."""
 
     def __init__(
@@ -62,13 +75,13 @@ class DualStoreTableAccess:
         cost: CostModel | None = None,
         snapshot_ts_fn=None,
     ):
+        super().__init__()
         self._rows = row_store
         self._columns = column_store
         self._cost = cost or CostModel()
         # Engines pass a callable yielding the current read timestamp;
         # default reads "latest" using a far-future snapshot.
         self._snapshot_ts_fn = snapshot_ts_fn or (lambda: 2**60)
-        self._stats = StatsCache(self._compute_stats)
 
     # ------------------------------------------------------------- protocol
 
@@ -82,12 +95,6 @@ class DualStoreTableAccess:
     def stats(self) -> TableStats:
         """Statistics refreshed lazily with slack (like real engines)."""
         return self._stats.get(self._rows.installs)
-
-    def stats_epoch(self) -> int:
-        """Plan-cache fence: version of the currently served statistics
-        (optional protocol, see access.py)."""
-        self.stats()
-        return self._stats.epoch
 
     def available_paths(self) -> set[AccessPath]:
         paths = {AccessPath.ROW_SCAN, AccessPath.INDEX_LOOKUP}

@@ -137,8 +137,7 @@ class Executor:
         cache = self._scan_cache
         cache_key = None
         if cache is not None:
-            token_fn = getattr(adapter, "cache_token", None)
-            token = token_fn(scan.path) if token_fn is not None else None
+            token = adapter.cache_token(scan.path)
             if token is not None:
                 try:
                     cache_key = (
@@ -150,9 +149,7 @@ class Executor:
                 else:
                     if hit is not None:
                         self._cost.charge(self._cost.cache_probe_us)
-                        note = getattr(adapter, "note_cached_scan", None)
-                        if note is not None:
-                            note(needed, scan.predicate)
+                        adapter.note_cached_scan(needed, scan.predicate)
                         # Shallow copy: downstream operators build new
                         # dicts, but never hand the cached one around.
                         return dict(hit)

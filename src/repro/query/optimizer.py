@@ -207,29 +207,23 @@ class Planner:
         if AccessPath.COLUMN_SCAN in available:
             scan_us = n * n_cols * cost.column_scan_per_value_us
             # Zone-map pruning makes the column side cheaper than its
-            # nominal per-value price; adapters that can bound the
-            # predicate against their segment zone maps report the
-            # fraction of rows in prunable segments (optional protocol).
-            hint_fn = getattr(adapter, "scan_pruning_hint", None)
-            if hint_fn is not None:
-                pruned = min(max(float(hint_fn(predicate)), 0.0), 1.0)
-                if pruned > 0.0:
-                    scan_us = max(
-                        scan_us * (1.0 - pruned), cost.zone_map_check_us
-                    )
+            # nominal per-value price; adapters bound the predicate
+            # against their segment zone maps and report the fraction
+            # of rows in prunable segments.
+            pruned = min(max(float(adapter.scan_pruning_hint(predicate)), 0.0), 1.0)
+            if pruned > 0.0:
+                scan_us = max(scan_us * (1.0 - pruned), cost.zone_map_check_us)
             # Compressed execution discount: columns the adapter can
             # hand off as dictionary codes skip the per-row materialize
             # at the scan boundary (they pay the cheaper code gather;
             # decode is deferred to result emit on far fewer rows).
             materialize_us = cost.column_materialize_per_row_us
-            hint_fn = getattr(adapter, "code_space_hint", None)
-            if hint_fn is not None:
-                frac = min(max(float(hint_fn(columns_needed)), 0.0), 1.0)
-                if frac > 0.0:
-                    materialize_us = (
-                        materialize_us * (1.0 - frac)
-                        + frac * cost.code_gather_per_value_us
-                    )
+            frac = min(max(float(adapter.code_space_hint(columns_needed)), 0.0), 1.0)
+            if frac > 0.0:
+                materialize_us = (
+                    materialize_us * (1.0 - frac)
+                    + frac * cost.code_gather_per_value_us
+                )
             choices.append(
                 PathChoice(
                     AccessPath.COLUMN_SCAN,
@@ -245,11 +239,7 @@ class Planner:
     def _has_sarg(adapter: TableAccess, predicate: Predicate) -> bool:
         """Is there an indexable (search-argument) conjunct?"""
         schema = adapter.schema()
-        indexed = set(schema.primary_key)
-        # Adapters may expose secondary indexes (optional protocol).
-        extra = getattr(adapter, "indexed_columns", None)
-        if extra is not None:
-            indexed |= set(extra())
+        indexed = set(schema.primary_key) | adapter.indexed_columns()
         for conjunct in split_conjuncts(predicate):
             if isinstance(conjunct, Comparison) and conjunct.op == "=":
                 if conjunct.column in indexed:

@@ -41,6 +41,7 @@ from .compression import (
     RunLengthEncoding,
     choose_encoding,
 )
+from .delta_batch import CollapseResult
 from .segment_filter import EncodedColumns, predicate_mask
 
 #: Relative per-value scan cost by codec: compressed layouts move fewer
@@ -428,10 +429,23 @@ class ColumnStore:
         self.mutations += 1
         return self._delete_positions(keys)
 
-    def delete_batch(self, keys: Sequence[Key]) -> int:
-        """:meth:`delete_keys` under the name the batch mergers use."""
-        self.mutations += 1
-        return self._delete_positions(keys)
+    delete_batch = delete_keys  # the name the batch mergers use
+
+    def fold(self, collapsed: CollapseResult, commit_ts: Timestamp) -> int:
+        """Land one collapsed delta batch — the step every synchronizer
+        ends in: tombstoned keys leave, the newest image of every live
+        key is sealed as one segment (:meth:`append_batch` upserts over
+        older positions), and the freshness horizon advances to
+        ``commit_ts`` even when only deletes arrived.  Returns the live
+        row count; what a merged row costs is the caller's to charge.
+        """
+        if collapsed.tombstones:
+            self.delete_batch(collapsed.tombstones)
+        if collapsed.live_keys:
+            arrays = rows_to_columns(self.schema, collapsed.live_rows)
+            self.append_batch(arrays, collapsed.live_keys, commit_ts)
+        self.advance_sync_ts(commit_ts)
+        return len(collapsed.live_keys)
 
     def advance_sync_ts(self, commit_ts: Timestamp) -> None:  # htaplint: ignore[HTL002] -- moves only the freshness watermark; scan results are unchanged and no cache token includes _max_commit_ts
         """Record that the store reflects all commits up to ``commit_ts``.

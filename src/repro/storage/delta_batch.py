@@ -21,7 +21,7 @@ instead of 100k branchy dict mutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,27 +108,6 @@ class DeltaBatch:
             key_codes=np.asarray(key_codes, dtype=np.int64),
             n_codes=int(n_codes if n_codes is not None else 0),
         )
-
-    @classmethod
-    def from_entries(cls, entries: Iterable) -> "DeltaBatch":
-        """Build from :class:`DeltaEntry` objects (log-merge ingest)."""
-        from .delta_store import DeltaKind
-
-        kind_code = {
-            DeltaKind.INSERT: KIND_INSERT,
-            DeltaKind.UPDATE: KIND_UPDATE,
-            DeltaKind.DELETE: KIND_DELETE,
-        }
-        kinds: list[int] = []
-        keys: list[Key] = []
-        rows: list[Row | None] = []
-        ts: list[int] = []
-        for e in entries:
-            kinds.append(kind_code[e.kind])
-            keys.append(e.key)
-            rows.append(e.row)
-            ts.append(e.commit_ts)
-        return cls.from_columns(kinds, keys, rows, ts)
 
     def collapse(self) -> CollapseResult:
         return collapse_batch(self)

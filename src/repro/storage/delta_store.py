@@ -241,9 +241,6 @@ class InMemoryDeltaStore:
         self._drain_cut(cut)
         return drained
 
-    def clear(self) -> list[DeltaEntry]:
-        return self.drain_up_to(self.max_commit_ts())
-
     def clear_batch(self) -> DeltaBatch:
         return self.drain_batch_up_to(self.max_commit_ts())
 

@@ -92,6 +92,12 @@ class MVCCRowStore:
         newest = chain[-1]
         return newest.begin_ts if newest.end_ts == INFINITY_TS else newest.end_ts
 
+    def contains_key(self, key: Key) -> bool:
+        """Is ``key`` live in the newest committed state?  A directory
+        probe, no charge."""
+        chain = self._chains.get(key)
+        return bool(chain) and chain[-1].end_ts == INFINITY_TS
+
     def key_exists_at(self, key: Key, snapshot_ts: Timestamp) -> bool:
         return self.read(key, snapshot_ts) is not None
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from ..common.clock import Timestamp
 from ..common.cost import CostModel
-from ..common.types import rows_to_columns
 from ..obs import get_registry
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
@@ -53,7 +52,6 @@ class InMemoryDeltaMerger:
         main: ColumnStore,
         cost: CostModel | None = None,
         threshold_rows: int = 1024,
-        on_advance=None,
     ):
         if threshold_rows < 1:
             raise ValueError("threshold_rows must be >= 1")
@@ -61,9 +59,6 @@ class InMemoryDeltaMerger:
         self.main = main
         self._cost = cost or CostModel()
         self.threshold_rows = threshold_rows
-        #: Called (no args) after a merge advances the AP image — scan
-        #: caches over ``main`` hook invalidation here.
-        self.on_advance = on_advance
         self.stats = MergeStats()
         registry = get_registry()
         self._m_merges = registry.counter("sync.delta_merge.events")
@@ -98,8 +93,6 @@ class InMemoryDeltaMerger:
         self._m_rows.inc(rows)
         self._h_batch.observe(drained)
         self._h_latency.observe(elapsed)
-        if self.on_advance is not None:
-            self.on_advance()
         return rows
 
     def _merge(self, cut: Timestamp):
@@ -110,12 +103,6 @@ class InMemoryDeltaMerger:
             return None
         collapsed = batch.collapse()
         # Phase 2: one bulk delete + one bulk seal.
-        self.main.delete_batch(collapsed.touched_keys())
-        if collapsed.live_keys:
-            self._cost.charge_rows(
-                self._cost.merge_per_row_us, len(collapsed.live_keys)
-            )
-            arrays = rows_to_columns(self.delta.schema, collapsed.live_rows)
-            self.main.append_batch(arrays, collapsed.live_keys, commit_ts=cut)
-        self.main.advance_sync_ts(cut)
-        return len(collapsed.live_keys), len(collapsed.tombstones), n
+        rows = self.main.fold(collapsed, cut)
+        self._cost.charge_rows(self._cost.merge_per_row_us, rows)
+        return rows, len(collapsed.tombstones), n

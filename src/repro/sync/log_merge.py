@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.cost import CostModel
-from ..common.types import rows_to_columns
 from ..obs import get_registry
 from ..storage.column_store import ColumnStore
 from ..storage.delta_batch import DeltaBatch
@@ -49,15 +48,11 @@ class LogDeltaMerger:
         main: ColumnStore,
         cost: CostModel | None = None,
         threshold_files: int = 4,
-        on_advance=None,
     ):
         self.log = log
         self.main = main
         self._cost = cost or CostModel()
         self.threshold_files = threshold_files
-        #: Called (no args) after a merge advances the AP image — scan
-        #: caches over ``main`` hook invalidation here.
-        self.on_advance = on_advance
         self.stats = LogMergeStats()
         registry = get_registry()
         self._m_merges = registry.counter("sync.log_merge.events")
@@ -96,8 +91,6 @@ class LogDeltaMerger:
         self._m_rows.inc(rows_merged)
         self._h_batch.observe(entries_total)
         self._h_latency.observe(elapsed)
-        if self.on_advance is not None:
-            self.on_advance()
         return rows_merged
 
     def _fold_files(self, files: list[DeltaLogFile]) -> int:
@@ -125,16 +118,8 @@ class LogDeltaMerger:
         self.stats.entries_superseded += index_probes - (
             len(collapsed.live_keys) + len(collapsed.tombstones)
         )
-        if collapsed.tombstones:
-            self.main.delete_batch(collapsed.tombstones)
-        if collapsed.live_keys:
-            self._cost.charge_rows(
-                self._cost.merge_per_row_us, len(collapsed.live_keys)
-            )
-            arrays = rows_to_columns(self.main.schema, collapsed.live_rows)
-            self.main.append_batch(arrays, collapsed.live_keys, commit_ts=max_ts)
-        if max_ts:
-            self.main.advance_sync_ts(max_ts)
-        self.stats.rows_merged += len(collapsed.live_keys)
-        return len(collapsed.live_keys)
+        rows_merged = self.main.fold(collapsed, max_ts)
+        self._cost.charge_rows(self._cost.merge_per_row_us, rows_merged)
+        self.stats.rows_merged += rows_merged
+        return rows_merged
 

@@ -36,7 +36,6 @@ class ColumnStoreRebuilder:
         main: ColumnStore,
         cost: CostModel | None = None,
         staleness_threshold: float = 0.2,
-        on_advance=None,
     ):
         if not 0.0 < staleness_threshold <= 1.0:
             raise ValueError("staleness_threshold must be in (0, 1]")
@@ -44,9 +43,6 @@ class ColumnStoreRebuilder:
         self.main = main
         self._cost = cost or CostModel()
         self.staleness_threshold = staleness_threshold
-        #: Called (no args) after a rebuild replaces the AP image — scan
-        #: caches over ``main`` hook invalidation here.
-        self.on_advance = on_advance
         self.stats = RebuildStats()
         self._changes_since_rebuild = 0
         self._rows_at_rebuild = 0
@@ -107,6 +103,4 @@ class ColumnStoreRebuilder:
         self._m_rows.inc(len(rows))
         self._h_batch.observe(len(rows))
         self._h_latency.observe(elapsed)
-        if self.on_advance is not None:
-            self.on_advance()
         return len(rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
@@ -174,6 +174,28 @@ def _coalesce(prior: _StagedWrite, new: _StagedWrite) -> _StagedWrite:
     return new
 
 
+def first_lost_write(
+    writes: Iterable[tuple], exists: Callable[[str, Key], bool]
+) -> tuple | None:
+    """Commit-time validation for transactions that read the latest
+    committed state instead of a snapshot (the engines' write-set
+    sessions, the cluster's region state machines): of the staged
+    ``(kind, table, key, ...)`` writes, in staged order, the first that
+    lost a race against ``exists(table, key)`` — an insert needs its
+    key absent, an update or delete needs it present — or None.  Only
+    a key's first write is checked; later ones were staged against the
+    transaction's own view of it."""
+    seen: set[tuple[str, Key]] = set()
+    for write in writes:
+        kind, table, key = write[:3]
+        if (table, key) in seen:
+            continue
+        seen.add((table, key))
+        if exists(table, key) == (kind == "insert"):
+            return write
+    return None
+
+
 class TransactionManager:
     """Catalog of row stores + SI commit protocol + commit listeners."""
 
@@ -272,7 +294,7 @@ class TransactionManager:
             else:
                 # A staged DELETE may be a net no-op (insert+delete in
                 # this txn); only install when the key is actually live.
-                if store.last_committed_ts(write.key) is None:
+                if not store.contains_key(write.key):
                     continue
                 self.wal.append(
                     txn.txn_id, WalKind.DELETE, write.table, write.key, None, commit_ts

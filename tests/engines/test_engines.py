@@ -19,6 +19,7 @@ from repro.engines import (
     RowIMCSEngine,
     make_engine,
 )
+from repro.obs import get_registry
 from repro.query import AccessPath
 
 
@@ -184,6 +185,25 @@ def test_failed_commit_is_atomic(cat, lost):
             engine.wal, [order_schema()], include_unforced=True
         )
         assert committed(recovered) == expected
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_lost_commit_counts_one_abort(cat):
+    """``engine.tp_aborts`` means the same on four engines: a commit
+    refused with TransactionAborted is one abort (and no commit)."""
+    engine, _rows = build(cat, n=10)
+    winner, loser = engine.session(), engine.session()
+    loser.insert("orders", (500, 2, 2.0, "w"))
+    winner.insert("orders", (500, 1, 9.0, "e"))
+    winner.commit()
+    registry = get_registry()
+    aborts = registry.counter("engine.tp_aborts", engine=engine.info.name)
+    commits = registry.counter("engine.tp_commits", engine=engine.info.name)
+    before = aborts.value, commits.value
+    with pytest.raises(TransactionAborted):
+        loser.commit()
+    assert loser.finished
+    assert (aborts.value, commits.value) == (before[0] + 1, before[1])
 
 
 class TestFreshSemantics:

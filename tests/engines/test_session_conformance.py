@@ -178,13 +178,6 @@ class Harness:
             assert sorted(result.rows) == self.models[table].rows(), table
 
 
-# Commit-time validation on (b) checks every write of a repeated key
-# against committed state instead of only the first (ISSUE 20).
-b_repeats = pytest.mark.xfail(
-    strict=True, reason="engine (b) aborts a transaction that writes one key twice"
-)
-
-
 def sweep(harness: Harness, seed: int, repeat_keys: bool) -> None:
     for i, ops in enumerate(generate(seed, repeat_keys)):
         harness.run(ops)
@@ -200,7 +193,7 @@ def test_generated_sequences_distinct_keys(cat, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("cat", ["a", pytest.param("b", marks=b_repeats), "c", "d"])
+@pytest.mark.parametrize("cat", ALL)
 def test_generated_sequences_repeated_keys(cat, seed):
     sweep(Harness(cat), seed, repeat_keys=True)
 
@@ -220,30 +213,10 @@ SAME_KEY_TWICE = {
         LIVE, [("delete", "t", 1), ("insert", "t", ROW2), ("delete", "t", 1)]
     ),
 }
-XFAILS = {
-    # (b) validates the second write against committed state as well;
-    # update→delete and update→update happen to pass that.
-    **{
-        ("b", p): b_repeats
-        for p in SAME_KEY_TWICE
-        if p not in ("update_delete", "update_update")
-    },
-    ("a", "reinsert_delete"): pytest.mark.xfail(
-        strict=True,
-        reason="(a) installs the delete of an insert+delete no-op when the key "
-        "has an ended version chain (last_committed_ts is not None)",
-    ),
-}
 
 
-@pytest.mark.parametrize(
-    "cat,pattern",
-    [
-        pytest.param(c, p, marks=XFAILS.get((c, p), ()))
-        for c in ALL
-        for p in SAME_KEY_TWICE
-    ],
-)
+@pytest.mark.parametrize("pattern", SAME_KEY_TWICE)
+@pytest.mark.parametrize("cat", ALL)
 def test_same_key_twice(cat, pattern):
     """Each pattern commits, reads its own writes on the way (the scan
     sees the update leave the ``v >= 5`` predicate), and the learner /

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common import Column, CostModel, DataType, Schema
 from repro.storage.column_store import ColumnStore
 from repro.storage.compression import DictionaryEncoding
+from repro.storage.delta_batch import KIND_DELETE, KIND_INSERT, KIND_UPDATE, DeltaBatch
 from repro.storage.delta_log import LogDeltaManager
 from repro.storage.delta_store import InMemoryDeltaStore
 from repro.storage.row_store import MVCCRowStore
@@ -218,8 +219,9 @@ def test_freshness_timestamp_matches_model(seed):
 
 # --------------------------------------------------------------- the fold
 #
-# Every synchronizer ends in the same step: a collapsed batch lands in a
-# column image.  Named batches, each through every way of folding one.
+# Every synchronizer ends in the same step, ``ColumnStore.fold``: a
+# collapsed batch lands in a column image.  Named batches, each through
+# the method itself and through the mergers that call it.
 
 BASE = [(k, -1.0) for k in range(4)]  # keys 0-1 and 2-3 in two older segments
 
@@ -246,7 +248,23 @@ def fold_by_log_merge(main, cost, ops):
     return LogDeltaMerger(log, main, cost, threshold_files=1).merge(seal_first=True)
 
 
-FOLDS = {"delta_merge": fold_by_delta_merge, "log_merge": fold_by_log_merge}
+def fold_directly(main, _cost, ops):
+    entries = model_ops(ops)
+    batch = DeltaBatch.from_columns(
+        [KIND[kind] for kind, _key, _row, _ts in entries],
+        [key for _kind, key, _row, _ts in entries],
+        [None if kind == "delete" else row for kind, _key, row, _ts in entries],
+        [ts for _kind, _key, _row, ts in entries],
+    )
+    return main.fold(batch.collapse(), batch.max_commit_ts())
+
+
+KIND = {"insert": KIND_INSERT, "update": KIND_UPDATE, "delete": KIND_DELETE}
+FOLDS = {
+    "column_store_fold": fold_directly,
+    "delta_merge": fold_by_delta_merge,
+    "log_merge": fold_by_log_merge,
+}
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)

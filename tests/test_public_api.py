@@ -113,6 +113,55 @@ def test_scan_cache_fences_itself():
         visit(ast.parse(source), "<module>")
 
 
+def test_engines_say_only_what_differs():
+    """One write-set session, one redo loop, one ``TableAccess`` base the
+    query layer calls without probing, one delta-fold body."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.common import Column, DataType, Schema
+    from repro.engines import make_engine
+    from repro.query import DualStoreTableAccess, TableAccess
+
+    root = Path(repro.__file__).parent
+    trees = {p: ast.parse(p.read_text()) for p in root.rglob("*.py")}
+    stagers, recovers = [], []
+    for path, tree in trees.items():
+        if path.parent.name != "engines":
+            continue
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            targets = [
+                t
+                for n in ast.walk(cls)
+                if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+            ]
+            if any(ast.unparse(t) == "self._writes" for t in targets):
+                stagers.append(cls.name)
+            recovers += [
+                f"{cls.name}.recover" for n in cls.body
+                if isinstance(n, ast.FunctionDef) and n.name == "recover"
+            ]
+    assert stagers == ["WriteSetSession"]
+    assert recovers == ["LoggedEngine.recover"]
+
+    for path in trees:
+        assert "getattr(adapter" not in path.read_text(), path
+    folders = sorted(
+        str(path.relative_to(root))
+        for path in trees
+        if "collapsed.live_rows" in path.read_text()
+    )
+    assert folders == ["storage/column_store.py"]
+
+    assert issubclass(DualStoreTableAccess, TableAccess)
+    for category in "abcd":
+        engine = make_engine(category)
+        engine.create_table(Schema("t", [Column("id", DataType.INT64)], ["id"]))
+        assert isinstance(engine.catalog["t"], TableAccess), category
+
+
 def test_version():
     import repro
 
