@@ -94,7 +94,7 @@ class Executor:
         batch = self._run_scan(plan.base)
         for step in plan.joins:
             right = self._run_scan(step.scan)
-            batch = self._hash_join(batch, right, step.left_column, step.right_column)
+            batch = self._hash_join(batch, right, step.keys)
         for col_a, col_b in plan.residual_equalities:
             if col_a not in batch or col_b not in batch:
                 raise QueryError(
@@ -217,52 +217,59 @@ class Executor:
     # ------------------------------------------------------------- join
 
     def _hash_join(
-        self, left: Batch, right: Batch, left_col: str, right_col: str
+        self, left: Batch, right: Batch, keys: tuple[tuple[str, str], ...]
     ) -> Batch:
-        if left_col not in left and left_col in right:
-            # The planner orders joins by table, not by side; swap if needed.
-            left, right = right, left
-            left_col, right_col = right_col, left_col
-        if left_col not in left or right_col not in right:
-            raise QueryError(
-                f"join columns {left_col!r}/{right_col!r} not in scope"
-            )
-        build, probe = right, left
-        build_col, probe_col = right_col, left_col
-        if _batch_len(build) > _batch_len(probe):
-            build, probe = probe, build
-            build_col, probe_col = probe_col, build_col
-        build_values = build[build_col]
-        probe_values = probe[probe_col]
-        if is_code_column(probe_values) and is_code_column(build_values):
-            # Code-space join: remap the build side's codes into the
-            # probe side's dictionary and join on the integer codes.
-            # The remap is charged here, before the probe — the kernel
-            # and its row-at-a-time fallback pay the same price.
-            probe_values, build_values, n_remapped = align_build_codes(
-                probe_values, build_values
-            )
-            if n_remapped:
-                self._cost.charge_rows(
-                    self._cost.code_remap_per_value_us, n_remapped
+        """Equi-join on every ``(left, right)`` column pair in ``keys`` at
+        once: a composite key is one hash key, built and probed once."""
+        pairs = []
+        for left_col, right_col in keys:
+            if left_col not in left and left_col in right:
+                # The planner orders joins by table, not by side.
+                left_col, right_col = right_col, left_col
+            if left_col not in left or right_col not in right:
+                raise QueryError(
+                    f"join columns {left_col!r}/{right_col!r} not in scope"
                 )
+            pairs.append((left_col, right_col))
+        build, probe, build_side = right, left, 1
+        if _batch_len(build) > _batch_len(probe):
+            build, probe, build_side = probe, build, 0
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        code_space = False
+        for pair in pairs:
+            build_values = build[pair[build_side]]
+            probe_values = probe[pair[1 - build_side]]
+            if is_code_column(probe_values) and is_code_column(build_values):
+                # Code-space component: remap the build side's codes into
+                # the probe side's dictionary and join on the integer
+                # codes.  The remap is charged here, before the probe.
+                probe_values, build_values, n_remapped = align_build_codes(
+                    probe_values, build_values
+                )
+                if n_remapped:
+                    self._cost.charge_rows(
+                        self._cost.code_remap_per_value_us, n_remapped
+                    )
+                code_space = True
+            else:
+                # One-sided encoding: the component joins on values; the
+                # encoded side is decoded in place (operator-internal).
+                if is_code_column(probe_values):
+                    probe_values = probe_values.decode()
+                if is_code_column(build_values):
+                    build_values = build_values.decode()
+            parts.append((probe_values, build_values))
+        if code_space:
             self._code_join_counter.inc()
-        else:
-            # One-sided encoding: the join runs on values; the encoded
-            # side is decoded in place (operator-internal decode).
-            if is_code_column(probe_values):
-                probe_values = probe_values.decode()
-            if is_code_column(build_values):
-                build_values = build_values.decode()
-        self._cost.charge_rows(self._cost.hash_build_per_row_us, len(build_values))
-        self._cost.charge_rows(self._cost.hash_probe_per_row_us, len(probe_values))
+        self._cost.charge_rows(self._cost.hash_build_per_row_us, _batch_len(build))
+        self._cost.charge_rows(self._cost.hash_probe_per_row_us, _batch_len(probe))
         try:
             probe_positions, build_positions = _equi_join_positions(
-                probe_values, build_values
+                *(parts[0] if len(parts) == 1 else _co_factorize(parts))
             )
         except _Unvectorizable:
             probe_positions, build_positions = _equi_join_positions_scalar(
-                probe_values, build_values
+                *(_row_keys(side) for side in zip(*parts))
             )
         out: Batch = {}
         for name, arr in probe.items():
@@ -680,7 +687,7 @@ def _equi_join_positions(
         if not has_nan:
             probe_codes, build_codes = probe_values, build_values
     if probe_codes is None:
-        probe_codes, build_codes = _co_factorize(probe_values, build_values)
+        probe_codes, build_codes = _co_factorize([(probe_values, build_values)])
     order = np.argsort(build_codes, kind="stable")
     sorted_codes = build_codes[order]
     build_unique = n_build == 1 or bool(
@@ -728,24 +735,36 @@ def _equi_join_positions(
 
 
 def _co_factorize(
-    a: np.ndarray, b: np.ndarray
+    parts: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared integer codes across two key arrays: equal values (by the
-    scalar join's dict semantics) get equal codes.  ``None`` matches
-    ``None``; float NaN (encoded NULL) matches nothing, itself included."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == object or b.dtype == object:
-        combined = np.concatenate([a.astype(object), b.astype(object)])
-        codes, _card = _factorize(combined, nan_distinct=True, ordered=False)
-        return codes[: len(a)], codes[len(a):]
-    combined = np.concatenate([a, b])
-    if combined.dtype.kind == "f":
-        codes, _card = _factorize(combined, nan_distinct=True)
-        return codes[: len(a)], codes[len(a):]
-    _, inv = np.unique(combined, return_inverse=True)
-    inv = np.asarray(inv, dtype=np.int64)
-    return inv[: len(a)], inv[len(a):]
+    """Shared integer codes across the two sides of a join key, one
+    ``(a, b)`` pair per key component: rows equal in every component (by
+    the scalar join's dict semantics) get equal codes.  ``None`` matches
+    ``None``; float NaN (encoded NULL) matches nothing, itself included.
+    Components are packed into one int64 under ``_pack_codes``'s
+    overflow guard, so a composite key is a single key to the kernel."""
+    columns = []
+    for a, b in parts:
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.dtype == object or b.dtype == object:
+            a, b = a.astype(object), b.astype(object)
+        columns.append(np.concatenate([a, b]))
+    codes = _pack_codes(columns, nan_distinct=True, ordered=False)
+    n_a = len(parts[0][0])
+    return codes[:n_a], codes[n_a:]
+
+
+def _row_keys(components: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One side's key column for the row-at-a-time join: the column
+    itself, or the rows of a composite key as tuples."""
+    if len(components) == 1:
+        return components[0]
+    return np.fromiter(
+        zip(*[c.tolist() for c in components]),
+        dtype=object,
+        count=len(components[0]),
+    )
 
 
 def _equi_join_positions_scalar(

@@ -43,8 +43,9 @@ class ScanPlan:
 @dataclass
 class JoinStep:
     scan: ScanPlan
-    left_column: str   # bound in the rows accumulated so far
-    right_column: str  # bound in scan's table
+    #: ``(left, right)`` equality pairs joined as one key: ``left`` is
+    #: bound in the rows accumulated so far, ``right`` in scan's table.
+    keys: tuple[tuple[str, str], ...]
 
 
 @dataclass
@@ -72,8 +73,11 @@ class PhysicalPlan:
             f"(~{self.base.estimated_rows} rows, {self.base.cost_us:.0f}us)"
         ]
         for step in self.joins:
+            left, right = (", ".join(cols) for cols in zip(*step.keys))
+            if len(step.keys) > 1:
+                left, right = f"({left})", f"({right})"
             lines.append(
-                f"  hash join {step.left_column} = {step.right_column} with "
+                f"  hash join {left} = {right} with "
                 f"{step.scan.table} via {step.scan.path.value} "
                 f"(~{step.scan.estimated_rows} rows, {step.scan.cost_us:.0f}us)"
             )
@@ -355,7 +359,7 @@ class Planner:
             candidates.sort(key=lambda c: (c[0], c[1]))
             _rows, table, left_col, right_col, edge_i = candidates[0]
             used_edges.add(edge_i)
-            steps.append(JoinStep(scans[table], left_col, right_col))
+            steps.append(JoinStep(scans[table], ((left_col, right_col),)))
             total_cost += scans[table].cost_us
             total_cost += (
                 scans[table].estimated_rows * self._cost.hash_build_per_row_us

@@ -44,7 +44,7 @@ Counts are exported as attributes and through the obs registry
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from ..common.predicate import (
@@ -57,7 +57,7 @@ from ..common.predicate import (
     collect_params,
 )
 from ..obs.registry import get_registry
-from .optimizer import JoinStep, PhysicalPlan, ScanPlan
+from .optimizer import PhysicalPlan
 
 DEFAULT_CAPACITY = 128
 
@@ -147,40 +147,17 @@ class CachedPlan:
             return self.plan
         plan = self.plan
         binders = self._binders
-        b = plan.base
-        base = ScanPlan(
-            b.table,
-            b.path,
-            b.columns,
-            binders[b.table](params),
-            b.estimated_rows,
-            b.cost_us,
-            b.candidates,
-        )
+        base = replace(plan.base, predicate=binders[plan.base.table](params))
         joins = [
-            JoinStep(
-                ScanPlan(
-                    s.table,
-                    s.path,
-                    s.columns,
-                    binders[s.table](params),
-                    s.estimated_rows,
-                    s.cost_us,
-                    s.candidates,
+            replace(
+                step,
+                scan=replace(
+                    step.scan, predicate=binders[step.scan.table](params)
                 ),
-                step.left_column,
-                step.right_column,
             )
             for step in plan.joins
-            for s in (step.scan,)
         ]
-        return PhysicalPlan(
-            plan.query,
-            base,
-            joins,
-            plan.estimated_cost_us,
-            residual_equalities=plan.residual_equalities,
-        )
+        return replace(plan, base=base, joins=joins)
 
 
 class PlanCache:
