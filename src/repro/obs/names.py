@@ -57,6 +57,9 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "exec.code_space_distincts",
         "exec.code_space_groups",
         "exec.code_space_joins",
+        # join intermediate sizes (rows a join emits / a residual filter reads)
+        "exec.join_rows_out",
+        "exec.residual_rows_in",
         # predicate-aware column scans
         "scan.code_space_filters",
         "scan.segments_pruned",

@@ -86,6 +86,8 @@ class Executor:
         self._code_join_counter = reg.counter("exec.code_space_joins")
         self._code_group_counter = reg.counter("exec.code_space_groups")
         self._code_distinct_counter = reg.counter("exec.code_space_distincts")
+        self._join_rows_out = reg.counter("exec.join_rows_out")
+        self._residual_rows_in = reg.counter("exec.residual_rows_in")
 
     # ------------------------------------------------------------- entry
 
@@ -100,9 +102,9 @@ class Executor:
                 raise QueryError(
                     f"residual join columns {col_a!r}/{col_b!r} not in scope"
                 )
-            self._cost.charge_rows(
-                self._cost.residual_filter_per_row_us, _batch_len(batch)
-            )
+            n = _batch_len(batch)
+            self._cost.charge_rows(self._cost.residual_filter_per_row_us, n)
+            self._residual_rows_in.inc(n)
             side_a, side_b = batch[col_a], batch[col_b]
             if is_code_column(side_a):
                 side_a = side_a.decode()
@@ -221,7 +223,11 @@ class Executor:
     ) -> Batch:
         """Equi-join on every ``(left, right)`` column pair in ``keys`` at
         once: a composite key is one hash key, built and probed once."""
-        pairs = []
+        n_left, n_right = _batch_len(left), _batch_len(right)
+        build_is_right = n_right <= n_left  # the smaller side is built
+        build, probe = (right, left) if build_is_right else (left, right)
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        code_space = False
         for left_col, right_col in keys:
             if left_col not in left and left_col in right:
                 # The planner orders joins by table, not by side.
@@ -230,15 +236,10 @@ class Executor:
                 raise QueryError(
                     f"join columns {left_col!r}/{right_col!r} not in scope"
                 )
-            pairs.append((left_col, right_col))
-        build, probe, build_side = right, left, 1
-        if _batch_len(build) > _batch_len(probe):
-            build, probe, build_side = probe, build, 0
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        code_space = False
-        for pair in pairs:
-            build_values = build[pair[build_side]]
-            probe_values = probe[pair[1 - build_side]]
+            build_col, probe_col = (
+                (right_col, left_col) if build_is_right else (left_col, right_col)
+            )
+            build_values, probe_values = build[build_col], probe[probe_col]
             if is_code_column(probe_values) and is_code_column(build_values):
                 # Code-space component: remap the build side's codes into
                 # the probe side's dictionary and join on the integer
@@ -261,16 +262,24 @@ class Executor:
             parts.append((probe_values, build_values))
         if code_space:
             self._code_join_counter.inc()
-        self._cost.charge_rows(self._cost.hash_build_per_row_us, _batch_len(build))
-        self._cost.charge_rows(self._cost.hash_probe_per_row_us, _batch_len(probe))
+        self._cost.charge_rows(
+            self._cost.hash_build_per_row_us, min(n_left, n_right)
+        )
+        self._cost.charge_rows(
+            self._cost.hash_probe_per_row_us, max(n_left, n_right)
+        )
         try:
+            probe_key, build_key = (
+                parts[0] if len(parts) == 1 else _co_factorize(parts)
+            )
             probe_positions, build_positions = _equi_join_positions(
-                *(parts[0] if len(parts) == 1 else _co_factorize(parts))
+                probe_key, build_key
             )
         except _Unvectorizable:
             probe_positions, build_positions = _equi_join_positions_scalar(
                 *(_row_keys(side) for side in zip(*parts))
             )
+        self._join_rows_out.inc(len(probe_positions))
         out: Batch = {}
         for name, arr in probe.items():
             out[name] = arr[probe_positions]

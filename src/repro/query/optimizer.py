@@ -54,9 +54,11 @@ class PhysicalPlan:
     base: ScanPlan
     joins: list[JoinStep]
     estimated_cost_us: float
-    #: Equi-join conditions between table pairs already connected by an
-    #: earlier join step; applied as post-join equality filters (how
-    #: composite-key joins like TPC-C's (w_id, d_id, o_id) execute).
+    #: Equi-join conditions that close a cycle (a table attached through
+    #: one partner also equals a column of another joined table); applied
+    #: as post-join equality filters.  Several conditions between one
+    #: table pair (TPC-C's (w_id, d_id, o_id)) are not residual: they
+    #: are the components of that step's composite ``JoinStep.keys``.
     residual_equalities: list[tuple[str, str]] = field(default_factory=list)
 
     def scan_for(self, table: str) -> ScanPlan:
@@ -81,6 +83,8 @@ class PhysicalPlan:
                 f"{step.scan.table} via {step.scan.path.value} "
                 f"(~{step.scan.estimated_rows} rows, {step.scan.cost_us:.0f}us)"
             )
+        for left, right in self.residual_equalities:
+            lines.append(f"  residual filter {left} = {right}")
         lines.append(f"estimated total: {self.estimated_cost_us:.0f}us")
         return "\n".join(lines)
 
@@ -344,30 +348,33 @@ class Planner:
         total_cost = scans[base_table].cost_us
         remaining = set(query.tables) - joined
         while remaining:
-            candidates = []
-            for i, (t1, c1, t2, c2) in enumerate(edges):
-                if i in used_edges:
-                    continue
+            candidates = []  # (rows, table to attach, joined partner)
+            for t1, _c1, t2, _c2 in edges:
                 if t1 in joined and t2 in remaining:
-                    candidates.append((scans[t2].estimated_rows, t2, c1, c2, i))
+                    candidates.append((scans[t2].estimated_rows, t2, t1))
                 elif t2 in joined and t1 in remaining:
-                    candidates.append((scans[t1].estimated_rows, t1, c2, c1, i))
+                    candidates.append((scans[t1].estimated_rows, t1, t2))
             if not candidates:
                 raise PlanningError(
                     f"tables {sorted(remaining)} are not join-connected"
                 )
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            _rows, table, left_col, right_col, edge_i = candidates[0]
-            used_edges.add(edge_i)
-            steps.append(JoinStep(scans[table], ((left_col, right_col),)))
+            _rows, table, partner = min(candidates, key=lambda c: c[:2])
+            # Every edge between the partner and this table is one
+            # component of the step's key: a composite key joins whole.
+            keys = []
+            for i, (t1, c1, t2, c2) in enumerate(edges):
+                if {t1, t2} == {partner, table}:
+                    keys.append((c1, c2) if t1 == partner else (c2, c1))
+                    used_edges.add(i)
+            steps.append(JoinStep(scans[table], tuple(keys)))
             total_cost += scans[table].cost_us
             total_cost += (
                 scans[table].estimated_rows * self._cost.hash_build_per_row_us
             )
             joined.add(table)
             remaining.discard(table)
-        # Every unused edge connects two already-joined tables: apply it
-        # as a post-join equality filter.
+        # An edge left over closes a cycle: its table was attached through
+        # another partner, so it runs as a post-join equality filter.
         residual = [
             (edges[i][1], edges[i][3])
             for i in range(len(edges))

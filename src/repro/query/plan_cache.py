@@ -44,7 +44,7 @@ Counts are exported as attributes and through the obs registry
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..common.predicate import (
@@ -119,6 +119,21 @@ def compile_binder(template: Predicate) -> Callable[[Sequence[Any]], Predicate]:
     return lambda params: And([step(params) for step in steps])
 
 
+def _rebound(node: Any, **changes: Any) -> Any:
+    """``dataclasses.replace(node, **changes)`` for the hit path.
+
+    Every field of ``node`` carries over, so a field added to
+    ``ScanPlan`` / ``JoinStep`` / ``PhysicalPlan`` cannot be dropped when
+    a cached plan is rebound.  ``replace`` itself re-validates and
+    re-runs ``__init__`` at 1.1 us per node — 3 us on a 16 us cached
+    point statement — so the instance is cloned directly; none of the
+    three classes has a ``__post_init__`` to skip.
+    """
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__, **changes)
+    return clone
+
+
 @dataclass
 class CachedPlan:
     """One prepared statement's plan plus what rebinding needs."""
@@ -147,17 +162,17 @@ class CachedPlan:
             return self.plan
         plan = self.plan
         binders = self._binders
-        base = replace(plan.base, predicate=binders[plan.base.table](params))
+        base = _rebound(plan.base, predicate=binders[plan.base.table](params))
         joins = [
-            replace(
+            _rebound(
                 step,
-                scan=replace(
+                scan=_rebound(
                     step.scan, predicate=binders[step.scan.table](params)
                 ),
             )
             for step in plan.joins
         ]
-        return replace(plan, base=base, joins=joins)
+        return _rebound(plan, base=base, joins=joins)
 
 
 class PlanCache:

@@ -102,6 +102,15 @@ STATEMENTS = [
         "JOIN customer ON o_cust = c_id WHERE o_id = ?",
         [(7,), (41,), (7,)],
     ),
+    (
+        # Two equalities between one table pair: one JoinStep with a
+        # composite key, which a plan-cache hit must carry through
+        # rebinding (dropping a component returns extra rows).
+        "composite_key_join",
+        "SELECT c_name, o_id, o_amount FROM orders "
+        "JOIN customer ON o_cust = c_id WHERE o_cust = c_tier AND o_amount > ?",
+        [(2.0,), (5.0,), (2.0,)],
+    ),
 ]
 
 

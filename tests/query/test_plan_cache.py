@@ -1,5 +1,7 @@
 """Unit tests: the parameterized plan cache and its compiled binders."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.predicate import (
@@ -12,7 +14,14 @@ from repro.common.predicate import (
     Param,
     bind_predicate,
 )
-from repro.query.plan_cache import PlanCache, compile_binder, param_signature
+from repro.query.access import AccessPath
+from repro.query.optimizer import JoinStep, PhysicalPlan, ScanPlan
+from repro.query.plan_cache import (
+    CachedPlan,
+    PlanCache,
+    compile_binder,
+    param_signature,
+)
 
 
 class FakeEntry:
@@ -65,6 +74,53 @@ class TestCompileBinder:
         template = And([Comparison("a", "=", 1), Comparison("b", "<", 2)])
         binder = compile_binder(template)
         assert binder(()) is template
+
+
+class TestBind:
+    def test_bind_carries_every_plan_field(self):
+        """Rebinding replaces the scan predicates and nothing else: every
+        other field of ScanPlan / JoinStep / PhysicalPlan — whatever
+        fields they have — is the cached plan's own object."""
+
+        def scan(table, column):
+            return ScanPlan(
+                table, AccessPath.ROW_SCAN, [column],
+                Comparison(column, "=", 1), 10, 2.5, candidates=[object()],
+            )
+
+        plan = PhysicalPlan(
+            query=object(),
+            base=scan("t", "a"),
+            joins=[JoinStep(scan("u", "b"), (("a", "b"), ("c", "d")))],
+            estimated_cost_us=7.0,
+            residual_equalities=[("x", "y")],
+        )
+        entry = CachedPlan(
+            plan,
+            template_predicates={
+                "t": Comparison("a", "=", Param(0)),
+                "u": Comparison("b", "=", Param(1)),
+            },
+            param_count=2,
+            tables=("t", "u"),
+            stats_token=(1, 1),
+        )
+        bound = entry.bind((5, 6))
+
+        def same_but(new, old, changed):
+            assert type(new) is type(old) and new is not old
+            for f in fields(old):
+                if f.name not in changed:
+                    assert getattr(new, f.name) is getattr(old, f.name), f.name
+
+        same_but(bound, plan, {"base", "joins"})
+        same_but(bound.base, plan.base, {"predicate"})
+        same_but(bound.joins[0], plan.joins[0], {"scan"})
+        same_but(bound.joins[0].scan, plan.joins[0].scan, {"predicate"})
+        assert bound.base.predicate == Comparison("a", "=", 5)
+        assert bound.joins[0].scan.predicate == Comparison("b", "=", 6)
+        # The cached plan itself still holds the bind-peeked predicates.
+        assert plan.base.predicate == Comparison("a", "=", 1)
 
 
 class TestPlanCacheContainer:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.common import Column, CostModel, DataType, Schema
+from repro.obs import get_registry
 from repro.query import DualStoreTableAccess, Executor, Planner, parse
 from repro.query.ast import (
     Aggregate,
@@ -23,7 +24,6 @@ from repro.query.ast import (
     Arith,
     ColumnRef,
     HavingCondition,
-    JoinCondition,
     Query,
     SelectItem,
 )
@@ -42,7 +42,8 @@ from ..oracle import assert_matches
 
 
 def build_catalog(seed=11, n_orders=400, n_customers=30):
-    """orders ⋈ customer with NULLs sprinkled into nullable columns."""
+    """orders ⋈ customer (⋈ tier) with NULLs sprinkled into nullable
+    columns."""
     rng = random.Random(seed)
     orders = Schema(
         "orders",
@@ -75,10 +76,18 @@ def build_catalog(seed=11, n_orders=400, n_customers=30):
         for i in range(n_orders)
     ]
     customer_rows = [(i, i % 4, f"c{i % 7}") for i in range(n_customers)]
+    tiers = Schema(
+        "tier",
+        [Column("t_id", DataType.INT64), Column("t_qty", DataType.INT64)],
+        ["t_id"],
+    )
+    tier_rows = [(i, 3 * i + 1) for i in range(4)]
     cost = CostModel()
     catalog = {}
     tables = {}
-    for schema, rows in ((orders, order_rows), (customers, customer_rows)):
+    for schema, rows in (
+        (orders, order_rows), (customers, customer_rows), (tiers, tier_rows)
+    ):
         tables[schema.table_name] = (schema, rows)
         store = MVCCRowStore(schema, cost)
         for row in rows:
@@ -387,22 +396,66 @@ class TestCostCharges:
         assert cost_d.now_us() > cost_p.now_us()
 
     def test_residual_equality_is_charged(self, env):
-        """A second join edge between already-joined tables becomes a
-        residual equality, which now charges per filtered row."""
+        """An edge that closes a cycle — orders attaches through customer
+        and also equals a column of tier — is a residual equality, which
+        charges per filtered row."""
         catalog, planner, _, _tables = env
-        residual_query = parse(
-            "SELECT o_id FROM orders JOIN customer ON o_c_id = c_id"
+        cycle = parse(
+            "SELECT o_id FROM orders JOIN customer ON o_c_id = c_id "
+            "JOIN tier ON c_tier = t_id WHERE t_qty = o_qty"
         )
-        residual_query.joins.append(JoinCondition("o_qty", "c_tier"))
-        plan_residual = planner.plan(residual_query)
-        assert plan_residual.residual_equalities  # the extra edge is residual
-        check(env, residual_query)
-        # Same plan, same path: the only difference is the new charge.
+        plan_residual = planner.plan(cycle)
+        assert [step.keys for step in plan_residual.joins] == [
+            (("t_id", "c_tier"),), (("c_id", "o_c_id"),)
+        ]
+        assert plan_residual.residual_equalities == [("t_qty", "o_qty")]
+        assert "residual filter t_qty = o_qty" in plan_residual.explain()
+        residual_rows_in = get_registry().counter("exec.residual_rows_in")
+        before = residual_rows_in.value
+        check(env, cycle)
+        assert residual_rows_in.value - before == 400  # every order has a customer
+        # Same plan, same path: the only difference is the residual charge.
         charged = CostModel()
         free = CostModel(residual_filter_per_row_us=0.0)
         Executor(catalog, charged).execute(plan_residual)
         Executor(catalog, free).execute(plan_residual)
         assert charged.now_us() > free.now_us()
+
+    def test_multi_edge_join_has_no_residual(self, env):
+        """Two edges between one table pair are one step's composite key:
+        nothing is left to filter after the join, and nothing is charged
+        for it."""
+        catalog, planner, _, _tables = env
+        query = parse(
+            "SELECT o_id FROM orders JOIN customer ON o_c_id = c_id "
+            "WHERE o_qty = c_tier"
+        )
+        plan = planner.plan(query)
+        assert [step.keys for step in plan.joins] == [
+            (("c_id", "o_c_id"), ("c_tier", "o_qty"))
+        ]
+        assert plan.residual_equalities == []
+        assert "hash join (c_id, c_tier) = (o_c_id, o_qty)" in plan.explain()
+        assert "residual" not in plan.explain()
+        reg = get_registry()
+        before = {
+            name: reg.counter(name).value
+            for name in ("exec.join_rows_out", "exec.residual_rows_in")
+        }
+        result = check(env, query)
+        # The join emits exactly the result's rows: nothing was
+        # manufactured on one component and filtered back on the other.
+        assert reg.counter("exec.join_rows_out").value - before[
+            "exec.join_rows_out"
+        ] == len(result.rows)
+        assert reg.counter("exec.residual_rows_in").value == before[
+            "exec.residual_rows_in"
+        ]
+        charged = CostModel()
+        free = CostModel(residual_filter_per_row_us=0.0)
+        Executor(catalog, charged).execute(plan)
+        Executor(catalog, free).execute(plan)
+        assert charged.now_us() == free.now_us()
 
 
 class TestProjectionMaterialization:
