@@ -1,15 +1,20 @@
 """Segment-skipping scan microbench: absolute seconds of a zone-map
-pruned range scan and two dictionary code-space filters.
+pruned range scan and two dictionary code-space filters, plus the point
+path — seconds per ``ColumnStore.get_row`` on one segment of each codec.
 
 Times ``ColumnStore.scan`` on three predicates and writes
 ``BENCH_scan.json`` at the repo root (schema 2: absolute ``*_s`` and
 ``*_per_s`` plus deterministic counts) so CI can archive the numbers.
 Every result is checked byte for byte against the full-decode
-``reference_scan`` in ``tests/oracle``.  The gates are structural, not
-wall-clock ratios: the selective range must prune 18 of 20 segments and
-the dictionary predicates must be answered in code space; regression
+``reference_scan`` in ``tests/oracle``; every point read against its
+``TableModel``.  The gates are structural, not wall-clock ratios: the
+selective range must prune 18 of 20 segments and the dictionary
+predicates must be answered in code space; regression
 protection for the scan's speed is the ``olap_suite`` bound in
-``BENCHMARK.json``.
+``BENCHMARK.json``, for the point path ``oltp_sync``'s — ``point_read``
+is the number to read when one of them moves (a point read that decodes
+the column grows with the row count; one that gathers positions does
+not).
 
 Row count defaults to 100k; CI sets ``SCAN_BENCH_ROWS`` smaller.
 """
@@ -30,12 +35,14 @@ from repro.obs import get_registry
 from repro.storage import ColumnStore
 
 from conftest import assert_absolute_report, best_of, obs_report, print_table
-from tests.oracle import reference_scan
+from tests.oracle import TableModel, reference_scan
 
 N_ROWS = int(os.environ.get("SCAN_BENCH_ROWS", "100000"))
 FULL_SIZE = N_ROWS >= 100_000
 BEST_OF = 5
 N_SEGMENTS = 20
+POINT_READS = 2000
+CODECS = ("plain", "dictionary", "rle", "bitpack")
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_scan.json"
 
 REGIONS = [f"r{i}" for i in range(8)]
@@ -51,7 +58,7 @@ SCAN_METRICS = [
 #: Per-workload count fields of the schema-2 report.
 COUNTS = (
     "rows", "result_rows", "segments_scanned", "segments_pruned",
-    "code_space_filters",
+    "code_space_filters", "reads",
 )
 
 
@@ -78,6 +85,39 @@ def build_store(n_rows: int) -> ColumnStore:
     for start in range(0, n_rows, seg_rows):
         store.append_rows(rows[start : start + seg_rows], commit_ts=1)
     return store
+
+
+def point_read_workload(n_rows: int) -> dict:
+    """Seconds per ``get_row`` on one ``n_rows`` segment sealed with
+    each codec (all-integer columns, so every codec applies): the same
+    ``POINT_READS`` keys, hits and misses, each answer checked against
+    the dict model."""
+    rng = random.Random(43)
+    schema = Schema(
+        "stock",
+        [
+            Column("id", DataType.INT64),
+            Column("warehouse", DataType.INT64),  # long runs
+            Column("quantity", DataType.INT64),   # small range, no runs
+            Column("ytd", DataType.INT64),
+        ],
+        ["id"],
+    )
+    rows = [
+        (i, i // 1000, rng.randrange(100), rng.randrange(10**6))
+        for i in range(n_rows)
+    ]
+    held = {row[0]: row for row in TableModel(rows).rows()}
+    keys = [rng.randrange(n_rows + n_rows // 10) for _ in range(POINT_READS)]
+    out: dict = {"rows": n_rows, "reads": POINT_READS}
+    for codec in CODECS:
+        store = ColumnStore(schema, CostModel(), forced_encoding=codec)
+        store.append_rows(rows, commit_ts=1)
+        assert {e.name for e in store.segments[0].encodings.values()} == {codec}
+        seconds, got = best_of(lambda s=store: [s.get_row(k) for k in keys], BEST_OF)
+        assert got == [held.get(k) for k in keys], codec
+        out[f"{codec}_get_row_s"] = seconds / POINT_READS
+    return out
 
 
 def assert_no_divergence(got, store, pred, name):
@@ -127,6 +167,8 @@ def report():
             "ops_per_s": 1.0 / scan_t,
         }
 
+    point = point_read_workload(N_ROWS)
+
     bench = obs_report("scan_pipeline")
     payload = {
         "bench": "segment_skipping_scans",
@@ -135,7 +177,7 @@ def report():
         "segments": store.segment_count(),
         "full_size": FULL_SIZE,
         "best_of": BEST_OF,
-        "workloads": results,
+        "workloads": {**results, "point_read": point},
         "extras": {
             "obs": {
                 "counters": {
@@ -165,6 +207,13 @@ def report():
         ],
         widths=[18, 14, 10, 14, 10, 12],
     )
+    print_table(
+        f"Point reads ({N_ROWS}-row segment per codec, {POINT_READS} "
+        f"get_row calls, best of {BEST_OF})",
+        ["codec", "us/get_row"],
+        [[codec, point[f"{codec}_get_row_s"] * 1e6] for codec in CODECS],
+        widths=[18, 12],
+    )
     payload["report"] = bench
     return payload
 
@@ -184,6 +233,15 @@ def test_dictionary_predicates_run_in_code_space(report, name):
     workload = report["workloads"][name]
     assert workload["segments_pruned"] == 0
     assert workload["code_space_filters"] > 0
+
+
+def test_point_read_reported_per_codec(report):
+    """Absolute seconds per ``get_row`` for every codec; answers were
+    checked against the model while the fixture timed them."""
+    point = report["workloads"]["point_read"]
+    assert point["rows"] == N_ROWS and point["reads"] == POINT_READS
+    for codec in CODECS:
+        assert point[f"{codec}_get_row_s"] > 0
 
 
 def test_scan_metrics_in_obs_report(report):

@@ -201,16 +201,16 @@ class ColumnarReplica:
         from ..common.types import rows_to_columns
         from ..storage.code_batch import overlay_arrays
 
-        drop = tombstones | set(live)
+        dropped = store.rows_of(result, tombstones | set(live))
         fresh_rows = [
             row for row in live.values() if predicate.matches(row, schema)
         ]
         fresh_columns = rows_to_columns(schema, fresh_rows) if fresh_rows else None
         result.arrays = overlay_arrays(
-            result.arrays, result.keys, drop, fresh_rows, fresh_columns
+            result.arrays, dropped, fresh_rows, fresh_columns
         )
-        if drop:
-            result.keys = [k for k in result.keys if k not in drop]
+        for row in sorted(dropped, reverse=True):
+            del result.keys[row]
         if fresh_rows:
             result.keys.extend(schema.key_of(r) for r in fresh_rows)
         return result

@@ -164,8 +164,8 @@ class HanaTable:
         both layers serve as codes merge via dictionary union (remap
         charged here), and the L1 overlay folds fresh rows into the
         code space with a decoded fallback."""
-        main_res = self.main.scan(columns, predicate, encode=encode)
-        l2_res = self.l2.scan(columns, predicate, encode=encode)
+        main_res = self.main.scan(columns, predicate, with_keys=False, encode=encode)
+        l2_res = self.l2.scan(columns, predicate, with_keys=False, encode=encode)
         arrays: dict[str, np.ndarray] = {}
         remapped = 0
         for name in main_res.arrays:
@@ -193,16 +193,20 @@ class HanaTable:
             arrays[name] = np.concatenate([a, b])
         if remapped:
             self._cost.charge_rows(self._cost.code_remap_per_value_us, remapped)
-        keys = main_res.keys + l2_res.keys
         if not read_fresh or not len(self.l1):
             return arrays
         live, tombstones = self.l1.effective_rows(
             self.l1.max_commit_ts(), ALWAYS_TRUE
         )
         drop = tombstones | set(live)
+        # L2's rows follow Main's in ``arrays``.
+        n_main = len(main_res)
+        dropped = self.main.rows_of(main_res, drop) + [
+            n_main + row for row in self.l2.rows_of(l2_res, drop)
+        ]
         fresh = [r for r in live.values() if predicate.matches(r, self.schema)]
         fresh_columns = rows_to_columns(self.schema, fresh) if fresh else None
-        return overlay_arrays(arrays, keys, drop, fresh, fresh_columns)
+        return overlay_arrays(arrays, dropped, fresh, fresh_columns)
 
     def all_latest_rows(self) -> list[Row]:
         """Materialize current state across all three layers (row path)."""

@@ -351,18 +351,15 @@ class _HeatwaveTableAccess(EngineTableAccess):
 
     def _scan_with_delta(self, columns: list[str], predicate: Predicate):
         engine = self._engine
-        result = engine.imcs_store(self._table).scan(
-            columns, predicate, encode=True
-        )
+        store = engine.imcs_store(self._table)
+        result = store.scan(columns, predicate, with_keys=False, encode=True)
         delta = engine._deltas[self._table]
         live, tombstones = delta.effective_rows(delta.max_commit_ts())
         schema = self.schema()
-        drop = tombstones | set(live)
+        dropped = store.rows_of(result, tombstones | set(live))
         fresh = [r for r in live.values() if predicate.matches(r, schema)]
         fresh_columns = rows_to_columns(schema, fresh) if fresh else None
-        return overlay_arrays(
-            result.arrays, result.keys, drop, fresh, fresh_columns
-        )
+        return overlay_arrays(result.arrays, dropped, fresh, fresh_columns)
 
     def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
         return pk_lookup_rows(

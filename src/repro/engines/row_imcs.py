@@ -255,12 +255,20 @@ class _ImcuTableAccess(EngineTableAccess):
 
         An isolated-mode COLUMN_SCAN reads *only* the stale columnar
         image (``scan_columns`` passes ``patch=False``), so its token is
-        just the image generation — primary-side writes between syncs
-        keep those cached scans servable instead of invalidating them.
+        the image generation plus how many populated keys the SMU has
+        marked stale — the unpatched scan drops those rows, and the set
+        only grows between populations.  Primary-side inserts between
+        syncs keep those cached scans servable instead of invalidating
+        them.
         """
         imcu = self._engine.imcu(self._table)
         if path is AccessPath.COLUMN_SCAN and not self._engine.read_fresh:
-            return ("imcs", imcu.populations, imcu.smu.populate_ts)
+            return (
+                "imcs",
+                imcu.populations,
+                imcu.smu.populate_ts,
+                len(imcu.smu.stale_keys),
+            )
         store = self._store()
         return (
             self._engine.read_snapshot_ts(),

@@ -239,27 +239,26 @@ def encode_against(
 
 def overlay_arrays(
     arrays: dict,
-    keys: list,
-    drop: set,
+    dropped: list[int],
     fresh_rows: list,
     fresh_columns: dict | None = None,
 ) -> dict:
     """The engines' shared delta-overlay shape, kept encoded.
 
     All four architectures overlay a base columnar scan the same way:
-    drop rows whose keys the delta touched, then append the delta's
-    fresh rows.  ``arrays`` may hold :class:`CodeColumn` entries; they
+    drop the rows whose keys the delta touched, then append the delta's
+    fresh rows.  ``dropped`` names those rows by output position
+    (:meth:`ColumnStore.rows_of` finds them with one probe per delta
+    key).  ``arrays`` may hold :class:`CodeColumn` entries; they
     stay encoded when the fresh values fit their dictionaries and fall
     back to decoded concatenation otherwise.  ``fresh_columns`` maps
     column name → list of fresh values (same order as ``fresh_rows``).
     Plain arrays take ``fresh_columns``' pre-built ndarray per column.
     """
-    if drop:
-        keep = [i for i, k in enumerate(keys) if k not in drop]
-        arrays = {
-            name: col.take(keep) if isinstance(col, CodeColumn) else col[keep]
-            for name, col in arrays.items()
-        }
+    if dropped and arrays:
+        keep = np.ones(len(next(iter(arrays.values()))), dtype=bool)
+        keep[dropped] = False
+        arrays = {name: col[keep] for name, col in arrays.items()}
     if not fresh_rows or fresh_columns is None:
         return dict(arrays)
     out = {}

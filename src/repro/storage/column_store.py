@@ -22,7 +22,7 @@ The full-decode scan these steps must equal byte for byte lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -209,6 +209,9 @@ class ColumnScanResult:
     segments_scanned: int = 0
     segments_pruned: int = 0
     code_space_filters: int = 0
+    #: segment id -> (first output row, surviving positions or None for
+    #: "all of them") — how :meth:`ColumnStore.rows_of` finds a key.
+    spans: dict[int, tuple[int, np.ndarray | None]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         if self.keys is not None:
@@ -233,6 +236,7 @@ class _SegmentPartial:
     keys: Sequence[Key] | None
     charges: tuple[tuple[float, int], ...]
     code_space_filters: int
+    positions: np.ndarray | None = None  # None: every row survived
 
 
 class ColumnStore:
@@ -472,9 +476,9 @@ class ColumnStore:
         segment_id, pos = loc
         segment = self._segment_by_id[segment_id]
         self._cost.charge(self._cost.column_materialize_per_row_us * len(self.schema))
-        positions = np.array([pos])
+        encodings = segment.encodings
         return tuple(
-            decode_cell(segment.encodings[col.name].take(positions)[0], col.dtype)
+            decode_cell(encodings[col.name].value_at(pos), col.dtype)
             for col in self.schema.columns
         )
 
@@ -528,6 +532,8 @@ class ColumnStore:
         out_keys: list[Key] | None = [] if with_keys else None
         code_filters = 0
         rate_counts: dict[float, int] = {}
+        spans: dict[int, tuple[int, np.ndarray | None]] = {}
+        n_out = 0
         for segment in survivors:
             part = self._scan_segment(
                 segment, wanted, predicate, with_keys, encode_cols
@@ -537,6 +543,10 @@ class ColumnStore:
             code_filters += part.code_space_filters
             if part.arrays is None:
                 continue
+            spans[segment.segment_id] = (n_out, part.positions)
+            n_out += (
+                segment.n_rows if part.positions is None else len(part.positions)
+            )
             for name in wanted:
                 out_arrays[name].append(part.arrays[name])
             if out_keys is not None:
@@ -574,7 +584,28 @@ class ColumnStore:
             segments_scanned=scanned,
             segments_pruned=pruned,
             code_space_filters=code_filters,
+            spans=spans,
         )
+
+    def rows_of(self, result: ColumnScanResult, keys: Iterable[Key]) -> list[int]:
+        """Output rows of ``result`` — a scan of this store as it stands
+        — that hold ``keys``: one directory probe per key, so dropping
+        a delta's keys from a scan costs the delta, not the table."""
+        rows: list[int] = []
+        locate = self._locations.get
+        for key in keys:
+            loc = locate(key)
+            span = result.spans.get(loc[0]) if loc is not None else None
+            if span is None:
+                continue  # absent, deleted, or in a pruned / empty segment
+            first, positions = span
+            if positions is None:
+                rows.append(first + loc[1])
+                continue
+            i = int(positions.searchsorted(loc[1]))
+            if i < len(positions) and positions[i] == loc[1]:
+                rows.append(first + i)
+        return rows
 
     def _encodable_columns(
         self, wanted: list[str], survivors: list[Segment]
@@ -670,7 +701,7 @@ class ColumnStore:
         }
         keys = [segment.keys[p] for p in positions] if with_keys else None
         return _SegmentPartial(
-            arrays, keys, data.charge_items(), data.code_space_filters
+            arrays, keys, data.charge_items(), data.code_space_filters, positions
         )
 
     # ------------------------------------------------------- pruning estimates

@@ -5,6 +5,12 @@ encoding in HANA, IMCU compression in Oracle, RLE everywhere).  We
 implement the three classics plus plain storage, with a heuristic
 chooser.  Every codec round-trips exactly (property-tested) and reports
 its encoded size so the benches can measure memory footprints.
+
+Point access is per position: ``value_at(pos)`` reads one cell and
+``take(positions)`` gathers a few without materializing the column, so
+a row-granular read of a column image costs the cells it touches.  The
+base class implements neither — a codec that inherited a decode-then-
+index default would hide a whole-column decode behind every cell.
 """
 
 from __future__ import annotations
@@ -40,8 +46,12 @@ class Encoding:
         raise NotImplementedError
 
     def take(self, positions: np.ndarray) -> np.ndarray:
-        """Gather specific positions (default: decode then take)."""
-        return self.decode()[positions]
+        """Gather the values at ``positions`` (``decode()[positions]``)."""
+        raise NotImplementedError
+
+    def value_at(self, pos: int):
+        """The one value at ``pos`` (``decode()[pos]``), as a scalar."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -68,6 +78,9 @@ class PlainEncoding(Encoding):
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self.data[positions]
+
+    def value_at(self, pos: int):
+        return self.data[pos]
 
 
 @dataclass
@@ -121,6 +134,9 @@ class DictionaryEncoding(Encoding):
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self.dictionary[self.codes[positions]]
+
+    def value_at(self, pos: int):
+        return self.dictionary[self.codes[pos]]
 
     def cardinality(self) -> int:
         return len(self.dictionary)
@@ -197,6 +213,11 @@ class RunLengthEncoding(Encoding):
         run_ends = np.append(starts[1:], len(values)).astype(np.int64)
         return cls(values=run_values, run_ends=run_ends)
 
+    def __post_init__(self) -> None:
+        # A sealed segment never changes: the run lengths every scan
+        # repeats over are computed once, here.
+        self._lengths = np.diff(self.run_ends, prepend=0)
+
     def __len__(self) -> int:
         return int(self.run_ends[-1]) if len(self.run_ends) else 0
 
@@ -204,14 +225,20 @@ class RunLengthEncoding(Encoding):
         """Per-run lengths; with :attr:`values` this is enough to
         evaluate a predicate per *run* and ``np.repeat`` the run mask —
         run-space filtering without materializing the column."""
-        if len(self.run_ends) == 0:
-            return np.array([], dtype=np.int64)
-        return np.diff(np.concatenate(([0], self.run_ends)))
+        return self._lengths
 
     def decode(self) -> np.ndarray:
-        if len(self.run_ends) == 0:
-            return self.values[:0].copy()
-        return np.repeat(self.values, self.lengths())
+        return np.repeat(self.values, self._lengths)
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """A few positions bisect the run ends; a dense gather (more
+        than 1 in 16 rows) is cheaper through one ``np.repeat``."""
+        if 16 * len(positions) > len(self):
+            return self.decode()[positions]
+        return self.values[self.run_ends.searchsorted(positions, side="right")]
+
+    def value_at(self, pos: int):
+        return self.values[self.run_ends.searchsorted(pos, side="right")]
 
     def size_bytes(self) -> int:
         if self.values.dtype == object:
@@ -260,6 +287,9 @@ class BitPackedEncoding(Encoding):
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self.offsets[positions].astype(np.int64) + self.base
 
+    def value_at(self, pos: int) -> int:
+        return int(self.offsets[pos]) + self.base
+
 
 def choose_encoding(values: np.ndarray) -> Encoding:
     """Pick the cheapest codec for ``values`` by estimated size.
@@ -275,7 +305,10 @@ def choose_encoding(values: np.ndarray) -> Encoding:
     if values.dtype == object:
         unique = len(set(values.tolist()))
         if unique <= max(1, n // 2):
-            candidates.append(DictionaryEncoding.encode(values))
+            try:
+                candidates.append(DictionaryEncoding.encode(values))
+            except TypeError:
+                pass  # NULL (None) beside strings: no sorted dictionary
     else:
         if np.issubdtype(values.dtype, np.integer):
             candidates.append(BitPackedEncoding.encode(values))

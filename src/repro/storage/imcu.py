@@ -61,7 +61,7 @@ class InMemoryColumnUnit:
         self._cost = cost
         self._encodings: dict[str, Encoding] = {}
         self._keys: list[Key] = []
-        self._key_set: set = set()
+        self._position: dict[Key, int] = {}  # key -> row of the image
         self.zone_maps: dict[str, ZoneMap] = {}
         self.smu = SnapshotMetadataUnit()
         self.populations = 0
@@ -76,7 +76,7 @@ class InMemoryColumnUnit:
         """(Re)build the unit from the row store at ``snapshot_ts``."""
         rows = self._rows.snapshot_rows(snapshot_ts)
         self._keys = [self.schema.key_of(r) for r in rows]
-        self._key_set = set(self._keys)
+        self._position = dict(zip(self._keys, range(len(self._keys))))
         self._encodings = {}
         self.zone_maps = {}
         if rows:
@@ -106,7 +106,7 @@ class InMemoryColumnUnit:
 
     def on_change(self, key: Key) -> None:
         """Row-store change hook: mark the key stale (or new)."""
-        self.smu.record_change(key, populated=key in self._key_set)
+        self.smu.record_change(key, populated=key in self._position)
 
     def staleness(self) -> float:
         return self.smu.staleness(self.populated_rows())
@@ -199,9 +199,10 @@ class InMemoryColumnUnit:
             mask = predicate_mask(predicate, data)
             stale = self.smu.stale_keys
             if stale:
-                mask = mask & np.array(
-                    [k not in stale for k in self._keys], dtype=bool
-                )
+                # One probe per changed key; a copy, because a custom
+                # predicate may hand back an array it still owns.
+                mask = mask.copy()
+                mask[list(map(self._position.__getitem__, stale))] = False
             positions = np.flatnonzero(mask)
             for name in wanted:
                 if name in encode_cols:

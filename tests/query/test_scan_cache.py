@@ -494,15 +494,10 @@ class TestTokenCompletenessPerEngine:
             result, RANGE_SQL, {"orders": (order_schema(), battery.live.rows())}
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="(a)'s image-only token leaves out smu.stale_keys, which the "
-        "unpatched IMCU scan drops; cache_token contents are not ISSUE 19's to change",
-    )
     def test_a_isolated_scan_after_a_write_to_a_populated_key(self):
-        """Known gap, older than this battery: in isolated mode an entry
-        cached before the update still holds the old row while a fresh
-        scan drops the stale key, so the answer depends on cache state."""
+        """In isolated mode the unpatched IMCU scan drops a key the SMU
+        marked stale; the token counts those keys, so an entry cached
+        before the update is not served after it."""
         battery = TokenBattery("a")
         engine = battery.engine
         engine.read_fresh = False

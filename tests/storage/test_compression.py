@@ -150,3 +150,99 @@ def test_string_codecs_round_trip(values):
     for name in ("plain", "dictionary", "rle"):
         enc = encoding_for_name(name, arr)
         assert enc.decode().tolist() == values
+
+
+# ---------------------------------------------------------- point access
+#
+# A row-granular read touches positions, never the column: value_at(i)
+# and take(p) must equal decode()[i] / decode()[p] on every codec.
+
+CODECS = ("plain", "dictionary", "rle", "bitpack")
+
+#: Runs of repeated values, so RLE segments have real runs to bisect
+#: and every shape the issue names shows up: empty, one row, one run
+#: (all equal), many runs.
+_runs = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 40)), max_size=12)
+_INT_POOL = [-(2**62), -3, 0, 1, 7, 2**40, 255]
+_FLOAT_POOL = [float("nan"), -1.5, 0.0, 0.25, 3.0, float("nan"), 1e300]
+_STR_POOL = ["", "a", "bb", None, "ccc", "a ", "z"]
+
+
+def _column(runs, pool, dtype):
+    values = [pool[v] for v, n in runs for _ in range(n)]
+    return np.array(values, dtype=dtype)
+
+
+def _segments(runs):
+    """(codec name, encoding, decoded reference) for every codec that
+    applies to each of the three dtypes."""
+    for pool, dtype, names in (
+        (_INT_POOL, np.int64, CODECS),
+        (_FLOAT_POOL, np.float64, CODECS[:3]),
+        (_STR_POOL, object, CODECS[:3]),
+    ):
+        arr = _column(runs, pool, dtype)
+        if dtype is object and None in arr.tolist():
+            # A sorted dictionary cannot order None against str.
+            names = tuple(n for n in names if n != "dictionary")
+        for name in names:
+            enc = encoding_for_name(name, arr)
+            yield name, enc, enc.decode()
+
+
+def _same_cell(got, want) -> bool:
+    if isinstance(want, float) and want != want:
+        return got != got
+    return got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=_runs)
+def test_value_at_equals_decode_at_every_position(runs):
+    for name, enc, decoded in _segments(runs):
+        assert len(enc) == len(decoded)
+        for i in range(len(decoded)):
+            assert _same_cell(enc.value_at(i), decoded[i]), (name, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=_runs, data=st.data())
+def test_take_equals_decode_at_positions(runs, data):
+    n = sum(length for _v, length in runs)
+    index = st.integers(0, max(n - 1, 0))
+    shapes = {
+        "sparse": st.lists(index, max_size=3),
+        "dense": st.just(list(range(n))),
+        "unsorted": st.lists(index, max_size=2 * n + 1),
+        "repeated": st.lists(index, max_size=4).map(lambda p: p * 3),
+    }
+    for shape, strategy in shapes.items():
+        picked = data.draw(strategy, label=shape) if n else []
+        positions = np.array(picked, dtype=np.int64)
+        for name, enc, decoded in _segments(runs):
+            got = enc.take(positions)
+            want = decoded[positions]
+            assert got.dtype == want.dtype, (name, shape)
+            assert len(got) == len(want), (name, shape)
+            assert all(map(_same_cell, got.tolist(), want.tolist())), (name, shape)
+
+
+@pytest.mark.parametrize("name", CODECS)
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_out_of_range_positions_raise(name, n):
+    enc = encoding_for_name(name, np.repeat(np.arange(n // 10 + 1), 10)[:n])
+    with pytest.raises(IndexError):
+        enc.value_at(n)
+    with pytest.raises(IndexError):
+        enc.take(np.array([0, n], dtype=np.int64))
+
+
+def test_base_encoding_has_no_decoding_defaults():
+    """A codec that forgets ``take`` / ``value_at`` must fail loudly,
+    not fall back to decoding the column behind a one-cell read."""
+    from repro.storage.compression import Encoding
+
+    with pytest.raises(NotImplementedError):
+        Encoding().take(np.array([0]))
+    with pytest.raises(NotImplementedError):
+        Encoding().value_at(0)
