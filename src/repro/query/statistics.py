@@ -63,13 +63,17 @@ class TableStats:
         n = 0
         for name, arr in arrays.items():
             n = len(arr)
-            ndv = len(np.unique(arr)) if len(arr) else 0
-            if arr.dtype != object and len(arr):
+            if arr.dtype == object:
+                # NULL strings are None, which np.unique cannot order.
+                columns[name] = ColumnStats(ndv=len(set(arr) - {None}))
+            elif len(arr):
                 columns[name] = ColumnStats(
-                    ndv=ndv, min_value=arr.min().item(), max_value=arr.max().item()
+                    ndv=len(np.unique(arr)),
+                    min_value=arr.min().item(),
+                    max_value=arr.max().item(),
                 )
             else:
-                columns[name] = ColumnStats(ndv=ndv)
+                columns[name] = ColumnStats(ndv=0)
         return cls(row_count=n, columns=columns)
 
     def empty(self) -> bool:
