@@ -15,10 +15,17 @@ no-plan-cache path — apply at the full 1024-session/12-round shape;
 CI's reduced sizes (``FRONTDOOR_SESSIONS`` / ``FRONTDOOR_ROUNDS``)
 relax them to "meaningfully faster", since fixed per-round overhead
 dominates small waves.
+
+The ``point_statement`` workload is the absolute half: microseconds per
+prepared primary-key statement and per join whose base side is one, on
+engines (a), (c) and (d), with no ratio gate — the figure to read when
+``point_frontdoor``'s bound in ``BENCHMARK.json`` moves.  A sample of
+the answers is compared with ``tests/oracle``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -26,17 +33,39 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.frontdoor import FrontDoorBenchConfig, FrontDoorBenchDriver
+from repro.bench import TpccLoader, TpccScale
+from repro.bench.frontdoor import (
+    PREPARED_STATEMENTS,
+    FrontDoorBenchConfig,
+    FrontDoorBenchDriver,
+)
+from repro.common.predicate import bind_predicate
+from repro.common.rng import make_rng
 from repro.engines import make_engine
 from repro.obs import get_registry
+from repro.query import parse
 
 from conftest import obs_report, print_table
+from tests.oracle import assert_matches
 
 N_SESSIONS = int(os.environ.get("FRONTDOOR_SESSIONS", "1024"))
 N_ROUNDS = int(os.environ.get("FRONTDOOR_ROUNDS", "12"))
 FULL_SIZE = N_SESSIONS >= 1024 and N_ROUNDS >= 12
 BEST_OF = 3
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_frontdoor.json"
+#: The point-statement workload: ``point_frontdoor``'s table sizes.
+POINT_SCALE = TpccScale(
+    warehouses=1, districts=4, customers=100, items=200, initial_orders=100
+)
+POINT_STATEMENTS = 2 * N_SESSIONS
+POINT_ENGINES = ("a", "c", "d")
+POINT_KINDS = {"pk": "customer_profile", "pk_join": "customer_orders"}
+POINT_CHECKED = 12
+#: One committed single-row write to the probed table per this many
+#: statements, untimed: point statements run *between* transactions
+#: (``point_frontdoor`` commits once per 31).  A read-only loop over
+#: repeating keys measures a scan cache that no commit ever strands.
+POINT_WRITE_EVERY = 32
 
 #: Session-tier series the front door must report into.
 SESSION_METRICS = [
@@ -71,6 +100,57 @@ def run_arm(use_plan_cache: bool):
     start = time.perf_counter()
     result = driver.run(on_round=on_round)
     return time.perf_counter() - start, round_walls, result
+
+
+def point_statement_workload() -> dict:
+    """Seconds per prepared statement, by engine and kind: the same
+    ``POINT_STATEMENTS`` bindings through a warm plan cache in timed
+    chunks of ``POINT_WRITE_EVERY`` with a commit between chunks, every
+    ``POINT_STATEMENTS // POINT_CHECKED``-th answer checked against the
+    oracle over the loaded tables."""
+    by_name = {name: (sql, make) for name, _w, sql, make in PREPARED_STATEMENTS}
+    out: dict = {"statements": POINT_STATEMENTS}
+    for cat in POINT_ENGINES:
+        engine = make_engine(cat)
+        TpccLoader(POINT_SCALE, seed=1).load(engine)
+        engine.force_sync()
+        with engine.session() as s:
+            tables = {
+                t: (engine.catalog[t].schema(), s.scan(t))
+                for t in ("customer", "orders")
+            }
+        rewritten = tables["customer"][1][0]  # the same values: answers stay put
+
+        def run(sql, bindings):
+            seconds, results = 0.0, []
+            for at in range(0, len(bindings), POINT_WRITE_EVERY):
+                engine.update("customer", rewritten)
+                start = time.perf_counter()
+                results += [
+                    engine.execute_prepared(sql, p)
+                    for p in bindings[at : at + POINT_WRITE_EVERY]
+                ]
+                seconds += time.perf_counter() - start
+            return seconds, results
+
+        for kind, name in POINT_KINDS.items():
+            sql, make_params = by_name[name]
+            rng = make_rng(7)
+            bindings = [make_params(rng, POINT_SCALE) for _ in range(POINT_STATEMENTS)]
+            run(sql, bindings)  # warm-up: the plan, the allocator
+            seconds, results = min(
+                (run(sql, bindings) for _ in range(BEST_OF)), key=lambda r: r[0]
+            )
+            template = parse(sql)
+            for i in range(0, POINT_STATEMENTS, POINT_STATEMENTS // POINT_CHECKED):
+                where = bind_predicate(template.where, bindings[i])
+                assert_matches(
+                    results[i],
+                    dataclasses.replace(template, where=where, param_count=0),
+                    tables,
+                )
+            out[f"{cat}_{kind}_statement_s"] = seconds / POINT_STATEMENTS
+    return out
 
 
 def p95(samples: list[float]) -> float:
@@ -168,8 +248,19 @@ def report():
             ),
         }
     }
+    point = payload["point_statement"] = point_statement_workload()
     REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
+    print_table(
+        f"Point statements ({POINT_STATEMENTS} prepared executions per cell, "
+        f"best of {BEST_OF})",
+        ["engine", "us/pk statement", "us/pk-base join"],
+        [
+            [cat, *(point[f"{cat}_{kind}_statement_s"] * 1e6 for kind in POINT_KINDS)]
+            for cat in POINT_ENGINES
+        ],
+        widths=[10, 18, 18],
+    )
     print_table(
         f"Front door, {N_SESSIONS} sessions x {N_ROUNDS} rounds "
         f"(best of {BEST_OF})",
@@ -276,6 +367,15 @@ def test_session_metrics_in_obs_report(report):
     assert counters["session.opened"] >= N_SESSIONS
     assert counters["plan_cache.hits"] > 0
     assert histograms["session.latency_us"] > 0
+
+
+def test_point_statement_workload_reported(report):
+    """Absolute figures, no ratio: one per engine and statement kind."""
+    point = report["point_statement"]
+    assert point["statements"] == POINT_STATEMENTS
+    for cat in POINT_ENGINES:
+        for kind in POINT_KINDS:
+            assert point[f"{cat}_{kind}_statement_s"] > 0
 
 
 def test_report_written(report):

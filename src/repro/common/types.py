@@ -130,9 +130,6 @@ class Schema:
     def column(self, name: str) -> Column:
         return self.columns[self.index_of(name)]
 
-    def key_indexes(self) -> tuple[int, ...]:
-        return self._key_indexes
-
     def key_of(self, row: Row) -> Key:
         """Extract the primary key of ``row`` (scalar for 1-column keys)."""
         idx = self._key_indexes
@@ -195,15 +192,20 @@ def decode_cell(value: Any, dtype: DataType) -> Any:
     return value
 
 
-def rows_to_columns(schema: Schema, rows: Sequence[Row]) -> dict[str, np.ndarray]:
-    """Pivot row tuples into one NumPy array per column.
+def rows_to_columns(
+    schema: Schema, rows: Sequence[Row], names: Iterable[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Pivot row tuples into one NumPy array per column — every schema
+    column, or just ``names`` (in that order).
 
     The work-horse conversion used when deltas are merged into columnar
     form and when the vectorized executor pulls row-store data.  NULLs
     become per-dtype sentinels (see :data:`NULL_INT`).
     """
     arrays: dict[str, np.ndarray] = {}
-    for i, col in enumerate(schema.columns):
+    indexes = range(len(schema.columns)) if names is None else schema.project(names)
+    for i in indexes:
+        col = schema.columns[i]
         values = [row[i] for row in rows]
         if None in values:  # only NULL cells need sentinel mapping
             dtype = col.dtype

@@ -360,18 +360,7 @@ class HTAPEngine(abc.ABC):
         serves repeat shapes from the plan cache.  ``params`` binds
         ``?`` placeholders positionally.
         """
-        logical = parse(query) if isinstance(query, str) else query
-        if logical.param_count > 0 or params:
-            if logical.param_count != len(params):
-                raise QueryError(
-                    f"statement has {logical.param_count} parameters, "
-                    f"{len(params)} bound"
-                )
-            logical = dataclasses.replace(
-                logical,
-                where=bind_predicate(logical.where, params),
-                param_count=0,
-            )
+        logical = self._bound(parse(query) if isinstance(query, str) else query, params)
         planner = (
             self.planner
             if force_path is None
@@ -397,6 +386,19 @@ class HTAPEngine(abc.ABC):
         self._m_ap_queries.inc()
         return result
 
+    @staticmethod
+    def _bound(template: Query, params: Sequence[Any]) -> Query:
+        """``template`` with ``params`` in its ``?`` placeholders."""
+        if template.param_count != len(params):
+            raise QueryError(
+                f"statement has {template.param_count} parameters, {len(params)} bound"
+            )
+        if not params:
+            return template
+        return dataclasses.replace(
+            template, where=bind_predicate(template.where, params), param_count=0
+        )
+
     def _stats_epoch_of(self, table: str) -> int:
         return self._catalog[table].stats_epoch()
 
@@ -410,26 +412,12 @@ class HTAPEngine(abc.ABC):
         entry = self.plan_cache.lookup(
             statement, signature, self._stats_epoch_of
         )
-        if entry is not None:
-            if entry.param_count != len(params):
-                raise QueryError(
-                    f"statement has {entry.param_count} parameters, "
-                    f"{len(params)} bound"
-                )
+        if entry is not None:  # stored under this signature: the arity matches
             return self.run_plan(entry.bind(params))
         template = parse(statement)
-        if template.param_count != len(params):
-            raise QueryError(
-                f"statement has {template.param_count} parameters, "
-                f"{len(params)} bound"
-            )
         # Bind-peek: plan with this call's values so selectivity
         # estimation sees concrete literals.
-        bound = dataclasses.replace(
-            template,
-            where=bind_predicate(template.where, params),
-            param_count=0,
-        )
+        bound = self._bound(template, params)
         plan = self.planner.plan(bound)
         tables = tuple(bound.tables)
         # Epochs are read *after* planning: plan() pulled stats through

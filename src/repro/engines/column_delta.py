@@ -28,7 +28,6 @@ from ..common.cost import CostModel
 from ..common.errors import KeyNotFoundError, TransactionError
 from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
-from ..query.adapters import pk_lookup_rows
 from ..query.statistics import TableStats
 from ..obs import get_registry
 from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_arrays
@@ -456,5 +455,5 @@ class _HanaTableAccess(EngineTableAccess):
         )
         return prunable / total
 
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        return pk_lookup_rows(self.schema(), predicate, self._target().read_latest)
+    def point_lookup(self, key: Key) -> Row | None:
+        return self._target().read_latest(key)

@@ -22,7 +22,6 @@ from ..common.errors import KeyNotFoundError, TransactionError
 from ..common.predicate import Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
 from ..obs import get_registry
-from ..query.adapters import pk_lookup_rows
 from ..query.column_selection import (
     AccessTracker,
     HeatmapColumnSelector,
@@ -330,9 +329,7 @@ class _HeatwaveTableAccess(EngineTableAccess):
             # Not pushable: fall back to the disk row store (charged to
             # the primary — exactly the column-selection downside).
             self._engine.fallbacks += 1
-            rows = self.scan_rows(predicate)
-            arrays = rows_to_columns(self.schema(), rows)
-            return {name: arrays[name] for name in columns}
+            return rows_to_columns(self.schema(), self.scan_rows(predicate), columns)
         self._engine.pushdowns += 1
         if self._engine.read_fresh and len(self._engine._deltas[self._table]):
             # Shared mode: merge the unpropagated delta at query time.
@@ -361,9 +358,5 @@ class _HeatwaveTableAccess(EngineTableAccess):
         fresh_columns = rows_to_columns(schema, fresh) if fresh else None
         return overlay_arrays(result.arrays, dropped, fresh, fresh_columns)
 
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        return pk_lookup_rows(
-            self.schema(),
-            predicate,
-            lambda key: self._engine._read_committed(self._table, key),
-        )
+    def point_lookup(self, key: Key) -> Row | None:
+        return self._engine._read_committed(self._table, key)

@@ -20,7 +20,6 @@ from ..common.cost import CostModel
 from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..distributed.cluster import DistributedCluster, WriteKind, WriteOp
-from ..query.adapters import pk_lookup_rows
 from ..query.statistics import TableStats
 from .base import EngineInfo, EngineSession, EngineTableAccess, HTAPEngine, WriteSetSession
 
@@ -232,9 +231,5 @@ class _ReplicaTableAccess(EngineTableAccess):
             return 0.0
         return store.encoded_column_fraction(columns)
 
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        return pk_lookup_rows(
-            self.schema(),
-            predicate,
-            lambda key: self._engine.cluster.read(self._table, key),
-        )
+    def point_lookup(self, key: Key) -> Row | None:
+        return self._engine.cluster.read(self._table, key)

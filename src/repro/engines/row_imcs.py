@@ -287,17 +287,13 @@ class _ImcuTableAccess(EngineTableAccess):
         """Dictionary columns stay encoded (CodeColumn); patch rows are
         folded into the code space at the merge."""
         imcu = self._engine.imcu(self._table)
-        if self._engine.read_fresh:
-            result = imcu.scan(
-                self._engine.clock.now(), columns, predicate, encode=True
-            )
-            return result.arrays
+        fresh = self._engine.read_fresh
         # Isolated mode: serve the stale columnar image only (no patch
         # reads against the primary) — faster, less fresh.
-        result = imcu.scan(
-            imcu.smu.populate_ts, columns, predicate, patch=False, encode=True
-        )
-        return result.arrays
+        snapshot_ts = self._engine.clock.now() if fresh else imcu.smu.populate_ts
+        return imcu.scan(
+            snapshot_ts, columns, predicate, patch=fresh, with_keys=False, encode=True
+        ).arrays
 
     def scan_pruning_hint(self, predicate: Predicate) -> float:
         """Prunable fraction of the populated IMCU (all-or-nothing: the
@@ -312,7 +308,10 @@ class _ImcuTableAccess(EngineTableAccess):
         """Secondary-index columns the planner may treat as sargable."""
         return set(self._store()._secondary)
 
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
+    def point_lookup(self, key: Key) -> Row | None:
+        return self._store().read(key, self._engine.read_snapshot_ts())
+
+    def index_lookup_rows(self, predicate: Predicate) -> list[Row]:
         return index_lookup_rows(
             self._store(), self._engine.read_snapshot_ts(), predicate
         )

@@ -22,14 +22,14 @@ from typing import Hashable
 import numpy as np
 
 from ..common.predicate import Predicate
-from ..common.types import Row, Schema
+from ..common.types import Key, Row, Schema
 from .statistics import TableStats
 from .stats_cache import StatsCache
 
 
 class AccessPath(enum.Enum):
     ROW_SCAN = "row_scan"          # full scan of the row store
-    INDEX_LOOKUP = "index_lookup"  # selective B+-tree / pk access, then verify
+    INDEX_LOOKUP = "index_lookup"  # pk probe or secondary-index equality, then verify
     COLUMN_SCAN = "column_scan"    # vectorized scan of the columnar image
 
 
@@ -110,8 +110,17 @@ class TableAccess(abc.ABC):
         takes both and decodes at result emit."""
 
     @abc.abstractmethod
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
-        """Index path: matching rows, or None when no usable index."""
+    def point_lookup(self, key: Key) -> Row | None:
+        """Index path, primary key: the row under ``key`` on the
+        (freshest) row side, or None.  The planner hands over the key
+        the predicate pins; the executor checks the rest of it."""
+
+    def index_lookup_rows(self, predicate: Predicate) -> list[Row]:
+        """Index path, secondary index: matching rows found through an
+        equality conjunct on one of :meth:`indexed_columns` — planned
+        only for an adapter that reports such a column, which is the
+        adapter that overrides this."""
+        raise NotImplementedError(f"{type(self).__name__} has no secondary index")
 
     @abc.abstractmethod
     def scan_pruning_hint(self, predicate: Predicate) -> float:

@@ -9,13 +9,12 @@ patching; unit tests use it directly.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..common.clock import Timestamp
 from ..common.cost import CostModel
-from ..common.predicate import Comparison, Predicate, key_equality
+from ..common.errors import PlanningError
+from ..common.predicate import Comparison, Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
 from ..storage.column_store import ColumnStore
 from ..storage.row_store import MVCCRowStore
@@ -24,29 +23,14 @@ from .optimizer import split_conjuncts
 from .statistics import TableStats
 
 
-def pk_lookup_rows(
-    schema: Schema, predicate: Predicate, read: Callable[[Key], Row | None]
-) -> list[Row] | None:
-    """The primary-key index path: when ``predicate`` pins the whole
-    key, the row ``read(key)`` returns if it also matches; None when the
-    predicate does not determine the key."""
-    key = key_equality(predicate, schema.primary_key)
-    if key is None:
-        return None
-    row = read(key)
-    return [row] if row is not None and predicate.matches(row, schema) else []
-
-
 def index_lookup_rows(
     store: MVCCRowStore, snapshot_ts: Timestamp, predicate: Predicate
-) -> list[Row] | None:
+) -> list[Row]:
     """Rows of ``store`` visible at ``snapshot_ts`` that match
-    ``predicate``, found through the primary key or the first indexed
-    equality conjunct; None when the predicate names no usable index."""
+    ``predicate``, found through its first equality conjunct on a
+    secondary-indexed column (the planner offers this path only when
+    there is one)."""
     schema = store.schema
-    rows = pk_lookup_rows(schema, predicate, lambda key: store.read(key, snapshot_ts))
-    if rows is not None:
-        return rows
     for conjunct in split_conjuncts(predicate):
         if (
             isinstance(conjunct, Comparison)
@@ -62,7 +46,9 @@ def index_lookup_rows(
                 if row is not None and predicate.matches(row, schema):
                     rows.append(row)
             return rows
-    return None
+    raise PlanningError(
+        f"no indexed equality on {schema.table_name!r} in {predicate!r}"
+    )
 
 
 class DualStoreTableAccess(TableAccess):
@@ -132,9 +118,7 @@ class DualStoreTableAccess(TableAccess):
         :class:`~repro.storage.code_batch.CodeColumn` (codes +
         dictionary), everything else as a plain array."""
         if self._columns is None:
-            rows = self.scan_rows(predicate)
-            arrays = rows_to_columns(self.schema(), rows)
-            return {name: arrays[name] for name in columns}
+            return rows_to_columns(self.schema(), self.scan_rows(predicate), columns)
         result = self._columns.scan(columns, predicate, with_keys=False, encode=True)
         return result.arrays
 
@@ -151,7 +135,10 @@ class DualStoreTableAccess(TableAccess):
             return 0.0
         return self._columns.encoded_column_fraction(columns)
 
-    def index_lookup_rows(self, predicate: Predicate) -> list[Row] | None:
+    def point_lookup(self, key: Key) -> Row | None:
+        return self._rows.read(key, self._snapshot_ts_fn())
+
+    def index_lookup_rows(self, predicate: Predicate) -> list[Row]:
         return index_lookup_rows(self._rows, self._snapshot_ts_fn(), predicate)
 
     # ------------------------------------------------------------- plumbing
@@ -163,13 +150,3 @@ class DualStoreTableAccess(TableAccess):
     @property
     def column_store(self) -> ColumnStore | None:
         return self._columns
-
-    def refresh_columns(self, snapshot_ts: Timestamp) -> None:
-        """Rebuild the columnar image from the row store (test helper)."""
-        if self._columns is None:
-            return
-        rows = self._rows.snapshot_rows(snapshot_ts)
-        stale = [self.schema().key_of(r) for r in rows]
-        self._columns.delete_keys(stale)
-        if rows:
-            self._columns.append_rows(rows, commit_ts=snapshot_ts)

@@ -23,7 +23,8 @@ Scans can additionally be served from an MVCC-aware
 :class:`~repro.query.scan_cache.ScanCache` keyed on
 (table, path, columns, predicate, snapshot/version token), which skips
 the TP→AP re-materialization entirely when a batch for the same
-snapshot is already resident.
+snapshot is already resident.  Index lookups are not scans: they go
+straight to the adapter with the key the planner derived.
 """
 
 from __future__ import annotations
@@ -113,7 +114,12 @@ class Executor:
             mask = side_a == side_b
             batch = {name: arr[mask] for name, arr in batch.items()}
         query = plan.query
-        batch = self._decode_expr_columns(query, batch)
+        # Arithmetic computes on values: what it reads leaves code space
+        # here (an operator-internal decode, outside the simulated cost
+        # model like the join's one-sided key decode).
+        for name in plan.arith_columns:
+            if is_code_column(batch.get(name)):
+                batch = {**batch, name: batch[name].decode()}
         if query.group_by or query.has_aggregates():
             columns, rows = self._aggregate(query, batch)
             rows = self._order_and_limit(query, columns, rows)
@@ -129,92 +135,50 @@ class Executor:
 
     def _run_scan(self, scan: ScanPlan) -> Batch:
         adapter = self._catalog[scan.table]
-        schema = adapter.schema()
-        # Only the plan's output columns: adapters apply the predicate
-        # themselves, so WHERE-only columns are filtered in place (in
-        # code space where the codec allows) and never materialized.
-        needed = sorted(set(scan.columns))
-        if not needed:
-            needed = [schema.primary_key[0]]
         cache = self._scan_cache
         cache_key = None
-        if cache is not None:
+        # The cache holds scans.  An index probe costs the rows it
+        # returns: there is nothing to save by keeping them.
+        if cache is not None and scan.path is not AccessPath.INDEX_LOOKUP:
             token = adapter.cache_token(scan.path)
             if token is not None:
                 try:
                     cache_key = (
-                        scan.table, scan.path, tuple(needed), scan.predicate, token
+                        scan.table, scan.path, tuple(scan.needed), scan.predicate, token
                     )
                     hit = cache.get(cache_key)
                 except TypeError:  # unhashable predicate/token: skip caching
                     cache_key = None
                 else:
-                    if hit is not None:
+                    if hit is not None:  # a private mapping, see get()
                         self._cost.charge(self._cost.cache_probe_us)
-                        adapter.note_cached_scan(needed, scan.predicate)
-                        # Shallow copy: downstream operators build new
-                        # dicts, but never hand the cached one around.
-                        return dict(hit)
-        batch = self._scan_adapter(adapter, schema, scan, needed)
+                        adapter.note_cached_scan(scan.needed, scan.predicate)
+                        return hit
+        batch = self._scan_adapter(adapter, scan)
         if cache_key is not None:
-            cache.put(cache_key, batch)
-            return dict(batch)
+            cache.put(cache_key, batch)  # copies the mapping
         return batch
 
-    def _scan_adapter(
-        self, adapter, schema, scan: ScanPlan, needed: list[str]
-    ) -> Batch:
+    def _scan_adapter(self, adapter, scan: ScanPlan) -> Batch:
+        # Only the plan's output columns: adapters apply the predicate
+        # themselves, so WHERE-only columns are filtered in place (in
+        # code space where the codec allows) and never materialized.
+        predicate = scan.predicate
         if scan.path is AccessPath.COLUMN_SCAN:
-            return adapter.scan_columns(needed, scan.predicate)
-        if scan.path is AccessPath.INDEX_LOOKUP:
-            rows = adapter.index_lookup_rows(scan.predicate)
-            if rows is None:
-                rows = adapter.scan_rows(scan.predicate)
+            return adapter.scan_columns(scan.needed, predicate)
+        schema = adapter.schema()
+        if scan.path is AccessPath.ROW_SCAN:
+            rows = adapter.scan_rows(predicate)
+        elif scan.key_columns:
+            # The key names the row; the rest of the predicate (and a
+            # second, contradicting equality on a key column) still has
+            # to accept it.
+            row = adapter.point_lookup(scan.point_key)
+            rows = [row] if row is not None and predicate.matches(row, schema) else []
         else:
-            rows = adapter.scan_rows(scan.predicate)
+            rows = adapter.index_lookup_rows(predicate)
         self._cost.charge_rows(self._cost.column_materialize_per_row_us, len(rows))
-        arrays = rows_to_columns(schema, rows)
-        return {name: arrays[name] for name in needed}
-
-    # ------------------------------------------------------------- decode guard
-
-    def _decode_expr_columns(self, query: Query, batch: Batch) -> Batch:
-        """Decode CodeColumns consumed by arithmetic expressions.
-
-        Compressed execution keeps plain column references encoded —
-        joins, GROUP BY, DISTINCT, MIN/MAX and result emit are all
-        code-aware — but an ``Arith`` tree computes on values, so any
-        column it references is decoded here (an operator-internal
-        decode, outside the simulated cost model like the join's
-        one-sided key decode).
-        """
-        names: set[str] = set()
-
-        def visit(expr: Expr, top: bool) -> None:
-            if isinstance(expr, ColumnRef):
-                if not top:
-                    names.add(expr.name)
-            elif isinstance(expr, Aggregate):
-                if expr.arg is not None:
-                    visit(expr.arg, True)
-            elif isinstance(expr, Arith):
-                visit(expr.left, False)
-                visit(expr.right, False)
-
-        for item in query.select:
-            visit(item.expr, True)
-        for having in query.having:
-            visit(having.expr, True)
-        for item in query.order_by:
-            visit(item.expr, True)
-        if not names:
-            return batch
-        out = dict(batch)
-        for name in names:
-            col = out.get(name)
-            if is_code_column(col):
-                out[name] = col.decode()
-        return out
+        return rows_to_columns(schema, rows, scan.needed)
 
     # ------------------------------------------------------------- join
 

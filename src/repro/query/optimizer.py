@@ -12,12 +12,20 @@ greedily by estimated cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..common.cost import CostModel
 from ..common.errors import PlanningError
-from ..common.predicate import ALWAYS_TRUE, And, Comparison, Predicate, TruePredicate
+from ..common.predicate import (
+    ALWAYS_TRUE,
+    And,
+    Comparison,
+    Predicate,
+    TruePredicate,
+    key_equality,
+)
 from .access import AccessPath, Catalog, TableAccess
-from .ast import Query
+from .ast import Aggregate, Arith, ColumnRef, Expr, Query
 
 
 @dataclass
@@ -33,11 +41,19 @@ class PathChoice:
 class ScanPlan:
     table: str
     path: AccessPath
-    columns: list[str]
+    #: What the scan materializes: the columns the query reads after
+    #: the scan, or the first primary-key column when it names none.
+    needed: list[str]
     predicate: Predicate
     estimated_rows: int
     cost_us: float
     candidates: list[PathChoice] = field(default_factory=list)
+    #: An INDEX_LOOKUP whose predicate pins every primary-key column by
+    #: equality is one ``point_lookup``: those columns, and the key they
+    #: pin (scalar for a one-column key).  Empty on every other scan —
+    #: an INDEX_LOOKUP without them probes a secondary index.
+    key_columns: tuple[str, ...] = ()
+    point_key: Any = None
 
 
 @dataclass
@@ -60,14 +76,9 @@ class PhysicalPlan:
     #: table pair (TPC-C's (w_id, d_id, o_id)) are not residual: they
     #: are the components of that step's composite ``JoinStep.keys``.
     residual_equalities: list[tuple[str, str]] = field(default_factory=list)
-
-    def scan_for(self, table: str) -> ScanPlan:
-        if self.base.table == table:
-            return self.base
-        for step in self.joins:
-            if step.scan.table == table:
-                return step.scan
-        raise PlanningError(f"table {table!r} not in plan")
+    #: Columns an ``Arith`` in SELECT / HAVING / ORDER BY computes on,
+    #: which the executor must decode out of code space first.
+    arith_columns: frozenset[str] = frozenset()
 
     def explain(self) -> str:
         lines = [
@@ -99,6 +110,27 @@ def split_conjuncts(predicate: Predicate) -> list[Predicate]:
             out.extend(split_conjuncts(child))
         return out
     return [predicate]
+
+
+def arith_columns(query: Query) -> frozenset[str]:
+    """Columns referenced inside an ``Arith`` of SELECT / HAVING /
+    ORDER BY.  Compressed execution keeps plain references encoded —
+    joins, GROUP BY, DISTINCT, MIN/MAX and result emit are code-aware —
+    but arithmetic computes on values."""
+    names: set[str] = set()
+
+    def visit(expr: Expr, inside: bool) -> None:
+        if isinstance(expr, Arith):
+            visit(expr.left, True)
+            visit(expr.right, True)
+        elif isinstance(expr, Aggregate) and expr.arg is not None:
+            visit(expr.arg, False)
+        elif isinstance(expr, ColumnRef) and inside:
+            names.add(expr.name)
+
+    for clause in (*query.select, *query.having, *query.order_by):
+        visit(clause.expr, False)
+    return frozenset(names)
 
 
 def conjoin(conjuncts: list[Predicate]) -> Predicate:
@@ -201,8 +233,9 @@ class Planner:
                     estimated_rows=matching,
                 )
             )
-        if AccessPath.INDEX_LOOKUP in available and self._has_sarg(
-            adapter, predicate
+        if AccessPath.INDEX_LOOKUP in available and (
+            key_equality(predicate, adapter.schema().primary_key) is not None
+            or self._indexed_equality(adapter, predicate)
         ):
             choices.append(
                 PathChoice(
@@ -244,15 +277,17 @@ class Planner:
         return sorted(choices, key=lambda c: c.cost_us)
 
     @staticmethod
-    def _has_sarg(adapter: TableAccess, predicate: Predicate) -> bool:
-        """Is there an indexable (search-argument) conjunct?"""
-        schema = adapter.schema()
-        indexed = set(schema.primary_key) | adapter.indexed_columns()
-        for conjunct in split_conjuncts(predicate):
-            if isinstance(conjunct, Comparison) and conjunct.op == "=":
-                if conjunct.column in indexed:
-                    return True
-        return False
+    def _indexed_equality(adapter: TableAccess, predicate: Predicate) -> bool:
+        """Is there an equality conjunct on a secondary-indexed column?
+        (One on part of the primary key names no probe: the key index
+        is only reachable with the whole key.)"""
+        indexed = adapter.indexed_columns()
+        return bool(indexed) and any(
+            isinstance(conjunct, Comparison)
+            and conjunct.op == "="
+            and conjunct.column in indexed
+            for conjunct in split_conjuncts(predicate)
+        )
 
     def _plan_scan(
         self,
@@ -270,14 +305,20 @@ class Planner:
             best = forced[0]
         else:
             best = choices[0]
+        primary_key = self._adapter(table).schema().primary_key
+        point_key = None
+        if best.path is AccessPath.INDEX_LOOKUP:
+            point_key = key_equality(predicate, primary_key)
         return ScanPlan(
             table=table,
             path=best.path,
-            columns=columns_needed,
+            needed=sorted(set(columns_needed)) or [primary_key[0]],
             predicate=predicate,
             estimated_rows=best.estimated_rows,
             cost_us=best.cost_us,
             candidates=choices,
+            key_columns=primary_key if point_key is not None else (),
+            point_key=point_key,
         )
 
     # ------------------------------------------------------------- planning
@@ -322,16 +363,14 @@ class Planner:
             )
             for table in query.tables
         }
-        if len(query.tables) == 1:
-            base = scans[query.tables[0]]
-            return PhysicalPlan(query, base, [], base.cost_us)
         return self._order_joins(query, scans)
 
     def _order_joins(
         self, query: Query, scans: dict[str, ScanPlan]
     ) -> PhysicalPlan:
         """Greedy join ordering: start at the most selective scan, then
-        repeatedly attach the cheapest join-connected table."""
+        repeatedly attach the cheapest join-connected table (a single
+        table is its own base and attaches nothing)."""
         edges: list[tuple[str, str, str, str]] = []  # (t1, c1, t2, c2)
         for join in query.joins:
             t1 = self._owner_of(join.left_column, query.tables)
@@ -381,5 +420,10 @@ class Planner:
             if i not in used_edges
         ]
         return PhysicalPlan(
-            query, scans[base_table], steps, total_cost, residual_equalities=residual
+            query,
+            scans[base_table],
+            steps,
+            total_cost,
+            residual_equalities=residual,
+            arith_columns=arith_columns(query),
         )

@@ -43,6 +43,7 @@ Counts are exported as attributes and through the obs registry
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -55,9 +56,10 @@ from ..common.predicate import (
     Predicate,
     bind_predicate,
     collect_params,
+    key_equality,
 )
 from ..obs.registry import get_registry
-from .optimizer import PhysicalPlan
+from .optimizer import PhysicalPlan, ScanPlan
 
 DEFAULT_CAPACITY = 128
 
@@ -68,6 +70,14 @@ PlanKey = tuple
 def param_signature(params: Sequence[Any]) -> tuple[str, ...]:
     """The type fingerprint a binding plans under."""
     return tuple(type(p).__name__ for p in params)
+
+
+def _slot(value: Any) -> Callable[[Sequence[Any]], Any]:
+    """``value`` as a function of the params: a ``Param``'s slot, or
+    the literal it already is."""
+    if type(value) is Param:
+        return operator.itemgetter(value.index)
+    return lambda params: value
 
 
 def compile_binder(template: Predicate) -> Callable[[Sequence[Any]], Predicate]:
@@ -99,12 +109,10 @@ def compile_binder(template: Predicate) -> Callable[[Sequence[Any]], Predicate]:
                 )
             )
         elif isinstance(conjunct, Between):
-            low, high = conjunct.low, conjunct.high
+            low, high = _slot(conjunct.low), _slot(conjunct.high)
             steps.append(
                 lambda params, col=conjunct.column, lo=low, hi=high: Between(
-                    col,
-                    params[lo.index] if type(lo) is Param else lo,
-                    params[hi.index] if type(hi) is Param else hi,
+                    col, lo(params), hi(params)
                 )
             )
         else:
@@ -117,6 +125,19 @@ def compile_binder(template: Predicate) -> Callable[[Sequence[Any]], Predicate]:
     # predicate is part of downstream scan-cache keys, so it must be
     # structurally identical to what cold planning builds.
     return lambda params: And([step(params) for step in steps])
+
+
+def compile_key_binder(
+    template: Predicate, key_columns: Sequence[str]
+) -> Callable[[Sequence[Any]], Any]:
+    """The primary key ``template`` pins, as a function of the params:
+    per key column a ``Param`` slot or a literal, resolved once so a hit
+    derives no key from its bound predicate."""
+    pinned = key_equality(template, key_columns)
+    if len(key_columns) == 1:
+        return _slot(pinned)
+    slots = [_slot(value) for value in pinned]
+    return lambda params: tuple([get(params) for get in slots])
 
 
 def _rebound(node: Any, **changes: Any) -> Any:
@@ -155,24 +176,33 @@ class CachedPlan:
             table: compile_binder(template)
             for table, template in self.template_predicates.items()
         }
+        # A scan the planner made a point lookup gets its key the same way.
+        self._key_binders = {
+            scan.table: compile_key_binder(
+                self.template_predicates[scan.table], scan.key_columns
+            )
+            for scan in [self.plan.base, *(s.scan for s in self.plan.joins)]
+            if scan.key_columns
+        }
 
     def bind(self, params: Sequence[Any]) -> PhysicalPlan:
         """The cached plan with ``params`` grafted into every scan."""
         if self.param_count == 0:
             return self.plan
         plan = self.plan
-        binders = self._binders
-        base = _rebound(plan.base, predicate=binders[plan.base.table](params))
         joins = [
-            _rebound(
-                step,
-                scan=_rebound(
-                    step.scan, predicate=binders[step.scan.table](params)
-                ),
-            )
+            _rebound(step, scan=self._bind_scan(step.scan, params))
             for step in plan.joins
         ]
-        return _rebound(plan, base=base, joins=joins)
+        return _rebound(plan, base=self._bind_scan(plan.base, params), joins=joins)
+
+    def _bind_scan(self, scan: ScanPlan, params: Sequence[Any]) -> ScanPlan:
+        key_binder = self._key_binders.get(scan.table)
+        return _rebound(
+            scan,
+            predicate=self._binders[scan.table](params),
+            point_key=key_binder(params) if key_binder is not None else None,
+        )
 
 
 class PlanCache:

@@ -1,10 +1,12 @@
 """MVCC-aware snapshot-scan cache.
 
-Every AP query in the testbed starts by materializing dict-of-arrays
-column batches out of a store (an MVCC row store, an IMCU, a columnar
-replica, ...).  The survey's point about avoiding redundant TP→AP data
-movement is modeled here: a batch is cached under a key that pins down
-*exactly* which data it holds —
+A column scan or a full row scan starts by materializing
+dict-of-arrays column batches out of a store (an MVCC row store, an
+IMCU, a columnar replica, ...).  The survey's point about avoiding
+redundant TP→AP data movement is modeled here: such a batch is cached
+under a key that pins down *exactly* which data it holds (an index
+lookup is not a scan — it costs the rows it returns and never comes
+here) —
 
     (table, access path, needed columns, predicate, version token)
 
@@ -50,14 +52,14 @@ Batch = dict
 CacheKey = tuple
 """(table, path, columns, predicate, token) — see module docstring."""
 
-#: Sized for the session tier, where every commit strands the point-read
-#: batches keyed on the old token and only the LRU retires them: the
-#: smallest power of two at which ``point_frontdoor`` hits at least as
-#: often as it did when commits dropped their dead entries eagerly
-#: (seeds 1 / 2: 6 830 / 6 631 hits then; 6 512 / 6 342 at 512,
-#: 6 821 / 6 603 at 1024, 6 928 / 6 722 at 2048).  Those batches average
-#: well under a kilobyte, so the depth costs about 3 MB of RSS.
-DEFAULT_CAPACITY = 2048
+#: What is left in the cache is scans, a few dozen live entries per
+#: engine; a commit still strands the ones keyed on the old token until
+#: the LRU or the next sync retires them.  The smallest power of two at
+#: which every simulated metric and result digest of the four e2e
+#: workloads equals the 2048-deep run's, seeds 1 and 2 (at 128
+#: ``point_frontdoor`` evicts a batch it would have hit again: 4 051 ->
+#: 4 050 and 4 152 -> 4 133 hits per repetition; EXPERIMENTS.md P12).
+DEFAULT_CAPACITY = 256
 
 
 class ScanCache:

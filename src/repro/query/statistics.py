@@ -63,17 +63,14 @@ class TableStats:
         n = 0
         for name, arr in arrays.items():
             n = len(arr)
-            if arr.dtype == object:
-                # NULL strings are None, which np.unique cannot order.
-                columns[name] = ColumnStats(ndv=len(set(arr) - {None}))
-            elif len(arr):
+            if arr.dtype != object and len(arr):
                 columns[name] = ColumnStats(
                     ndv=len(np.unique(arr)),
                     min_value=arr.min().item(),
                     max_value=arr.max().item(),
                 )
-            else:
-                columns[name] = ColumnStats(ndv=0)
+            else:  # strings (a NULL is None, which np.unique cannot order) or empty
+                columns[name] = ColumnStats(ndv=len(set(arr) - {None}))
         return cls(row_count=n, columns=columns)
 
     def empty(self) -> bool:

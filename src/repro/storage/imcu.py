@@ -151,6 +151,7 @@ class InMemoryColumnUnit:
         predicate: Predicate = ALWAYS_TRUE,
         patch: bool = True,
         *,
+        with_keys: bool = True,
         encode: bool = False,
     ) -> ColumnScanResult:
         """Columnar scan patched with current row-store truth.
@@ -172,12 +173,14 @@ class InMemoryColumnUnit:
         ``code_gather_per_value_us`` and deferring materialization to
         whoever decodes downstream.  Patch rows are folded into the
         code space via :func:`encode_against` (decode fallback when the
-        patch values are not encodable).
+        patch values are not encodable).  ``with_keys=False`` leaves
+        ``keys`` None, as on :meth:`ColumnStore.scan`: a columnar
+        consumer reads the arrays only.
         """
         wanted = list(columns) if columns is not None else self.schema.column_names
         n = len(self._keys)
         arrays: dict[str, np.ndarray] = {}
-        out_keys: list[Key] = []
+        out_keys: list[Key] | None = [] if with_keys else None
         scanned = pruned = code_filters = 0
         unit_matches = True
         if n and self._encodings:
@@ -211,7 +214,8 @@ class InMemoryColumnUnit:
                     )
                 else:
                     arrays[name] = data.gather(name, positions)
-            out_keys.extend(self._keys[p] for p in positions)
+            if with_keys:
+                out_keys.extend(self._keys[p] for p in positions)
             code_filters = data.code_space_filters
             self._cost.charge(data.charge_us)
         else:
@@ -227,18 +231,10 @@ class InMemoryColumnUnit:
             self._pruned_counter.inc(pruned)
         if code_filters:
             self._code_filter_counter.inc(code_filters)
-        if not patch:
-            # Isolated mode: stale keys were dropped above and no patch
-            # reads happen — the scan is cheaper but the image is stale.
-            return ColumnScanResult(
-                arrays=arrays,
-                keys=out_keys,
-                segments_scanned=scanned,
-                segments_pruned=pruned,
-                code_space_filters=code_filters,
-            )
-        # Patch stale + brand-new keys from the row store.
-        patch_keys = self.smu.stale_keys | self.smu.new_keys
+        # Patch stale + brand-new keys from the row store.  Isolated mode
+        # (``patch=False``) dropped the stale keys above and reads none
+        # here — the scan is cheaper but the image is stale.
+        patch_keys = self.smu.stale_keys | self.smu.new_keys if patch else ()
         patch_rows: list[Row] = []
         patched_keys: list[Key] = []
         for key in patch_keys:
@@ -247,7 +243,7 @@ class InMemoryColumnUnit:
                 patch_rows.append(row)
                 patched_keys.append(key)
         if patch_rows:
-            patch_arrays = rows_to_columns(self.schema, patch_rows)
+            patch_arrays = rows_to_columns(self.schema, patch_rows, wanted)
             for name in wanted:
                 current = arrays[name]
                 if isinstance(current, CodeColumn):
@@ -257,7 +253,8 @@ class InMemoryColumnUnit:
                         continue
                     current = current.decode()
                 arrays[name] = np.concatenate([current, patch_arrays[name]])
-            out_keys.extend(patched_keys)
+            if with_keys:
+                out_keys.extend(patched_keys)
         return ColumnScanResult(
             arrays=arrays,
             keys=out_keys,

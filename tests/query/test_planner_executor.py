@@ -16,6 +16,8 @@ from repro.common import (
     PlanningError,
     Schema,
 )
+from repro.bench import TpccLoader, TpccScale
+from repro.engines import make_engine
 from repro.query import AccessPath, DualStoreTableAccess, Executor, Planner, parse
 from repro.storage.column_store import ColumnStore
 from repro.storage.row_store import MVCCRowStore
@@ -212,3 +214,51 @@ class TestResidualJoins:
         )
         # Exactly one match per composite key pair.
         assert result.scalar() == 16
+
+
+class TestIndexPathIsNamed:
+    """INDEX_LOOKUP is offered only when the plan can name its probe:
+    the whole primary key pinned, or an equality on a secondary-indexed
+    column.  An equality on part of the key used to be priced as an
+    index lookup of the estimated matches and executed as a full row
+    scan."""
+
+    SQL = "SELECT ol_number, ol_amount FROM order_line WHERE ol_o_id = 7"
+
+    @pytest.mark.parametrize("cat", ["a", "c", "d"])
+    def test_partial_key_equality_is_planned_as_what_it_runs(self, cat):
+        engine = make_engine(cat)
+        TpccLoader(
+            TpccScale(warehouses=1, districts=4, customers=100, initial_orders=100)
+        ).load(engine)
+        engine.force_sync()
+        plan = engine.planner.plan(parse(self.SQL))
+        assert plan.base.path is not AccessPath.INDEX_LOOKUP
+        assert AccessPath.INDEX_LOOKUP not in {c.path for c in plan.base.candidates}
+        result = engine.run_plan(plan)
+        assert result.sim_elapsed_us <= 2 * plan.estimated_cost_us
+        with engine.session() as s:
+            rows = s.scan("order_line")
+        schema = engine.catalog["order_line"].schema()
+        assert_matches(result, self.SQL, {"order_line": (schema, rows)})
+
+    def test_an_unservable_index_plan_raises_at_plan_time(self, env):
+        catalog, _planner, _ex, _data = env
+        forced = Planner(catalog, CostModel(), force_path=AccessPath.INDEX_LOOKUP)
+        with pytest.raises(PlanningError):
+            forced.plan(parse("SELECT o_id FROM orders WHERE o_amount > 50"))
+        with pytest.raises(PlanningError):  # o_c_id carries no index here
+            forced.plan(parse("SELECT o_id FROM orders WHERE o_c_id = 3"))
+        plan = forced.plan(parse("SELECT o_amount FROM orders WHERE o_id = 5"))
+        assert plan.base.key_columns == ("o_id",) and plan.base.point_key == 5
+
+    def test_secondary_index_equality_is_still_an_index_plan(self):
+        catalog, cost, data = build_catalog()
+        catalog["orders"].row_store.create_index("o_c_id")
+        sql = "SELECT o_id, o_amount FROM orders WHERE o_c_id = 3"
+        plan = Planner(catalog, cost, force_path=AccessPath.INDEX_LOOKUP).plan(
+            parse(sql)
+        )
+        assert plan.base.path is AccessPath.INDEX_LOOKUP
+        assert plan.base.key_columns == () and plan.base.point_key is None
+        assert_matches(Executor(catalog, cost).execute(plan), sql, data)

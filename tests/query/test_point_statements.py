@@ -21,15 +21,11 @@ over a plain dict of the committed rows:
 * on (a), the same probe AS OF earlier commit timestamps.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.common import Column, DataType, Schema
-from repro.common.predicate import bind_predicate
 from repro.common.rng import make_rng
 from repro.engines import make_engine
-from repro.query import parse
 
 from ..oracle import assert_matches
 
@@ -226,17 +222,10 @@ class Battery:
     def check(self, name, key):
         sql, make_params = STATEMENTS[name]
         params = tuple(make_params(key, self.acct.get(key), self.rng))
-        template = parse(sql)
-        bound = dataclasses.replace(
-            template, where=bind_predicate(template.where, params), param_count=0
-        )
-        tables = self.tables()
-        prepared = self.engine.execute_prepared(sql, params)
-        assert_matches(prepared, bound, tables)
-        cold = self.engine.query(sql, params=params)
-        assert_matches(cold, bound, tables)
-        literal = self.engine.query(inline(sql, params))
-        assert_matches(literal, bound, tables)
+        literal, tables = inline(sql, params), self.tables()
+        assert_matches(self.engine.execute_prepared(sql, params), literal, tables)
+        assert_matches(self.engine.query(sql, params=params), literal, tables)
+        assert_matches(self.engine.query(literal), literal, tables)
 
     def sweep(self, names=None):
         for name in names or STATEMENTS:
@@ -299,3 +288,42 @@ def test_time_travel_probe_on_a(seed):
             literal = inline(sql, make_params(key, rows.get(key), battery.rng))
             result = battery.engine.time_travel_query(literal, as_of)
             assert_matches(result, literal, battery.tables(rows))
+
+
+def test_a_prepared_point_statement_costs_a_point_read(monkeypatch):
+    """1 000 executions of a cached point plan never touch the scan
+    cache, derive no key from a predicate, and pivot exactly the columns
+    the statement returns."""
+    from repro.query import executor, optimizer, plan_cache
+    from repro.query.scan_cache import ScanCache
+
+    battery = Battery("a", 1)
+    engine = battery.engine
+    sql, _ = STATEMENTS["key_order"]
+    keys = list(battery.acct)
+    engine.execute_prepared(sql, keys[0])  # plans, and compiles the key
+    plan = engine.plan_cache.lookup(sql, ("int",) * 3, engine._stats_epoch_of).plan
+    assert plan.base.path.value == "index_lookup"
+
+    calls = {"cache": 0, "key_equality": 0, "arrays": 0}
+
+    def counted(name, fn, amount=lambda result: 1):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name] += amount(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ScanCache, "get", counted("cache", ScanCache.get))
+    monkeypatch.setattr(ScanCache, "put", counted("cache", ScanCache.put))
+    for module in (optimizer, plan_cache):
+        monkeypatch.setattr(
+            module, "key_equality", counted("key_equality", module.key_equality)
+        )
+    monkeypatch.setattr(
+        executor, "rows_to_columns", counted("arrays", executor.rows_to_columns, len)
+    )
+    for i in range(1000):
+        assert len(engine.execute_prepared(sql, keys[i % len(keys)]).rows) == 1
+    assert plan.base.needed == ["a_bal", "a_n", "a_name"]
+    assert calls == {"cache": 0, "key_equality": 0, "arrays": 3000}
