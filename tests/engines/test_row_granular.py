@@ -16,7 +16,9 @@ Sequences are generated from a seed over a key range small enough that
 delete-then-reinsert, update-of-an-update and NULL cells all occur.
 """
 
+import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,11 +38,11 @@ from repro.distributed.cluster import WriteKind, WriteOp
 from repro.distributed.replica import ColumnarReplica
 from repro.engines import make_engine
 from repro.storage import compression
-from repro.storage.code_batch import decode_column
+from repro.storage.code_batch import CodeColumn, decode_column
 from repro.storage.imcu import InMemoryColumnUnit
 from repro.storage.row_store import MVCCRowStore
 
-from ..oracle import TableModel, reference_scan
+from ..oracle import TableModel, logged_cost, reference_scan
 
 SCHEMA = Schema(
     "t",
@@ -226,17 +228,34 @@ def imcu_image(imcu: InMemoryColumnUnit):
     return SimpleNamespace(schema=imcu.schema, segments=[segment])
 
 
+#: seed -> [charges, simulated us] of every ``populate`` / ``scan`` call
+#: the test below makes, in call order (``ChargeLog.call``) — recorded
+#: at the parent of the commit that gave the unit a ``Segment``, so that
+#: commit is held to the same charges call by call.  To record again:
+#: run the test with ``IMCU_CHARGES`` emptied and dump ``charges``.
+IMCU_CHARGES = json.loads(
+    (Path(__file__).parent / "imcu_charge_pins.json").read_text()
+)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_imcu_scan_with_stale_and_new_keys(seed):
     rng = random.Random(seed)
-    cost = CostModel()
+    cost, log = logged_cost()
+    charges = []
+
+    def call(fn, *args, **kwargs):
+        result, charged = log.call(fn, *args, **kwargs)
+        charges.append(charged)
+        return result
+
     store = MVCCRowStore(SCHEMA, cost)
     model = TableModel()
     for row in base_rows(rng):
         store.install_insert(row, commit_ts=1)
         model.apply("insert", row[0], row, 1)
     imcu = InMemoryColumnUnit(SCHEMA, store, cost)
-    imcu.populate(1)
+    call(imcu.populate, 1)
     ts = 1
     for round_ in range(4):
         for kind, key, row in generate_writes(rng, model, rng.randint(2, 12)):
@@ -259,9 +278,9 @@ def test_imcu_scan_with_stale_and_new_keys(seed):
                 where = (seed, round_, predicate, encode)
                 # Isolated mode: the stale image minus its stale rows,
                 # byte for byte and in image order.
-                isolated = imcu.scan(
-                    imcu.smu.populate_ts, columns, predicate, patch=False,
-                    encode=encode,
+                isolated = call(
+                    imcu.scan, imcu.smu.populate_ts, columns, predicate,
+                    patch=False, encode=encode,
                 )
                 assert isolated.keys == want_keys, where
                 for name in columns:
@@ -270,7 +289,7 @@ def test_imcu_scan_with_stale_and_new_keys(seed):
                     np.testing.assert_array_equal(got, want_arrays[name], str(where))
                 # Fresh mode: the same rows first, then the patch reads;
                 # together they are the model.
-                fresh = imcu.scan(ts, columns, predicate, encode=encode)
+                fresh = call(imcu.scan, ts, columns, predicate, encode=encode)
                 assert fresh.keys[: len(want_keys)] == want_keys, where
                 assert sorted(fresh.keys) == [
                     r[0] for r in model_rows(model, ["id"], predicate)
@@ -279,7 +298,165 @@ def test_imcu_scan_with_stale_and_new_keys(seed):
                     model, columns, predicate
                 ), where
         if round_ == 1:
-            imcu.populate(ts)  # a second generation: the position map is rebuilt
+            call(imcu.populate, ts)  # a second generation: the position map is rebuilt
+    pinned = IMCU_CHARGES[str(seed)]
+    for i, (got, want) in enumerate(zip(charges, pinned)):
+        assert got == want, f"seed {seed}: call {i} charged {got}, pinned {want}"
+    assert len(charges) == len(pinned)
+
+
+# The paths a one-segment scan kernel has and a hand-rolled gather does
+# not: nothing surviving, everything surviving, a pruned unit — each with
+# the SMU's stale and new keys still owed to the reader.
+
+
+def small_unit():
+    """Ten populated rows (``tag`` seals as a dictionary, ``v`` plain,
+    ``rate`` as one run) and a ``write`` that keeps a dict beside them."""
+    cost, log = logged_cost()
+    store = MVCCRowStore(SCHEMA, cost)
+    held = {}
+    for k in range(10):
+        held[k] = (k, k // 5, 1.5, k % 3, float(k), "ab"[k % 2])
+        store.install_insert(held[k], commit_ts=1)
+    imcu = InMemoryColumnUnit(SCHEMA, store, cost)
+    imcu.populate(1)
+    clock = iter(range(2, 1000))
+
+    def write(row):
+        ts = next(clock)
+        if row[0] in held:
+            store.install_update(row[0], row, ts)
+        else:
+            store.install_insert(row, ts)
+        held[row[0]] = row
+        imcu.on_change(row[0])
+        return ts
+
+    return imcu, held, write, log
+
+
+def held_rows(held, columns, predicate):
+    index = SCHEMA.project(columns)
+    return sorted(
+        tuple(row[i] for i in index)
+        for row in held.values()
+        if predicate.matches(row, SCHEMA)
+    )
+
+
+def assert_empty_and_typed(result, columns):
+    assert result.keys == []
+    for name in columns:
+        got = decode_column(result.arrays[name])
+        assert len(got) == 0
+        assert got.dtype == SCHEMA.column(name).dtype.numpy_dtype, name
+
+
+@pytest.mark.parametrize("encode", [False, True])
+def test_imcu_pruned_unit_still_owes_its_stale_and_new_keys(encode):
+    imcu, held, write, _log = small_unit()
+    write((3, 0, 1.5, 1, 100.0, "a"))  # stale, now matches
+    write((150, 30, 1.5, 1, 60.0, "b"))  # new, matches
+    ts = write((151, 30, 1.5, 1, 1.0, "b"))  # new, does not
+    predicate = Comparison("v", ">=", 50.0)  # the image's v stops at 9.0
+    columns = ["id", "v", "tag"]
+    fresh = imcu.scan(ts, columns, predicate, encode=encode)
+    assert (fresh.segments_pruned, fresh.segments_scanned) == (1, 0)
+    assert sorted(fresh.keys) == [3, 150]
+    assert scanned_rows(fresh.arrays, columns) == held_rows(held, columns, predicate)
+    isolated = imcu.scan(1, columns, predicate, patch=False, encode=encode)
+    assert (isolated.segments_pruned, isolated.segments_scanned) == (1, 0)
+    assert_empty_and_typed(isolated, columns)
+
+
+@pytest.mark.parametrize("encode", [False, True])
+def test_imcu_fully_stale_unit(encode):
+    """Every populated key rewritten: the image answers nothing, still
+    pays its zone-map check and its predicate, and the patch reads are
+    the whole table."""
+    imcu, held, write, log = small_unit()
+    for k in range(10):
+        ts = write((k, 9, 2.5, None, None, None))
+    columns = SCHEMA.column_names
+    predicate = Comparison("grp", "<=", 9)
+    isolated, charged = log.call(
+        imcu.scan, 1, columns, predicate, patch=False, encode=encode
+    )
+    assert (isolated.segments_pruned, isolated.segments_scanned) == (0, 1)
+    assert_empty_and_typed(isolated, columns)
+    # One zone-map check, then ten values of ``grp`` read for the filter.
+    rates = CostModel()
+    assert charged == [
+        2, rates.zone_map_check_us + 10 * rates.column_scan_per_value_us
+    ]
+    fresh = imcu.scan(ts, columns, predicate, encode=encode)
+    assert fresh.keys == decode_column(fresh.arrays["id"]).tolist()
+    assert scanned_rows(fresh.arrays, columns) == sorted(held.values())
+
+
+@pytest.mark.parametrize("encode", [False, True])
+def test_imcu_scan_hands_out_buffers_it_will_not_hand_out_again(encode):
+    """Every row surviving is the case where a kernel may return a
+    column whole.  Whatever a reader does to the arrays it was handed,
+    the next scan answers the same."""
+    imcu, held, _write, _log = small_unit()
+    columns = SCHEMA.column_names
+    want = sorted(held.values())
+    for _ in range(2):
+        result = imcu.scan(1, columns, ALWAYS_TRUE, encode=encode)
+        assert result.keys == list(range(10))
+        assert scanned_rows(result.arrays, columns) == want
+        for column in result.arrays.values():
+            buffer = column.codes if isinstance(column, CodeColumn) else column
+            if buffer.flags.writeable:
+                buffer[:] = buffer[0]
+        result.keys.clear()
+
+
+def test_imcu_patch_value_outside_the_dictionary():
+    """An encoded scan folds patch rows into the code space: a new
+    string grows the dictionary, a NULL cannot join it and the column
+    comes back decoded."""
+    imcu, held, write, _log = small_unit()
+    columns = ["id", "tag"]
+    ts = write((4, 0, 1.5, 1, 4.0, "zzz"))  # stale
+    ts = write((20, 4, 1.5, 1, 4.0, "zz"))  # new
+    result = imcu.scan(ts, columns, ALWAYS_TRUE, encode=True)
+    tag = result.arrays["tag"]
+    assert isinstance(tag, CodeColumn)
+    assert tag.dictionary.tolist() == ["a", "b", "zz", "zzz"]
+    assert scanned_rows(result.arrays, columns) == held_rows(held, columns, ALWAYS_TRUE)
+    ts = write((21, 4, 1.5, 1, 4.0, None))
+    result = imcu.scan(ts, columns, ALWAYS_TRUE, encode=True)
+    assert not isinstance(result.arrays["tag"], CodeColumn)
+    assert scanned_rows(result.arrays, columns) == held_rows(held, columns, ALWAYS_TRUE)
+
+
+@pytest.mark.parametrize("encode", [False, True])
+@pytest.mark.parametrize("predicate", PREDICATES[:4], ids=str)
+def test_imcu_keys_answer_row_for_row(predicate, encode):
+    """``with_keys=True``: surviving image rows in image order, then the
+    patch rows — key ``i`` names row ``i`` of every array — and
+    ``with_keys=False`` is the same arrays without the list."""
+    imcu, held, write, _log = small_unit()
+    write((2, 2, 2.5, None, None, None))
+    write((7, 0, 1.5, 2, 0.5, "a"))
+    write((30, 2, 1.5, 2, 0.5, "b"))
+    ts = write((31, 1, 2.5, 2, 0.5, "a"))
+    columns = SCHEMA.column_names
+    keyed = imcu.scan(ts, columns, predicate, encode=encode)
+    ids = decode_column(keyed.arrays["id"]).tolist()
+    assert keyed.keys == ids
+    image = [k for k in ids if k not in (2, 7, 30, 31)]
+    assert ids[: len(image)] == image == sorted(image)
+    assert scanned_rows(keyed.arrays, columns) == held_rows(held, columns, predicate)
+    bare = imcu.scan(ts, columns, predicate, with_keys=False, encode=encode)
+    assert bare.keys is None
+    for name in columns:
+        np.testing.assert_array_equal(
+            decode_column(bare.arrays[name]), decode_column(keyed.arrays[name])
+        )
 
 
 # ------------------------------------------------------------ delta overlay

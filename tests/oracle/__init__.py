@@ -7,21 +7,26 @@
   lists of tuples.  What any executor path must return.
 * :mod:`.scan` — a full-decode scan of a column store's segments.  What
   any pruned / code-space scan must return.
+* :mod:`.charges` — a simulated clock that logs its advances.  What a
+  refactored call must still charge, call by call.
 
 The first two are plain Python and share only schema/AST definitions and
 the row-mode ``Predicate.matches`` with the code under test; the scan
 reference adds the codecs' public ``decode()`` and ``Predicate.mask``.
 """
 
+from .charges import ChargeLog, logged_cost
 from .query import assert_matches, evaluate, filter_rows
 from .scan import reference_scan
 from .table import TableModel, store_state
 
 __all__ = [
+    "ChargeLog",
     "TableModel",
     "assert_matches",
     "evaluate",
     "filter_rows",
+    "logged_cost",
     "reference_scan",
     "store_state",
 ]

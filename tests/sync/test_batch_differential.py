@@ -17,6 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import Column, CostModel, DataType, Schema
+from repro.distributed.cluster import WriteKind, WriteOp
+from repro.distributed.replica import ColumnarReplica
+from repro.engines.disk_row_imcs import DiskRowIMCSEngine
 from repro.storage.column_store import ColumnStore
 from repro.storage.compression import DictionaryEncoding
 from repro.storage.delta_batch import KIND_DELETE, KIND_INSERT, KIND_UPDATE, DeltaBatch
@@ -31,7 +34,7 @@ from repro.sync import (
     sorted_dictionary_merge_many,
 )
 
-from ..oracle import TableModel, store_state
+from ..oracle import TableModel, logged_cost, store_state
 
 
 def make_schema():
@@ -236,19 +239,33 @@ FOLD_CASES = {
 }
 
 
-def fold_by_delta_merge(main, cost, ops):
+def seeded(main):
+    """``BASE`` sealed as two older segments."""
+    main.append_rows(BASE[:2], commit_ts=0)
+    main.append_rows(BASE[2:], commit_ts=0)
+    return main
+
+
+# Each arm: ``(cost, ops) -> (the image, the call that folds into it)``.
+
+
+def fold_by_delta_merge(cost, ops):
+    main = seeded(ColumnStore(make_schema(), cost))
     delta = InMemoryDeltaStore(main.schema, cost)
     apply_ops(delta, ops)
-    return InMemoryDeltaMerger(delta, main, cost, threshold_rows=1).merge()
+    return main, InMemoryDeltaMerger(delta, main, cost, threshold_rows=1).merge
 
 
-def fold_by_log_merge(main, cost, ops):
+def fold_by_log_merge(cost, ops):
+    main = seeded(ColumnStore(make_schema(), cost))
     log = LogDeltaManager(main.schema, cost, seal_threshold=2)
     apply_ops(log, ops)
-    return LogDeltaMerger(log, main, cost, threshold_files=1).merge(seal_first=True)
+    merger = LogDeltaMerger(log, main, cost, threshold_files=1)
+    return main, lambda: merger.merge(seal_first=True)
 
 
-def fold_directly(main, _cost, ops):
+def fold_directly(cost, ops):
+    main = seeded(ColumnStore(make_schema(), cost))
     entries = model_ops(ops)
     batch = DeltaBatch.from_columns(
         [KIND[kind] for kind, _key, _row, _ts in entries],
@@ -256,7 +273,32 @@ def fold_directly(main, _cost, ops):
         [None if kind == "delete" else row for kind, _key, row, _ts in entries],
         [ts for _kind, _key, _row, ts in entries],
     )
-    return main.fold(batch.collapse(), batch.max_commit_ts())
+    return main, lambda: main.fold(batch.collapse(), batch.max_commit_ts())
+
+
+def fold_by_engine_c(cost, ops):
+    """Architecture (c): the disk row store's change listener fills the
+    table's delta, ``_propagate`` folds it into the IMCS."""
+    engine = DiskRowIMCSEngine(cost=cost)
+    engine.create_table(make_schema())
+    main = seeded(engine.imcs_store("t"))
+    listener = engine._make_listener("t")
+    for kind, key, row, ts in model_ops(ops):
+        listener(kind, key, None if kind == "delete" else row, ts)
+    return main, lambda: engine._propagate("t")
+
+
+def fold_by_replica(cost, ops):
+    """Architecture (b): one learner batch fills the table's delta log,
+    ``merge_deltas`` seals and folds it into the learner's store."""
+    replica = ColumnarReplica({"t": make_schema()}, cost, seal_threshold=2)
+    main = seeded(replica.column_stores["t"])
+    replica.learner_apply_batch(0, 0, [
+        ("commit1p", ts, [WriteOp(WriteKind(kind), "t", key,
+                                  None if kind == "delete" else row)], ts)
+        for kind, key, row, ts in model_ops(ops)
+    ])
+    return main, replica.merge_deltas
 
 
 KIND = {"insert": KIND_INSERT, "update": KIND_UPDATE, "delete": KIND_DELETE}
@@ -264,6 +306,48 @@ FOLDS = {
     "column_store_fold": fold_directly,
     "delta_merge": fold_by_delta_merge,
     "log_merge": fold_by_log_merge,
+    "engine_c_propagate": fold_by_engine_c,
+    "replica_merge_deltas": fold_by_replica,
+}
+#: arm -> case -> [charges, simulated us] of the folding call alone
+#: (``ChargeLog.call``), recorded at the parent of the commit that made
+#: the two engines run the ``repro.sync`` mergers.
+FOLD_CHARGES = {
+    "column_store_fold": {
+        "tombstone_only": [0, 0.0],
+        "live_only": [1, 0.6449999999999999],
+        "upsert_over_sealed_keys": [1, 0.6449999999999999],
+        "insert_then_delete_in_batch": [1, 0.3],
+        "delete_then_reinsert_in_batch": [1, 0.3],
+    },
+    "delta_merge": {
+        "tombstone_only": [1, 0.0],
+        "live_only": [2, 2.245],
+        "upsert_over_sealed_keys": [2, 2.245],
+        "insert_then_delete_in_batch": [2, 1.1],
+        "delete_then_reinsert_in_batch": [2, 1.1],
+    },
+    "log_merge": {
+        "tombstone_only": [3, 122.4],
+        "live_only": [4, 124.645],
+        "upsert_over_sealed_keys": [4, 124.645],
+        "insert_then_delete_in_batch": [7, 2393.5000000000005],
+        "delete_then_reinsert_in_batch": [4, 122.3],
+    },
+    "engine_c_propagate": {
+        "tombstone_only": [1, 0.0],
+        "live_only": [2, 2.245],
+        "upsert_over_sealed_keys": [2, 2.245],
+        "insert_then_delete_in_batch": [2, 1.1],
+        "delete_then_reinsert_in_batch": [2, 1.1],
+    },
+    "replica_merge_deltas": {
+        "tombstone_only": [2, 120.0],
+        "live_only": [3, 122.24499999999999],
+        "upsert_over_sealed_keys": [3, 122.24499999999999],
+        "insert_then_delete_in_batch": [6, 2391.1000000000004],
+        "delete_then_reinsert_in_batch": [3, 121.1],
+    },
 }
 
 
@@ -272,14 +356,13 @@ FOLDS = {
 def test_fold_matches_model(fold, case):
     ops = FOLD_CASES[case]
     model = TableModel(BASE).apply_all(model_ops(ops))
-    cost = CostModel()
-    main = ColumnStore(make_schema(), cost)
-    main.append_rows(BASE[:2], commit_ts=0)
-    main.append_rows(BASE[2:], commit_ts=0)
-    landed = FOLDS[fold](main, cost, ops)
+    cost, log = logged_cost()
+    main, land = FOLDS[fold](cost, ops)
+    landed, charged = log.call(land)
     assert store_state(main) == model.state()  # rows, horizon, live count
     written = {key for _, key, _ in ops}
     assert landed == sum(1 for row in model.rows() if row[0] in written)
+    assert charged == FOLD_CHARGES[fold][case]
 
 
 def test_hana_l1_merge_keeps_each_key_in_one_columnar_layer():
