@@ -29,14 +29,11 @@ from ..common.cost import CostModel
 from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Schema
 from ..obs import get_registry
+from ..storage.code_batch import overlay_delta
 from ..storage.column_store import ColumnScanResult, ColumnStore
-from ..storage.delta_batch import (
-    KIND_DELETE,
-    KIND_INSERT,
-    KIND_UPDATE,
-    DeltaBatch,
-)
+from ..storage.delta_batch import KIND_DELETE, KIND_INSERT, KIND_UPDATE
 from ..storage.delta_log import LogDeltaManager
+from ..sync.log_merge import LogDeltaMerger
 
 #: Learner-stream commands the columnar replica deliberately skips
 #: (voter-side resharding machinery; see the module docstring).
@@ -68,7 +65,6 @@ class ColumnarReplica:
         cost: CostModel,
         seal_threshold: int = 64,
     ):
-        self._cost = cost
         self.delta_logs = {
             name: LogDeltaManager(schema, cost=cost, seal_threshold=seal_threshold)
             for name, schema in schemas.items()
@@ -76,21 +72,16 @@ class ColumnarReplica:
         self.column_stores = {
             name: ColumnStore(schema, cost=cost) for name, schema in schemas.items()
         }
+        self._mergers = [
+            LogDeltaMerger(log, self.column_stores[name], cost)
+            for name, log in self.delta_logs.items()
+        ]
         self.applied_ts: Timestamp = 0
         # Keyed by (shard, txn_id): each shard's learner stream carries
         # only that shard's slice of a 2PC transaction, and streams from
         # different shards interleave arbitrarily.
         self._pending: dict[tuple[int, int], tuple[list, Timestamp]] = {}
-        registry = get_registry()
-        self._m_merge_events = registry.counter("sync.log_merge.events")
-        self._m_merge_rows = registry.counter("sync.log_merge.rows")
-        self._h_apply_batch = registry.histogram("raft.apply_batch_commands")
-        self._h_merge_batch = registry.histogram(
-            "sync.batch_rows", technique="replica_merge"
-        )
-        self._h_merge_latency = registry.histogram(
-            "sync.merge_latency_us", technique="replica_merge"
-        )
+        self._h_apply_batch = get_registry().histogram("raft.apply_batch_commands")
 
     def learner_apply_batch(
         self, region: int, _start_index: int, commands: list[tuple]
@@ -197,59 +188,16 @@ class ColumnarReplica:
         live, tombstones = self.delta_logs[table].effective_rows()
         if not live and not tombstones:
             return result
-        schema = store.schema
-        from ..common.types import rows_to_columns
-        from ..storage.code_batch import overlay_arrays
-
         dropped = store.rows_of(result, tombstones | set(live))
-        fresh_rows = [
-            row for row in live.values() if predicate.matches(row, schema)
-        ]
-        fresh_columns = rows_to_columns(schema, fresh_rows) if fresh_rows else None
-        result.arrays = overlay_arrays(
-            result.arrays, dropped, fresh_rows, fresh_columns
+        result.arrays, fresh_rows = overlay_delta(
+            result.arrays, dropped, live.values(), predicate, store.schema
         )
         for row in sorted(dropped, reverse=True):
             del result.keys[row]
-        if fresh_rows:
-            result.keys.extend(schema.key_of(r) for r in fresh_rows)
+        result.keys.extend(map(store.schema.key_of, fresh_rows))
         return result
 
     def merge_deltas(self) -> int:
         """Log-based delta merge: seal + fold every delta file into the
         column stores.  Returns rows merged."""
-        start = self._cost.now_us()
-        merged = 0
-        batch_entries = 0
-        for table, log in self.delta_logs.items():
-            log.seal()
-            files = log.drain_files()
-            if not files:
-                continue
-            self._m_merge_events.inc()
-            # Concatenate the files' column slabs without ever
-            # materializing DeltaEntry objects.
-            kinds: list[int] = []
-            keys: list = []
-            rows: list = []
-            ts: list = []
-            for f in files:
-                self._cost.charge(self._cost.page_read_us * f.page_count())
-                f_kinds, f_keys, f_rows, f_ts = f.columns()
-                kinds.extend(f_kinds)
-                keys.extend(f_keys)
-                rows.extend(f_rows)
-                ts.extend(f_ts)
-            batch_entries += len(keys)
-            collapsed = DeltaBatch.from_columns(kinds, keys, rows, ts).collapse()
-            folded = self.column_stores[table].fold(collapsed, max(ts))
-            self._cost.charge_rows(self._cost.merge_per_row_us, folded)
-            self._m_merge_rows.inc(folded)
-            merged += folded
-        elapsed = self._cost.now_us() - start
-        self._h_merge_batch.observe(batch_entries)
-        self._h_merge_latency.observe(elapsed)
-        return merged
-
-    def unmerged_entries(self) -> int:
-        return sum(log.pending_entries() for log in self.delta_logs.values())
+        return sum(merger.merge(seal_first=True) for merger in self._mergers)

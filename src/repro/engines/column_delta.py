@@ -27,10 +27,10 @@ from ..common.clock import LogicalClock, Timestamp
 from ..common.cost import CostModel
 from ..common.errors import KeyNotFoundError, TransactionError
 from ..common.predicate import ALWAYS_TRUE, Predicate
-from ..common.types import Key, Row, Schema, rows_to_columns
+from ..common.types import Key, Row, Schema
 from ..query.statistics import TableStats
 from ..obs import get_registry
-from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_arrays
+from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_delta
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
 from ..txn.wal import WalKind
@@ -203,9 +203,7 @@ class HanaTable:
         dropped = self.main.rows_of(main_res, drop) + [
             n_main + row for row in self.l2.rows_of(l2_res, drop)
         ]
-        fresh = [r for r in live.values() if predicate.matches(r, self.schema)]
-        fresh_columns = rows_to_columns(self.schema, fresh) if fresh else None
-        return overlay_arrays(arrays, dropped, fresh, fresh_columns)
+        return overlay_delta(arrays, dropped, live.values(), predicate, self.schema)[0]
 
     def all_latest_rows(self) -> list[Row]:
         """Materialize current state across all three layers (row path)."""

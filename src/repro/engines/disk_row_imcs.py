@@ -21,17 +21,17 @@ from ..common.cost import CostModel
 from ..common.errors import KeyNotFoundError, TransactionError
 from ..common.predicate import Predicate
 from ..common.types import Key, Row, Schema, rows_to_columns
-from ..obs import get_registry
 from ..query.column_selection import (
     AccessTracker,
     HeatmapColumnSelector,
     LearnedColumnSelector,
 )
 from ..query.statistics import TableStats
-from ..storage.code_batch import overlay_arrays
+from ..storage.code_batch import overlay_delta
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
 from ..storage.disk_row_store import DiskRowStore
+from ..sync.delta_merge import InMemoryDeltaMerger
 from ..txn.wal import WalKind
 from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
@@ -75,14 +75,12 @@ class DiskRowIMCSEngine(LoggedEngine):
         else:
             raise ValueError(f"unknown column selector {column_selector!r}")
         self._stores: dict[str, DiskRowStore] = {}
-        self._imcs: dict[str, ColumnStore] = {}
-        self._deltas: dict[str, InMemoryDeltaStore] = {}
+        #: Per table, the in-memory delta merge that propagates its
+        #: unpropagated changes (``.delta``) into its IMCS (``.main``).
+        self._mergers: dict[str, InMemoryDeltaMerger] = {}
         self._loaded: dict[str, set[str]] = {}
         self.pushdowns = 0
         self.fallbacks = 0
-        self._m_propagations = get_registry().counter(
-            "sync.propagation.events", engine=self.info.name
-        )
 
     # ------------------------------------------------------------- schema
 
@@ -92,17 +90,28 @@ class DiskRowIMCSEngine(LoggedEngine):
             raise TransactionError(f"table {name!r} already exists")
         store = DiskRowStore(schema, self.cost, buffer_capacity=self.buffer_capacity)
         self._stores[name] = store
-        self._imcs[name] = ColumnStore(schema, self.cost)
-        self._deltas[name] = InMemoryDeltaStore(schema, self.cost)
+        self._new_image(name)
         self._loaded[name] = (
             set(schema.column_names) if self.column_budget_bytes is None else set()
         )
         store.add_change_listener(self._make_listener(name))
         self._register_adapter(name, _HeatwaveTableAccess(self, name))
 
+    def _new_image(self, table: str) -> ColumnStore:
+        """An empty IMCS and delta for ``table``, and the merge between."""
+        schema = self._stores[table].schema
+        imcs = ColumnStore(schema, self.cost)
+        self._mergers[table] = InMemoryDeltaMerger(
+            InMemoryDeltaStore(schema, self.cost),
+            imcs,
+            self.cost,
+            threshold_rows=self.propagation_threshold,
+        )
+        return imcs
+
     def _make_listener(self, table: str):
         def listener(kind: str, key: Key, row: Row | None, ts: Timestamp) -> None:
-            delta = self._deltas[table]
+            delta = self._mergers[table].delta
             if kind == "insert":
                 delta.record_insert(row, ts)
             elif kind == "update":
@@ -119,7 +128,7 @@ class DiskRowIMCSEngine(LoggedEngine):
             raise KeyNotFoundError(f"no table {table!r}") from None
 
     def imcs_store(self, table: str) -> ColumnStore:
-        return self._imcs[table]
+        return self._mergers[table].main
 
     def loaded_columns(self, table: str) -> set[str]:
         return self._loaded[table]
@@ -180,39 +189,30 @@ class DiskRowIMCSEngine(LoggedEngine):
 
     def pending_changes(self, table: str | None = None) -> int:
         if table is not None:
-            return len(self._deltas[table])
-        return sum(len(d) for d in self._deltas.values())
+            return len(self._mergers[table].delta)
+        return sum(len(m.delta) for m in self._mergers.values())
 
     def _sync(self) -> int:
         """Threshold-based change propagation into the IMCS."""
-        moved = 0
         before = self.cost.now_us()
-        for table, delta in self._deltas.items():
-            if len(delta) >= self.propagation_threshold:
-                moved += self._propagate(table)
+        moved = sum(merger.maybe_merge() for merger in self._mergers.values())
         self.ledger.charge(_PRIMARY, self.cost.now_us() - before)
         return moved
 
     def force_sync(self) -> int:
-        moved = sum(self._propagate(table) for table in self._deltas)
+        moved = sum(self._propagate(table) for table in self._mergers)
         self.scan_cache.invalidate()
         return moved
 
     def _propagate(self, table: str) -> int:
-        batch = self._deltas[table].clear_batch()
-        if not len(batch):
-            return 0
-        self._m_propagations.inc()
-        moved = self._imcs[table].fold(batch.collapse(), batch.max_commit_ts())
-        self.cost.charge_rows(self.cost.merge_per_row_us, moved)
-        return moved
+        return self._mergers[table].merge()
 
     def freshness_lag(self) -> int:
         newest = self.clock.now()
-        lags = []
-        for table, imcs in self._imcs.items():
-            visible = imcs.max_commit_ts()
-            lags.append(max(0, newest - visible) if len(self._deltas[table]) else 0)
+        lags = [
+            max(0, newest - m.main.max_commit_ts()) if len(m.delta) else 0
+            for m in self._mergers.values()
+        ]
         return max(lags, default=0)
 
     # ------------------------------------------------------------- column selection
@@ -241,13 +241,10 @@ class DiskRowIMCSEngine(LoggedEngine):
         """(Re)extract loaded columns from the row store into the IMCS."""
         store = self._stores[table]
         rows = [row for _key, row in store.iter_rows()]
-        self._imcs[table] = ColumnStore(store.schema, self.cost)
-        self._deltas[table] = InMemoryDeltaStore(store.schema, self.cost)
-        store._listeners.clear()
-        store.add_change_listener(self._make_listener(table))
+        imcs = self._new_image(table)
         if rows:
             self.cost.charge_rows(self.cost.rebuild_per_row_us, len(rows))
-            self._imcs[table].append_rows(rows, commit_ts=self.clock.now())
+            imcs.append_rows(rows, commit_ts=self.clock.now())
 
     # ------------------------------------------------------------- metrics
 
@@ -262,10 +259,12 @@ class DiskRowIMCSEngine(LoggedEngine):
             "disk_pages": sum(s.disk_bytes() for s in self._stores.values()),
             # Only loaded columns are resident in the IMCS cluster.
             "imcs": sum(
-                c.memory_bytes(sorted(self._loaded[t]))
-                for t, c in self._imcs.items()
+                m.main.memory_bytes(sorted(self._loaded[t]))
+                for t, m in self._mergers.items()
             ),
-            "propagation_delta": sum(d.memory_bytes() for d in self._deltas.values()),
+            "propagation_delta": sum(
+                m.delta.memory_bytes() for m in self._mergers.values()
+            ),
             "wal": len(self.wal) * 64,
         }
 
@@ -296,7 +295,7 @@ class _HeatwaveTableAccess(EngineTableAccess):
             "latest",
             engine.store(self._table).mutations,
             engine.imcs_store(self._table).mutations,
-            len(engine._deltas[self._table]),
+            engine.pending_changes(self._table),
             frozenset(engine.loaded_columns(self._table)),
             engine.read_fresh,
         )
@@ -331,7 +330,7 @@ class _HeatwaveTableAccess(EngineTableAccess):
             self._engine.fallbacks += 1
             return rows_to_columns(self.schema(), self.scan_rows(predicate), columns)
         self._engine.pushdowns += 1
-        if self._engine.read_fresh and len(self._engine._deltas[self._table]):
+        if self._engine.read_fresh and self._engine.pending_changes(self._table):
             # Shared mode: merge the unpropagated delta at query time.
             return self._scan_with_delta(columns, predicate)
         result = self._engine.imcs_store(self._table).scan(
@@ -350,13 +349,12 @@ class _HeatwaveTableAccess(EngineTableAccess):
         engine = self._engine
         store = engine.imcs_store(self._table)
         result = store.scan(columns, predicate, with_keys=False, encode=True)
-        delta = engine._deltas[self._table]
+        delta = engine._mergers[self._table].delta
         live, tombstones = delta.effective_rows(delta.max_commit_ts())
-        schema = self.schema()
         dropped = store.rows_of(result, tombstones | set(live))
-        fresh = [r for r in live.values() if predicate.matches(r, schema)]
-        fresh_columns = rows_to_columns(schema, fresh) if fresh else None
-        return overlay_arrays(result.arrays, dropped, fresh, fresh_columns)
+        return overlay_delta(
+            result.arrays, dropped, live.values(), predicate, self.schema()
+        )[0]
 
     def point_lookup(self, key: Key) -> Row | None:
         return self._engine._read_committed(self._table, key)

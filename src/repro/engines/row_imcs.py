@@ -24,6 +24,7 @@ from ..common.types import Key, Row, Schema
 from ..query.access import AccessPath
 from ..query.adapters import index_lookup_rows
 from ..query.statistics import TableStats
+from ..storage.column_store import encoded_column_fraction, pruned_row_fraction
 from ..storage.imcu import InMemoryColumnUnit
 from ..txn.transaction import Transaction, TransactionManager
 from .base import EngineInfo, EngineSession, EngineTableAccess, HTAPEngine
@@ -298,11 +299,11 @@ class _ImcuTableAccess(EngineTableAccess):
     def scan_pruning_hint(self, predicate: Predicate) -> float:
         """Prunable fraction of the populated IMCU (all-or-nothing: the
         unit is one pruning granule; patch reads are never pruned)."""
-        return self._engine.imcu(self._table).pruned_row_fraction(predicate)
+        return pruned_row_fraction(self._engine.imcu(self._table).segments, predicate)
 
     def code_space_hint(self, columns: list[str]) -> float:
         """Fraction of ``columns`` the IMCU serves as dictionary codes."""
-        return self._engine.imcu(self._table).encoded_column_fraction(columns)
+        return encoded_column_fraction(columns, self._engine.imcu(self._table).segments)
 
     def indexed_columns(self) -> set[str]:
         """Secondary-index columns the planner may treat as sargable."""

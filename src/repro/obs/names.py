@@ -101,7 +101,6 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "sync.log_merge.events",
         "sync.log_merge.rows",
         "sync.merge_latency_us",
-        "sync.propagation.events",
         "sync.rebuild.events",
         "sync.rebuild.rows",
         # commit paths (placement-aware cluster commit routing)

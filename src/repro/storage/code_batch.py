@@ -26,8 +26,12 @@ sequence.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
+from ..common.predicate import Predicate
+from ..common.types import Row, Schema, rows_to_columns
 from .compression import _object_bytes
 
 
@@ -74,6 +78,10 @@ class CodeColumn:
 
     def take(self, positions) -> "CodeColumn":
         return CodeColumn(self.codes[positions], self.dictionary)
+
+    def copy(self) -> "CodeColumn":
+        """Codes the holder may write to; dictionaries are never written."""
+        return CodeColumn(self.codes.copy(), self.dictionary)
 
     def __getitem__(self, item):
         """Array-style indexing: selections stay encoded, a scalar
@@ -237,29 +245,22 @@ def encode_against(
     )
 
 
-def overlay_arrays(
-    arrays: dict,
-    dropped: list[int],
-    fresh_rows: list,
-    fresh_columns: dict | None = None,
-) -> dict:
-    """The engines' shared delta-overlay shape, kept encoded.
-
-    All four architectures overlay a base columnar scan the same way:
-    drop the rows whose keys the delta touched, then append the delta's
-    fresh rows.  ``dropped`` names those rows by output position
+def overlay_arrays(arrays: dict, dropped: list[int], fresh_columns: dict | None) -> dict:
+    """The array half of :func:`overlay_delta`, kept encoded: drop the
+    rows whose keys the delta touched, then append the delta's fresh
+    rows.  ``dropped`` names those rows by output position
     (:meth:`ColumnStore.rows_of` finds them with one probe per delta
     key).  ``arrays`` may hold :class:`CodeColumn` entries; they
     stay encoded when the fresh values fit their dictionaries and fall
     back to decoded concatenation otherwise.  ``fresh_columns`` maps
-    column name → list of fresh values (same order as ``fresh_rows``).
-    Plain arrays take ``fresh_columns``' pre-built ndarray per column.
+    column name → the fresh rows' values as a pre-built ndarray (None:
+    nothing to append).
     """
     if dropped and arrays:
         keep = np.ones(len(next(iter(arrays.values()))), dtype=bool)
         keep[dropped] = False
         arrays = {name: col[keep] for name, col in arrays.items()}
-    if not fresh_rows or fresh_columns is None:
+    if fresh_columns is None:
         return dict(arrays)
     out = {}
     for name, col in arrays.items():
@@ -274,3 +275,25 @@ def overlay_arrays(
         else:
             out[name] = np.concatenate([col, fresh])
     return out
+
+
+def overlay_delta(
+    arrays: dict,
+    dropped: list[int],
+    live_rows: Iterable[Row],
+    predicate: Predicate,
+    schema: Schema,
+) -> tuple[dict, list[Row]]:
+    """A base columnar scan read fresh — the one overlay of all four
+    architectures, which differ only in where the delta comes from.
+
+    ``arrays`` is the base scan (its keys are the wanted columns),
+    ``dropped`` the output rows whose keys the delta touched,
+    ``live_rows`` the delta's newest image of every key it still holds.
+    Those that satisfy ``predicate`` are appended after the surviving
+    base rows.  Returns the overlaid arrays and the appended rows, in
+    order, for a caller that also answers keys.
+    """
+    fresh = [row for row in live_rows if predicate.matches(row, schema)]
+    fresh_columns = rows_to_columns(schema, fresh, list(arrays)) if fresh else None
+    return overlay_arrays(arrays, dropped, fresh_columns), fresh

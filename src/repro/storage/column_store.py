@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -239,6 +239,147 @@ class _SegmentPartial:
     positions: np.ndarray | None = None  # None: every row survived
 
 
+def seal_segment(
+    schema: Schema,
+    arrays: dict[str, np.ndarray],
+    keys: Sequence[Key],
+    commit_ts: Timestamp,
+    segment_id: int = 0,
+    encode: Callable[[np.ndarray], Encoding] = choose_encoding,
+) -> Segment:
+    """Encode pre-pivoted column ``arrays`` into one sealed segment with
+    its zone maps.  Uncharged: what sealing a row costs is the caller's
+    to charge."""
+    n = len(keys)
+    encodings: dict[str, Encoding] = {}
+    zone_maps: dict[str, ZoneMap] = {}
+    for col in schema.columns:
+        arr = np.asarray(arrays[col.name])
+        if len(arr) != n:
+            raise StorageError(
+                f"column {col.name!r} has {len(arr)} values for {n} keys"
+            )
+        encodings[col.name] = encode(arr)
+        zone = build_zone_map(arr, encodings[col.name])
+        if zone is not None:
+            zone_maps[col.name] = zone
+    return Segment(
+        segment_id=segment_id,
+        n_rows=n,
+        encodings=encodings,
+        keys=list(keys),
+        zone_maps=zone_maps,
+        delete_mask=np.zeros(n, dtype=bool),
+        max_commit_ts=commit_ts,
+    )
+
+
+def scan_segment(
+    segment: Segment,
+    cost: CostModel,
+    wanted: list[str],
+    predicate: Predicate,
+    with_keys: bool,
+    encode_cols: frozenset[str],
+    scan_factors: Mapping[str, float],
+) -> _SegmentPartial:
+    """One segment's filter + gather; charges are reported, not settled
+    — the caller prices them.  When every row survives the arrays (and
+    ``keys``) are the segment's own buffers: a caller that hands them
+    out copies them first."""
+    data = EncodedColumns(
+        segment.encodings,
+        segment.n_rows,
+        cost.column_scan_per_value_us,
+        cost.code_filter_per_value_us,
+        scan_factors,
+        cost.code_gather_per_value_us,
+    )
+    mask = predicate_mask(predicate, data) & ~segment.delete_mask
+    if not mask.any():
+        return _SegmentPartial(
+            None, None, data.charge_items(), data.code_space_filters
+        )
+    if mask.all():
+        arrays = {
+            name: (
+                CodeColumn(data.codes(name), data.encoding(name).dictionary)
+                if name in encode_cols
+                else data.array(name)
+            )
+            for name in wanted
+        }
+        return _SegmentPartial(
+            arrays,
+            segment.keys if with_keys else None,
+            data.charge_items(),
+            data.code_space_filters,
+        )
+    positions = np.flatnonzero(mask)
+    arrays = {
+        name: (
+            CodeColumn(
+                data.codes(name, positions), data.encoding(name).dictionary
+            )
+            if name in encode_cols
+            else data.gather(name, positions)
+        )
+        for name in wanted
+    }
+    keys = [segment.keys[p] for p in positions] if with_keys else None
+    return _SegmentPartial(
+        arrays, keys, data.charge_items(), data.code_space_filters, positions
+    )
+
+
+def encodable_columns(wanted: list[str], segments: list[Segment]) -> frozenset[str]:
+    """Wanted columns every one of ``segments`` can serve as codes.
+
+    All-or-nothing per column and decided before any segment is read —
+    a fixed representation regardless of which segments end up empty.
+    """
+    if not segments:
+        return frozenset()
+    return frozenset(
+        name
+        for name in wanted
+        if all(
+            isinstance(seg.encodings.get(name), DictionaryEncoding)
+            and seg.encodings[name].code_space_safe()
+            for seg in segments
+        )
+    )
+
+
+def encoded_column_fraction(columns: Sequence[str], segments: list[Segment]) -> float:
+    """Fraction of ``columns`` servable as dictionary codes across
+    ``segments`` — the planner's code-space hint (a planning estimate:
+    no simulated charge)."""
+    cols = list(columns)
+    if not cols:
+        return 0.0
+    return len(encodable_columns(cols, segments)) / len(cols)
+
+
+def pruned_row_fraction(segments: list[Segment], predicate: Predicate) -> float:
+    """Fraction of the rows of ``segments`` in segments zone maps would
+    prune.
+
+    A planning-time estimate (no simulated charge): the optimizer
+    discounts the column-scan price by this fraction, which is how
+    zone-map pruning becomes visible to access-path choice.
+    """
+    total = sum(seg.n_rows for seg in segments)
+    if total == 0:
+        return 0.0
+    pruned = sum(
+        seg.n_rows
+        for seg in segments
+        if not zones_may_match(seg.zone_maps, seg.n_rows, predicate)
+    )
+    return pruned / total
+
+
 class ColumnStore:
     """Segmented columnar table with pk-addressed deletes."""
 
@@ -340,28 +481,11 @@ class ColumnStore:
         stale = [k for k in keys if k in self._locations]
         if stale:
             self._delete_positions(stale)
-        encodings: dict[str, Encoding] = {}
-        zone_maps: dict[str, ZoneMap] = {}
-        for col in self.schema.columns:
-            arr = np.asarray(arrays[col.name])
-            if len(arr) != n:
-                raise StorageError(
-                    f"column {col.name!r} has {len(arr)} values for {n} keys"
-                )
-            encodings[col.name] = self._encode_column(arr)
-            zone = build_zone_map(arr, encodings[col.name])
-            if zone is not None:
-                zone_maps[col.name] = zone
-        self._widen_zone_index(zone_maps)
-        segment = Segment(
-            segment_id=self._next_segment_id,
-            n_rows=n,
-            encodings=encodings,
-            keys=list(keys),
-            zone_maps=zone_maps,
-            delete_mask=np.zeros(n, dtype=bool),
-            max_commit_ts=commit_ts,
+        segment = seal_segment(
+            self.schema, arrays, keys, commit_ts,
+            self._next_segment_id, self._encode_column,
         )
+        self._widen_zone_index(segment.zone_maps)
         self._next_segment_id += 1
         self._segments.append(segment)
         self._segment_by_id[segment.segment_id] = segment
@@ -369,8 +493,8 @@ class ColumnStore:
         self._locations.update(zip(segment.keys, zip(repeat(sid), range(n))))
         self._max_commit_ts = max(self._max_commit_ts, commit_ts)
         seal_factor = sum(
-            SEAL_COST_FACTOR.get(enc.name, 1.0) for enc in encodings.values()
-        ) / max(len(encodings), 1)
+            SEAL_COST_FACTOR.get(enc.name, 1.0) for enc in segment.encodings.values()
+        ) / max(len(segment.encodings), 1)
         self._cost.charge_rows(self._cost.segment_seal_per_row_us * seal_factor, n)
         return segment
 
@@ -515,7 +639,7 @@ class ColumnStore:
             self.schema.index_of(name)  # validate
         # Snapshot the segment list: appends triggered mid-scan by this
         # scan's own predicate never change what it returns.
-        live = [seg for seg in self._segments if seg.live_count() > 0]
+        live = self._live_segments()
         survivors: list[Segment] = []
         pruned = 0
         charge = 0.0
@@ -525,9 +649,7 @@ class ColumnStore:
                 survivors.append(segment)
             else:
                 pruned += 1
-        encode_cols = (
-            self._encodable_columns(wanted, survivors) if encode else frozenset()
-        )
+        encode_cols = encodable_columns(wanted, survivors) if encode else frozenset()
         out_arrays: dict[str, list] = {name: [] for name in wanted}
         out_keys: list[Key] | None = [] if with_keys else None
         code_filters = 0
@@ -535,8 +657,9 @@ class ColumnStore:
         spans: dict[int, tuple[int, np.ndarray | None]] = {}
         n_out = 0
         for segment in survivors:
-            part = self._scan_segment(
-                segment, wanted, predicate, with_keys, encode_cols
+            part = scan_segment(
+                segment, self._cost, wanted, predicate, with_keys, encode_cols,
+                SCAN_COST_FACTOR,
             )
             for rate, count in part.charges:
                 rate_counts[rate] = rate_counts.get(rate, 0) + count
@@ -607,102 +730,12 @@ class ColumnStore:
                 rows.append(first + i)
         return rows
 
-    def _encodable_columns(
-        self, wanted: list[str], survivors: list[Segment]
-    ) -> frozenset[str]:
-        """Wanted columns every surviving segment can serve as codes.
-
-        All-or-nothing per column and decided before any segment is
-        read — a fixed representation regardless of which segments end
-        up empty.
-        """
-        if not survivors:
-            return frozenset()
-        ok = []
-        for name in wanted:
-            if all(
-                isinstance(seg.encodings.get(name), DictionaryEncoding)
-                and seg.encodings[name].code_space_safe()
-                for seg in survivors
-            ):
-                ok.append(name)
-        return frozenset(ok)
+    def _live_segments(self) -> list[Segment]:
+        return [seg for seg in self._segments if seg.live_count() > 0]
 
     def encoded_column_fraction(self, columns: Sequence[str]) -> float:
-        """Fraction of ``columns`` servable as dictionary codes across
-        every live segment — the planner's code-space hint (a planning
-        estimate: no simulated charge)."""
-        cols = list(columns)
-        live = [seg for seg in self._segments if seg.live_count() > 0]
-        if not live or not cols:
-            return 0.0
-        servable = sum(
-            1
-            for name in cols
-            if all(
-                isinstance(seg.encodings.get(name), DictionaryEncoding)
-                and seg.encodings[name].code_space_safe()
-                for seg in live
-            )
-        )
-        return servable / len(cols)
-
-    def _scan_segment(
-        self,
-        segment: Segment,
-        wanted: list[str],
-        predicate: Predicate,
-        with_keys: bool,
-        encode_cols: frozenset[str],
-    ) -> _SegmentPartial:
-        """One segment's filter + gather; charges are reported, not
-        settled — the scan prices them once per rate."""
-        data = EncodedColumns(
-            segment.encodings,
-            segment.n_rows,
-            self._cost.column_scan_per_value_us,
-            self._cost.code_filter_per_value_us,
-            SCAN_COST_FACTOR,
-            self._cost.code_gather_per_value_us,
-        )
-        mask = predicate_mask(predicate, data) & ~segment.delete_mask
-        if not mask.any():
-            return _SegmentPartial(
-                None, None, data.charge_items(), data.code_space_filters
-            )
-        if mask.all():
-            # Every row survives: full decodes / full code arrays
-            # (concatenate at the merge copies, so sharing buffers is
-            # safe).
-            arrays = {
-                name: (
-                    CodeColumn(data.codes(name), data.encoding(name).dictionary)
-                    if name in encode_cols
-                    else data.array(name)
-                )
-                for name in wanted
-            }
-            return _SegmentPartial(
-                arrays,
-                segment.keys if with_keys else None,
-                data.charge_items(),
-                data.code_space_filters,
-            )
-        positions = np.flatnonzero(mask)
-        arrays = {
-            name: (
-                CodeColumn(
-                    data.codes(name, positions), data.encoding(name).dictionary
-                )
-                if name in encode_cols
-                else data.gather(name, positions)
-            )
-            for name in wanted
-        }
-        keys = [segment.keys[p] for p in positions] if with_keys else None
-        return _SegmentPartial(
-            arrays, keys, data.charge_items(), data.code_space_filters, positions
-        )
+        """:func:`encoded_column_fraction` over every live segment."""
+        return encoded_column_fraction(columns, self._live_segments())
 
     # ------------------------------------------------------- pruning estimates
 
@@ -711,23 +744,8 @@ class ColumnStore:
         return self._zone_ranges.get(column)
 
     def pruned_row_fraction(self, predicate: Predicate) -> float:
-        """Fraction of stored rows in segments zone maps would prune.
-
-        A planning-time estimate (no simulated charge): the optimizer
-        discounts the column-scan price by this fraction, which is how
-        zone-map pruning becomes visible to access-path choice.
-        """
-        total = 0
-        pruned_rows = 0
-        for segment in self._segments:
-            if segment.live_count() == 0:
-                continue
-            total += segment.n_rows
-            if not segment.may_match(predicate, self.schema):
-                pruned_rows += segment.n_rows
-        if total == 0:
-            return 0.0
-        return pruned_rows / total
+        """:func:`pruned_row_fraction` over every live segment."""
+        return pruned_row_fraction(self._live_segments(), predicate)
 
     def all_rows(self) -> list[Row]:
         """Materialize every live row (test/verification helper)."""

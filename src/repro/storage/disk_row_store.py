@@ -75,6 +75,14 @@ class DiskRowStore:
     def _index_key(self, key: Key):
         return key if isinstance(key, tuple) else (key,)
 
+    def _find(self, key: Key) -> tuple[int, int] | None:
+        """Index probe -> ``(page_id, slot)``.  Scalar keys are indexed
+        as 1-tuples, so a tuple offered where the key is one column
+        must not be taken for the scalar inside it: it is nobody's key."""
+        if isinstance(key, tuple) and len(self.schema.primary_key) == 1:
+            return None
+        return self._index.get(self._index_key(key))
+
     # ------------------------------------------------------------- writes
 
     def insert(self, row: Row, commit_ts: Timestamp) -> Key:
@@ -118,7 +126,7 @@ class DiskRowStore:
         self._notify("delete", key, None, commit_ts)
 
     def _locate(self, key: Key) -> tuple[int, int]:
-        loc = self._index.get(self._index_key(key))
+        loc = self._find(key)
         if loc is None:
             raise KeyNotFoundError(f"key {key!r} not in {self.schema.table_name!r}")
         self._cost.charge(self._cost.index_lookup_us)
@@ -141,10 +149,10 @@ class DiskRowStore:
 
     def contains_key(self, key: Key) -> bool:
         """Index-only existence probe: no page fetch, no charge."""
-        return self._index.get(self._index_key(key)) is not None
+        return self._find(key) is not None
 
     def read(self, key: Key) -> Row | None:
-        loc = self._index.get(self._index_key(key))
+        loc = self._find(key)
         if loc is None:
             return None
         self._cost.charge(self._cost.index_lookup_us)

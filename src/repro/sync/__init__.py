@@ -1,25 +1,14 @@
 """Data synchronization (DS) techniques from Table 2 of the survey."""
 
 from .delta_merge import InMemoryDeltaMerger, MergeStats
-from .dictionary_merge import (
-    DictionaryMergeResult,
-    sorted_dictionary_merge,
-    sorted_dictionary_merge_many,
-)
-from .freshness import FreshnessProbe, FreshnessTracker
 from .log_merge import LogDeltaMerger, LogMergeStats
 from .rebuild import ColumnStoreRebuilder, RebuildStats
 
 __all__ = [
     "ColumnStoreRebuilder",
-    "DictionaryMergeResult",
-    "FreshnessProbe",
-    "FreshnessTracker",
     "InMemoryDeltaMerger",
     "LogDeltaMerger",
     "LogMergeStats",
     "MergeStats",
     "RebuildStats",
-    "sorted_dictionary_merge",
-    "sorted_dictionary_merge_many",
 ]

@@ -83,26 +83,18 @@ class InMemoryDeltaMerger:
         """Run the two-phase migration; returns rows moved into main."""
         start = self._cost.now_us()
         cut = up_to_ts if up_to_ts is not None else self.delta.max_commit_ts()
-        moved = self._merge(cut)
-        if moved is None:
-            return 0
-        rows, tombstones, drained = moved
-        elapsed = self._cost.now_us() - start
-        self.stats.record(rows, tombstones, elapsed)
-        self._m_merges.inc()
-        self._m_rows.inc(rows)
-        self._h_batch.observe(drained)
-        self._h_latency.observe(elapsed)
-        return rows
-
-    def _merge(self, cut: Timestamp):
         # Phase 1: detach the prefix columnar — no DeltaEntry objects.
         batch = self.delta.drain_batch_up_to(cut)
-        n = len(batch)
-        if n == 0:
-            return None
+        if not len(batch):
+            return 0
         collapsed = batch.collapse()
         # Phase 2: one bulk delete + one bulk seal.
         rows = self.main.fold(collapsed, cut)
         self._cost.charge_rows(self._cost.merge_per_row_us, rows)
-        return rows, len(collapsed.tombstones), n
+        elapsed = self._cost.now_us() - start
+        self.stats.record(rows, len(collapsed.tombstones), elapsed)
+        self._m_merges.inc()
+        self._m_rows.inc(rows)
+        self._h_batch.observe(len(batch))
+        self._h_latency.observe(elapsed)
+        return rows

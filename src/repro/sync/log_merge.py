@@ -12,9 +12,10 @@ one columnar :class:`~repro.storage.delta_batch.DeltaBatch` whose
 last-writer-wins collapse picks exactly the entries a newest-file-first
 index walk would (files are commit-ordered, and each file's index
 already keeps only the newest position per key), then the survivors
-land via ``delete_batch``/``append_batch``.  The simulated charges are
-that walk's: every page of every file read, one index probe per
-indexed key.
+land via ``ColumnStore.fold``.  The simulated charges are what this
+body does: every page of every file read whole — no index is walked,
+so none is charged — and one merge per row landed.  Architecture (b)'s
+learner replica runs this class (``ColumnarReplica.merge_deltas``).
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ class LogDeltaMerger:
         return rows_merged
 
     def _fold_files(self, files: list[DeltaLogFile]) -> int:
-        max_ts = 0
-        index_probes = 0
+        indexed_keys = 0
         kinds: list[int] = []
         keys: list = []
         rows: list = []
@@ -104,22 +104,20 @@ class LogDeltaMerger:
             self._cost.charge(self._cost.page_read_us * file.page_count())
             self.stats.pages_read += file.page_count()
             self.stats.files_merged += 1
-            max_ts = max(max_ts, file.max_commit_ts)
-            index_probes += file.indexed_key_count()
+            indexed_keys += file.indexed_key_count()
             f_kinds, f_keys, f_rows, f_ts = file.columns()
             kinds.extend(f_kinds)
             keys.extend(f_keys)
             rows.extend(f_rows)
             ts.extend(f_ts)
             self.stats.entries_read += len(file)
-        self._cost.charge_rows(self._cost.index_lookup_us, max(index_probes, 1))
-        batch = DeltaBatch.from_columns(kinds, keys, rows, ts)
-        collapsed = batch.collapse()
-        self.stats.entries_superseded += index_probes - (
+        collapsed = DeltaBatch.from_columns(kinds, keys, rows, ts).collapse()
+        self.stats.entries_superseded += indexed_keys - (
             len(collapsed.live_keys) + len(collapsed.tombstones)
         )
-        rows_merged = self.main.fold(collapsed, max_ts)
+        # Learner streams of different shards interleave, so a file's
+        # last entry need not carry its newest commit.
+        rows_merged = self.main.fold(collapsed, max(ts))
         self._cost.charge_rows(self._cost.merge_per_row_us, rows_merged)
         self.stats.rows_merged += rows_merged
         return rows_merged
-

@@ -187,3 +187,28 @@ class TestClusterBulkLoad:
         before = cluster.commits
         cluster.bulk_load("t", [])
         assert cluster.commits == before
+
+
+def test_an_idle_replica_merge_observes_nothing():
+    """``merge_deltas`` with no sealed file is not a merge: the batch
+    and latency histograms of the technique it runs record the merges
+    that happened, one per table that had files, and no zeroes."""
+    from repro.distributed.replica import ColumnarReplica
+    from repro.obs import MetricsRegistry, set_registry
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        replica = ColumnarReplica({"t": make_schema(), "u": make_schema()}, CostModel())
+        batch = registry.histogram("sync.batch_rows", technique="log_merge")
+        latency = registry.histogram("sync.merge_latency_us", technique="log_merge")
+        for _ in range(3):
+            assert replica.merge_deltas() == 0
+        assert (batch.count, latency.count) == (0, 0)
+        ops = [WriteOp(WriteKind.INSERT, "t", k, (k, 1.0)) for k in range(3)]
+        replica.learner_apply_batch(0, 0, [("commit1p", 1, ops, 1)])
+        assert replica.merge_deltas() == 3
+        assert (batch.count, latency.count) == (1, 1)
+        assert batch.summary()["max"] == 3
+    finally:
+        set_registry(previous)

@@ -217,15 +217,13 @@ def test_d_committed_point_reads_decode_no_column(monkeypatch):
 
 
 def imcu_image(imcu: InMemoryColumnUnit):
-    """The unit's populated image as a one-segment store the full-decode
-    ``reference_scan`` can read, its SMU's stale keys as delete bits."""
+    """The unit's populated image as the segment list the full-decode
+    ``reference_scan`` reads; its SMU's stale keys are the delete bits."""
+    (segment,) = imcu.segments
     stale = imcu.smu.stale_keys
-    segment = SimpleNamespace(
-        encodings=imcu._encodings,
-        keys=imcu._keys,
-        delete_mask=np.array([k in stale for k in imcu._keys], dtype=bool),
-    )
-    return SimpleNamespace(schema=imcu.schema, segments=[segment])
+    assert segment.delete_mask.tolist() == [k in stale for k in segment.keys]
+    assert segment.dead_count == len(stale)
+    return SimpleNamespace(schema=imcu.schema, segments=imcu.segments)
 
 
 #: seed -> [charges, simulated us] of every ``populate`` / ``scan`` call
@@ -312,37 +310,28 @@ def test_imcu_scan_with_stale_and_new_keys(seed):
 
 def small_unit():
     """Ten populated rows (``tag`` seals as a dictionary, ``v`` plain,
-    ``rate`` as one run) and a ``write`` that keeps a dict beside them."""
+    ``rate`` as one run) and a ``write`` that keeps the model beside them."""
     cost, log = logged_cost()
     store = MVCCRowStore(SCHEMA, cost)
-    held = {}
+    model = TableModel()
     for k in range(10):
-        held[k] = (k, k // 5, 1.5, k % 3, float(k), "ab"[k % 2])
-        store.install_insert(held[k], commit_ts=1)
+        row = (k, k // 5, 1.5, k % 3, float(k), "ab"[k % 2])
+        store.install_insert(row, commit_ts=1)
+        model.apply("insert", k, row, 1)
     imcu = InMemoryColumnUnit(SCHEMA, store, cost)
     imcu.populate(1)
-    clock = iter(range(2, 1000))
 
     def write(row):
-        ts = next(clock)
-        if row[0] in held:
-            store.install_update(row[0], row, ts)
-        else:
+        ts = model.max_ts + 1
+        if store.read(row[0], ts) is None:
             store.install_insert(row, ts)
-        held[row[0]] = row
+        else:
+            store.install_update(row[0], row, ts)
+        model.apply("update", row[0], row, ts)
         imcu.on_change(row[0])
         return ts
 
-    return imcu, held, write, log
-
-
-def held_rows(held, columns, predicate):
-    index = SCHEMA.project(columns)
-    return sorted(
-        tuple(row[i] for i in index)
-        for row in held.values()
-        if predicate.matches(row, SCHEMA)
-    )
+    return imcu, model, write, log
 
 
 def assert_empty_and_typed(result, columns):
@@ -355,7 +344,7 @@ def assert_empty_and_typed(result, columns):
 
 @pytest.mark.parametrize("encode", [False, True])
 def test_imcu_pruned_unit_still_owes_its_stale_and_new_keys(encode):
-    imcu, held, write, _log = small_unit()
+    imcu, model, write, _log = small_unit()
     write((3, 0, 1.5, 1, 100.0, "a"))  # stale, now matches
     write((150, 30, 1.5, 1, 60.0, "b"))  # new, matches
     ts = write((151, 30, 1.5, 1, 1.0, "b"))  # new, does not
@@ -364,7 +353,7 @@ def test_imcu_pruned_unit_still_owes_its_stale_and_new_keys(encode):
     fresh = imcu.scan(ts, columns, predicate, encode=encode)
     assert (fresh.segments_pruned, fresh.segments_scanned) == (1, 0)
     assert sorted(fresh.keys) == [3, 150]
-    assert scanned_rows(fresh.arrays, columns) == held_rows(held, columns, predicate)
+    assert scanned_rows(fresh.arrays, columns) == model_rows(model, columns, predicate)
     isolated = imcu.scan(1, columns, predicate, patch=False, encode=encode)
     assert (isolated.segments_pruned, isolated.segments_scanned) == (1, 0)
     assert_empty_and_typed(isolated, columns)
@@ -375,7 +364,7 @@ def test_imcu_fully_stale_unit(encode):
     """Every populated key rewritten: the image answers nothing, still
     pays its zone-map check and its predicate, and the patch reads are
     the whole table."""
-    imcu, held, write, log = small_unit()
+    imcu, model, write, log = small_unit()
     for k in range(10):
         ts = write((k, 9, 2.5, None, None, None))
     columns = SCHEMA.column_names
@@ -392,7 +381,7 @@ def test_imcu_fully_stale_unit(encode):
     ]
     fresh = imcu.scan(ts, columns, predicate, encode=encode)
     assert fresh.keys == decode_column(fresh.arrays["id"]).tolist()
-    assert scanned_rows(fresh.arrays, columns) == sorted(held.values())
+    assert scanned_rows(fresh.arrays, columns) == model.rows()
 
 
 @pytest.mark.parametrize("encode", [False, True])
@@ -400,9 +389,9 @@ def test_imcu_scan_hands_out_buffers_it_will_not_hand_out_again(encode):
     """Every row surviving is the case where a kernel may return a
     column whole.  Whatever a reader does to the arrays it was handed,
     the next scan answers the same."""
-    imcu, held, _write, _log = small_unit()
+    imcu, model, _write, _log = small_unit()
     columns = SCHEMA.column_names
-    want = sorted(held.values())
+    want = model.rows()
     for _ in range(2):
         result = imcu.scan(1, columns, ALWAYS_TRUE, encode=encode)
         assert result.keys == list(range(10))
@@ -418,7 +407,7 @@ def test_imcu_patch_value_outside_the_dictionary():
     """An encoded scan folds patch rows into the code space: a new
     string grows the dictionary, a NULL cannot join it and the column
     comes back decoded."""
-    imcu, held, write, _log = small_unit()
+    imcu, model, write, _log = small_unit()
     columns = ["id", "tag"]
     ts = write((4, 0, 1.5, 1, 4.0, "zzz"))  # stale
     ts = write((20, 4, 1.5, 1, 4.0, "zz"))  # new
@@ -426,11 +415,11 @@ def test_imcu_patch_value_outside_the_dictionary():
     tag = result.arrays["tag"]
     assert isinstance(tag, CodeColumn)
     assert tag.dictionary.tolist() == ["a", "b", "zz", "zzz"]
-    assert scanned_rows(result.arrays, columns) == held_rows(held, columns, ALWAYS_TRUE)
+    assert scanned_rows(result.arrays, columns) == model_rows(model, columns, ALWAYS_TRUE)
     ts = write((21, 4, 1.5, 1, 4.0, None))
     result = imcu.scan(ts, columns, ALWAYS_TRUE, encode=True)
     assert not isinstance(result.arrays["tag"], CodeColumn)
-    assert scanned_rows(result.arrays, columns) == held_rows(held, columns, ALWAYS_TRUE)
+    assert scanned_rows(result.arrays, columns) == model_rows(model, columns, ALWAYS_TRUE)
 
 
 @pytest.mark.parametrize("encode", [False, True])
@@ -439,7 +428,7 @@ def test_imcu_keys_answer_row_for_row(predicate, encode):
     """``with_keys=True``: surviving image rows in image order, then the
     patch rows — key ``i`` names row ``i`` of every array — and
     ``with_keys=False`` is the same arrays without the list."""
-    imcu, held, write, _log = small_unit()
+    imcu, model, write, _log = small_unit()
     write((2, 2, 2.5, None, None, None))
     write((7, 0, 1.5, 2, 0.5, "a"))
     write((30, 2, 1.5, 2, 0.5, "b"))
@@ -450,7 +439,7 @@ def test_imcu_keys_answer_row_for_row(predicate, encode):
     assert keyed.keys == ids
     image = [k for k in ids if k not in (2, 7, 30, 31)]
     assert ids[: len(image)] == image == sorted(image)
-    assert scanned_rows(keyed.arrays, columns) == held_rows(held, columns, predicate)
+    assert scanned_rows(keyed.arrays, columns) == model_rows(model, columns, predicate)
     bare = imcu.scan(ts, columns, predicate, with_keys=False, encode=encode)
     assert bare.keys is None
     for name in columns:
@@ -514,7 +503,7 @@ def test_c_unpropagated_delta_over_the_imcs(seed):
     engine.read_fresh = True
     for _ in range(2):
         commit(engine, model, generate_writes(rng, model, 20))
-        delta = engine._deltas["t"]
+        delta = engine._mergers["t"].delta
         live, tombstones = delta.effective_rows(delta.max_commit_ts())
         assert live and tombstones
         pushdowns = engine.pushdowns

@@ -25,6 +25,7 @@ from repro.common import (
     DuplicateKeyError,
     KeyNotFoundError,
     Schema,
+    SchemaError,
     TransactionError,
 )
 from repro.engines import make_engine
@@ -76,6 +77,7 @@ class ModelSession:
 
     def insert(self, table, row):
         self._open()
+        SCHEMAS[table].validate_row(row)
         if row[0] in self._rows[table]:
             raise DuplicateKeyError(f"key {row[0]!r} exists")
         self._rows[table][row[0]] = row
@@ -84,6 +86,7 @@ class ModelSession:
 
     def update(self, table, row):
         self._open()
+        SCHEMAS[table].validate_row(row)
         if row[0] not in self._rows[table]:
             raise KeyNotFoundError(f"key {row[0]!r} not found")
         self._rows[table][row[0]] = row
@@ -113,7 +116,7 @@ def outcome(session, op):
     name, *args = op
     try:
         result = getattr(session, name)(*args)
-    except (DuplicateKeyError, KeyNotFoundError, TransactionError) as err:
+    except (DuplicateKeyError, KeyNotFoundError, SchemaError, TransactionError) as err:
         return type(err)
     if name == "scan":
         return sorted(result)
@@ -228,4 +231,21 @@ def test_same_key_twice(cat, pattern):
     probes = [("read", "t", 1), ("scan", "t", PREDICATES[1])]
     ops = [step for write in writes for step in (write, *probes)]
     harness.run([*ops, ("commit",)])
+    harness.check_analytical()
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_one_tuple_is_not_the_scalar_key(cat):
+    """``(1,)`` on a single-column key names no row: reads miss, deletes
+    and updates are refused, and key ``1`` is untouched — on (c) too,
+    whose disk row store indexes scalar keys as 1-tuples."""
+    harness = Harness(cat)
+    harness.run([("insert", "t", ROW), ("commit",)])
+    harness.run([
+        ("read", "t", (1,)),
+        ("delete", "t", (1,)),
+        ("update", "t", ((1,), 2.0, "b")),
+        ("read", "t", 1),
+        ("commit",),
+    ])
     harness.check_analytical()

@@ -1,22 +1,13 @@
-"""Data-synchronization techniques: merges, rebuild, freshness."""
+"""Data-synchronization techniques: merges and rebuild."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.common import Column, CostModel, DataType, LogicalClock, Schema
+from repro.common import Column, CostModel, DataType, Schema
 from repro.storage.column_store import ColumnStore
-from repro.storage.compression import DictionaryEncoding
 from repro.storage.delta_log import LogDeltaManager
 from repro.storage.delta_store import InMemoryDeltaStore
 from repro.storage.row_store import MVCCRowStore
-from repro.sync import (
-    ColumnStoreRebuilder,
-    FreshnessTracker,
-    InMemoryDeltaMerger,
-    LogDeltaMerger,
-    sorted_dictionary_merge,
-)
+from repro.sync import ColumnStoreRebuilder, InMemoryDeltaMerger, LogDeltaMerger
 
 
 def make_schema():
@@ -85,39 +76,6 @@ class TestInMemoryDeltaMerge:
         _delta, _main, merger = self._setup(threshold=1)
         assert merger.merge() == 0
         assert merger.stats.merges == 0
-
-
-class TestDictionarySortingMerge:
-    def test_union_dictionary_sorted(self):
-        main = DictionaryEncoding.encode(np.array(["b", "d", "b"], dtype=object))
-        delta = np.array(["a", "d", "e"], dtype=object)
-        result = sorted_dictionary_merge(main, delta)
-        assert result.merged.dictionary.tolist() == ["a", "b", "d", "e"]
-        assert result.merged.decode().tolist() == ["b", "d", "b", "a", "d", "e"]
-
-    def test_codes_remapped_correctly(self):
-        main = DictionaryEncoding.encode(np.array([10, 30, 10]))
-        result = sorted_dictionary_merge(main, np.array([20]))
-        assert result.merged.decode().tolist() == [10, 30, 10, 20]
-        assert result.new_dictionary_size == 3
-        assert result.old_dictionary_size == 2
-
-    def test_empty_delta(self):
-        main = DictionaryEncoding.encode(np.array(["x", "y"], dtype=object))
-        result = sorted_dictionary_merge(main, np.array([], dtype=object))
-        assert result.merged.decode().tolist() == ["x", "y"]
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        main_vals=st.lists(st.integers(0, 50), min_size=1, max_size=50),
-        delta_vals=st.lists(st.integers(0, 50), max_size=50),
-    )
-    def test_merge_equals_concatenation(self, main_vals, delta_vals):
-        main = DictionaryEncoding.encode(np.array(main_vals))
-        result = sorted_dictionary_merge(main, np.array(delta_vals, dtype=np.int64))
-        assert result.merged.decode().tolist() == main_vals + delta_vals
-        dictionary = result.merged.dictionary.tolist()
-        assert dictionary == sorted(set(main_vals) | set(delta_vals))
 
 
 class TestLogDeltaMerge:
@@ -216,17 +174,3 @@ class TestRebuild:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             self._setup(threshold=0.0)
-
-
-class TestFreshnessTracker:
-    def test_lag_and_score(self):
-        clock = LogicalClock()
-        visible = {"ts": 0}
-        tracker = FreshnessTracker(clock.now, lambda: visible["ts"])
-        clock.advance_to(10)
-        assert tracker.current_lag() == 10
-        tracker.probe()
-        visible["ts"] = 10
-        tracker.probe()
-        assert tracker.mean_lag() == pytest.approx(5.0)
-        assert 0 < tracker.score() < 1

@@ -162,6 +162,59 @@ def test_engines_say_only_what_differs():
         assert isinstance(engine.catalog["t"], TableAccess), category
 
 
+def test_one_body_per_column_image_operation():
+    """Seal, scan, overlay and merge of a column image each have one
+    body: the IMCU holds a ``Segment`` and calls the segment routines,
+    fresh reads share ``overlay_delta``, and the engines own the
+    ``repro.sync`` mergers instead of copying them."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    import repro.sync
+
+    root = Path(repro.__file__).parent
+    trees = {
+        str(p.relative_to(root)): ast.parse(p.read_text()) for p in root.rglob("*.py")
+    }
+
+    def names(tree):
+        return {
+            getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(tree)
+        } | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+    def callers(function):
+        return sorted(
+            path
+            for path, tree in trees.items()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) == function
+        )
+
+    kernel = {
+        "EncodedColumns", "predicate_mask", "choose_encoding", "build_zone_map",
+        "encode_against",
+    }
+    assert not kernel & names(trees["storage/imcu.py"])
+    for routine in ("seal_segment", "scan_segment"):
+        assert callers(routine) == ["storage/column_store.py", "storage/imcu.py"]
+    assert callers("overlay_arrays") == ["storage/code_batch.py"]
+    assert callers("overlay_delta") == [
+        "distributed/replica.py", "engines/column_delta.py",
+        "engines/disk_row_imcs.py", "storage/imcu.py",
+    ]
+    for path, tree in trees.items():
+        if path.startswith(("engines/", "distributed/")):
+            assert not {"from_columns", "merge_per_row_us"} & names(tree), path
+    assert not (root / "sync" / "dictionary_merge.py").exists()
+    assert not (root / "sync" / "freshness.py").exists()
+    assert repro.sync.__all__ == [
+        "ColumnStoreRebuilder", "InMemoryDeltaMerger", "LogDeltaMerger",
+        "LogMergeStats", "MergeStats", "RebuildStats",
+    ]
+
+
 def test_version():
     import repro
 
