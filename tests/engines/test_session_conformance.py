@@ -235,6 +235,36 @@ def test_same_key_twice(cat, pattern):
 
 
 @pytest.mark.parametrize("cat", ALL)
+def test_bool_column_round_trips(cat):
+    """A BOOL column reads back as the bools written, through a session
+    read after ``force_sync()`` (engine (d) rebuilds the row from its
+    column image) and through the analytical path, beside a NULL."""
+    engine = make_engine(cat, **({"seed": 5} if cat == "b" else {}))
+    engine.create_table(Schema(
+        "f",
+        [
+            Column("id", DataType.INT64),
+            Column("flag", DataType.BOOL),
+            Column("note", DataType.STRING, nullable=True),
+        ],
+        ["id"],
+    ))
+    rows = [(1, True, None), (2, False, "x"), (3, True, "y")]
+    with engine.session() as s:
+        for row in rows:
+            s.insert("f", row)
+    engine.force_sync()
+    with engine.session() as s:
+        got = [s.read("f", row[0]) for row in rows]
+    assert got == rows
+    assert [type(r[1]) for r in got] == [bool] * 3
+    result = engine.query("SELECT id, flag, note FROM f")
+    assert sorted(result.rows) == rows
+    result = engine.query("SELECT id, flag FROM f WHERE id >= 2")
+    assert sorted(result.rows) == [(2, False), (3, True)]
+
+
+@pytest.mark.parametrize("cat", ALL)
 def test_one_tuple_is_not_the_scalar_key(cat):
     """``(1,)`` on a single-column key names no row: reads miss, deletes
     and updates are refused, and key ``1`` is untouched — on (c) too,
