@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +42,18 @@ class DataType(enum.Enum):
             return np.dtype(np.bool_)
         return np.dtype(object)
 
+    @property
+    def cell_types(self) -> frozenset:
+        """The exact builtin types :meth:`validate` accepts (no
+        subclasses, no NumPy scalars, no NULL)."""
+        if self is DataType.INT64 or self is DataType.DATE:
+            return frozenset({int})
+        if self is DataType.FLOAT64:
+            return frozenset({int, float})
+        if self is DataType.BOOL:
+            return frozenset({bool})
+        return frozenset({str})
+
     def validate(self, value: Any) -> bool:
         """Whether ``value`` is acceptable for a column of this type."""
         if value is None:
@@ -67,6 +80,9 @@ class Column:
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
             raise SchemaError(f"invalid column name: {self.name!r}")
+        if self.dtype is DataType.BOOL and self.nullable:
+            # A NumPy bool array has no NULL sentinel to store.
+            raise SchemaError(f"BOOL column {self.name!r} cannot be nullable")
 
 
 @dataclass(frozen=True)
@@ -75,13 +91,23 @@ class Schema:
 
     The primary key may be composite; the key of a row is then a tuple of
     the key column values in declaration order.
+
+    The row codec is compiled once, here: ``key_of`` is an
+    ``operator.itemgetter`` over the key columns, ``validate_row`` tests
+    each cell's exact type against a per-column set, and ``decoders``
+    map a columnar cell back to a row cell (``NULL_INT`` and NaN to
+    None, identity otherwise).
     """
 
     table_name: str
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...]
     _index_of: dict = field(default_factory=dict, compare=False, repr=False)
-    _key_indexes: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    #: Row -> primary key (scalar for 1-column keys, tuple otherwise).
+    key_of: Callable[[Row], Key] = field(init=False, compare=False, repr=False)
+    _cell_types: tuple[frozenset, ...] = field(default=(), compare=False, repr=False)
+    #: Column name -> columnar cell decoder, in column order.
+    decoders: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __init__(
         self,
@@ -105,7 +131,14 @@ class Schema:
                 raise SchemaError(f"primary key column {key_col!r} must not be nullable")
         object.__setattr__(self, "_index_of", index_of)
         object.__setattr__(
-            self, "_key_indexes", tuple(index_of[name] for name in self.primary_key)
+            self, "key_of", itemgetter(*(index_of[name] for name in self.primary_key))
+        )
+        object.__setattr__(self, "_cell_types", tuple(
+            c.dtype.cell_types | {type(None)} if c.nullable else c.dtype.cell_types
+            for c in self.columns
+        ))
+        object.__setattr__(
+            self, "decoders", {c.name: _DECODERS.get(c.dtype, _identity) for c in self.columns}
         )
 
     @property
@@ -130,15 +163,19 @@ class Schema:
     def column(self, name: str) -> Column:
         return self.columns[self.index_of(name)]
 
-    def key_of(self, row: Row) -> Key:
-        """Extract the primary key of ``row`` (scalar for 1-column keys)."""
-        idx = self._key_indexes
-        if len(idx) == 1:
-            return row[idx[0]]
-        return tuple(row[i] for i in idx)
-
     def validate_row(self, row: Sequence[Any]) -> Row:
-        """Check arity, types, and nullability; return the row as a tuple."""
+        """Check arity, types, and nullability; return the row as a tuple.
+
+        A row of exact builtin cells passes on one set probe per cell;
+        anything else (NumPy scalars, subclasses, bad values, wrong
+        arity) takes the per-dtype rule and its messages.
+        """
+        if len(row) == len(self._cell_types):
+            for value, ok in zip(row, self._cell_types):
+                if type(value) not in ok:
+                    break
+            else:
+                return tuple(row)
         if len(row) != len(self.columns):
             raise SchemaError(
                 f"row has {len(row)} values, table {self.table_name!r} "
@@ -176,20 +213,28 @@ def encode_cell(value: Any, dtype: DataType) -> Any:
         return NULL_INT
     if dtype is DataType.FLOAT64:
         return float("nan")
-    if dtype is DataType.BOOL:
-        return False
     return None
 
 
-def decode_cell(value: Any, dtype: DataType) -> Any:
-    """Inverse of :func:`encode_cell` (columnar -> row cell)."""
-    if hasattr(value, "item"):
-        value = value.item()
-    if dtype is DataType.INT64 or dtype is DataType.DATE:
-        return None if value == NULL_INT else value
-    if dtype is DataType.FLOAT64:
-        return None if value != value else value  # NaN check
+def _identity(value: Any) -> Any:
     return value
+
+
+def _int_or_null(value: Any) -> Any:
+    return None if value == NULL_INT else value
+
+
+def _float_or_null(value: Any) -> Any:
+    return None if value != value else value  # NaN check
+
+
+#: Inverse of :func:`encode_cell` per dtype, on Python scalars (a
+#: codec's ``value_at`` or ``ndarray.tolist``); identity for the rest.
+_DECODERS = {
+    DataType.INT64: _int_or_null,
+    DataType.DATE: _int_or_null,
+    DataType.FLOAT64: _float_or_null,
+}
 
 
 def rows_to_columns(
@@ -218,9 +263,7 @@ def columns_to_rows(schema: Schema, arrays: dict[str, np.ndarray]) -> list[Row]:
     """Inverse of :func:`rows_to_columns` (column order from the schema)."""
     if not arrays:
         return []
-    ordered = [(arrays[c.name], c.dtype) for c in schema.columns]
-    length = len(ordered[0][0]) if ordered else 0
-    return [
-        tuple(decode_cell(col[i], dtype) for col, dtype in ordered)
-        for i in range(length)
-    ]
+    return list(zip(*[
+        list(map(decode, arrays[name].tolist()))
+        for name, decode in schema.decoders.items()
+    ]))

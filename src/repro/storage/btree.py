@@ -13,6 +13,7 @@ values are opaque.  Duplicate keys overwrite (the tree is a map).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from ..common.errors import KeyNotFoundError
@@ -90,13 +91,13 @@ class BPlusTree:
     def _find_leaf(self, key: Any) -> _Node:
         node = self._root
         while not node.is_leaf:
-            idx = _bisect_right(node.keys, key)
+            idx = bisect_right(node.keys, key)
             node = node.children[idx]
         return node
 
     def get(self, key: Any, default: Any = None) -> Any:
         leaf = self._find_leaf(key)
-        idx = _bisect_left(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return leaf.values[idx]
         return default
@@ -121,7 +122,7 @@ class BPlusTree:
             idx = 0
         else:
             leaf = self._find_leaf(low)
-            idx = _bisect_left(leaf.keys, low)
+            idx = bisect_left(leaf.keys, low)
             if include_low is False:
                 while idx < len(leaf.keys) and leaf.keys[idx] == low:
                     idx += 1
@@ -177,7 +178,7 @@ class BPlusTree:
 
     def _insert_into(self, node: _Node, key: Any, value: Any):
         if node.is_leaf:
-            idx = _bisect_left(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 node.values[idx] = value
                 return None
@@ -187,7 +188,7 @@ class BPlusTree:
             if len(node.keys) > self._order:
                 return self._split_leaf(node)
             return None
-        idx = _bisect_right(node.keys, key)
+        idx = bisect_right(node.keys, key)
         split = self._insert_into(node.children[idx], key, value)
         if split is None:
             return None
@@ -228,7 +229,7 @@ class BPlusTree:
         insert/lookup heavy, and far simpler to verify.
         """
         leaf = self._find_leaf(key)
-        idx = _bisect_left(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             raise KeyNotFoundError(f"key {key!r} not in B+-tree")
         leaf.keys.pop(idx)
@@ -257,25 +258,3 @@ class BPlusTree:
 
 
 _MISSING = object()
-
-
-def _bisect_left(keys: list, key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right(keys: list, key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

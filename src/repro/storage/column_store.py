@@ -32,7 +32,7 @@ from ..common.clock import Timestamp
 from ..common.cost import CostModel
 from ..common.errors import StorageError
 from ..common.predicate import ALWAYS_TRUE, Predicate, column_range
-from ..common.types import NULL_INT, Key, Row, Schema, decode_cell, rows_to_columns
+from ..common.types import NULL_INT, Key, Row, Schema, columns_to_rows, rows_to_columns
 from ..obs.registry import get_registry
 from .code_batch import CodeColumn, concat_code_parts
 from .compression import (
@@ -601,10 +601,10 @@ class ColumnStore:
         segment = self._segment_by_id[segment_id]
         self._cost.charge(self._cost.column_materialize_per_row_us * len(self.schema))
         encodings = segment.encodings
-        return tuple(
-            decode_cell(encodings[col.name].value_at(pos), col.dtype)
-            for col in self.schema.columns
-        )
+        return tuple([
+            decode(encodings[name].value_at(pos))
+            for name, decode in self.schema.decoders.items()
+        ])
 
     def scan(
         self,
@@ -750,13 +750,8 @@ class ColumnStore:
     def all_rows(self) -> list[Row]:
         """Materialize every live row (test/verification helper)."""
         result = self.scan()
-        n = len(result.keys)
-        cols = [(result.arrays[c.name], c.dtype) for c in self.schema.columns]
-        self._cost.charge_rows(self._cost.column_materialize_per_row_us, n)
-        return [
-            tuple(decode_cell(col[i], dtype) for col, dtype in cols)
-            for i in range(n)
-        ]
+        self._cost.charge_rows(self._cost.column_materialize_per_row_us, len(result.keys))
+        return columns_to_rows(self.schema, result.arrays)
 
     # ------------------------------------------------------------- maintenance
 

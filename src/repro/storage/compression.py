@@ -50,7 +50,7 @@ class Encoding:
         raise NotImplementedError
 
     def value_at(self, pos: int):
-        """The one value at ``pos`` (``decode()[pos]``), as a scalar."""
+        """The one value at ``pos`` (``decode()[pos]``), as a Python scalar."""
         raise NotImplementedError
 
 
@@ -80,7 +80,7 @@ class PlainEncoding(Encoding):
         return self.data[positions]
 
     def value_at(self, pos: int):
-        return self.data[pos]
+        return self.data.item(pos)
 
 
 @dataclass
@@ -136,7 +136,7 @@ class DictionaryEncoding(Encoding):
         return self.dictionary[self.codes[positions]]
 
     def value_at(self, pos: int):
-        return self.dictionary[self.codes[pos]]
+        return self.dictionary.item(self.codes.item(pos))
 
     def cardinality(self) -> int:
         return len(self.dictionary)
@@ -238,7 +238,7 @@ class RunLengthEncoding(Encoding):
         return self.values[self.run_ends.searchsorted(positions, side="right")]
 
     def value_at(self, pos: int):
-        return self.values[self.run_ends.searchsorted(pos, side="right")]
+        return self.values.item(self.run_ends.searchsorted(pos, side="right"))
 
     def size_bytes(self) -> int:
         if self.values.dtype == object:
@@ -288,7 +288,7 @@ class BitPackedEncoding(Encoding):
         return self.offsets[positions].astype(np.int64) + self.base
 
     def value_at(self, pos: int) -> int:
-        return int(self.offsets[pos]) + self.base
+        return self.offsets.item(pos) + self.base
 
 
 def choose_encoding(values: np.ndarray) -> Encoding:

@@ -72,7 +72,7 @@ class InMemoryColumnUnit:
     def populate(self, snapshot_ts: Timestamp) -> int:
         """(Re)build the unit from the row store at ``snapshot_ts``."""
         rows = self._rows.snapshot_rows(snapshot_ts)
-        keys = [self.schema.key_of(r) for r in rows]
+        keys = list(map(self.schema.key_of, rows))
         self._position = dict(zip(keys, range(len(keys))))
         self._segment = (
             seal_segment(

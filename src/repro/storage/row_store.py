@@ -180,7 +180,8 @@ class MVCCRowStore:
         examined = 0
         for chain in self._chains.values():
             for version in reversed(chain):
-                if version.visible_at(snapshot_ts):
+                # RowVersion.visible_at, inlined: one test per chain per scan.
+                if version.begin_ts <= snapshot_ts < version.end_ts:
                     examined += 1
                     if predicate.matches(version.row, self.schema):
                         out.append(version.row)

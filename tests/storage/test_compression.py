@@ -199,10 +199,14 @@ def _same_cell(got, want) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(runs=_runs)
 def test_value_at_equals_decode_at_every_position(runs):
+    """...and is a Python scalar: a row rebuilt from ``value_at`` needs
+    no per-cell NumPy conversion."""
     for name, enc, decoded in _segments(runs):
         assert len(enc) == len(decoded)
         for i in range(len(decoded)):
-            assert _same_cell(enc.value_at(i), decoded[i]), (name, i)
+            got = enc.value_at(i)
+            assert _same_cell(got, decoded[i]), (name, i)
+            assert type(got) in (int, float, str, type(None)), (name, i, type(got))
 
 
 @settings(max_examples=60, deadline=None)
