@@ -1,4 +1,4 @@
-"""The simulator's determinism contract, pinned to a constant.
+"""The simulator's determinism contract, pinned to constants.
 
 One fixed scenario crosses every path of the Raft/network kernel —
 single- and multi-shard commits, a ``sync()``, a leader crash and
@@ -8,13 +8,21 @@ clock, the message and Raft counters, and every replica's
 constant: a change to the kernel that claims "same simulation, faster"
 must leave it alone, and one that changes the simulated traffic must
 re-record it and say which components moved.
+
+A second constant pins the same scenario event by event: every delivery
+(instant, endpoints, message type and fields by name), the busy ledger,
+the learner's applied timestamp, every replica's role, vote, believed
+leader and timer deadline, and the link-latency and replication-lag
+summaries.  Fields are read by name, so swapping the message classes'
+implementation moves nothing; delivering one message at another instant,
+in another order, or with another field value moves the digest.
 """
 
 import hashlib
 
 from repro.common import Column, DataType, Schema
 from repro.distributed import DistributedCluster, ShardSplit, WriteKind, WriteOp
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry, set_registry
 
 #: Re-recorded once, when quiescent groups began to hibernate.  The
 #: polled kernel and the timer-heap kernel both gave
@@ -29,14 +37,12 @@ from repro.obs import get_registry
 #: 1's term 3 -> 4).
 EXPECTED_DIGEST = "f94fbd447152537e0fca8b5db32b71f7"
 
+#: Recorded on the frozen-dataclass messages and the list-scanning
+#: ``RaftGroup.leader``.
+EXPECTED_TRACE_DIGEST = "9bf75c82ea76ef415cc7289620d54a79"
 
-def run_scenario(seed: int = 31) -> dict:
-    """Drive the fixed scenario; returns the digest's components."""
-    registry = get_registry()
-    heartbeats = registry.counter("raft.heartbeats")
-    elections = registry.counter("raft.elections")
-    hb0, el0 = heartbeats.value, elections.value
 
+def build_cluster(seed: int) -> DistributedCluster:
     cluster = DistributedCluster(n_storage_nodes=4, seed=seed)
     cluster.create_table(
         Schema(
@@ -45,6 +51,12 @@ def run_scenario(seed: int = 31) -> dict:
             ["id"],
         )
     )
+    return cluster
+
+
+def drive(cluster: DistributedCluster) -> None:
+    """The fixed scenario: commits, a sync, a leader crash and restart,
+    a split under traffic, a final sync."""
 
     def insert(*ids: int) -> None:
         cluster.execute_transaction(
@@ -79,6 +91,17 @@ def run_scenario(seed: int = 31) -> dict:
     cluster.sync()
 
     assert sorted(r[0] for r in cluster.row_scan("acct")) == list(range(nxt))
+
+
+def run_scenario(seed: int = 31) -> dict:
+    """Drive the fixed scenario; returns the digest's components."""
+    registry = get_registry()
+    heartbeats = registry.counter("raft.heartbeats")
+    elections = registry.counter("raft.elections")
+    hb0, el0 = heartbeats.value, elections.value
+
+    cluster = build_cluster(seed)
+    drive(cluster)
     net = cluster.network
     return {
         "now_us": repr(cluster.cost.now_us()),
@@ -99,6 +122,62 @@ def digest_of(components: dict) -> str:
     ).hexdigest()
 
 
+def fields_of(message) -> tuple:
+    """``(name, value)`` per field, for a dataclass or a NamedTuple."""
+    return tuple((name, getattr(message, name)) for name in type(message).__match_args__)
+
+
+def record_deliveries(cluster: DistributedCluster, trace) -> None:
+    """Feed every delivery into ``trace`` (a hash), for the replicas
+    registered from now on — the split's new shard included."""
+    net = cluster.network
+    register = net.register
+
+    def recording_register(node_id, handler):
+        def recording(src, message):
+            event = (
+                repr(cluster.cost.now_us()), src, node_id,
+                type(message).__name__, fields_of(message),
+            )
+            trace.update(repr(event).encode())
+            handler(src, message)
+
+        register(node_id, recording)
+
+    net.register = recording_register
+
+
+def trace_digest(seed: int = 31) -> str:
+    """The scenario pinned event by event, on a registry of its own so
+    the summaries cover this run only."""
+    trace = hashlib.blake2b(digest_size=16)
+    previous = set_registry(MetricsRegistry())
+    try:
+        cluster = build_cluster(seed)
+        record_deliveries(cluster, trace)
+        drive(cluster)
+        histograms = get_registry().snapshot()["histograms"]
+        tail = {
+            "ledger": sorted(cluster.ledger.snapshot().items()),
+            "applied_ts": cluster.columnar.applied_ts,
+            "replicas": sorted(
+                (node_id, node.role.value, node.voted_for, node.leader_id,
+                 repr(node.timer_due_us))
+                for group in cluster._groups
+                for node_id, node in group.nodes.items()
+            ),
+            "summaries": sorted(
+                (name, sorted(summary.items()))
+                for name, summary in histograms.items()
+                if name.startswith(("network.latency_us", "raft.replication_lag"))
+            ),
+        }
+        trace.update(repr(sorted(tail.items())).encode())
+    finally:
+        set_registry(previous)
+    return trace.hexdigest()
+
+
 def test_two_runs_of_one_seed_agree():
     assert run_scenario() == run_scenario()
 
@@ -106,3 +185,11 @@ def test_two_runs_of_one_seed_agree():
 def test_digest_matches_the_recorded_constant():
     components = run_scenario()
     assert digest_of(components) == EXPECTED_DIGEST, components
+
+
+def test_trace_repeats_within_a_process():
+    assert trace_digest() == trace_digest()
+
+
+def test_trace_digest_matches_the_recorded_constant():
+    assert trace_digest() == EXPECTED_TRACE_DIGEST

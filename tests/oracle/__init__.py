@@ -9,6 +9,8 @@
   any pruned / code-space scan must return.
 * :mod:`.charges` — a simulated clock that logs its advances.  What a
   refactored call must still charge, call by call.
+* :mod:`.hashing` — the recursive ring hash.  What every placement
+  point must equal, whatever the fast paths.
 
 The first two are plain Python and share only schema/AST definitions and
 the row-mode ``Predicate.matches`` with the code under test; the scan
