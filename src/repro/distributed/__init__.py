@@ -18,12 +18,7 @@ from .metadata import (
     hash_point,
 )
 from .network import SimNetwork
-from .partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    placement_point,
-)
+from .partitioner import placement_point
 from .raft import (
     AppendEntries,
     AppendEntriesReply,
@@ -58,18 +53,15 @@ __all__ = [
     "BusyLedger",
     "ColumnarReplica",
     "DistributedCluster",
-    "HashPartitioner",
     "LogEntry",
     "MetadataService",
     "MigrationTap",
-    "Partitioner",
     "PiggybackCoordinator",
     "PlacementKey",
     "PlacementPolicy",
     "RING_SIZE",
     "RaftGroup",
     "RaftNode",
-    "RangePartitioner",
     "RegionStateMachine",
     "RequestVote",
     "RequestVoteReply",

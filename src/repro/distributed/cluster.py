@@ -292,6 +292,7 @@ class DistributedCluster:
         self._groups: list[RaftGroup] = []
         self._region_sms: list[dict[str, RegionStateMachine]] = []
         self._region_leader_node: list[list[str]] = []  # physical placement
+        self._phys_of: dict[str, str] = {}  # voter id -> its physical node
         self._migration_taps: list = []  # resharding dual-log buffers
         #: Lazy commit rounds: shard id -> [(txn_id, committed, n_writes)].
         self._pending_resolves: dict[int, list[tuple[int, bool, int]]] = {}
@@ -306,6 +307,7 @@ class DistributedCluster:
         self._m_commit_pb = reg.counter("commit.piggybacked")
         self._m_commit_2pc = reg.counter("commit.two_phase")
         self._h_commit_fanout = reg.histogram("commit.participant_fanout")
+        self._m_drain_timeouts = reg.counter("replication.drain_timeouts")
 
     # ------------------------------------------------------------- build
 
@@ -376,6 +378,7 @@ class DistributedCluster:
             phys = (sid + r) % self.n_storage_nodes
             voters.append(f"r{sid}.n{phys}")
             placement.append(f"n{phys}")
+            self._phys_of[voters[-1]] = placement[-1]
         learner_id = f"r{sid}.learner"
         sms = {
             v: RegionStateMachine(sid, self.schemas, point_fn=self.point_of)
@@ -408,9 +411,7 @@ class DistributedCluster:
         self._region_leader_node.append(placement)
 
     def _phys_node_of_leader(self, region: int) -> str:
-        leader = self._groups[region].elect_leader()
-        # leader id is "r<region>.n<phys>"
-        return leader.node_id.split(".", 1)[1]
+        return self._phys_of[self._groups[region].elect_leader().node_id]
 
     def _leader_sm(self, region: int) -> RegionStateMachine:
         leader = self._groups[region].elect_leader()
@@ -661,15 +662,14 @@ class DistributedCluster:
         def attempt() -> Row | None:
             sid = router.shard_for_point(point).shard_id
             self._check_ownership(sid, [point])
-            # A dangling intent could hide a decided write: settle first.
-            self._settle_shard(sid)
+            if sid in self._pending_resolves:
+                # A dangling intent could hide a decided write: settle first.
+                self._settle_shard(sid)
             self.cost.charge(self.cost.network_rtt_us)
-            sm = self._leader_sm(sid)
+            leader_id = self._groups[sid].elect_leader().node_id
             self.cost.charge(self.cost.row_point_read_us)
-            self.ledger.charge(
-                self._phys_node_of_leader(sid), self.cost.row_point_read_us
-            )
-            return sm.rows[table].get(key)
+            self.ledger.charge(self._phys_of[leader_id], self.cost.row_point_read_us)
+            return self._region_sms[sid][leader_id].rows[table].get(key)
 
         return router.retrying(attempt)
 
@@ -728,21 +728,29 @@ class DistributedCluster:
         self._build()
         self.network.advance(delta_us)
 
-    def drain_replication(self, max_us: float = 50_000.0) -> None:
-        """Advance until learners have applied everything committed.
-        Queued intent resolutions flush first, so "everything committed"
-        includes every decided piggybacked transaction."""
+    def drain_replication(self, max_us: float = 50_000.0) -> bool:
+        """Advance until learners have applied everything committed;
+        returns whether that happened within ``max_us``.  Queued intent
+        resolutions flush first, so "everything committed" includes
+        every decided piggybacked transaction.
+
+        The test is that no live group is awake: a leader hibernates
+        only once its learner has acknowledged (and so applied up to)
+        the commit index.  A leader with a crashed follower never
+        hibernates, so such a drain spends its whole budget even when
+        the learners are level; it returns False and counts
+        ``replication.drain_timeouts``."""
         self._build()
         self.settle_all()
 
-        # No group awake means no learner behind: a leader hibernates
-        # only once its learner has acknowledged (and so applied up to)
-        # the commit index.
-        self.network.run_until(
-            lambda: all(self._groups[sid].hibernating() for sid in self._live_sids()),
-            500.0,
-            max_us,
-        )
+        def drained() -> bool:
+            return all(self._groups[sid].hibernating() for sid in self._live_sids())
+
+        self.network.run_until(drained, 500.0, max_us)
+        if drained():
+            return True
+        self._m_drain_timeouts.inc()
+        return False
 
     def sync(self) -> int:
         """Ship + merge learner delta logs into the column stores."""

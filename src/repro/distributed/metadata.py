@@ -1,8 +1,7 @@
 """Epoch-versioned shard maps and the metadata service that owns them.
 
-The elastic counterpart of the static partitioner: the key space is a
-totally ordered ring of *points* (a stable 64-bit hash of ``(table,
-key)`` for hash shards, or the leading key column for range shards),
+The key space is a totally ordered ring of *points* (a stable 64-bit
+hash of ``(table, key)``, see :mod:`~repro.distributed.partitioner`),
 tiled by contiguous shard intervals, each interval served by its own
 Raft group.  The :class:`ShardMap` is the routing table — an immutable,
 epoch-stamped snapshot with O(log shards) point lookup (bisect over the
@@ -28,7 +27,7 @@ from typing import Any, Iterable, Sequence
 
 from ..common.errors import RoutingError, StorageError
 from ..obs import get_registry
-from .partitioner import _stable_hash, placement_point
+from .partitioner import hash_point, placement_point
 
 #: The hash keyspace tiles the full 64-bit stable-hash ring.
 RING_SIZE = 1 << 64
@@ -36,11 +35,6 @@ RING_SIZE = 1 << 64
 #: Deltas retained by the metadata service; routers further behind
 #: than this take a full snapshot instead of an incremental catch-up.
 DELTA_HISTORY = 64
-
-
-def hash_point(table: str, key: Any) -> int:
-    """Ring position of one row: stable across processes and runs."""
-    return _stable_hash((table, key))
 
 
 @dataclass(frozen=True)

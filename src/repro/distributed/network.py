@@ -13,8 +13,8 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..common.cost import CostModel
@@ -43,6 +43,7 @@ class SimNetwork:
 
     def __init__(self, cost: CostModel | None = None):
         self._cost = cost or CostModel()
+        self._clock = self._cost.clock
         self._handlers: dict[str, Handler] = {}
         # Heap entries are plain tuples compared in C; ``seq`` is unique,
         # so a comparison never reaches the payload.
@@ -51,7 +52,7 @@ class SimNetwork:
         self._seq = itertools.count()
         # owner -> rank: timers due at one instant fire in first-armed order.
         self._owners: dict[Any, int] = {}
-        self._last_pass_us = self._cost.now_us()
+        self._last_pass_us = self._clock.now_us()
         self._cut: set[frozenset[str]] = set()
         self._down: set[str] = set()
         self.sent = 0
@@ -71,7 +72,7 @@ class SimNetwork:
         if owner not in self._owners:
             self._owners[owner] = next(self._seq)
         owner.timer_due_us = due_us
-        heapq.heappush(self._timers, (due_us, next(self._seq), owner))
+        heappush(self._timers, (due_us, next(self._seq), owner))
 
     def disarm(self, owner: Any) -> None:
         """Park ``owner``'s timer until it arms again (hibernation)."""
@@ -94,7 +95,7 @@ class SimNetwork:
         """One timer pass: fire every due timer, in rank order — or, if
         the world was suspended since the last pass, re-arm instead
         (parked owners stay parked)."""
-        now = self._cost.now_us()
+        now = self._clock.now_us()
         since, self._last_pass_us = self._last_pass_us, now
         if now - since > _SUSPEND_GUARD_US:
             self._rearm(parked=False)
@@ -104,7 +105,7 @@ class SimNetwork:
             return  # the common pass: nothing due
         due = {}
         while timers and timers[0][0] <= now:
-            due_us, _seq, owner = heapq.heappop(timers)
+            due_us, _seq, owner = heappop(timers)
             if owner.timer_due_us == due_us:
                 due[owner] = self._owners[owner]
         for owner in sorted(due, key=due.__getitem__):
@@ -165,8 +166,8 @@ class SimNetwork:
         """Queue a message; latency/drops are decided at delivery time."""
         self.sent += 1
         self._m_sent.inc()
-        now = self._cost.now_us()
-        heapq.heappush(
+        now = self._clock.now_us()
+        heappush(
             self._queue,
             (now + self._cost.network_oneway_us, next(self._seq), src, dst, message, now),
         )
@@ -181,34 +182,43 @@ class SimNetwork:
 
         Time moves in hops to each delivery instant so that handlers
         observing ``now_us()`` see causally consistent clocks; a timer
-        pass follows each hop's deliveries and the final stretch.
+        pass follows each hop's deliveries and the final stretch.  Links
+        are checked only while a node is down or a link is cut.
         """
-        clock = self._cost.clock
+        clock = self._clock
+        now_us = clock.now_us
         queue = self._queue
-        target = clock.now_us() + delta_us
-        delivered = 0
-        while queue and queue[0][0] <= target:
-            clock.advance(max(0.0, queue[0][0] - clock.now_us()))
-            now = clock.now_us()
-            while queue and queue[0][0] <= now:  # everything due at this instant
-                _at, _seq, src, dst, message, sent_at_us = heapq.heappop(queue)
-                handler = self._handlers.get(dst)
-                if handler is None or not self._link_ok(src, dst):
-                    self.dropped += 1
-                    self._m_dropped.inc()
-                    continue
-                handler(src, message)
-                self.delivered += 1
-                self._m_delivered.inc()
-                hist = self._link_hists.get((src, dst))
-                if hist is None:
-                    hist = self._link_hists[(src, dst)] = get_registry().histogram(
-                        "network.latency_us", link=f"{src}->{dst}"
-                    )
-                hist.observe(clock.now_us() - sent_at_us)
-                delivered += 1
-            self._run_timers()
-        remaining = target - clock.now_us()
+        handlers = self._handlers
+        down, cut = self._down, self._cut
+        hists = self._link_hists
+        target = now_us() + delta_us
+        delivered = dropped = 0
+        try:
+            while queue and queue[0][0] <= target:
+                clock.advance(max(0.0, queue[0][0] - now_us()))
+                now = now_us()
+                while queue and queue[0][0] <= now:  # everything due at this instant
+                    _at, _seq, src, dst, message, sent_at_us = heappop(queue)
+                    handler = handlers.get(dst)
+                    if handler is None or ((down or cut) and not self._link_ok(src, dst)):
+                        dropped += 1
+                        continue
+                    handler(src, message)
+                    delivered += 1
+                    hist = hists.get((src, dst))
+                    if hist is None:
+                        hist = hists[(src, dst)] = get_registry().histogram(
+                            "network.latency_us", link=f"{src}->{dst}"
+                        )
+                    hist.observe(now_us() - sent_at_us)
+                self._run_timers()
+        finally:
+            # Counted once per call; no handler reads them mid-advance.
+            self.delivered += delivered
+            self.dropped += dropped
+            self._m_delivered.inc(delivered)
+            self._m_dropped.inc(dropped)
+        remaining = target - now_us()
         if remaining > 0:
             clock.advance(remaining)
         self._run_timers()
@@ -226,7 +236,7 @@ class SimNetwork:
         a run of them is taken in one jump without polling (the clock
         still accumulates step by step, so floats match a stepped run).
         """
-        clock = self._cost.clock
+        clock = self._clock
         spent = 0.0
         while spent < max_us and not predicate():
             horizon = min(
@@ -246,9 +256,3 @@ class SimNetwork:
                 self._last_pass_us = landing
                 spent += step_us
         return spent
-
-    def run_until_quiet(self, max_us: float = 10_000_000.0) -> None:
-        """Advance until no messages remain (bounded by ``max_us``)."""
-        self.run_until(
-            lambda: not self._queue, self._cost.network_oneway_us, max_us
-        )

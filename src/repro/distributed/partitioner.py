@@ -1,62 +1,22 @@
-"""Key-space partitioning into regions.
+"""Ring points: where a row lands on the 64-bit hash ring.
 
-Architecture (b) shards each table into regions, each served by its own
-Raft group.  Hash partitioning spreads TPC-C style key traffic evenly;
-range partitioning is available for ordered scans and region splits.
+Architecture (b) tiles the ring with shard intervals
+(:class:`~repro.distributed.metadata.ShardMap`); a row's point is a
+stable hash of ``(table, key)``, or of ``("placement", group, prefix)``
+when its table declares a placement key.  The hash is FNV-style over a
+tuple's members and a string's UTF-8 bytes, so it is the same in every
+process (Python's own ``hash`` is salted per process).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Sequence
-
-from ..common.errors import StorageError
+from functools import lru_cache
+from typing import Any
 
 
-class Partitioner:
-    def region_of(self, key: Any) -> int:
-        raise NotImplementedError
-
-    @property
-    def n_regions(self) -> int:
-        raise NotImplementedError
-
-
-class HashPartitioner(Partitioner):
-    """Stable hash partitioning (independent of Python's salted hash)."""
-
-    def __init__(self, n_regions: int):
-        if n_regions < 1:
-            raise StorageError("need at least one region")
-        self._n = n_regions
-
-    @property
-    def n_regions(self) -> int:
-        return self._n
-
-    def region_of(self, key: Any) -> int:
-        return _stable_hash(key) % self._n
-
-
-class RangePartitioner(Partitioner):
-    """Boundaries b_0 < b_1 < ... split keys into len(boundaries)+1 regions."""
-
-    def __init__(self, boundaries: Sequence[Any]):
-        ordered = list(boundaries)
-        if any(ordered[i] >= ordered[i + 1] for i in range(len(ordered) - 1)):
-            raise StorageError("range boundaries must be strictly increasing")
-        self._boundaries = ordered
-
-    @property
-    def n_regions(self) -> int:
-        return len(self._boundaries) + 1
-
-    def region_of(self, key: Any) -> int:
-        # First-column comparison for composite keys.  bisect_right finds
-        # the first boundary > probe in O(log n); region i holds keys in
-        # [b_{i-1}, b_i), matching the old linear scan exactly.
-        probe = key[0] if isinstance(key, tuple) else key
-        return bisect_right(self._boundaries, probe)
+def hash_point(table: str, key: Any) -> int:
+    """Ring position of one row: stable across processes and runs."""
+    return (_leading_state(table) ^ _stable_hash(key)) * 1099511628211 % (2**64)
 
 
 def placement_point(group: str, prefix: tuple) -> int:
@@ -71,15 +31,33 @@ def placement_point(group: str, prefix: tuple) -> int:
     colliding semantically with plain ``hash_point`` values for
     unrelated tables.
     """
-    return _stable_hash(("placement", group, prefix))
+    state = _leading_state("placement", group)
+    return (state ^ _stable_hash(prefix)) * 1099511628211 % (2**64)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _leading_state(*tags: str) -> int:
+    """The hash of a tuple whose leading members are ``tags``, stopped
+    before its last member: a table or group name is hashed once per
+    process, not once per row.  The cache holds one int per name."""
+    return _stable_hash(tags)
 
 
 def _stable_hash(key: Any) -> int:
-    """Deterministic across processes (no PYTHONHASHSEED dependence)."""
+    """Deterministic across processes (no PYTHONHASHSEED dependence).
+
+    Exact ``int`` keys and tuple members are hashed inline; subclasses
+    (``bool``, ``IntEnum``, ``str`` and tuple subclasses) take the
+    ``isinstance`` chain, which gives the same value."""
+    if type(key) is int:
+        return key * 2654435761 % (2**64)
     if isinstance(key, tuple):
         acc = 1469598103934665603
         for part in key:
-            acc = (acc ^ _stable_hash(part)) * 1099511628211 % (2**64)
+            part_hash = (
+                part * 2654435761 % (2**64) if type(part) is int else _stable_hash(part)
+            )
+            acc = (acc ^ part_hash) * 1099511628211 % (2**64)
         return acc
     if isinstance(key, str):
         acc = 1469598103934665603
@@ -90,6 +68,4 @@ def _stable_hash(key: Any) -> int:
         return int(key)
     if isinstance(key, int):
         return key * 2654435761 % (2**64)
-    if isinstance(key, float):
-        return _stable_hash(repr(key))
     return _stable_hash(repr(key))

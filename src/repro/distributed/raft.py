@@ -63,9 +63,12 @@ class LogEntry:
 
 
 # ----------------------------------------------------------------- messages
+# Slotted, not frozen: a frozen dataclass pays ``object.__setattr__`` per
+# field on construction, and nothing hashes or mutates a message once
+# it is sent.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequestVote:
     term: int
     candidate_id: str
@@ -73,13 +76,13 @@ class RequestVote:
     last_log_term: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequestVoteReply:
     term: int
     granted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AppendEntries:
     term: int
     leader_id: str
@@ -89,7 +92,7 @@ class AppendEntries:
     leader_commit: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AppendEntriesReply:
     term: int
     success: bool
@@ -155,6 +158,15 @@ class RaftNode:
         self._peer_commit: dict[str, int] = {}  # acknowledged since last (re)arm
         self._election_deadline_us = 0.0
         self._heartbeat_due_us = 0.0
+        #: The replicas of this node's group that believe they lead,
+        #: shared by every member (its RaftGroup hands it over).
+        self._leading: list[RaftNode] = []
+        self._dispatch = {
+            RequestVote: self._on_request_vote,
+            RequestVoteReply: self._on_vote_reply,
+            AppendEntries: self._on_append_entries,
+            AppendEntriesReply: self._on_append_reply,
+        }
 
         registry = get_registry()
         self._m_elections = registry.counter("raft.elections")
@@ -198,11 +210,14 @@ class RaftNode:
     def _quiescent(self) -> bool:
         """Every voter and learner has acknowledged both the last log
         index and the commit index: there is nothing left to tell."""
-        last = self.last_log_index()
-        return self.commit_index == last and all(
-            self._match_index[peer] == last and self._peer_commit.get(peer) == last
-            for peer in self._peers
-        )
+        last = len(self.log) - 1
+        if self.commit_index != last:
+            return False
+        match, acked = self._match_index, self._peer_commit
+        for peer in self._peers:
+            if match[peer] != last or acked.get(peer) != last:
+                return False
+        return True
 
     def tick(self) -> None:
         """The timer came due: a heartbeat round, or an election."""
@@ -241,7 +256,8 @@ class RaftNode:
             self._network.send(self.node_id, peer, message)
 
     def _become_leader(self) -> None:
-        self.role = Role.LEADER
+        self.role = Role.LEADER  # entered from CANDIDATE only
+        self._leading.append(self)
         self.leader_id = self.node_id
         nxt = self.last_log_index() + 1
         self._next_index = dict.fromkeys(self._peers, nxt)
@@ -295,27 +311,24 @@ class RaftNode:
     # ------------------------------------------------------------- handlers
 
     def _on_message(self, src: str, message: Any) -> None:
-        if isinstance(message, RequestVote):
-            self._on_request_vote(src, message)
-        elif isinstance(message, RequestVoteReply):
-            self._on_vote_reply(src, message)
-        elif isinstance(message, AppendEntries):
-            self._on_append_entries(src, message)
-        elif isinstance(message, AppendEntriesReply):
-            self._on_append_reply(src, message)
-        else:
+        handler = self._dispatch.get(type(message))
+        if handler is None:
             raise ConsensusError(f"unknown raft message {message!r}")
+        handler(src, message)
 
-    def _maybe_step_down(self, term: int) -> None:
-        if term > self.current_term:
-            self.current_term = term
-            self.voted_for = None
-            if self.role is not Role.LEARNER:
-                self.role = Role.FOLLOWER
-                self._arm()
+    def _step_down(self, term: int) -> None:
+        """A message carried a higher term: adopt it as a follower."""
+        self.current_term = term
+        self.voted_for = None
+        if self.role is not Role.LEARNER:
+            if self.role is Role.LEADER:
+                self._leading.remove(self)
+            self.role = Role.FOLLOWER
+            self._arm()
 
     def _on_request_vote(self, src: str, msg: RequestVote) -> None:
-        self._maybe_step_down(msg.term)
+        if msg.term > self.current_term:
+            self._step_down(msg.term)
         grant = False
         if msg.term >= self.current_term and self.role is not Role.LEARNER:
             mine = (self.last_log_term(), self.last_log_index())
@@ -327,7 +340,8 @@ class RaftNode:
         self._network.send(self.node_id, src, RequestVoteReply(self.current_term, grant))
 
     def _on_vote_reply(self, src: str, msg: RequestVoteReply) -> None:
-        self._maybe_step_down(msg.term)
+        if msg.term > self.current_term:
+            self._step_down(msg.term)
         if self.role is not Role.CANDIDATE or msg.term < self.current_term:
             return
         if msg.granted:
@@ -340,8 +354,9 @@ class RaftNode:
         self._network.send(self.node_id, dst, reply)
 
     def _on_append_entries(self, src: str, msg: AppendEntries) -> None:
-        self._maybe_step_down(msg.term)
-        if msg.term < self.current_term:
+        if msg.term > self.current_term:
+            self._step_down(msg.term)
+        elif msg.term < self.current_term:
             self._reply_append(src, False)
             return
         # A valid leader exists: reset election pressure.
@@ -349,26 +364,26 @@ class RaftNode:
         if self.role is Role.CANDIDATE:
             self.role = Role.FOLLOWER
         # Log consistency check.
-        if msg.prev_log_index >= len(self.log) or (
-            self.log[msg.prev_log_index].term != msg.prev_log_term
-        ):
+        log = self.log
+        index = msg.prev_log_index
+        if index >= len(log) or log[index].term != msg.prev_log_term:
             self._restart_election_timer()
             self._reply_append(src, False)
             return
         # Append, truncating conflicts.
-        index = msg.prev_log_index
         for entry in msg.entries:
             index += 1
-            if index < len(self.log):
-                if self.log[index].term != entry.term:
-                    del self.log[index:]
-                    self.log.append(entry)
+            if index < len(log):
+                if log[index].term != entry.term:
+                    del log[index:]
+                    log.append(entry)
             else:
-                self.log.append(entry)
+                log.append(entry)
+        last = len(log) - 1
         if msg.leader_commit > self.commit_index:
-            self.commit_index = min(msg.leader_commit, self.last_log_index())
+            self.commit_index = min(msg.leader_commit, last)
             self._apply_committed()
-        if self.commit_index == self.last_log_index():
+        if self.commit_index == last:
             # Nothing uncommitted held, the leader owes us no news: hibernate.
             self._network.disarm(self)
         else:
@@ -376,12 +391,16 @@ class RaftNode:
         self._reply_append(src, True, index)
 
     def _on_append_reply(self, src: str, msg: AppendEntriesReply) -> None:
-        self._maybe_step_down(msg.term)
+        if msg.term > self.current_term:
+            self._step_down(msg.term)
         if self.role is not Role.LEADER:
             return
         if msg.success:
-            self._match_index[src] = max(self._match_index.get(src, 0), msg.match_index)
-            self._next_index[src] = self._match_index[src] + 1
+            match = self._match_index.get(src, 0)
+            if msg.match_index > match:
+                match = msg.match_index
+            self._match_index[src] = match
+            self._next_index[src] = match + 1
             self._peer_commit[src] = msg.commit_index
             self._advance_commit()
             if self.timer_due_us is not None and self._quiescent():
@@ -393,14 +412,16 @@ class RaftNode:
 
     def _advance_commit(self) -> None:
         """Commit the highest index replicated on a quorum of voters."""
-        for index in range(self.last_log_index(), self.commit_index, -1):
-            if self.log[index].term != self.current_term:
+        log, match, term = self.log, self._match_index, self.current_term
+        majority = len(self.voters) // 2
+        for index in range(len(log) - 1, self.commit_index, -1):
+            if log[index].term != term:
                 continue  # §5.4.2: only commit entries from the current term
             votes = 1  # self
             for voter in self._peer_voters:
-                if self._match_index.get(voter, 0) >= index:
+                if match.get(voter, 0) >= index:
                     votes += 1
-            if votes > len(self.voters) // 2:
+            if votes > majority:
                 self.commit_index = index
                 self._apply_committed()
                 # Learner (columnar replica) lag in log entries at the
@@ -446,8 +467,11 @@ class RaftGroup:
         apply_fns = apply_fns or {}
         apply_batch_fns = apply_batch_fns or {}
         self.nodes: dict[str, RaftNode] = {}
+        #: Replicas that believe they lead (one, except while a deposed
+        #: leader has not yet heard of its successor's term).
+        self._leading: list[RaftNode] = []
         for node_id in list(voter_ids) + list(learner_ids):
-            self.nodes[node_id] = RaftNode(
+            node = self.nodes[node_id] = RaftNode(
                 node_id,
                 voters=voter_ids,
                 learners=learner_ids,
@@ -458,6 +482,7 @@ class RaftGroup:
                 preferred=(node_id == preferred_leader),
                 apply_batch_fn=apply_batch_fns.get(node_id),
             )
+            node._leading = self._leading
 
     def shutdown(self) -> None:
         """Retire the group: deregister every replica from the network
@@ -480,11 +505,17 @@ class RaftGroup:
         return leader is not None and leader.timer_due_us is None
 
     def leader(self) -> RaftNode | None:
-        leaders = [n for n in self.nodes.values() if n.is_leader()]
-        if not leaders:
+        leading = self._leading
+        if len(leading) == 1:
+            return leading[0]
+        if not leading:
             return None
-        # With partitions a stale leader can linger; prefer highest term.
-        return max(leaders, key=lambda n: n.current_term)
+        # With partitions a stale leader can linger; prefer highest term
+        # (ties to the first in ``nodes`` order).
+        return max(
+            (n for n in self.nodes.values() if n in leading),
+            key=lambda n: n.current_term,
+        )
 
     def elect_leader(self, max_us: float = 50_000.0) -> RaftNode:
         leader = self.leader()

@@ -35,6 +35,8 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "raft.heartbeats",
         "raft.replication_lag",
         "raft.wakeups",
+        # learner replication drains
+        "replication.drain_timeouts",
         # stateless router tier
         "router.cached_epoch",
         "router.refreshes",

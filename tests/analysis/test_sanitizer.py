@@ -19,6 +19,8 @@ from repro.analysis.sanitizer import (
 from repro.distributed.network import SimNetwork
 from repro.txn.transaction import TransactionManager
 
+from ..distributed import run_until_quiet
+
 
 def make_manager() -> TransactionManager:
     manager = TransactionManager()
@@ -166,7 +168,7 @@ class TestHappensBeforeChecker:
             for i in range(10):
                 net.send("a", "b", ("ping", i))
                 net.send("b", "a", ("pong", i))
-            net.run_until_quiet()
+            run_until_quiet(net)
         assert checker.violations == []
         assert checker.deliveries_checked == len(inbox) == 20
 
@@ -174,13 +176,13 @@ class TestHappensBeforeChecker:
         net, inbox = make_network()
         with happens_before(net) as checker:
             net.send("a", "b", ("m", 0))
-            net.run_until_quiet()
+            run_until_quiet(net)
             net.partition("a", "b")
             net.send("a", "b", ("m", 1))  # dropped at delivery time
-            net.run_until_quiet()
+            run_until_quiet(net)
             net.heal("a", "b")
             net.send("a", "b", ("m", 2))  # gap in link seq is fine
-            net.run_until_quiet()
+            run_until_quiet(net)
         assert checker.violations == []
         assert [m[2] for m in inbox] == [("m", 0), ("m", 2)]
 
@@ -189,7 +191,7 @@ class TestHappensBeforeChecker:
         checker = HappensBeforeChecker().attach(net)
         message = ("dup", 1)
         net.send("a", "b", message)
-        net.run_until_quiet()
+        run_until_quiet(net)
         with pytest.raises(SanitizerViolation, match="phantom-delivery"):
             net._handlers["b"]("a", message)  # replayed delivery
         assert checker.violations
@@ -206,7 +208,7 @@ class TestHappensBeforeChecker:
         seen = []
         net.register("c", lambda src, msg: seen.append(msg))
         net.send("a", "c", ("hello", 1))
-        net.run_until_quiet()
+        run_until_quiet(net)
         assert seen == [("hello", 1)]
         assert checker.deliveries_checked == 1
 

@@ -1,4 +1,4 @@
-"""2PC coordinator, partitioners, and the full distributed cluster."""
+"""2PC coordinator and the full distributed cluster."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.common import (
 )
 from repro.distributed import (
     DistributedCluster,
-    HashPartitioner,
-    RangePartitioner,
     TwoPhaseCoordinator,
     TxnOutcome,
     Vote,
@@ -79,63 +77,6 @@ class TestTwoPhaseCommit:
             {"a": 1, "b": 2}, {"a": FakeParticipant(), "b": FakeParticipant()}
         )
         assert cost.now_us() >= 4 * cost.network_rtt_us
-
-
-class TestPartitioners:
-    def test_hash_stable_and_in_range(self):
-        part = HashPartitioner(4)
-        regions = {part.region_of(("t", i)) for i in range(100)}
-        assert regions <= {0, 1, 2, 3}
-        assert len(regions) > 1  # spreads
-        assert part.region_of(("t", 42)) == part.region_of(("t", 42))
-
-    def test_hash_handles_mixed_types(self):
-        part = HashPartitioner(8)
-        for key in [1, "a", (1, "b"), 3.5, (1, 2, 3), True]:
-            assert 0 <= part.region_of(key) < 8
-
-    def test_range_partitioner(self):
-        part = RangePartitioner([10, 20])
-        assert part.n_regions == 3
-        assert part.region_of(5) == 0
-        assert part.region_of(10) == 1
-        assert part.region_of(25) == 2
-        assert part.region_of((15, "x")) == 1
-
-    def test_range_boundaries_must_increase(self):
-        from repro.common import StorageError
-
-        with pytest.raises(StorageError):
-            RangePartitioner([5, 5])
-
-    def test_range_bisect_matches_linear_reference(self):
-        # Differential check for the bisect fast path: identical to the
-        # O(n) boundary scan, boundary values included.
-        bounds = [10, 20, 30, 47]
-        part = RangePartitioner(bounds)
-
-        def linear(probe):
-            for i, bound in enumerate(bounds):
-                if probe < bound:
-                    return i
-            return len(bounds)
-
-        for key in range(-5, 60):
-            assert part.region_of(key) == linear(key)
-
-    def test_partitioners_agree_on_n_regions_invariants(self):
-        # Hash and range partitioners with the same region count must
-        # both map every key into [0, n_regions).
-        n = 5
-        hash_part = HashPartitioner(n)
-        range_part = RangePartitioner([10, 20, 30, 40])
-        assert hash_part.n_regions == range_part.n_regions == n
-        for key in range(100):
-            assert 0 <= hash_part.region_of(key) < n
-            assert 0 <= range_part.region_of(key) < n
-        # Both cover every region given enough spread-out keys.
-        assert {hash_part.region_of(k) for k in range(100)} == set(range(n))
-        assert {range_part.region_of(k) for k in range(50)} == set(range(n))
 
 
 def make_cluster(**kwargs):

@@ -14,6 +14,8 @@ from repro.query.ast import (
     QueryResult,
 )
 
+from .distributed import run_until_quiet
+
 
 class TestBusyLedger:
     def test_charge_and_makespan(self):
@@ -49,7 +51,7 @@ class TestNetworkQuiet:
         net.register("b", lambda s, m: seen.append(m))
         for i in range(3):
             net.send("a", "b", i)
-        net.run_until_quiet()
+        run_until_quiet(net)
         assert seen == [0, 1, 2]
         assert net.pending() == 0
 
