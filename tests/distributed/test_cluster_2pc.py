@@ -1,4 +1,4 @@
-"""2PC coordinator and the full distributed cluster."""
+"""Classic 2PC (the test oracle) and the full distributed cluster."""
 
 import pytest
 
@@ -13,12 +13,12 @@ from repro.common import (
 )
 from repro.distributed import (
     DistributedCluster,
-    TwoPhaseCoordinator,
     TxnOutcome,
     Vote,
     WriteKind,
     WriteOp,
 )
+from ..oracle.two_phase import TwoPhaseCoordinator
 
 
 class FakeParticipant:

@@ -2,10 +2,10 @@
 
 Three layers of coverage.  Unit: the placement policy's co-location
 algebra and the piggyback coordinator over fake participants.
-Differential: identical operation sequences on ``commit_protocol="fast"``
-and ``commit_protocol="baseline"`` clusters must produce identical row
-state, identical learner-fed columnar state, and identical abort
-behavior — the optimization is invisible except in cost.  Chaos: leader
+Differential: identical operation sequences on a production cluster and
+on one committing through classic 2PC (``tests/oracle/two_phase``) must
+produce identical row state, identical learner-fed columnar state, and
+identical abort behavior — the optimization is invisible except in cost.  Chaos: leader
 kills with dangling intents queued, and a mid-workload ShardSplit with
 both new commit paths live, all under the runtime sanitizers with an
 exactly-once audit against a single-shard reference cluster.
@@ -36,6 +36,7 @@ from repro.distributed import (
     hash_point,
 )
 from repro.txn.transaction import TransactionManager
+from ..oracle.two_phase import attach_two_phase
 
 ACCT = Schema(
     "acct",
@@ -54,13 +55,8 @@ HIST = Schema(
 )
 
 
-def make_cluster(commit_protocol="fast", n_regions=None, seed=11, placed=False):
-    cluster = DistributedCluster(
-        n_storage_nodes=3,
-        n_regions=n_regions,
-        seed=seed,
-        commit_protocol=commit_protocol,
-    )
+def make_cluster(n_regions=None, seed=11, placed=False):
+    cluster = DistributedCluster(n_storage_nodes=3, n_regions=n_regions, seed=seed)
     cluster.create_table(ACCT)
     cluster.create_table(HIST)
     if placed:
@@ -226,7 +222,6 @@ class TestSingleShardFastPath:
         cluster.insert("acct", (1, 100.0))
         assert cluster.commits_single_shard == 1
         assert cluster.commits_piggybacked == 0
-        assert cluster.commits_two_phase == 0
         assert cluster.read("acct", 1) == (1, 100.0)
 
     def test_validation_failure_aborts_with_no_effect(self):
@@ -237,16 +232,6 @@ class TestSingleShardFastPath:
         assert cluster.aborts == 1
         assert cluster.commits_single_shard == 1  # only the first
         assert cluster.read("acct", 1) == (1, 1.0)
-
-    def test_baseline_flag_keeps_two_phase(self):
-        cluster = make_cluster(commit_protocol="baseline")
-        cluster.insert("acct", (1, 100.0))
-        assert cluster.commits_two_phase == 1
-        assert cluster.commits_single_shard == 0
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(TwoPhaseCommitError):
-            DistributedCluster(commit_protocol="parallel")
 
 
 class TestPiggybackedPath:
@@ -305,7 +290,7 @@ def mixed_workload(cluster):
         cluster.insert("acct", (i, float(i)))
         outcomes.append(("insert", i, True))
     k1, k2 = two_shard_keys(cluster)
-    # Multi-shard updates (piggybacked on fast, 2PC on baseline).
+    # Multi-shard updates (piggybacked in production, 2PC on the oracle).
     for round_i in range(6):
         cluster.execute_transaction(
             [
@@ -339,8 +324,9 @@ def mixed_workload(cluster):
 
 class TestFastVsBaselineDifferential:
     def test_identical_state_and_abort_behavior(self):
-        fast = make_cluster(commit_protocol="fast", seed=7)
-        base = make_cluster(commit_protocol="baseline", seed=7)
+        fast = make_cluster(seed=7)
+        base = make_cluster(seed=7)
+        coordinator = attach_two_phase(base)
         fast_outcomes = mixed_workload(fast)
         base_outcomes = mixed_workload(base)
         assert fast_outcomes == base_outcomes  # aborts agree op-for-op
@@ -350,14 +336,15 @@ class TestFastVsBaselineDifferential:
         # The optimized paths actually ran on the fast side.
         assert fast.commits_single_shard > 0
         assert fast.commits_piggybacked > 0
-        assert fast.commits_two_phase == 0
-        assert base.commits_two_phase == fast.commits
+        assert base.commits_single_shard == base.commits_piggybacked == 0
+        assert coordinator.committed == fast.commits
         assert fast.commits == base.commits
         assert fast.aborts == base.aborts
 
     def test_learner_fed_columnar_state_identical(self):
-        fast = make_cluster(commit_protocol="fast", seed=7)
-        base = make_cluster(commit_protocol="baseline", seed=7)
+        fast = make_cluster(seed=7)
+        base = make_cluster(seed=7)
+        attach_two_phase(base)
         mixed_workload(fast)
         mixed_workload(base)
         fast.sync()

@@ -11,6 +11,9 @@
   refactored call must still charge, call by call.
 * :mod:`.hashing` — the recursive ring hash.  What every placement
   point must equal, whatever the fast paths.
+* :mod:`.two_phase` — classic two-round 2PC over a cluster's Raft
+  regions.  What the one-round commit paths must agree with, and the
+  cost they are measured against.
 
 The first two are plain Python and share only schema/AST definitions and
 the row-mode ``Predicate.matches`` with the code under test; the scan
