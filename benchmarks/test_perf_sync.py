@@ -127,7 +127,7 @@ def bench_delta_merge(ops):
 
 
 def replay_commands(n: int, writes_per_txn: int = 20):
-    """2PC learner stream: prepare/commit pairs carrying n writes,
+    """Cross-shard learner stream: intent/resolve pairs carrying n writes,
     ~40% of them updates of earlier keys (TP churn, not pure load)."""
     rng = random.Random(11)
     commands = []
@@ -147,15 +147,15 @@ def replay_commands(n: int, writes_per_txn: int = 20):
                 writes.append(
                     WriteOp(WriteKind.INSERT, "t", k, (k, float(k), f"tag{k % 5}"))
                 )
-        commands.append(("prepare", txn, writes, ts))
-        commands.append(("commit", txn))
+        commands.append(("intent", txn, writes, ts))
+        commands.append(("resolve", txn, True))
         ts += 1
     return commands
 
 
 def bench_raft_replay(commands):
-    prepares = [c for c in commands if c[0] == "prepare"]
-    total_writes = sum(len(c[2]) for c in prepares)
+    intents = [c for c in commands if c[0] == "intent"]
+    total_writes = sum(len(c[2]) for c in intents)
     best = float("inf")
     for _ in range(BEST_OF):
         cost = CostModel()
@@ -166,10 +166,10 @@ def bench_raft_replay(commands):
             replica.merge_deltas()
             elapsed = time.perf_counter() - start
         best = min(best, elapsed)
-    # Every prepare in the stream commits: its writes land at its ts.
+    # Every intent in the stream commits: its writes land at its ts.
     model = TableModel().apply_all(
         ("insert", w.key, w.row, ts)
-        for _op, _txn, writes, ts in prepares
+        for _op, _txn, writes, ts in intents
         for w in writes
     )
     assert store_state(replica.column_stores["t"]) == model.state()

@@ -8,8 +8,9 @@ Paper claims:
 Measured: single-transaction efficiency (simulated cost per TPC-C
 transaction) and throughput scaling across node counts for both
 techniques.  MVCC+logging lives on one node (scaling flat); the
-distributed commit pays Raft replication + 2PC round trips per
-transaction but spreads work across nodes.
+distributed commit pays Raft replication and network round trips per
+transaction (one 1PC propose on a single shard, a piggybacked
+intent round per shard across several) but spreads work across nodes.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ class TestTpClaims:
         """The breakdown shows *why* the distributed commit is slower:
         MVCC+logging pays WAL fsyncs; Raft-replicated commits pay network
         messages and consensus rounds the single-node engine never sees
-        (1PC/piggybacked proposes under co-location, classic prepare
-        rounds under commit_protocol="baseline")."""
+        (1PC proposes on one shard, piggybacked intents across shards)."""
         mvcc, raft = tp_results
         mvcc_counters = mvcc["report"].extras["obs"]["counters"]
         raft_counters = raft[4]["report"].extras["obs"]["counters"]
@@ -120,7 +120,6 @@ class TestTpClaims:
         assert (
             raft_counters.get("commit.single_shard", 0)
             + raft_counters.get("commit.piggybacked", 0)
-            + raft_counters.get("twopc.prepares", 0)
         ) > 0
         assert raft_counters["raft.heartbeats"] > 0
 

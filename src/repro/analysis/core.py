@@ -156,12 +156,6 @@ class FileContext:
     #: single-module index when it is absent (snippet fixtures).
     project: "ProjectIndex | None" = None
 
-    def in_subtree(self, *prefixes: str) -> bool:
-        return any(
-            self.path.startswith(p) or f"/{p}" in f"/{self.path}"
-            for p in prefixes
-        )
-
 
 # --------------------------------------------------------------------- rules
 
@@ -232,12 +226,6 @@ def first_str_arg(call: ast.Call) -> str | None:
         if isinstance(value, str):
             return value
     return None
-
-
-def iter_calls(node: ast.AST) -> Iterator[ast.Call]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
 
 
 # --------------------------------------------------------------------- driver

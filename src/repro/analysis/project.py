@@ -6,8 +6,8 @@ point for HTL002 but useless for the elastic cluster's
 exactly-once invariants: the path from
 ``DistributedCluster.execute_transaction`` to a Raft ``propose_and_wait``
 crosses four modules, two constructor-assigned fields
-(``self.coordinator``, ``self.router``), one ``lambda`` handed to
-``Router.retrying``, and one duck-typed 2PC participant.  This module
+(``self.piggyback``, ``self.router``), one ``lambda`` handed to
+``Router.retrying``, and one duck-typed commit participant.  This module
 builds the project-wide picture those rules need:
 
 * a **module map** — every ``.py`` under the analyzed root, keyed by
@@ -17,8 +17,8 @@ builds the project-wide picture those rules need:
 * a **class index** — methods, resolved base classes (so method lookup
   walks the hierarchy), and **attribute types** learned from
   ``__init__``/class-level assignments and annotations
-  (``self.coordinator = TwoPhaseCoordinator(...)`` gives
-  ``coordinator`` the type ``TwoPhaseCoordinator``;
+  (``self.piggyback = PiggybackCoordinator(...)`` gives
+  ``piggyback`` the type ``PiggybackCoordinator``;
   ``self._groups: list[RaftGroup]`` gives subscripts of ``_groups`` the
   element type ``RaftGroup``);
 * **call resolution** — given a call site and its enclosing function,
@@ -309,17 +309,6 @@ class ProjectIndex:
         return [
             FunctionRef(self.modules[ci.module], ci, name, fn) for ci, fn in hits
         ]
-
-    # ----------------------------------------------------------- functions
-
-    def iter_functions(self) -> Iterator[FunctionRef]:
-        """Every module-level function and method in the project."""
-        for mod in self.modules.values():
-            for name, fn in mod.functions.items():
-                yield FunctionRef(mod, None, name, fn)
-            for ci in mod.classes.values():
-                for name, fn in ci.methods.items():
-                    yield FunctionRef(mod, ci, name, fn)
 
     # ------------------------------------------------------ call resolution
 

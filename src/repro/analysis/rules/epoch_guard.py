@@ -18,10 +18,10 @@ scans, which settle before serving).  All of them must stay dominated
 by the guard — the rule proves it for each path separately.
 
 The check is interprocedural over the project index: calls resolve
-through constructor-assigned fields (``self.coordinator`` →
-``TwoPhaseCoordinator.execute``), lambdas/closures handed to
+through constructor-assigned fields (``self.piggyback`` →
+``PiggybackCoordinator.execute``), lambdas/closures handed to
 ``Router.retrying`` are assumed invoked by their callee, and abstract
-receivers (the 2PC ``Participant`` protocol) widen to duck candidates
+receivers (the ``PiggybackParticipant`` protocol) widen to duck candidates
 for *sink reachability only*.  Guard establishment is must-analysis on
 the per-function CFG: a sink-reaching call is protected when a
 ``_check_ownership*`` call (or a call to a helper that establishes the

@@ -17,10 +17,7 @@ same work spreads over more shard leaders.
 Placement-driven co-location is on by default: customer rows co-locate
 with their history appends (group "cust") and orders with their lines
 (group "order"), so the dominant mix commits on the single-shard 1PC
-fast path; each arm reports its ``single_shard_fraction``.  A
-*protocol comparison* runs the base arm twice — optimized fast paths
-vs the classic two-round 2PC with co-location off — at identical
-simulated-cost parity, which is the fan-out tax in one number.
+fast path; each arm reports its ``single_shard_fraction``.
 
 Strong scaling (fixed work over more nodes) under-reports the large
 arms: 64 shards sharing a fixed transaction count measure workload
@@ -76,7 +73,7 @@ class SkewedWriteMix:
     mix rides the single-shard 1PC fast path — exactly how TPC-C keeps
     a warehouse's traffic local in real systems.  With placement off,
     the hash ring scatters the 2-3 row shapes across shards and the
-    2PC fan-out tax shows up instead.
+    cross-shard commit round shows up instead.
     """
 
     def __init__(self, cluster, router, scale: TpccScale, seed: int):
@@ -195,8 +192,6 @@ class ClusterScaleoutConfig:
     #: Co-locate customer/history and orders/order_line placement
     #: groups (the co-location arm; off measures the raw hash ring).
     placement: bool = True
-    #: "fast" = 1PC + piggybacked paths; "baseline" = classic 2PC.
-    commit_protocol: str = "fast"
     #: Weak-scaling arms: work scales with nodes (work/node constant),
     #: so the large arms measure the architecture rather than workload
     #: discretization.  Run alongside the fixed-work strong arms.
@@ -225,7 +220,6 @@ class ScaleoutArm:
     #: Commit-path split: how the mix actually committed.
     single_shard: int = 0
     piggybacked: int = 0
-    two_phase: int = 0
     #: Work multiplier vs the base arm (1 for strong scaling).
     work_factor: int = 1
 
@@ -237,7 +231,7 @@ class ScaleoutArm:
 
     @property
     def single_shard_fraction(self) -> float:
-        total = self.single_shard + self.piggybacked + self.two_phase
+        total = self.single_shard + self.piggybacked
         if total == 0:
             return 0.0
         return self.single_shard / total
@@ -265,21 +259,6 @@ class SplitCheck:
 
 
 @dataclass
-class ProtocolComparison:
-    """Base arm, optimized vs baseline, identical work and cost model."""
-
-    fast_tp_per_sim_s: float
-    baseline_tp_per_sim_s: float
-    fast_single_shard_fraction: float
-
-    @property
-    def speedup(self) -> float:
-        if self.baseline_tp_per_sim_s <= 0:
-            return 0.0
-        return self.fast_tp_per_sim_s / self.baseline_tp_per_sim_s
-
-
-@dataclass
 class ScaleoutResult:
     config: ClusterScaleoutConfig
     arms: list[ScaleoutArm]
@@ -290,7 +269,6 @@ class ScaleoutResult:
     #: makespan ratio T_base/T_N (throughput ratio over node ratio).
     weak_arms: list[ScaleoutArm] = field(default_factory=list)
     weak_efficiency: dict[int, float] = field(default_factory=dict)
-    protocols: ProtocolComparison | None = None
 
 
 class ClusterScaleoutDriver:
@@ -309,7 +287,6 @@ class ClusterScaleoutDriver:
             n_storage_nodes=n_nodes,
             n_regions=n_nodes,      # one shard leader per row node
             seed=cfg.seed,
-            commit_protocol=cfg.commit_protocol,
         )
         if cfg.placement:
             # DDL-time co-location: a customer's history rides with the
@@ -417,11 +394,7 @@ class ClusterScaleoutDriver:
         # Loading/sync busy time is setup, not measured work.
         engine.ledger.reset()
         commits0, aborts0 = cluster.commits, cluster.aborts
-        paths0 = (
-            cluster.commits_single_shard,
-            cluster.commits_piggybacked,
-            cluster.commits_two_phase,
-        )
+        paths0 = (cluster.commits_single_shard, cluster.commits_piggybacked)
 
         writes_left = (
             base_writes if base_writes is not None else cfg.write_txns
@@ -454,7 +427,6 @@ class ClusterScaleoutDriver:
             router=dict(frontdoor.router.stats),
             single_shard=cluster.commits_single_shard - paths0[0],
             piggybacked=cluster.commits_piggybacked - paths0[1],
-            two_phase=cluster.commits_two_phase - paths0[2],
             work_factor=work_factor,
         )
 
@@ -539,24 +511,6 @@ class ClusterScaleoutDriver:
 
     # ------------------------------------------------------------- all arms
 
-    def run_protocol_comparison(self) -> ProtocolComparison:
-        """The fan-out tax in one number: the base arm with the fast
-        paths + co-location vs classic 2PC on the raw hash ring, at
-        identical work and simulated-cost parity."""
-        from dataclasses import replace
-
-        base_nodes = self.config.node_counts[0]
-        fast = self.run_arm(base_nodes)
-        baseline_driver = ClusterScaleoutDriver(
-            replace(self.config, placement=False, commit_protocol="baseline")
-        )
-        baseline = baseline_driver.run_arm(base_nodes)
-        return ProtocolComparison(
-            fast_tp_per_sim_s=fast.tp_per_sim_s,
-            baseline_tp_per_sim_s=baseline.tp_per_sim_s,
-            fast_single_shard_fraction=fast.single_shard_fraction,
-        )
-
     def run(self, on_arm=None) -> ScaleoutResult:
         arms = []
         for n_nodes in self.config.node_counts:
@@ -605,7 +559,6 @@ class ClusterScaleoutDriver:
                 )
                 for arm in weak_arms
             }
-        protocols = self.run_protocol_comparison()
         split = self.run_split()
         if on_arm is not None:
             on_arm(split)
@@ -616,5 +569,4 @@ class ClusterScaleoutDriver:
             split=split,
             weak_arms=weak_arms,
             weak_efficiency=weak_efficiency,
-            protocols=protocols,
         )

@@ -116,11 +116,6 @@ class FreshnessRecorder:
             return 0.0
         return sum(s.lag_ts for s in self.samples) / len(self.samples)
 
-    def mean_lag_us(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.lag_us for s in self.samples) / len(self.samples)
-
     def freshness_score(self) -> float:
         """1 / (1 + mean version lag): 1.0 means perfectly fresh reads."""
         return 1.0 / (1.0 + self.mean_lag_ts())

@@ -27,11 +27,6 @@ def random_string(rng: random.Random, min_len: int, max_len: int) -> str:
     return "".join(rng.choices(string.ascii_letters, k=length))
 
 
-def random_numeric_string(rng: random.Random, length: int) -> str:
-    """TPC-C style n-string of digits (zip codes, phone numbers)."""
-    return "".join(rng.choices(string.digits, k=length))
-
-
 def nurand(rng: random.Random, a: int, x: int, y: int, c: int = 123) -> int:
     """TPC-C NURand non-uniform distribution over [x, y]."""
     return (((rng.randint(0, a) | rng.randint(x, y)) + c) % (y - x + 1)) + x

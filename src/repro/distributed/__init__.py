@@ -1,4 +1,4 @@
-"""Distributed substrate: simulated network, Raft, 2PC, shards, cluster."""
+"""Distributed substrate: simulated network, Raft, one-round 2PC, shards, cluster."""
 
 from .cluster import (
     BusyLedger,
@@ -41,7 +41,6 @@ from .resharding import (
 from .router import Router
 from .two_phase_commit import (
     PiggybackCoordinator,
-    TwoPhaseCoordinator,
     TwoPhaseResult,
     TxnOutcome,
     Vote,
@@ -76,7 +75,6 @@ __all__ = [
     "ShardMigrate",
     "ShardSplit",
     "SimNetwork",
-    "TwoPhaseCoordinator",
     "TwoPhaseResult",
     "TxnOutcome",
     "Vote",

@@ -23,13 +23,11 @@ epoch contract by rejecting requests for ring points they no longer own
 Transactions touching one shard commit through that shard's Raft group
 alone — the 1PC fast path: validate at the leader, then a single
 "commit1p" propose installs the writes, no coordinator, one fsync
-instead of two.  Cross-shard transactions default to the piggybacked
-one-round protocol (:class:`PiggybackCoordinator`): each participant
-durably logs PREPARED + the write intent in one propose, the
-coordinator's decision record is the commit point, and the commit
-round settles lazily on the next operation that touches each shard.
-The classic two-round 2PC ("2PC+Raft+logging") stays available behind
-``commit_protocol="baseline"`` for differential testing.  A
+instead of two.  Cross-shard transactions commit through the
+piggybacked one-round protocol (:class:`PiggybackCoordinator`): each
+participant durably logs PREPARED + the write intent in one propose,
+the coordinator's decision record is the commit point, and the commit
+round settles lazily on the next operation that touches each shard.  A
 :class:`~repro.distributed.metadata.PlacementPolicy` co-locates rows
 sharing a placement-key prefix (a district's customers and history, an
 order and its lines) on one shard, which is what turns the dominant
@@ -64,12 +62,7 @@ from .network import SimNetwork
 from .raft import RaftGroup
 from .replica import ColumnarReplica, _runs_by_table
 from .router import Router
-from .two_phase_commit import (
-    PiggybackCoordinator,
-    TwoPhaseCoordinator,
-    TxnOutcome,
-    Vote,
-)
+from .two_phase_commit import PiggybackCoordinator, TxnOutcome, Vote
 
 __all__ = [
     "BusyLedger",
@@ -131,12 +124,11 @@ class BusyLedger:
 class RegionStateMachine:
     """Deterministic row-store state machine replicated by one Raft group.
 
-    Beyond the 2PC commands ("prepare"/"commit"/"abort") and "bulk"
-    loads, it understands the optimized commit paths — "commit1p" (the
-    single-shard 1PC fast path: leader-validated writes installed in
-    one command), "intent" (piggybacked prepare: PREPARED + the write
-    intent durably logged together) and "resolve" (the lazy commit
-    round settling a queued intent) — and the resharding protocol:
+    Eight commands.  Three commit paths: "commit1p" (the single-shard
+    1PC fast path: leader-validated writes installed in one command),
+    "intent" (piggybacked prepare: PREPARED + the write intent durably
+    logged together) and "resolve" (the commit round settling an
+    intent).  "bulk" loads.  And the resharding protocol:
     "install" (staged snapshot from a migration source), "tail"
     (dual-logged writes that committed on the source after the snapshot
     barrier), "rehome" (the flip-time authoritative image, also
@@ -153,10 +145,7 @@ class RegionStateMachine:
         self.schemas = schemas
         self._point_fn = point_fn
         self.rows: dict[str, dict[Key, Row]] = {t: {} for t in schemas}
-        self.prepared: dict[int, tuple[list[WriteOp], Timestamp]] = {}
-        #: Piggybacked prepares: durably staged writes awaiting their
-        #: lazy "resolve" (kept apart from 2PC's ``prepared`` so each
-        #: protocol's recovery story stays independently auditable).
+        #: Durably staged writes awaiting their "resolve".
         self.intents: dict[int, tuple[list[WriteOp], Timestamp]] = {}
         self.vote_log: dict[int, bool] = {}
         self.last_commit_ts: Timestamp = 0
@@ -165,33 +154,21 @@ class RegionStateMachine:
     def apply(self, _index: int, command: tuple) -> None:
         self.applied_commands += 1
         op = command[0]
-        if op in ("prepare", "intent"):
-            # 2PC's prepare, or the piggybacked one: PREPARED + the write
-            # intent durably logged in one command, decided by "resolve".
+        if op == "intent":
+            # PREPARED + the write intent durably logged in one command,
+            # decided by "resolve".
             _op, txn_id, writes, commit_ts = command
             ok = self._validate(writes)
             self.vote_log[txn_id] = ok
             if ok:
-                staged = self.prepared if op == "prepare" else self.intents
-                staged[txn_id] = (writes, commit_ts)
-        elif op == "commit":
-            _op, txn_id = command
-            staged = self.prepared.pop(txn_id, None)
-            if staged is None:
-                return  # already applied or never prepared here
-            writes, commit_ts = staged
-            self._install(writes, commit_ts)
-        elif op == "abort":
-            _op, txn_id = command
-            self.prepared.pop(txn_id, None)
-            self.vote_log.pop(txn_id, None)
+                self.intents[txn_id] = (writes, commit_ts)
         elif op == "commit1p":
             # Single-shard 1PC fast path: the leader validated before
             # proposing, so the one command installs unconditionally.
             _op, txn_id, writes, commit_ts = command
             self._install(writes, commit_ts)
         elif op == "resolve":
-            # The lazy commit round: idempotent — a re-proposed resolve
+            # The commit round: idempotent — a re-proposed resolve
             # finds the intent already popped and does nothing.
             _op, txn_id, committed = command
             staged = self.intents.pop(txn_id, None)
@@ -247,8 +224,8 @@ class RegionStateMachine:
 
 
 class DistributedCluster:
-    """Shards x Raft x 2PC with columnar learner replicas and elastic
-    shard maps (metadata service + stateless router tier)."""
+    """Shards x Raft x one-round 2PC with columnar learner replicas and
+    elastic shard maps (metadata service + stateless router tier)."""
 
     def __init__(
         self,
@@ -261,14 +238,9 @@ class DistributedCluster:
         seed: int = 0,
         point_fn: Callable[[str, Any], int] = hash_point,
         placement: PlacementPolicy | None = None,
-        commit_protocol: str = "fast",
     ):
         if replication > n_storage_nodes:
             replication = n_storage_nodes
-        if commit_protocol not in ("fast", "baseline"):
-            raise TwoPhaseCommitError(
-                f"unknown commit protocol {commit_protocol!r}"
-            )
         self.cost = cost or CostModel()
         self.clock = clock or LogicalClock()
         self.network = SimNetwork(self.cost)
@@ -280,11 +252,9 @@ class DistributedCluster:
         self._seed = seed
         self._point_fn = point_fn
         self.placement = placement or PlacementPolicy()
-        self.commit_protocol = commit_protocol
         self.schemas: dict[str, Schema] = {}
         self.metadata = MetadataService(ShardMap.uniform(self._initial_shards))
         self.router = Router(self.metadata, cost=self.cost, point_fn=self.point_of)
-        self.coordinator = TwoPhaseCoordinator(cost=self.cost)
         self.piggyback = PiggybackCoordinator(cost=self.cost)
         self.columnar = ColumnarReplica({}, self.cost)
         # Grow-only, shard-id-indexed (ids are allocated monotonically;
@@ -301,11 +271,9 @@ class DistributedCluster:
         self.aborts = 0
         self.commits_single_shard = 0
         self.commits_piggybacked = 0
-        self.commits_two_phase = 0
         reg = get_registry()
         self._m_commit_1p = reg.counter("commit.single_shard")
         self._m_commit_pb = reg.counter("commit.piggybacked")
-        self._m_commit_2pc = reg.counter("commit.two_phase")
         self._h_commit_fanout = reg.histogram("commit.participant_fanout")
         self._m_drain_timeouts = reg.counter("replication.drain_timeouts")
 
@@ -386,7 +354,7 @@ class DistributedCluster:
         }
         apply_fns = {v: sms[v].apply for v in voters}
         # Learners replay committed runs in batches; voters keep the
-        # per-entry apply (their 2PC votes are read between individual
+        # per-entry apply (their intent votes are read between individual
         # proposals).
         apply_batch_fns = {
             learner_id: lambda start, commands: (
@@ -445,10 +413,10 @@ class DistributedCluster:
     def _charge_commit_round(
         self, sid: int, n_commands: int = 1, n_rows: int = 0
     ) -> None:
-        """Busy accounting for a metadata-only propose: the 2PC second
-        round, or a batch of lazy intent resolutions.  WAL appends for
-        each command plus one fsync at the leader, appends at the
-        followers; resolved intents add their row installs."""
+        """Busy accounting for a metadata-only propose: a batch of lazy
+        intent resolutions.  WAL appends for each command plus one fsync
+        at the leader, appends at the followers; resolved intents add
+        their row installs."""
         phys = self._phys_node_of_leader(sid)
         self.ledger.charge(
             phys,
@@ -556,19 +524,15 @@ class DistributedCluster:
     ) -> Timestamp:
         by_shard = self._route(writes, points, router)
         commit_ts = self.clock.tick()
-        if self.commit_protocol == "fast" and len(by_shard) == 1:
+        if len(by_shard) == 1:
             ((sid, (ws, _ps)),) = by_shard.items()
             self._commit_single_shard(sid, ws, commit_ts)
             self.commits_single_shard += 1
             self._m_commit_1p.inc()
-        elif self.commit_protocol == "fast":
-            self._commit_coordinated(self.piggyback, by_shard, commit_ts)
+        else:
+            self._commit_coordinated(by_shard, commit_ts)
             self.commits_piggybacked += 1
             self._m_commit_pb.inc()
-        else:
-            self._commit_coordinated(self.coordinator, by_shard, commit_ts)
-            self.commits_two_phase += 1
-            self._m_commit_2pc.inc()
         self.commits += 1
         self._h_commit_fanout.observe(float(len(by_shard)))
         if self._migration_taps:
@@ -594,22 +558,18 @@ class DistributedCluster:
 
     def _commit_coordinated(
         self,
-        coordinator: PiggybackCoordinator | TwoPhaseCoordinator,
         by_shard: dict[int, tuple[list[WriteOp], list[int]]],
         commit_ts: Timestamp,
     ) -> None:
-        """Multi-shard transactions.  Under the one-round piggybacked
-        protocol each shard durably logs PREPARED + intent in one
-        propose and the commit round settles lazily; the baseline
-        two-round protocol stays behind ``commit_protocol="baseline"``
-        for cost-parity differential testing."""
+        """Multi-shard transactions: each shard durably logs PREPARED +
+        intent in one propose and the commit round settles lazily."""
         participants = {
             f"region{sid}": _RaftRegionParticipant(self, sid) for sid in by_shard
         }
         payloads = {
             f"region{sid}": (ws, commit_ts) for sid, (ws, _ps) in by_shard.items()
         }
-        result = coordinator.execute(payloads, participants)
+        result = self.piggyback.execute(payloads, participants)
         if result.outcome is TxnOutcome.ABORTED:
             self.aborts += 1
             raise TransactionAborted(result.txn_id, "shard validation failed")
@@ -618,7 +578,7 @@ class DistributedCluster:
         self, table: str, rows: list[Row], router: Router | None = None
     ) -> Timestamp:
         """Load pre-validated fresh rows through Raft in one command per
-        shard instead of one 2PC transaction per row batch."""
+        shard instead of one transaction per row batch."""
         self._build()
         if table not in self.schemas:
             raise KeyNotFoundError(f"no table {table!r}")
@@ -801,32 +761,16 @@ class DistributedCluster:
 
 
 class _RaftRegionParticipant:
-    """Adapts one Raft-replicated shard to both commit protocols: the
-    baseline two-round 2PC (prepare/commit/abort) and the one-round
-    piggybacked variant (intent/enqueue_resolution).  Busy-ledger
-    charging lives here, per propose, so the round count of each
-    protocol is exactly what the makespan measures."""
+    """Adapts one Raft-replicated shard to the piggybacked protocol
+    (intent/enqueue_resolution).  Busy-ledger charging lives here, per
+    propose, so the protocol's round count is exactly what the makespan
+    measures."""
 
     def __init__(self, cluster: DistributedCluster, region: int):
         self._cluster = cluster
         self._region = region
         self._group = cluster._groups[region]
         self._n_writes = 0
-
-    def prepare(self, txn_id: int, payload: Any) -> Vote:
-        writes, commit_ts = payload
-        self._cluster._charge_group_write(self._region, len(writes))
-        self._group.propose_and_wait(("prepare", txn_id, writes, commit_ts))
-        ok = self._cluster._leader_sm(self._region).vote_log.get(txn_id, False)
-        return Vote.YES if ok else Vote.NO
-
-    def commit(self, txn_id: int) -> None:
-        self._cluster._charge_commit_round(self._region)
-        self._group.propose_and_wait(("commit", txn_id))
-
-    def abort(self, txn_id: int) -> None:
-        self._cluster._charge_commit_round(self._region)
-        self._group.propose_and_wait(("abort", txn_id))
 
     def intent(self, txn_id: int, payload: Any) -> Vote:
         writes, commit_ts = payload

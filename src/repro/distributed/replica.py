@@ -1,7 +1,7 @@
 """The columnar learner replica: delta logs fed by Raft learner applies.
 
 Extracted from ``cluster.py`` (which had grown to mix replica-merge,
-placement, and 2PC orchestration): this module owns the analytics side
+placement, and commit orchestration): this module owns the analytics side
 of architecture (b) — per-table delta logs that each shard's learner
 stream appends into, and the log-based delta merge that folds them into
 per-table column stores.
@@ -78,8 +78,8 @@ class ColumnarReplica:
         ]
         self.applied_ts: Timestamp = 0
         # Keyed by (shard, txn_id): each shard's learner stream carries
-        # only that shard's slice of a 2PC transaction, and streams from
-        # different shards interleave arbitrarily.
+        # only that shard's slice of a multi-shard transaction, and
+        # streams from different shards interleave arbitrarily.
         self._pending: dict[tuple[int, int], tuple[list, Timestamp]] = {}
         self._h_apply_batch = get_registry().histogram("raft.apply_batch_commands")
 
@@ -100,13 +100,13 @@ class ColumnarReplica:
         delete_kind = WriteKind.DELETE
         for command in commands:
             op = command[0]
-            if op in ("prepare", "intent"):
+            if op == "intent":
                 _op, txn_id, writes, commit_ts = command
                 pending[(region, txn_id)] = (writes, commit_ts)
-            elif op in ("commit", "resolve", "commit1p"):
+            elif op in ("resolve", "commit1p"):
                 if op == "commit1p":
                     _op, _txn_id, writes, commit_ts = command
-                elif op == "resolve" and not command[2]:
+                elif not command[2]:
                     # A resolved abort: drop the staged intent.
                     pending.pop((region, command[1]), None)
                     continue
@@ -140,8 +140,6 @@ class ColumnarReplica:
                     ts.extend([commit_ts] * len(run))
                 if commit_ts > max_ts:
                     max_ts = commit_ts
-            elif op == "abort":
-                pending.pop((region, command[1]), None)
             elif op in ("bulk", "rehome"):
                 # "rehome" rides the same bulk slab path: the re-homed
                 # learner's columnar slice rebuilds as one batched

@@ -1,25 +1,18 @@
-"""Two-phase commit over abstract participants.
+"""The cross-shard commit protocol: piggybacked one-round 2PC.
 
-The cross-region commit protocol of the "2PC + Raft + logging" TP
-technique (Table 2).  The coordinator is deliberately protocol-pure:
-participants are any objects implementing prepare/commit/abort, so unit
-tests can drive it with in-memory fakes while the cluster plugs in
-Raft-replicated regions.  Each phase costs one network round trip per
-participant (charged on the shared cost model), which is exactly where
-the technique's "Low Efficiency" comes from.
-
-:class:`TwoPhaseCoordinator` is the baseline protocol: two synchronous
-rounds (prepare, then commit/abort), each a Raft propose + fsync at
-every participant.  :class:`PiggybackCoordinator` is the optimized
-one-round variant (Spanner/CockroachDB parallel-commit style): each
-participant durably logs PREPARED *plus* the write intent in a single
-command and acks with its vote; the coordinator then resolves the
-outcome in its durable decision record, and the commit round becomes
-asynchronous — resolutions are queued and piggybacked onto later
-traffic to each shard.  That halves the synchronous Raft rounds per
-participant, which is precisely the fan-out tax the scale-out bench
-measures.  The baseline stays behind the cluster's ``commit_protocol``
-flag for differential testing.
+The cross-region half of the "2PC + Raft + logging" TP technique
+(Table 2); single-shard transactions skip it through the cluster's 1PC
+fast path.  :class:`PiggybackCoordinator` is the one-round variant
+(Spanner/CockroachDB parallel-commit style): each participant durably
+logs PREPARED *plus* the write intent in a single command and acks with
+its vote; the coordinator then resolves the outcome in its durable
+decision record, and the commit round becomes asynchronous —
+resolutions are queued and piggybacked onto later traffic to each
+shard.  Participants are any objects implementing
+:class:`PiggybackParticipant`, so unit tests drive the coordinator with
+in-memory fakes while the cluster plugs in Raft-replicated regions.
+Each synchronous round costs one network round trip per participant,
+charged on the shared cost model.
 """
 
 from __future__ import annotations
@@ -30,22 +23,11 @@ from typing import Any, Protocol
 
 from ..common.cost import CostModel
 from ..common.errors import TwoPhaseCommitError
-from ..obs import get_registry
 
 
 class Vote(enum.Enum):
     YES = "yes"
     NO = "no"
-
-
-class Participant(Protocol):
-    """A resource manager in the 2PC protocol."""
-
-    def prepare(self, txn_id: int, payload: Any) -> Vote: ...
-
-    def commit(self, txn_id: int) -> None: ...
-
-    def abort(self, txn_id: int) -> None: ...
 
 
 class PiggybackParticipant(Protocol):
@@ -69,83 +51,6 @@ class TwoPhaseResult:
     rtts: int = 0
 
 
-class TwoPhaseCoordinator:
-    """Synchronous presumed-abort coordinator."""
-
-    def __init__(self, cost: CostModel | None = None):
-        self._cost = cost or CostModel()
-        self._next_txn_id = 1
-        self.committed = 0
-        self.aborted = 0
-        registry = get_registry()
-        self._m_prepares = registry.counter("twopc.prepares")
-        self._m_commits = registry.counter("twopc.commits")
-        self._m_aborts = registry.counter("twopc.aborts")
-        self._m_participants = registry.histogram("twopc.participants")
-
-    def execute(
-        self,
-        payloads: dict[str, Any],
-        participants: dict[str, Participant],
-    ) -> TwoPhaseResult:
-        """Run 2PC for one transaction whose work is ``payloads`` per
-        participant name.  Single-participant transactions skip the
-        prepare round (the standard one-phase optimization)."""
-        if not payloads:
-            raise TwoPhaseCommitError("transaction touches no participant")
-        unknown = set(payloads) - set(participants)
-        if unknown:
-            raise TwoPhaseCommitError(f"unknown participants: {sorted(unknown)}")
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        involved = {name: participants[name] for name in payloads}
-        self._m_participants.observe(float(len(involved)))
-
-        if len(involved) == 1:
-            (name, participant), = involved.items()
-            self._cost.charge(self._cost.network_rtt_us)
-            self._m_prepares.inc()
-            vote = participant.prepare(txn_id, payloads[name])
-            if vote is Vote.YES:
-                participant.commit(txn_id)
-                self.committed += 1
-                self._m_commits.inc()
-                return TwoPhaseResult(txn_id, TxnOutcome.COMMITTED, {name: vote}, rtts=1)
-            participant.abort(txn_id)
-            self.aborted += 1
-            self._m_aborts.inc()
-            return TwoPhaseResult(txn_id, TxnOutcome.ABORTED, {name: vote}, rtts=1)
-
-        votes: dict[str, Vote] = {}
-        # Phase 1: prepare. One RTT per participant (sequential in sim time;
-        # per-node busy accounting is what lets scalability show through).
-        for name, participant in involved.items():
-            self._cost.charge(self._cost.network_rtt_us)
-            self._m_prepares.inc()
-            votes[name] = participant.prepare(txn_id, payloads[name])
-        decision = (
-            TxnOutcome.COMMITTED
-            if all(v is Vote.YES for v in votes.values())
-            else TxnOutcome.ABORTED
-        )
-        # Phase 2: commit/abort everywhere that voted (presumed abort:
-        # NO-voters already rolled back, but we message them anyway to
-        # release their prepared state promptly).
-        for participant in involved.values():
-            self._cost.charge(self._cost.network_rtt_us)
-            if decision is TxnOutcome.COMMITTED:
-                participant.commit(txn_id)
-            else:
-                participant.abort(txn_id)
-        if decision is TxnOutcome.COMMITTED:
-            self.committed += 1
-            self._m_commits.inc()
-        else:
-            self.aborted += 1
-            self._m_aborts.inc()
-        return TwoPhaseResult(txn_id, decision, votes, rtts=2 * len(involved))
-
-
 class PiggybackCoordinator:
     """One-round piggybacked prepare+commit over durable write intents.
 
@@ -164,9 +69,10 @@ class PiggybackCoordinator:
        first, consulting the decision record through the queued
        outcome.
 
-    Compared to :class:`TwoPhaseCoordinator` that is one synchronous
-    Raft round per participant instead of two, with identical committed
-    state and abort behavior (the differential tests prove it).
+    Against classic two-round 2PC that is one synchronous Raft round
+    per participant instead of two, with identical committed state and
+    abort behavior (the differential tests against the 2PC oracle in
+    ``tests/oracle/two_phase`` prove it).
     """
 
     def __init__(self, cost: CostModel | None = None):
@@ -179,7 +85,7 @@ class PiggybackCoordinator:
 
     def allocate_txn_id(self) -> int:
         """Ids are shared with the cluster's single-shard 1PC fast path
-        so intent/vote bookkeeping never collides across protocols."""
+        so intent/vote bookkeeping never collides across commit paths."""
         txn_id = self._next_txn_id
         self._next_txn_id += 1
         return txn_id

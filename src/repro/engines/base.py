@@ -479,9 +479,6 @@ class HTAPEngine(abc.ABC):
     def memory_bytes(self) -> int:
         return sum(self.memory_report().values())
 
-    def reset_meters(self) -> None:
-        self.ledger.reset()
-
 
 class LoggedEngine(HTAPEngine):
     """What (c) and (d) share: a single-node redo log.  Commit validates

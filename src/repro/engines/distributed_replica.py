@@ -1,7 +1,8 @@
 """Architecture (b): Distributed Row Store + Column Store Replica.
 
 The TiDB shape over the simulated cluster: transactions commit through
-2PC over Raft-replicated regions ("2PC+Raft+logging"); Raft learners
+Raft-replicated regions ("2PC+Raft+logging": one shard commits in one
+propose, several through the piggybacked one-round 2PC); Raft learners
 feed a columnar replica on separate analytics nodes; OLAP runs the
 "log-based delta and column scan" against that replica.  Workload
 isolation is High (AP never touches the row nodes' CPU); freshness is
@@ -27,7 +28,8 @@ _WRITE_KIND = {kind.value: kind for kind in WriteKind}
 
 
 class DistributedReplicaEngine(HTAPEngine):
-    """2PC+Raft row regions with learner-fed columnar replicas."""
+    """Raft row regions committed by 1PC or one-round 2PC, with
+    learner-fed columnar replicas."""
 
     info = EngineInfo(
         name="distributed+replica",
@@ -44,7 +46,6 @@ class DistributedReplicaEngine(HTAPEngine):
         n_analytic_nodes: int = 1,
         n_regions: int | None = None,
         seed: int = 0,
-        commit_protocol: str = "fast",
     ):
         super().__init__(cost, clock)
         self.cluster = DistributedCluster(
@@ -55,7 +56,6 @@ class DistributedReplicaEngine(HTAPEngine):
             cost=self.cost,
             clock=self.clock,
             seed=seed,
-            commit_protocol=commit_protocol,
         )
         # One ledger shared with the cluster so all busy time lands in
         # one place.
@@ -93,7 +93,7 @@ class DistributedReplicaEngine(HTAPEngine):
     # ------------------------------------------------------------- OLTP
     #
     # The write-set session reads the row regions through the cluster
-    # and commits through 2PC over Raft; the cluster numbers, validates
+    # and commits through Raft; the cluster numbers, validates
     # and logs the transaction itself, region by region.
 
     def session(self) -> EngineSession:
@@ -122,7 +122,7 @@ class DistributedReplicaEngine(HTAPEngine):
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
         """Fast load through the cluster's bulk Raft command: one
-        proposal per owning region instead of one 2PC round per row
+        proposal per owning region instead of one commit per row
         batch.  Rows must be fresh keys."""
         if not rows:
             return

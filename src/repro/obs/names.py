@@ -109,12 +109,6 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "commit.participant_fanout",
         "commit.piggybacked",
         "commit.single_shard",
-        "commit.two_phase",
-        # two-phase commit
-        "twopc.aborts",
-        "twopc.commits",
-        "twopc.participants",
-        "twopc.prepares",
         # transactions
         "txn.aborts",
         "txn.commits",

@@ -87,6 +87,3 @@ class BufferPool:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def resident_pages(self) -> int:
-        return len(self._resident)

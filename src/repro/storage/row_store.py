@@ -98,9 +98,6 @@ class MVCCRowStore:
         chain = self._chains.get(key)
         return bool(chain) and chain[-1].end_ts == INFINITY_TS
 
-    def key_exists_at(self, key: Key, snapshot_ts: Timestamp) -> bool:
-        return self.read(key, snapshot_ts) is not None
-
     # ------------------------------------------------------------- writes
 
     def install_insert(self, row: Row, commit_ts: Timestamp) -> Key:

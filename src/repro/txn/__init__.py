@@ -1,6 +1,5 @@
-"""Transactions: MVCC snapshot isolation, WAL, locks, recovery."""
+"""Transactions: MVCC snapshot isolation, WAL, recovery."""
 
-from .locks import DeadlockError, LockManager, LockMode
 from .recovery import recover, verify_recovery
 from .transaction import (
     CommitListener,
@@ -12,9 +11,6 @@ from .wal import WalKind, WalRecord, WriteAheadLog
 
 __all__ = [
     "CommitListener",
-    "DeadlockError",
-    "LockManager",
-    "LockMode",
     "Transaction",
     "TransactionManager",
     "TxnStatus",

@@ -74,13 +74,6 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.status.value}, not active"
             )
 
-    @property
-    def write_count(self) -> int:
-        return len(self._writes)
-
-    def written_keys(self, table: str) -> set[Key]:
-        return {w.key for w in self._writes if w.table == table}
-
     # ------------------------------------------------------------- reads
 
     def read(self, table: str, key: Key) -> Row | None:

@@ -184,9 +184,6 @@ class WriteAheadLog:
     def tail_lsn(self) -> int:
         return self._next_lsn - 1
 
-    def records_for(self, txn_id: int) -> Iterator[WalRecord]:
-        return (r for r in self._records if r.txn_id == txn_id)
-
     def committed_txn_ids(self, up_to_lsn: int | None = None) -> set[int]:
         """Txn ids with a COMMIT record (optionally at or below a LSN)."""
         return {

@@ -22,6 +22,7 @@ PACKAGES = [
 
 FORK_FLAGS = {
     "vectorized", "compressed", "prune", "code_space", "parallel", "morsel_rows",
+    "commit_protocol",
 }
 
 
@@ -43,8 +44,8 @@ def test_all_is_sorted(package):
 @pytest.mark.parametrize("package", PACKAGES)
 def test_no_fork_flags_on_exported_classes(package):
     """One implementation per operation: no exported class may grow a
-    ``vectorized=`` / ``compressed=`` switch or a scan-pipeline knob
-    (again)."""
+    ``vectorized=`` / ``compressed=`` switch, a scan-pipeline knob or a
+    commit-protocol switch (again)."""
     module = importlib.import_module(package)
     for export in module.__all__:
         cls = getattr(module, export)

@@ -1,4 +1,4 @@
-"""Snapshot isolation semantics, conflicts, WAL, recovery, locks."""
+"""Snapshot isolation semantics, conflicts, WAL, recovery."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +13,6 @@ from repro.common import (
     WriteConflictError,
 )
 from repro.txn import (
-    DeadlockError,
-    LockManager,
-    LockMode,
     TransactionManager,
     TxnStatus,
     WalKind,
@@ -234,55 +231,6 @@ class TestWalAndRecovery:
             txn_manager.commit(t)
         reclaimed = txn_manager.vacuum_all()
         assert reclaimed == 5
-
-
-class TestLockManager:
-    def test_shared_locks_compatible(self):
-        locks = LockManager()
-        assert locks.try_acquire(1, "k", LockMode.SHARED)
-        assert locks.try_acquire(2, "k", LockMode.SHARED)
-        assert set(locks.holders("k")) == {1, 2}
-
-    def test_exclusive_blocks(self):
-        locks = LockManager()
-        assert locks.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire(2, "k", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire(2, "k", LockMode.SHARED)
-
-    def test_release_promotes_waiter(self):
-        locks = LockManager()
-        locks.try_acquire(1, "k", LockMode.EXCLUSIVE)
-        locks.try_acquire(2, "k", LockMode.EXCLUSIVE)
-        promoted = locks.release_all(1)
-        assert "k" in promoted
-        assert locks.holders("k") == {2: LockMode.EXCLUSIVE}
-
-    def test_upgrade_sole_holder(self):
-        locks = LockManager()
-        locks.try_acquire(1, "k", LockMode.SHARED)
-        assert locks.try_acquire(1, "k", LockMode.EXCLUSIVE)
-
-    def test_upgrade_blocked_with_other_readers(self):
-        locks = LockManager()
-        locks.try_acquire(1, "k", LockMode.SHARED)
-        locks.try_acquire(2, "k", LockMode.SHARED)
-        assert not locks.try_acquire(1, "k", LockMode.EXCLUSIVE)
-
-    def test_deadlock_detected(self):
-        locks = LockManager()
-        locks.try_acquire(1, "a", LockMode.EXCLUSIVE)
-        locks.try_acquire(2, "b", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire(1, "b", LockMode.EXCLUSIVE)
-        with pytest.raises(DeadlockError):
-            locks.try_acquire(2, "a", LockMode.EXCLUSIVE)
-
-    def test_release_clears_wait_edges(self):
-        locks = LockManager()
-        locks.try_acquire(1, "a", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire(2, "a", LockMode.EXCLUSIVE)
-        locks.release_all(2)
-        locks.release_all(1)
-        assert locks.lock_count() == 0
 
 
 @settings(max_examples=40, deadline=None)
