@@ -99,6 +99,9 @@ class ModelSession:
         del self._rows[table][key]
         self._staged.append((table, "delete", key, None))
 
+    def prefetch(self, pairs):
+        """A hint: the reference has no round trip to save."""
+
     def commit(self):
         self._open()
         self.finished = True
