@@ -2,7 +2,7 @@
 
 PR 8's exactly-once story is a *path* invariant: every server-side
 entry point (``execute_transaction`` / ``bulk_load`` / ``read`` /
-``row_scan`` in ``distributed/cluster.py``) must validate ownership
+``read_many`` / ``row_scan`` in ``distributed/cluster.py``) must validate ownership
 against the live epoch — ``_check_ownership``, which raises
 ``StaleEpochError`` — on **every** path *before* anything reaches a
 Raft ``propose*`` sink.  If a stale route proposes first and rejects
@@ -12,9 +12,9 @@ double-apply the epoch contract exists to prevent.
 The sinks grew with the commit-path optimization: the single-shard
 "commit1p" fast path proposes directly from ``_commit_single_shard``,
 the piggybacked protocol proposes "intent" from the participant
-adapter, and the lazy commit round batch-proposes "resolve" from
-``_settle_shard`` (reachable from every entry, including reads and
-scans, which settle before serving).  All of them must stay dominated
+adapter (every participant's at once, then one wait), and the lazy
+commit round batch-proposes "resolve" from ``_settle`` (reachable from
+every entry, including reads and scans, which settle before serving).  All of them must stay dominated
 by the guard — the rule proves it for each path separately.
 
 The check is interprocedural over the project index: calls resolve
@@ -50,7 +50,7 @@ from ..project import FunctionRef, ProjectIndex
 #: The rule anchors on the module that defines the server-side entries.
 ANCHOR_SUFFIX = "distributed/cluster.py"
 
-ENTRY_NAMES = ("execute_transaction", "bulk_load", "read", "row_scan")
+ENTRY_NAMES = ("execute_transaction", "bulk_load", "read", "read_many", "row_scan")
 GUARD_PREFIX = "_check_ownership"
 SINK_PREFIX = "propose"
 

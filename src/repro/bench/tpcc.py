@@ -17,6 +17,7 @@ is made explicit with an s_suppkey column on stock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..common.errors import TransactionAborted
 from ..common.rng import ZipfGenerator, make_rng, nurand, random_string
@@ -24,6 +25,9 @@ from ..common.types import Column, DataType, Schema
 from ..engines.base import HTAPEngine
 
 # --------------------------------------------------------------------- scale
+
+#: Lines per order: TPC-C draws ``ol_cnt`` uniformly from 5..15.
+MAX_OL_CNT = 15
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ class TpccLoader:
         day = 1
         for o in range(1, s.initial_orders + 1):
             c = rng.randrange(1, s.customers + 1)
-            ol_cnt = rng.randrange(5, 16)
+            ol_cnt = rng.randrange(5, MAX_OL_CNT + 1)
             delivered = o <= int(s.initial_orders * 0.7)
             orders.append((
                 w, d, o, c, day, rng.randrange(1, 11) if delivered else None,
@@ -338,26 +342,41 @@ class TpccWorkload:
     def txn_new_order(self) -> None:
         w, d = self._pick_wd()
         c = self._pick_customer()
-        ol_cnt = self.rng.randrange(5, 16)
+        ol_cnt = self.rng.randrange(5, MAX_OL_CNT + 1)
         rollback = self.rng.random() < 0.01  # spec: 1% unused item aborts
+        # The lines are drawn up front, in the order the loop below
+        # consumes them: item, then quantity; the rolled-back last line
+        # draws no quantity.
+        lines = []
+        for number in range(1, ol_cnt + 1):
+            i_id = self._pick_item()
+            last_rolls_back = rollback and number == ol_cnt
+            lines.append((i_id, None if last_rolls_back else self.rng.randrange(1, 11)))
         with self.engine.session() as s:
+            s.prefetch(chain(
+                [("district", (w, d))],
+                (("item", i_id) for i_id, _qty in lines),
+                (("stock", (w, i_id)) for i_id, qty in lines if qty is not None),
+            ))
             district = s.read("district", (w, d))
             assert district is not None
             next_o_id = district[5]
+            s.prefetch(chain(
+                [("orders", (w, d, next_o_id)), ("new_order", (w, d, next_o_id))],
+                (("order_line", (w, d, next_o_id, n)) for n in range(1, ol_cnt + 1)),
+            ))
             s.update("district", (*district[:5], next_o_id + 1))
             self._day += 1
             s.insert("orders", (w, d, next_o_id, c, self._day, None, ol_cnt, 1))
             s.insert("new_order", (w, d, next_o_id))
             total = 0.0
-            for number in range(1, ol_cnt + 1):
-                i_id = self._pick_item()
+            for number, (i_id, qty) in enumerate(lines, 1):
                 item = s.read("item", i_id)
-                if item is None or (rollback and number == ol_cnt):
+                if item is None or qty is None:
                     self.counters.rollbacks += 1
                     s.abort()
                     return
                 stock = s.read("stock", (w, i_id))
-                qty = self.rng.randrange(1, 11)
                 s_quantity = stock[2] - qty
                 if s_quantity < 10:
                     s_quantity += 91
@@ -379,6 +398,7 @@ class TpccWorkload:
         c = self._pick_customer()
         amount = round(self.rng.uniform(1.0, 5000.0), 2)
         with self.engine.session() as s:
+            s.prefetch([("warehouse", w), ("district", (w, d)), ("customer", (w, d, c))])
             warehouse = s.read("warehouse", w)
             s.update("warehouse", (*warehouse[:4], warehouse[4] + amount))
             district = s.read("district", (w, d))
@@ -403,13 +423,19 @@ class TpccWorkload:
         w, d = self._pick_wd()
         c = self._pick_customer()
         with self.engine.session() as s:
+            s.prefetch([("customer", (w, d, c)), ("district", (w, d))])
             customer = s.read("customer", (w, d, c))
             assert customer is not None
             district = s.read("district", (w, d))
             # Walk back from the newest order id to this customer's last.
-            for o_id in range(district[5] - 1, max(0, district[5] - 40), -1):
+            window = range(district[5] - 1, max(0, district[5] - 40), -1)
+            s.prefetch(("orders", (w, d, o_id)) for o_id in window)
+            for o_id in window:
                 order = s.read("orders", (w, d, o_id))
                 if order is not None and order[3] == c:
+                    s.prefetch(
+                        ("order_line", (w, d, o_id, n)) for n in range(1, order[6] + 1)
+                    )
                     for number in range(1, order[6] + 1):
                         s.read("order_line", (w, d, o_id, number))
                     break
@@ -422,10 +448,15 @@ class TpccWorkload:
         w = self.rng.randrange(1, self.scale.warehouses + 1)
         carrier = self.rng.randrange(1, 11)
         with self.engine.session() as s:
+            s.prefetch(("district", (w, d)) for d in range(1, self.scale.districts + 1))
             for d in range(1, self.scale.districts + 1):
                 district = s.read("district", (w, d))
+                window = range(1, district[5])
+                s.prefetch(
+                    (table, (w, d, o_id)) for o_id in window for table in ("new_order", "orders")
+                )
                 oldest = None
-                for o_id in range(1, district[5]):
+                for o_id in window:
                     if s.read("new_order", (w, d, o_id)) is not None:
                         oldest = o_id
                         break
@@ -433,6 +464,10 @@ class TpccWorkload:
                     continue
                 s.delete("new_order", (w, d, oldest))
                 order = s.read("orders", (w, d, oldest))
+                s.prefetch(chain(
+                    (("order_line", (w, d, oldest, n)) for n in range(1, order[6] + 1)),
+                    [("customer", (w, d, order[3]))],
+                ))
                 s.update("orders", (*order[:5], carrier, *order[6:]))
                 self._day += 1
                 total = 0.0
@@ -460,8 +495,19 @@ class TpccWorkload:
         with self.engine.session() as s:
             district = s.read("district", (w, d))
             next_o_id = district[5]
+            recent = range(max(1, next_o_id - 20), next_o_id)
+            # An order has at most MAX_OL_CNT lines: fetch every line
+            # key it could have with the orders themselves.
+            s.prefetch(chain(
+                (("orders", (w, d, o_id)) for o_id in recent),
+                (
+                    ("order_line", (w, d, o_id, n))
+                    for o_id in recent
+                    for n in range(1, MAX_OL_CNT + 1)
+                ),
+            ))
             seen: set[int] = set()
-            for o_id in range(max(1, next_o_id - 20), next_o_id):
+            for o_id in recent:
                 order = s.read("orders", (w, d, o_id))
                 if order is None:
                     continue
@@ -469,6 +515,7 @@ class TpccWorkload:
                     line = s.read("order_line", (w, d, o_id, number))
                     if line is not None:
                         seen.add(line[4])
+            s.prefetch(("stock", (w, i_id)) for i_id in sorted(seen))
             low = 0
             for i_id in sorted(seen):
                 stock = s.read("stock", (w, i_id))

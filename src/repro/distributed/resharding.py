@@ -42,7 +42,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..common.clock import Timestamp
-from ..common.errors import StorageError
+from ..common.errors import ConsensusError, StorageError
 from ..common.types import Key, Row
 from ..obs import get_registry
 from .cluster import DistributedCluster
@@ -151,8 +151,7 @@ class ReshardOperation:
         # Dangling piggybacked intents on the sources must resolve
         # before the barrier: a snapshot must be committed truth, and
         # an intent decided *after* the tap installs dual-logs normally.
-        for sid in self._source_sids():
-            cluster._settle_shard(sid)
+        cluster._settle(self._source_sids())
         # Tap first, read second, same step: the barrier is exact.
         self._tap = MigrationTap(lo, hi)
         cluster._migration_taps.append(self._tap)
@@ -196,8 +195,13 @@ class ReshardOperation:
         self._drain_tail()
         # Source learner streams must be fully applied before a source
         # can retire (merge/migrate), and the rehome image must be the
-        # settled truth.
-        cluster.drain_replication()
+        # settled truth.  A drain that ran out of budget refuses the
+        # flip before anything changed; the phase stays FLIP, so the
+        # next step() tries again.
+        if not cluster.drain_replication():
+            raise ConsensusError(
+                "flip refused: a learner has not applied its leader's commit index"
+            )
         ts = cluster.clock.tick()
         target_group = cluster._groups[self.target_sid]
         target_sm = cluster._leader_sm(self.target_sid)

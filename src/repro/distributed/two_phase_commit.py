@@ -11,8 +11,8 @@ resolutions are queued and piggybacked onto later traffic to each
 shard.  Participants are any objects implementing
 :class:`PiggybackParticipant`, so unit tests drive the coordinator with
 in-memory fakes while the cluster plugs in Raft-replicated regions.
-Each synchronous round costs one network round trip per participant,
-charged on the shared cost model.
+The synchronous round goes to every participant at once and costs one
+network round trip, charged on the shared cost model.
 """
 
 from __future__ import annotations
@@ -31,9 +31,13 @@ class Vote(enum.Enum):
 
 
 class PiggybackParticipant(Protocol):
-    """A resource manager in the one-round piggybacked protocol."""
+    """A resource manager in the one-round piggybacked protocol:
+    ``intent`` sends PREPARED + the write intent and returns at once;
+    ``vote`` is read once every participant's intent is out."""
 
-    def intent(self, txn_id: int, payload: Any) -> Vote: ...
+    def intent(self, txn_id: int, payload: Any) -> None: ...
+
+    def vote(self, txn_id: int) -> Vote: ...
 
     def enqueue_resolution(self, txn_id: int, committed: bool) -> None: ...
 
@@ -58,7 +62,9 @@ class PiggybackCoordinator:
 
     1. One synchronous round: each participant durably logs
        ``PREPARED`` + the write intent in a *single* command (one Raft
-       propose, one fsync) and acks with its vote.
+       propose, one fsync) and acks with its vote.  The intents go out
+       to every participant before any vote is read, so the round is
+       one round trip whatever the fan-out.
     2. The coordinator resolves the outcome into its durable decision
        record (:attr:`decisions`) — this is the commit point; the
        client is acked here.
@@ -69,8 +75,8 @@ class PiggybackCoordinator:
        first, consulting the decision record through the queued
        outcome.
 
-    Against classic two-round 2PC that is one synchronous Raft round
-    per participant instead of two, with identical committed state and
+    Against classic two-round 2PC that is one synchronous round
+    instead of two per participant, with identical committed state and
     abort behavior (the differential tests against the 2PC oracle in
     ``tests/oracle/two_phase`` prove it).
     """
@@ -107,11 +113,12 @@ class PiggybackCoordinator:
             raise TwoPhaseCommitError(f"unknown participants: {sorted(unknown)}")
         txn_id = self.allocate_txn_id()
         involved = {name: participants[name] for name in payloads}
-        votes: dict[str, Vote] = {}
-        # The single synchronous round: PREPARED + intent, one RTT each.
+        # The single synchronous round: PREPARED + intent on every
+        # participant at once, one RTT.
+        self._cost.charge(self._cost.network_rtt_us)
         for name, participant in involved.items():
-            self._cost.charge(self._cost.network_rtt_us)
-            votes[name] = participant.intent(txn_id, payloads[name])
+            participant.intent(txn_id, payloads[name])
+        votes = {name: participant.vote(txn_id) for name, participant in involved.items()}
         committed = all(v is Vote.YES for v in votes.values())
         # Durably log the decision before acking the client: from here
         # the outcome survives any participant-side failover and the
@@ -125,4 +132,4 @@ class PiggybackCoordinator:
         else:
             self.aborted += 1
         outcome = TxnOutcome.COMMITTED if committed else TxnOutcome.ABORTED
-        return TwoPhaseResult(txn_id, outcome, votes, rtts=len(involved))
+        return TwoPhaseResult(txn_id, outcome, votes, rtts=1)

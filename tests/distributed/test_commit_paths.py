@@ -163,12 +163,15 @@ class TestPlacementPolicy:
 
 class FakePiggybackParticipant:
     def __init__(self, vote=Vote.YES):
-        self.vote = vote
+        self._vote = vote
         self.log = []
 
     def intent(self, txn_id, payload):
         self.log.append(("intent", txn_id, payload))
-        return self.vote
+
+    def vote(self, txn_id):
+        self.log.append(("vote", txn_id))
+        return self._vote
 
     def enqueue_resolution(self, txn_id, committed):
         self.log.append(("resolve", txn_id, committed))
@@ -180,7 +183,20 @@ class TestPiggybackCoordinator:
         a, b = FakePiggybackParticipant(), FakePiggybackParticipant()
         result = coord.execute({"a": 1, "b": 2}, {"a": a, "b": b})
         assert result.outcome is TxnOutcome.COMMITTED
-        assert result.rtts == 2  # one synchronous round, not two
+        assert result.rtts == 1  # one synchronous round, to both at once
+        assert coord._cost.now_us() == 500.0 + 2.0 + 25.0  # one RTT + the decision record
+        assert coord.decision(result.txn_id) is True
+        assert ("resolve", result.txn_id, True) in a.log
+        assert ("resolve", result.txn_id, True) in b.log
+
+    def test_every_intent_is_out_before_a_vote_is_read(self):
+        coord = PiggybackCoordinator()
+        shared = []
+        a, b, c = (FakePiggybackParticipant() for _ in range(3))
+        for p in (a, b, c):
+            p.log = shared
+        result = coord.execute({"a": 1, "b": 2, "c": 3}, {"a": a, "b": b, "c": c})
+        assert [entry[0] for entry in shared[:6]] == ["intent"] * 3 + ["vote"] * 3
         assert coord.decision(result.txn_id) is True
         assert ("resolve", result.txn_id, True) in a.log
         assert ("resolve", result.txn_id, True) in b.log
