@@ -47,6 +47,9 @@ class _StagedWrite:
     table: str
     key: Key
     row: Row | None
+    # A DELETE that cancels this transaction's own insert: it hides the
+    # key from reads but installs nothing.
+    cancels_insert: bool = False
 
 
 CommitListener = Callable[[str, list[DeltaEntry], Timestamp], None]
@@ -156,14 +159,18 @@ def _coalesce(prior: _StagedWrite, new: _StagedWrite) -> _StagedWrite:
         if prior.kind is _WriteKind.INSERT:
             # Insert-then-delete inside one txn: net no-op, keep a marker
             # that suppresses reads but installs nothing.
-            return _StagedWrite(_WriteKind.DELETE, new.table, new.key, None)
+            return _StagedWrite(
+                _WriteKind.DELETE, new.table, new.key, None, cancels_insert=True
+            )
         return new
     if prior.kind is _WriteKind.INSERT:
         # Insert then update: still an insert of the newest image.
         return _StagedWrite(_WriteKind.INSERT, new.table, new.key, new.row)
     if prior.kind is _WriteKind.DELETE:
-        # Delete then insert: net effect is an update to the new image.
-        return _StagedWrite(_WriteKind.UPDATE, new.table, new.key, new.row)
+        # Delete then insert: an update of a key the snapshot holds, an
+        # insert again if the delete cancelled this transaction's insert.
+        kind = _WriteKind.INSERT if prior.cancels_insert else _WriteKind.UPDATE
+        return _StagedWrite(kind, new.table, new.key, new.row)
     return new
 
 
@@ -285,9 +292,7 @@ class TransactionManager:
                 store.install_update(write.key, write.row, commit_ts)
                 entry = DeltaEntry(DeltaKind.UPDATE, write.key, write.row, commit_ts)
             else:
-                # A staged DELETE may be a net no-op (insert+delete in
-                # this txn); only install when the key is actually live.
-                if not store.contains_key(write.key):
+                if write.cancels_insert:  # insert+delete in this txn
                     continue
                 self.wal.append(
                     txn.txn_id, WalKind.DELETE, write.table, write.key, None, commit_ts

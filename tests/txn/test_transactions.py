@@ -152,6 +152,16 @@ class TestSnapshotIsolation:
         t2 = txn_manager.begin()
         assert t2.read("t", 0) == (0, 42.0, "re")
 
+    def test_insert_delete_insert_is_insert(self, txn_manager):
+        t1 = txn_manager.begin()
+        t1.insert("t", (50, 1.0, "a"))
+        t1.delete("t", 50)
+        t1.insert("t", (50, 2.0, "b"))
+        txn_manager.commit(t1)
+        t2 = txn_manager.begin()
+        assert t2.read("t", 50) == (50, 2.0, "b")
+        assert txn_manager.store("t").version_count() == 1
+
     def test_scan_merges_own_writes(self, txn_manager):
         populate(txn_manager, "t", 3)
         t1 = txn_manager.begin()
