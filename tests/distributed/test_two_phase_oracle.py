@@ -217,3 +217,26 @@ def test_leader_killed_mid_round(load, txns):
     assert sorted(prod.row_scan("acct")) == sorted(oracle.row_scan("acct")) == rows
     assert (prod.commits, prod.aborts) == (oracle.commits, oracle.aborts)
     assert columnar(prod) == columnar(oracle) == rows
+
+
+# ------------------------------------------------ back to back, no time between
+
+
+@settings(max_examples=40, deadline=None)
+@given(load=st.sets(st.sampled_from(KEYS)), txns=transactions)
+def test_back_to_back_commits_read_decided_rows(load, txns):
+    """No simulated time passes between one commit and the next read:
+    after every transaction, a batched read of every key on the
+    production cluster answers what the 2PC oracle's answers, and both
+    are the rows the planned prefix leaves."""
+    planned, expected, _rows = plan(load, txns)
+    prod, oracle = make_cluster(), oracle_cluster()
+    rows: dict = {}
+    pairs = [("acct", key) for key in KEYS]
+    for ops, ok in zip(planned, expected):
+        assert run(prod, [ops]) == run(oracle, [ops]) == [ok]
+        if ok:
+            for op in ops:
+                rows[op.key] = op.row
+        want = {("acct", key): rows.get(key) for key in KEYS}
+        assert prod.read_many(pairs) == oracle.read_many(pairs) == want
