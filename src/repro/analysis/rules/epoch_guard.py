@@ -12,10 +12,11 @@ double-apply the epoch contract exists to prevent.
 The sinks grew with the commit-path optimization: the single-shard
 "commit1p" fast path proposes directly from ``_commit_single_shard``,
 the piggybacked protocol proposes "intent" from the participant
-adapter (every participant's at once, then one wait), and the lazy
-commit round batch-proposes "resolve" from ``_settle`` (reachable from
-every entry, including reads and scans, which settle before serving).  All of them must stay dominated
-by the guard — the rule proves it for each path separately.
+adapter (every participant's at once, then one wait), and the commit
+round proposes "resolve" from the same adapter the moment the
+coordinator decides (reads and scans only wait for it, through
+``_settle``).  All of them must stay dominated by the guard — the rule
+proves it for each path separately.
 
 The check is interprocedural over the project index: calls resolve
 through constructor-assigned fields (``self.piggyback`` →

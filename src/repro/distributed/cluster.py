@@ -26,8 +26,9 @@ alone — the 1PC fast path: validate at the leader, then a single
 instead of two.  Cross-shard transactions commit through the
 piggybacked one-round protocol (:class:`PiggybackCoordinator`): each
 participant durably logs PREPARED + the write intent in one propose,
-the coordinator's decision record is the commit point, and the commit
-round settles lazily on the next operation that touches each shard.  A
+the coordinator's decision record is the commit point, and each shard's
+commit round is proposed at that decision without waiting; only the
+next operation that touches the shard waits for it.  A
 :class:`~repro.distributed.metadata.PlacementPolicy` co-locates rows
 sharing a placement-key prefix (a district's customers and history, an
 order and its lines) on one shard, which is what turns the dominant
@@ -35,8 +36,11 @@ TPC-C mix into single-shard transactions in the first place.
 
 Work that spans shards goes out to all of them at once and costs one
 round trip, not one per shard: a batch of point reads
-(:meth:`DistributedCluster.read_many`, TiDB's BatchGet), the intent
-round, and the settles (TiDB prewrites across regions in parallel).
+(:meth:`DistributedCluster.read_many`, TiDB's BatchGet) and the intent
+round (TiDB prewrites across regions in parallel).  The commit round
+costs no round trip of its own: it is proposed at the decision and
+resolves in the background, as in CockroachDB's parallel commits and
+TiDB's async commit.
 
 Simulated time measures *latency*; per-physical-node busy time in a
 :class:`BusyLedger` measures *throughput* (makespan = the bottleneck
@@ -269,8 +273,9 @@ class DistributedCluster:
         self._region_leader_node: list[list[str]] = []  # physical placement
         self._phys_of: dict[str, str] = {}  # voter id -> its physical node
         self._migration_taps: list = []  # resharding dual-log buffers
-        #: Lazy commit rounds: shard id -> [(txn_id, committed, n_writes)].
-        self._pending_resolves: dict[int, list[tuple[int, bool, int]]] = {}
+        #: Commit rounds in flight: shard id -> its "resolve" proposals
+        #: not yet waited for.
+        self._resolving: dict[int, list[Proposal]] = {}
         self._built = False
         self.commits = 0
         self.aborts = 0
@@ -415,66 +420,39 @@ class DistributedCluster:
         for replica_node in self._region_leader_node[sid][1:]:
             self.ledger.charge(replica_node, n_writes * self.cost.wal_append_us)
 
-    def _charge_commit_round(
-        self, sid: int, n_commands: int = 1, n_rows: int = 0
-    ) -> None:
-        """Busy accounting for a metadata-only propose: a batch of lazy
-        intent resolutions.  WAL appends for each command plus one fsync
-        at the leader, appends at the followers; resolved intents add
-        their row installs."""
+    def _charge_commit_round(self, sid: int, n_rows: int = 0) -> None:
+        """Busy accounting for one metadata-only propose, an intent's
+        resolution: a WAL append and an fsync at the leader plus the
+        resolved intent's row installs, an append at each follower."""
         phys = self._phys_node_of_leader(sid)
         self.ledger.charge(
             phys,
-            n_commands * self.cost.wal_append_us
+            self.cost.wal_append_us
             + self.cost.wal_fsync_us
             + n_rows * self.cost.row_point_write_us,
         )
         for replica_node in self._region_leader_node[sid][1:]:
-            self.ledger.charge(replica_node, n_commands * self.cost.wal_append_us)
+            self.ledger.charge(replica_node, self.cost.wal_append_us)
 
-    # --------------------------------------------------------- lazy resolves
-
-    def _queue_resolve(
-        self, sid: int, txn_id: int, committed: bool, n_writes: int
-    ) -> None:
-        """The piggybacked protocol's asynchronous commit round: record
-        that ``txn_id``'s intent on shard ``sid`` resolved (from the
-        coordinator's decision record); the next operation touching the
-        shard settles the queue before it reads or validates."""
-        self._pending_resolves.setdefault(sid, []).append(
-            (txn_id, committed, n_writes)
-        )
+    # ------------------------------------------------------ in-flight resolves
 
     def _settle(self, sids: Iterable[int]) -> None:
-        """Flush the queued intent resolutions of the shards ``sids``,
-        so their row state reflects every decided transaction before
-        serving a read or validating a write: one batched propose per
-        shard, all in flight together, so the round costs one round trip
-        however many shards it settles."""
-        if not self._pending_resolves:
-            return
-        batches = []
-        for sid in sorted(sids):
-            pending = self._pending_resolves.pop(sid, None)
-            if not pending:
-                continue
-            n_rows = sum(n for _txn, committed, n in pending if committed)
-            self._charge_commit_round(sid, n_commands=len(pending), n_rows=n_rows)
-            batches.append(
-                (sid, [("resolve", txn, committed) for txn, committed, _n in pending])
-            )
-        if not batches:
-            return
-        self.cost.charge(self.cost.network_rtt_us)
-        await_commit(
-            [self._groups[sid].propose_batch(commands) for sid, commands in batches]
-        )
+        """Wait until the in-flight resolves of the shards ``sids`` have
+        committed, before serving a read or validating a write: a leader
+        serves rows from its applied state, so the next transaction
+        would otherwise miss a write its client was told committed.
+        Proposed at decision time, they cost what is left of their
+        replication round and no round trip; a deposed or crashed
+        leader's resolve is re-proposed on its successor."""
+        waiting = [p for sid in sids for p in self._resolving.pop(sid, ())]
+        if waiting:
+            await_commit(waiting)
 
     def settle_all(self) -> None:
-        """Flush every shard's queued resolutions (replication drains
-        and resharding barriers call this so learners, snapshots, and
-        flips always see settled truth)."""
-        self._settle(list(self._pending_resolves))
+        """Wait for every shard's in-flight resolves (replication
+        drains and resharding barriers call this so learners, snapshots,
+        and flips always see settled truth)."""
+        self._settle(list(self._resolving))
 
     def _tap_commit(
         self, writes: list[WriteOp], points: list[int], commit_ts: Timestamp
@@ -528,7 +506,7 @@ class DistributedCluster:
         # proposed, so a stale route aborts with no partial effects.
         for sid, (_items, ps) in by_shard.items():
             self._check_ownership(sid, ps)
-        # Dangling intents on the involved shards must resolve before
+        # In-flight resolves on the involved shards must commit before
         # this operation validates against (or reads) their row state.
         self._settle(by_shard)
         return by_shard
@@ -576,8 +554,8 @@ class DistributedCluster:
         commit_ts: Timestamp,
     ) -> None:
         """Multi-shard transactions: each shard durably logs PREPARED +
-        intent in one propose, all shards at once, and the commit round
-        settles lazily."""
+        intent in one propose, all shards at once; at the decision each
+        shard's commit round is proposed and left in flight."""
         in_flight: list[Proposal] = []
         participants = {
             f"region{sid}": _RaftRegionParticipant(self, sid, in_flight)
@@ -639,8 +617,8 @@ class DistributedCluster:
     ) -> dict[tuple[str, Key], Row | None]:
         """BatchGet: point reads of ``(table, key)`` pairs in one round
         trip.  Every key is routed and every shard checks ownership
-        before any is read; the shards the batch touches settle their
-        dangling intents (a decided write could hide behind one); each
+        before any is read; the shards the batch touches wait for their
+        in-flight resolves (a decided write could hide behind one); each
         leader then serves its own keys, in parallel, so the batch costs
         one round trip plus the slowest shard's reads."""
         self._build()
@@ -676,8 +654,8 @@ class DistributedCluster:
         router: Router | None = None,
     ) -> list[Row]:
         """Scatter-gather scan over every live shard's leader (row path).
-        Each shard re-validates ownership and settles its queued intent
-        resolutions before serving, so the scan reads decided truth."""
+        Each shard re-validates ownership and waits for its in-flight
+        resolves before serving, so the scan reads decided truth."""
         self._build()
         schema = self.schemas[table]
         router = router or self.router
@@ -726,9 +704,9 @@ class DistributedCluster:
 
     def drain_replication(self, max_us: float = 50_000.0) -> bool:
         """Advance until learners have applied everything committed;
-        returns whether that happened within ``max_us``.  Queued intent
-        resolutions flush first, so "everything committed" includes
-        every decided piggybacked transaction.
+        returns whether that happened within ``max_us``.  In-flight
+        resolves commit first, so "everything committed" includes every
+        decided piggybacked transaction.
 
         The test asks the learners directly: each live group's learner
         has applied its leader's commit index.  A crashed follower does
@@ -803,7 +781,7 @@ class DistributedCluster:
 
 class _RaftRegionParticipant:
     """Adapts one Raft-replicated shard to the piggybacked protocol
-    (intent/vote/enqueue_resolution).  Busy-ledger charging lives here,
+    (intent/vote/resolve).  Busy-ledger charging lives here,
     per propose, so the protocol's round count is exactly what the
     makespan measures.  The participants of one transaction share
     ``in_flight``, the round's proposals: the first vote read waits for
@@ -831,7 +809,13 @@ class _RaftRegionParticipant:
         ok = self._cluster._leader_sm(self._region).vote_log.get(txn_id, False)
         return Vote.YES if ok else Vote.NO
 
-    def enqueue_resolution(self, txn_id: int, committed: bool) -> None:
-        self._cluster._queue_resolve(
-            self._region, txn_id, committed, self._n_writes
+    def resolve(self, txn_id: int, committed: bool) -> None:
+        """Propose the commit round at decision time and return: the
+        shard's next operation waits for it (``_settle``)."""
+        cluster = self._cluster
+        cluster._charge_commit_round(
+            self._region, n_rows=self._n_writes if committed else 0
+        )
+        cluster._resolving.setdefault(self._region, []).append(
+            self._group.propose(("resolve", txn_id, committed))
         )

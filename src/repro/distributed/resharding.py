@@ -148,9 +148,9 @@ class ReshardOperation:
     def _snapshot_at_barrier(self) -> None:
         cluster = self.cluster
         lo, hi = self._moving_range()
-        # Dangling piggybacked intents on the sources must resolve
-        # before the barrier: a snapshot must be committed truth, and
-        # an intent decided *after* the tap installs dual-logs normally.
+        # The sources' in-flight resolves must commit before the
+        # barrier: a snapshot must be committed truth, and an intent
+        # decided *after* the tap installs dual-logs normally.
         cluster._settle(self._source_sids())
         # Tap first, read second, same step: the barrier is exact.
         self._tap = MigrationTap(lo, hi)

@@ -6,11 +6,12 @@ fast path.  :class:`PiggybackCoordinator` is the one-round variant
 (Spanner/CockroachDB parallel-commit style): each participant durably
 logs PREPARED *plus* the write intent in a single command and acks with
 its vote; the coordinator then resolves the outcome in its durable
-decision record, and the commit round becomes asynchronous —
-resolutions are queued and piggybacked onto later traffic to each
-shard.  Participants are any objects implementing
-:class:`PiggybackParticipant`, so unit tests drive the coordinator with
-in-memory fakes while the cluster plugs in Raft-replicated regions.
+decision record, and the commit round becomes asynchronous — each
+participant proposes its resolution at once and nobody waits for it
+until a later operation touches the shard.  Participants are any
+objects implementing :class:`PiggybackParticipant`, so unit tests
+drive the coordinator with in-memory fakes while the cluster plugs in
+Raft-replicated regions.
 The synchronous round goes to every participant at once and costs one
 network round trip, charged on the shared cost model.
 """
@@ -33,13 +34,14 @@ class Vote(enum.Enum):
 class PiggybackParticipant(Protocol):
     """A resource manager in the one-round piggybacked protocol:
     ``intent`` sends PREPARED + the write intent and returns at once;
-    ``vote`` is read once every participant's intent is out."""
+    ``vote`` is read once every participant's intent is out;
+    ``resolve`` starts the commit round and returns without waiting."""
 
     def intent(self, txn_id: int, payload: Any) -> None: ...
 
     def vote(self, txn_id: int) -> Vote: ...
 
-    def enqueue_resolution(self, txn_id: int, committed: bool) -> None: ...
+    def resolve(self, txn_id: int, committed: bool) -> None: ...
 
 
 class TxnOutcome(enum.Enum):
@@ -68,12 +70,12 @@ class PiggybackCoordinator:
     2. The coordinator resolves the outcome into its durable decision
        record (:attr:`decisions`) — this is the commit point; the
        client is acked here.
-    3. The commit/abort round is asynchronous: each participant only
-       *queues* the resolution (:meth:`PiggybackParticipant.
-       enqueue_resolution`); whoever later reads from or validates
-       against a shard holding a dangling intent settles the queue
-       first, consulting the decision record through the queued
-       outcome.
+    3. The commit/abort round is asynchronous: each participant
+       proposes its resolution the moment the decision is logged
+       (:meth:`PiggybackParticipant.resolve`) and does not wait for it.
+       Whoever later reads from or validates against the shard waits
+       for the resolutions still in flight there, so the round's
+       latency hides behind whatever the client does next.
 
     Against classic two-round 2PC that is one synchronous round
     instead of two per participant, with identical committed state and
@@ -122,11 +124,11 @@ class PiggybackCoordinator:
         committed = all(v is Vote.YES for v in votes.values())
         # Durably log the decision before acking the client: from here
         # the outcome survives any participant-side failover and the
-        # commit round can be lazy.
+        # commit round can run in the background.
         self._cost.charge(self._cost.wal_append_us + self._cost.wal_fsync_us)
         self.decisions[txn_id] = committed
         for participant in involved.values():
-            participant.enqueue_resolution(txn_id, committed)
+            participant.resolve(txn_id, committed)
         if committed:
             self.committed += 1
         else:

@@ -149,8 +149,9 @@ class TestHTL006MutationOnShippedTree:
 
     def test_mutation_fires_on_new_commit_paths(self, tmp_path):
         """The optimized sinks are covered too: deleting the guard must
-        expose the single-shard "commit1p" propose and the piggybacked
-        "intent" propose (reached through the coordinator and the
+        expose the single-shard "commit1p" propose, the piggybacked
+        "intent" propose and the commit round's "resolve" propose made
+        at decision time (both reached through the coordinator and the
         duck-widened participant adapter)."""
         import ast
 
@@ -177,12 +178,13 @@ class TestHTL006MutationOnShippedTree:
                     isinstance(arg, ast.Tuple)
                     and arg.elts
                     and isinstance(arg.elts[0], ast.Constant)
-                    and arg.elts[0].value in ("commit1p", "intent")
+                    and arg.elts[0].value in ("commit1p", "intent", "resolve")
                 ):
                     sites[arg.elts[0].value] = node.lineno
-        assert set(sites) == {"commit1p", "intent"}
+        assert set(sites) == {"commit1p", "intent", "resolve"}
         assert sites["commit1p"] in flagged, "1PC fast path not covered"
         assert sites["intent"] in flagged, "piggybacked path not covered"
+        assert sites["resolve"] in flagged, "decision-time resolve not covered"
 
 
 # --------------------------------------------------------------------- HTL007
