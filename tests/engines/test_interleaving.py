@@ -1,0 +1,219 @@
+"""Interleaved sessions on four engines, judged by an Adya-style search.
+
+Generated schedules run 2–4 sessions over at most five keys of one
+table, interleaved statement by statement: reads, scans, blind updates
+and read-modify-writes (TPC-C's ``d_next_o_id`` shape), every update
+writing a value no other write uses, each session ending in a commit
+or a rollback.  ``tests/oracle/history.py`` maps every read to its
+writer and reports G0, G1a/b/c and lost updates; write skew is
+permitted.  ROADMAP item 2's two-session lost-update probe is the named
+case.
+
+(a) runs snapshot isolation with first-committer-wins and passes.
+(b), (c) and (d) validate a commit only by whether each updated key
+still exists, so two sessions that read one version of a key can both
+write it and both commit: strict xfails until ROADMAP item 2's
+first-committer-wins rule lands on them.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from repro.common import Column, DataType, Schema, TransactionAborted
+from repro.engines import make_engine
+
+from ..oracle.history import TxnRecord, anomalies
+
+LOST_UPDATE = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: commit validation checks only that an updated "
+    "key exists, so a concurrent update of the version read is lost",
+)
+ENGINES = [
+    "a",
+    pytest.param("b", marks=LOST_UPDATE),
+    pytest.param("c", marks=LOST_UPDATE),
+    pytest.param("d", marks=LOST_UPDATE),
+]
+SCHEMA = Schema(
+    "t", [Column("id", DataType.INT64), Column("v", DataType.INT64)], ["id"]
+)
+SCHEDULES = 60
+
+
+def build(cat):
+    engine = make_engine(cat, **({"seed": 5} if cat == "b" else {}))
+    engine.create_table(SCHEMA)
+    return engine
+
+
+def generate(rng: random.Random):
+    """One schedule: ``(n_keys, steps)``, where a step is ``(session,
+    op, key)`` with op one of read / scan / write / rmw / commit /
+    abort, and each session's last step ends it."""
+    n_keys = rng.randint(1, 5)
+    scripts = []
+    for _ in range(rng.randint(2, 4)):
+        body = [
+            (rng.choice(("read", "write", "rmw", "rmw", "scan")), rng.randrange(n_keys))
+            for _ in range(rng.randint(1, 4))
+        ]
+        body.append(("abort" if rng.random() < 0.15 else "commit", None))
+        scripts.append(body)
+    steps = []
+    cursors = [0] * len(scripts)
+    while any(c < len(s) for c, s in zip(cursors, scripts)):
+        live = [i for i, s in enumerate(scripts) if cursors[i] < len(s)]
+        i = rng.choice(live)
+        steps.append((i, *scripts[i][cursors[i]]))
+        cursors[i] += 1
+    return n_keys, steps
+
+
+def run_schedule(engine, n_keys, steps, values):
+    """Run one schedule; ``(history, initial, final)`` as the client
+    saw it."""
+    initial = {key: next(values) for key in range(n_keys)}
+    with engine.session() as setup:
+        for key, value in initial.items():
+            if setup.read("t", key) is None:
+                setup.insert("t", (key, value))
+            else:
+                setup.update("t", (key, value))
+    sessions, history = {}, {}
+    commits = itertools.count()
+    for i, op, key in steps:
+        if i not in sessions:
+            sessions[i], history[i] = engine.session(), TxnRecord(f"T{i}")
+        session, record = sessions[i], history[i]
+        if op in ("read", "rmw"):
+            record.read(key, session.read("t", key)[1])
+        elif op == "scan":
+            for k, v in sorted(session.scan("t")):
+                if k < n_keys:
+                    record.read(k, v)
+        if op in ("write", "rmw"):
+            value = next(values)
+            session.update("t", (key, value))
+            record.write(key, value)
+        elif op == "abort":
+            session.abort()
+        elif op == "commit":
+            try:
+                session.commit()
+            except TransactionAborted:
+                continue
+            record.committed_at = next(commits)
+    with engine.session() as check:
+        final = {key: check.read("t", key)[1] for key in initial}
+    return [history[i] for i in sorted(history)], initial, final
+
+
+@pytest.mark.parametrize("cat", ENGINES)
+def test_generated_schedules_show_no_anomaly(cat):
+    engine = build(cat)
+    rng = random.Random(2024)
+    values = itertools.count(1)
+    failures = []
+    for n in range(SCHEDULES):
+        n_keys, steps = generate(rng)
+        found = anomalies(*run_schedule(engine, n_keys, steps, values))
+        if found:
+            failures.append((n, steps, found))
+    assert not failures, failures[0]
+
+
+@pytest.mark.parametrize("cat", ENGINES)
+def test_two_session_lost_update(cat):
+    """ROADMAP item 2's probe: two sessions each read ``t[1]`` = 10 and
+    write back ``v + 1``.  Either the second commit is refused, or both
+    increments land."""
+    engine = build(cat)
+    engine.insert("t", (1, 10))
+    first, second = engine.session(), engine.session()
+    reads = [s.read("t", 1)[1] for s in (first, second)]
+    assert reads == [10, 10]
+    for s, v in zip((first, second), reads):
+        s.update("t", (1, v + 1))
+    committed = 0
+    for s in (first, second):
+        try:
+            s.commit()
+            committed += 1
+        except TransactionAborted:
+            pass
+    with engine.session() as check:
+        assert check.read("t", 1)[1] == 10 + committed
+
+
+class TestChecker:
+    """The checker finds each anomaly it names, and passes write skew."""
+
+    def test_lost_update(self):
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        for n, t in enumerate((t1, t2)):
+            t.read("x", 0)
+            t.write("x", 10 + n)
+            t.committed_at = n
+        kinds = [a.kind for a in anomalies([t1, t2], {"x": 0})]
+        assert kinds == ["lost update"]
+
+    def test_aborted_read(self):
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        t1.write("x", 1)
+        t2.read("x", 1)
+        t2.committed_at = 0
+        assert [a.kind for a in anomalies([t1, t2], {"x": 0})] == ["G1a"]
+
+    def test_intermediate_read(self):
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        t1.write("x", 1)
+        t1.write("x", 2)
+        t1.committed_at = 0
+        t2.read("x", 1)
+        t2.committed_at = 1
+        assert [a.kind for a in anomalies([t1, t2], {"x": 0})] == ["G1b"]
+
+    def test_circular_information_flow(self):
+        # T2 reads T1's x and T1 reads T2's y: each saw the other.
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        t1.write("x", 1)
+        t2.write("y", 2)
+        t1.read("y", 2)
+        t2.read("x", 1)
+        t1.committed_at, t2.committed_at = 0, 1
+        assert [a.kind for a in anomalies([t1, t2], {"x": 0, "y": 0})] == ["G1c"]
+
+    def test_write_cycle(self):
+        # Both write x and y; x ends at T1's value although T2
+        # committed after it, so x's versions run T2 -> T1 and y's
+        # T1 -> T2.
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        t1.write("x", 1)
+        t1.write("y", 2)
+        t2.write("x", 3)
+        t2.write("y", 4)
+        t1.committed_at, t2.committed_at = 0, 1
+        initial = {"x": 0, "y": 5}
+        assert anomalies([t1, t2], initial, {"x": 3, "y": 4}) == []
+        kinds = [a.kind for a in anomalies([t1, t2], initial, {"x": 1, "y": 4})]
+        assert kinds == ["G0"]
+
+    def test_write_skew_is_permitted(self):
+        t1, t2 = TxnRecord("T1"), TxnRecord("T2")
+        for t in (t1, t2):
+            t.read("x", 0)
+            t.read("y", 3)
+        t1.write("x", 1)
+        t2.write("y", 2)
+        t1.committed_at, t2.committed_at = 0, 1
+        assert anomalies([t1, t2], {"x": 0, "y": 3}, {"x": 1, "y": 2}) == []
+
+    def test_values_must_be_unique(self):
+        t1 = TxnRecord("T1")
+        t1.write("x", 0)
+        with pytest.raises(ValueError):
+            anomalies([t1], {"x": 0})

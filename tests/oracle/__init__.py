@@ -15,6 +15,9 @@
 * :mod:`.two_phase` — classic two-round 2PC over a cluster's Raft
   regions.  What the one-round commit paths must agree with, and the
   cost they are measured against.
+* :mod:`.history` — an Adya-style search over a client-observed
+  transaction history (G0, G1a/b/c, lost update).  What any interleaving
+  of sessions must be free of.
 
 The first two are plain Python and share only schema/AST definitions and
 the row-mode ``Predicate.matches`` with the code under test; the scan
