@@ -16,8 +16,8 @@ import pytest
 
 from repro.common import Between, Column, CostModel, DataType, Schema
 from repro.storage.column_store import ColumnStore
+from repro.engines import RowIMCSEngine
 from repro.storage.row_store import MVCCRowStore
-from repro.txn import TransactionManager, WriteAheadLog
 
 from conftest import print_table
 
@@ -27,15 +27,13 @@ from conftest import print_table
 
 def measure_group_commit(group_size: int, n_txns: int = 200) -> float:
     cost = CostModel()
-    manager = TransactionManager(
-        cost=cost, wal=WriteAheadLog(cost=cost, group_commit_size=group_size)
-    )
-    manager.create_table(
+    engine = RowIMCSEngine(cost=cost, group_commit_size=group_size)
+    engine.create_table(
         Schema("t", [Column("id", DataType.INT64), Column("v", DataType.FLOAT64)], ["id"])
     )
     before = cost.now_us()
     for i in range(n_txns):
-        manager.autocommit_insert("t", (i, float(i)))
+        engine.insert("t", (i, float(i)))
     return (cost.now_us() - before) / n_txns
 
 

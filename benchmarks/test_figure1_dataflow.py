@@ -42,7 +42,7 @@ def flow_a() -> list[str]:
     engine.create_table(schema())
     steps = []
     engine.insert("t", (1, 1.0))
-    store = engine.txn_manager.store("t")
+    store = engine.store("t")
     assert store.read(1, engine.clock.now()) == (1, 1.0)
     steps.append("insert -> primary row store (memory)")
     imcu = engine.imcu("t")

@@ -25,17 +25,17 @@ consumed, and sequence gaps are allowed (the order check is *monotone*,
 not *consecutive*).  Stamps hold a strong reference to the message so a
 recycled ``id()`` can never alias a dropped message's stamp.
 
-:class:`SnapshotIsolationChecker` wraps a
-:class:`~repro.txn.transaction.TransactionManager`:
+:class:`SnapshotIsolationChecker` wraps engine (a), the
+:class:`~repro.engines.row_imcs.RowIMCSEngine`:
 
 * every ``MVCCRowStore.read``/``scan`` result is recomputed from the
   version-chain ground truth (``RowVersion.visible_at``) and compared —
   a cached, indexed, or fast-path read that returns a version outside
   its snapshot's visibility window is caught at the call site;
-* every successful ``commit`` is checked for monotone commit
-  timestamps and for the new versions actually being installed at the
-  commit timestamp (first-committer-wins leaves no half-installed
-  state behind).
+* every successful commit (``_commit_writes``) is checked for monotone
+  commit timestamps after the session's read ts, and for each
+  effective write actually being installed at the commit timestamp
+  (first-committer-wins leaves no half-installed state behind).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterator
 
 from ..common.predicate import ALWAYS_TRUE
 from ..obs import get_registry
+from ..txn.transaction import coalesce_writes
 
 
 class SanitizerViolation(AssertionError):
@@ -249,9 +250,7 @@ class SnapshotIsolationChecker:
         self.strict = strict
         self.violations: list[Violation] = []
         self.reads_checked = 0
-        self._manager: Any | None = None
-        self._orig_commit: Callable | None = None
-        self._orig_create_table: Callable | None = None
+        self._engine: Any | None = None
         self._wrapped: list[_WrappedStore] = []
         self._last_commit_ts: Any | None = None
         registry = get_registry()
@@ -260,41 +259,41 @@ class SnapshotIsolationChecker:
 
     # -------------------------------------------------------------- wiring
 
-    def attach(self, manager: Any) -> "SnapshotIsolationChecker":
-        if self._manager is not None:
+    def attach(self, engine: Any) -> "SnapshotIsolationChecker":
+        """Wrap engine (a)'s row stores, its ``create_table`` (so later
+        tables' stores are wrapped too) and its commit body."""
+        if self._engine is not None:
             raise RuntimeError("checker is already attached")
-        self._manager = manager
-        for store in manager._stores.values():
+        self._engine = engine
+        for store in engine._stores.values():
             self._wrap_store(store)
-        self._orig_create_table = manager.create_table
-        self._orig_commit = manager.commit
+        orig_create_table = engine.create_table
+        orig_commit = engine._commit_writes
 
-        def create_table(schema: Any) -> Any:
-            store = self._orig_create_table(schema)
-            self._wrap_store(store)
-            return store
+        def create_table(schema: Any) -> None:
+            orig_create_table(schema)
+            self._wrap_store(engine.store(schema.table_name))
 
-        def commit(txn: Any) -> Any:
-            writes = [(w.table, w.key) for w in txn._writes]
-            commit_ts = self._orig_commit(txn)
-            self._check_commit(txn, commit_ts, writes)
+        def commit_writes(txn_id: int, writes: list, read_ts: Any) -> Any:
+            commit_ts = orig_commit(txn_id, writes, read_ts)
+            self._check_commit(txn_id, read_ts, commit_ts, coalesce_writes(writes))
             return commit_ts
 
-        manager.create_table = create_table
-        manager.commit = commit
+        engine.create_table = create_table
+        engine._commit_writes = commit_writes
         return self
 
     def detach(self) -> None:
-        manager = self._manager
-        if manager is None:
+        engine = self._engine
+        if engine is None:
             return
-        del manager.create_table
-        del manager.commit
+        del engine.create_table
+        del engine._commit_writes
         for wrapped in self._wrapped:
             del wrapped.store.read
             del wrapped.store.scan
         self._wrapped.clear()
-        self._manager = None
+        self._engine = None
 
     # -------------------------------------------------------------- checks
 
@@ -358,33 +357,32 @@ class SnapshotIsolationChecker:
         store.scan = scan
         self._wrapped.append(_WrappedStore(store, orig_read, orig_scan))
 
-    def _check_commit(self, txn: Any, commit_ts: Any, writes: list) -> None:
-        assert self._manager is not None
+    def _check_commit(
+        self, txn_id: int, read_ts: Any, commit_ts: Any, writes: list
+    ) -> None:
+        assert self._engine is not None
         if self._last_commit_ts is not None and commit_ts <= self._last_commit_ts:
             self._report(
                 "commit-order",
                 f"commit_ts {commit_ts} not after previous {self._last_commit_ts}",
             )
         self._last_commit_ts = commit_ts
-        if commit_ts <= txn.begin_ts:
+        if commit_ts <= read_ts:
             self._report(
                 "commit-ts",
-                f"txn {txn.txn_id}: commit_ts {commit_ts} does not follow "
-                f"begin_ts {txn.begin_ts}",
+                f"txn {txn_id}: commit_ts {commit_ts} does not follow "
+                f"read_ts {read_ts}",
             )
-        for table, key in writes:
-            store = self._manager.store(table)
-            chain = store._chains.get(key)
-            if not chain:
-                continue  # net no-op write (insert+delete in one txn)
-            newest = chain[-1]
-            touched = newest.begin_ts == commit_ts or newest.end_ts == commit_ts
-            if not touched:
+        for _kind, table, key, _row in writes:
+            chain = self._engine.store(table)._chains.get(key)
+            newest = chain[-1] if chain else None
+            if newest is None or commit_ts not in (newest.begin_ts, newest.end_ts):
+                shown = "none" if newest is None else f"[{newest.begin_ts}, {newest.end_ts})"
                 self._report(
                     "commit-install",
-                    f"txn {txn.txn_id}: {table}[{key!r}] shows no version "
+                    f"txn {txn_id}: {table}[{key!r}] shows no version "
                     f"installed/closed at commit_ts {commit_ts} "
-                    f"(newest is [{newest.begin_ts}, {newest.end_ts}))",
+                    f"(newest is {shown})",
                 )
 
 
@@ -402,9 +400,9 @@ def happens_before(network: Any, strict: bool = True) -> Iterator[HappensBeforeC
 
 @contextmanager
 def snapshot_isolation(
-    manager: Any, strict: bool = True
+    engine: Any, strict: bool = True
 ) -> Iterator[SnapshotIsolationChecker]:
-    checker = SnapshotIsolationChecker(strict=strict).attach(manager)
+    checker = SnapshotIsolationChecker(strict=strict).attach(engine)
     try:
         yield checker
     finally:

@@ -24,23 +24,28 @@ module says only what the paper says differs.  An engine supplies:
   ``cache_token`` / the three scan paths / the two planner hints);
 * its data synchronization: ``_sync``, ``force_sync``,
   ``freshness_lag``, ``bulk_load``, ``memory_report``;
-* its transactions.  (a) wraps an MVCC ``Transaction`` — snapshot
-  reads and first-committer-wins are what that architecture *is*.
-  (b), (c), (d) read the latest committed state and buffer writes, so
-  they share :class:`WriteSetSession` and supply only
-  ``_schema_of(table)``, ``_read_committed(table, key)``,
-  ``_scan_committed(table, predicate)``, ``_commit_writes(txn_id,
-  writes)`` and ``_abort_txn(txn_id)`` — and (b), whose reads cross
-  the network, a batched ``_read_committed_many(pairs)``;
-* (c) and (d), whose commit is a redo log on one node, get the last
-  two from :class:`LoggedEngine` (WAL, commit body, counters,
-  ``recover``) and supply ``_contains_key(table, key)`` and
-  ``_install(kind, table, key, row, ts)`` instead.
+* its transactions.  All four share :class:`WriteSetSession`: reads
+  see the engine's committed state under the transaction's own writes,
+  and writes are buffered until commit.  The session records its read
+  ts (``clock.now()`` at begin) and passes it to every hook, so an
+  engine supplies ``_schema_of(table)``, ``_read_committed(table, key,
+  read_ts)``, ``_scan_committed(table, predicate, read_ts)`` and
+  ``_commit_writes(txn_id, writes, read_ts)`` — and (b), whose reads
+  cross the network, a batched ``_read_committed_many(pairs)``.  (a)
+  reads its MVCC snapshot at that ts; (b), (c), (d) read the latest
+  committed state and ignore it;
+* (a), (c) and (d), whose commit is a redo log on one node, get the
+  commit from :class:`LoggedEngine` (validation, WAL, one effective
+  write per key, counters, ``recover``) and supply ``_install(kind,
+  table, key, row, ts)`` and either ``_contains_key(table, key)`` for
+  the default validation or their own ``_validate``: (a)'s is
+  first-committer-wins at the read ts.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -67,7 +72,7 @@ from ..query.optimizer import Planner, PhysicalPlan
 from ..query.parser import parse
 from ..query.plan_cache import CachedPlan, PlanCache, param_signature
 from ..query.scan_cache import ScanCache
-from ..txn.transaction import first_lost_write
+from ..txn.transaction import coalesce_writes, first_lost_write
 from ..txn.wal import WalKind, WriteAheadLog
 
 _WAL_KIND = {
@@ -133,13 +138,14 @@ class EngineSession(abc.ABC):
 
 
 class WriteSetSession(EngineSession):
-    """The transaction of engines (b), (c), (d): reads see the latest
-    committed state under this transaction's own writes; writes are
-    staged as ``(kind, table, key, row)`` in order, uncoalesced, and
-    handed to the engine at commit.  The engine validates them against
-    committed state (:func:`~repro.txn.transaction.first_lost_write`)
-    before anything is logged or installed; a commit it refuses with
-    :class:`TransactionAborted` counts as one abort.
+    """The transaction of all four engines: reads see the engine's
+    committed state at :attr:`read_ts` under this transaction's own
+    writes; writes are staged as ``(kind, table, key, row)`` in order,
+    uncoalesced, and handed to the engine at commit.  The engine
+    validates them before anything is logged or installed.  A commit
+    it refuses with :class:`TransactionAborted` counts one
+    ``engine.tp_aborts``; a client's own :meth:`abort` counts one
+    ``engine.tp_rollbacks``.
 
     :meth:`prefetch` keeps what the engine's BatchGet returns in a read
     set, which a point read consults after the transaction's own writes
@@ -147,14 +153,17 @@ class WriteSetSession(EngineSession):
 
     def __init__(self, engine: "HTAPEngine", txn_id: int):
         self._engine = engine
-        self._txn_id = txn_id
+        self.txn_id = txn_id
+        #: The commit ts this transaction reads at: the newest commit
+        #: when it began.
+        self.read_ts = engine.clock.now()
         self._writes: list[tuple[str, str, Key, Row | None]] = []
         self._view: dict[tuple[str, Key], Row | None] = {}
         self._reads: dict[tuple[str, Key], Row | None] = {}
 
     def _require_open(self) -> None:
         if self.finished:
-            raise TransactionError(f"transaction {self._txn_id} already finished")
+            raise TransactionError(f"transaction {self.txn_id} already finished")
 
     def read(self, table: str, key: Key) -> Row | None:
         self._require_open()
@@ -163,7 +172,7 @@ class WriteSetSession(EngineSession):
             return self._view[pair]
         if pair in self._reads:
             return self._reads[pair]
-        return self._engine._read_committed(table, key)
+        return self._engine._read_committed(table, key, self.read_ts)
 
     def prefetch(self, pairs: Iterable[tuple[str, Key]]) -> None:
         if self.finished:
@@ -180,7 +189,7 @@ class WriteSetSession(EngineSession):
         schema = self._engine._schema_of(table)
         rows = {
             schema.key_of(r): r
-            for r in self._engine._scan_committed(table, predicate)
+            for r in self._engine._scan_committed(table, predicate, self.read_ts)
         }
         for (t, key), row in self._view.items():
             if t != table:
@@ -222,16 +231,19 @@ class WriteSetSession(EngineSession):
     def commit(self) -> Timestamp:
         self._require_open()
         self.finished = True
+        engine = self._engine
         try:
-            return self._engine._commit_writes(self._txn_id, self._writes)
+            return engine._commit_writes(self.txn_id, self._writes, self.read_ts)
         except TransactionAborted:
-            self._engine._abort_txn(self._txn_id)
+            engine._abort_txn(self.txn_id)
+            engine._m_tp_aborts.inc()
             raise
 
     def abort(self) -> None:
         self._require_open()
         self.finished = True
-        self._engine._abort_txn(self._txn_id)
+        self._engine._abort_txn(self.txn_id)
+        self._engine._m_tp_rollbacks.inc()
 
 
 class EngineTableAccess(TableAccess):
@@ -274,6 +286,7 @@ class HTAPEngine(abc.ABC):
         registry = get_registry()
         self._m_tp_commits = registry.counter("engine.tp_commits", **labels)
         self._m_tp_aborts = registry.counter("engine.tp_aborts", **labels)
+        self._m_tp_rollbacks = registry.counter("engine.tp_rollbacks", **labels)
         self._m_ap_queries = registry.counter("engine.ap_queries", **labels)
         self._m_sync_calls = registry.counter("engine.sync_calls", **labels)
         self._m_sync_rows = registry.counter("engine.sync_rows", **labels)
@@ -344,6 +357,10 @@ class HTAPEngine(abc.ABC):
         never iterates ``pairs``), so its reads, and what they charge,
         stay as they were."""
         return {}
+
+    def _abort_txn(self, txn_id: int) -> None:
+        """End a transaction without committing it.  A write set
+        installs nothing before commit, so there is nothing to undo."""
 
     def tp_nodes(self) -> list[str]:
         """Ledger nodes that serve OLTP (isolation is measured here)."""
@@ -515,10 +532,11 @@ class HTAPEngine(abc.ABC):
 
 
 class LoggedEngine(HTAPEngine):
-    """What (c) and (d) share: a single-node redo log.  Commit validates
-    the write set, then logs and installs each write in staged order
-    under one BEGIN/COMMIT pair; recovery replays the same log through
-    the same :meth:`_install`."""
+    """What (a), (c) and (d) share: a single-node redo log.  Commit
+    validates the staged writes (:meth:`_validate`), then logs and
+    installs one effective write per key (:func:`coalesce_writes`) under
+    one BEGIN/COMMIT pair; recovery replays the same log through the
+    same :meth:`_install`."""
 
     def __init__(
         self, cost: CostModel | None, clock: LogicalClock | None, group_commit_size: int
@@ -530,18 +548,23 @@ class LoggedEngine(HTAPEngine):
             labels={"engine": self.info.name},
         )
         self.commits = 0
-        self.aborts = 0
         self._next_txn_id = 1
+        #: txn id -> read ts of every open session.
+        self._open: dict[int, Timestamp] = {}
 
-    @abc.abstractmethod
     def _contains_key(self, table: str, key: Key) -> bool:
-        """Uncharged probe of committed state, for commit validation."""
+        """Uncharged probe of committed state, for :meth:`_validate`."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _install(
         self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
     ) -> None:
         """Apply one logged ``"insert"`` / ``"update"`` / ``"delete"``."""
+
+    @abc.abstractmethod
+    def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
+        """Apply :meth:`bulk_load`'s fresh rows."""
 
     def _recovered(self) -> None:
         """Called once the redo pass is through (nothing to do here)."""
@@ -573,7 +596,14 @@ class LoggedEngine(HTAPEngine):
         return txn_id
 
     def session(self) -> EngineSession:
-        return WriteSetSession(self, self._allocate_txn_id())
+        session = WriteSetSession(self, self._allocate_txn_id())
+        self._open[session.txn_id] = session.read_ts
+        return session
+
+    @functools.cached_property
+    def _tp_node(self) -> str:
+        """The one node a single-node engine's transactions run on."""
+        return self.tp_nodes()[0]
 
     def _charged(self, fn, *args):
         """``fn(*args)`` with its simulated cost booked to the TP node."""
@@ -581,28 +611,55 @@ class LoggedEngine(HTAPEngine):
         try:
             return fn(*args)
         finally:
-            self.ledger.charge(self.tp_nodes()[0], self.cost.now_us() - before)
+            self.ledger.charge(self._tp_node, self.cost.now_us() - before)
 
-    def _commit_writes(self, txn_id: int, writes) -> Timestamp:
+    def _validate(self, txn_id: int, writes, read_ts: Timestamp) -> None:
+        """Refuse a commit whose staged writes lost a race: by default
+        :func:`first_lost_write` over :meth:`_contains_key`."""
         lost = first_lost_write(writes, self._contains_key)
         if lost is not None:
             kind, table, key, _row = lost
             raise TransactionAborted(
                 txn_id, f"{kind} of key {key!r} in {table!r} lost to a concurrent commit"
             )
+
+    def _commit_writes(self, txn_id: int, writes, read_ts: Timestamp) -> Timestamp:
+        self._validate(txn_id, writes, read_ts)
+        self._open.pop(txn_id, None)
         before = self.cost.now_us()
         commit_ts = self.clock.tick()
         self.wal.append(txn_id, WalKind.BEGIN)
-        for kind, table, key, row in writes:
+        for kind, table, key, row in coalesce_writes(writes):
             self.wal.append(txn_id, _WAL_KIND[kind], table, key, row, commit_ts)
             self._install(kind, table, key, row, commit_ts)
         self.wal.append(txn_id, WalKind.COMMIT, commit_ts=commit_ts)
         self.commits += 1
         self._m_tp_commits.inc()
-        self.ledger.charge(self.tp_nodes()[0], self.cost.now_us() - before)
+        self.ledger.charge(self._tp_node, self.cost.now_us() - before)
         return commit_ts
 
     def _abort_txn(self, txn_id: int) -> None:
-        self.wal.append(txn_id, WalKind.ABORT)
-        self.aborts += 1
-        self._m_tp_aborts.inc()
+        self._open.pop(txn_id, None)
+        self._charged(self.wal.append, txn_id, WalKind.ABORT)
+
+    def bulk_load(self, table: str, rows: list[Row]) -> None:
+        """Fast load: one WAL batch and one :meth:`_install_batch` for
+        the whole set, skipping the per-row session checks (rows must
+        be fresh keys)."""
+        if not rows:
+            return
+        schema = self._schema_of(table)
+        rows = [schema.validate_row(r) for r in rows]
+        before = self.cost.now_us()
+        txn_id = self._allocate_txn_id()
+        commit_ts = self.clock.tick()
+        key_of = schema.key_of
+        self.wal.append_batch(
+            txn_id,
+            [(WalKind.INSERT, table, key_of(row), row) for row in rows],
+            commit_ts,
+        )
+        self._install_batch(table, rows, commit_ts)
+        self.commits += 1
+        self._m_tp_commits.inc()
+        self.ledger.charge(self._tp_node, self.cost.now_us() - before)

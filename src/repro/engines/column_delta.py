@@ -33,7 +33,6 @@ from ..obs import get_registry
 from ..storage.code_batch import CodeColumn, concat_code_parts, overlay_delta
 from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
-from ..txn.wal import WalKind
 from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
 _NODE = "node0"
@@ -294,10 +293,12 @@ class ColumnDeltaEngine(LoggedEngine):
     def _schema_of(self, table: str) -> Schema:
         return self.table(table).schema
 
-    def _read_committed(self, table: str, key: Key) -> Row | None:
+    def _read_committed(self, table: str, key: Key, _read_ts: Timestamp) -> Row | None:
         return self._charged(self.table(table).read_latest, key)
 
-    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+    def _scan_committed(
+        self, table: str, predicate: Predicate, _read_ts: Timestamp
+    ) -> list[Row]:
         target = self.table(table)
         rows = self._charged(target.all_latest_rows)
         return [r for r in rows if predicate.matches(r, target.schema)]
@@ -316,25 +317,8 @@ class ColumnDeltaEngine(LoggedEngine):
         else:
             target.apply_delete(key, ts)
 
-    def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load: one WAL batch + one L1 batch for the whole set
-        (rows must be fresh keys)."""
-        if not rows:
-            return
-        target = self.table(table)
-        rows = [target.schema.validate_row(r) for r in rows]
-        before = self.cost.now_us()
-        commit_ts = self.clock.tick()
-        key_of = target.schema.key_of
-        self.wal.append_batch(
-            self._allocate_txn_id(),
-            [(WalKind.INSERT, table, key_of(row), row) for row in rows],
-            commit_ts,
-        )
-        target.apply_insert_batch(rows, commit_ts)
-        self.commits += 1
-        self._m_tp_commits.inc()
-        self.ledger.charge(_NODE, self.cost.now_us() - before)
+    def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
+        self.table(table).apply_insert_batch(rows, ts)
 
     # ------------------------------------------------------------- DS
 

@@ -32,7 +32,6 @@ from ..storage.column_store import ColumnStore
 from ..storage.delta_store import InMemoryDeltaStore
 from ..storage.disk_row_store import DiskRowStore
 from ..sync.delta_merge import InMemoryDeltaMerger
-from ..txn.wal import WalKind
 from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
 _PRIMARY = "mysql"
@@ -141,10 +140,12 @@ class DiskRowIMCSEngine(LoggedEngine):
     def _schema_of(self, table: str) -> Schema:
         return self.store(table).schema
 
-    def _read_committed(self, table: str, key: Key) -> Row | None:
+    def _read_committed(self, table: str, key: Key, _read_ts: Timestamp) -> Row | None:
         return self._charged(self.store(table).read, key)
 
-    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+    def _scan_committed(
+        self, table: str, predicate: Predicate, _read_ts: Timestamp
+    ) -> list[Row]:
         return self._charged(self.store(table).scan, predicate)
 
     def _contains_key(self, table: str, key: Key) -> bool:
@@ -164,26 +165,10 @@ class DiskRowIMCSEngine(LoggedEngine):
     def _recovered(self) -> None:
         self.force_sync()  # re-extract the IMCS from the replayed row store
 
-    def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load into the disk row store: one WAL batch, skipping
-        the per-row session dup checks (rows must be fresh keys)."""
-        if not rows:
-            return
+    def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
         store = self.store(table)
-        rows = [store.schema.validate_row(r) for r in rows]
-        before = self.cost.now_us()
-        commit_ts = self.clock.tick()
-        key_of = store.schema.key_of
-        self.wal.append_batch(
-            self._allocate_txn_id(),
-            [(WalKind.INSERT, table, key_of(row), row) for row in rows],
-            commit_ts,
-        )
         for row in rows:
-            store.insert(row, commit_ts)
-        self.commits += 1
-        self._m_tp_commits.inc()
-        self.ledger.charge(_PRIMARY, self.cost.now_us() - before)
+            store.insert(row, ts)
 
     # ------------------------------------------------------------- DS
 
@@ -314,7 +299,8 @@ class _HeatwaveTableAccess(EngineTableAccess):
         return self._engine.imcs_store(self._table).pruned_row_fraction(predicate)
 
     def scan_rows(self, predicate: Predicate) -> list[Row]:
-        return self._engine._scan_committed(self._table, predicate)
+        engine = self._engine
+        return engine._scan_committed(self._table, predicate, engine.clock.now())
 
     def scan_columns(
         self, columns: list[str], predicate: Predicate
@@ -357,4 +343,5 @@ class _HeatwaveTableAccess(EngineTableAccess):
         )[0]
 
     def point_lookup(self, key: Key) -> Row | None:
-        return self._engine._read_committed(self._table, key)
+        engine = self._engine
+        return engine._read_committed(self._table, key, engine.clock.now())

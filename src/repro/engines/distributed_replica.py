@@ -103,7 +103,7 @@ class DistributedReplicaEngine(HTAPEngine):
     def _schema_of(self, table: str) -> Schema:
         return self.cluster.schemas[table]
 
-    def _read_committed(self, table: str, key: Key) -> Row | None:
+    def _read_committed(self, table: str, key: Key, _read_ts: Timestamp) -> Row | None:
         return self.cluster.read(table, key)
 
     def _read_committed_many(
@@ -111,10 +111,12 @@ class DistributedReplicaEngine(HTAPEngine):
     ) -> dict[tuple[str, Key], Row | None]:
         return self.cluster.read_many(pairs)
 
-    def _scan_committed(self, table: str, predicate: Predicate) -> list[Row]:
+    def _scan_committed(
+        self, table: str, predicate: Predicate, _read_ts: Timestamp
+    ) -> list[Row]:
         return self.cluster.row_scan(table, predicate)
 
-    def _commit_writes(self, _txn_id: int, writes) -> Timestamp:
+    def _commit_writes(self, _txn_id: int, writes, _read_ts: Timestamp) -> Timestamp:
         if not writes:
             return self.clock.now()  # read-only: nothing to propose
         commit_ts = self.cluster.execute_transaction(
@@ -122,9 +124,6 @@ class DistributedReplicaEngine(HTAPEngine):
         )
         self._m_tp_commits.inc()
         return commit_ts
-
-    def _abort_txn(self, _txn_id: int) -> None:
-        self._m_tp_aborts.inc()
 
     def bulk_load(self, table: str, rows: list[Row]) -> None:
         """Fast load through the cluster's bulk Raft command: one

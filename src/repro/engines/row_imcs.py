@@ -10,6 +10,12 @@ freshness is High.  When staleness crosses a threshold, sync
 repopulates the unit from the primary ("rebuild from primary row
 store").  Everything runs on one node, which is why Table 1 scores the
 category Low on isolation and AP scalability.
+
+Transactions are Table 2's MVCC + logging: the shared write-set session
+reads the primary's version chains at its read ts, and the redo-log
+commit body of :class:`~.base.LoggedEngine` refuses a commit by
+first-committer-wins, then installs one version per key and marks the
+key stale in its IMCU.
 """
 
 from __future__ import annotations
@@ -18,21 +24,22 @@ import numpy as np
 
 from ..common.cost import CostModel
 from ..common.clock import LogicalClock, Timestamp
-from ..common.errors import TransactionAborted
-from ..common.predicate import ALWAYS_TRUE, Predicate
+from ..common.errors import KeyNotFoundError, TransactionError, WriteConflictError
+from ..common.predicate import Predicate
 from ..common.types import Key, Row, Schema
+from ..obs import get_registry
 from ..query.access import AccessPath
 from ..query.adapters import index_lookup_rows
 from ..query.statistics import TableStats
 from ..storage.column_store import encoded_column_fraction, pruned_row_fraction
 from ..storage.imcu import InMemoryColumnUnit
-from ..txn.transaction import Transaction, TransactionManager
-from .base import EngineInfo, EngineSession, EngineTableAccess, HTAPEngine
+from ..storage.row_store import MVCCRowStore
+from .base import EngineInfo, EngineTableAccess, LoggedEngine
 
 _NODE = "node0"
 
 
-class RowIMCSEngine(HTAPEngine):
+class RowIMCSEngine(LoggedEngine):
     """Primary row store + IMCU-per-table, single node."""
 
     info = EngineInfo(
@@ -49,29 +56,22 @@ class RowIMCSEngine(HTAPEngine):
         repopulate_staleness: float = 0.05,
         group_commit_size: int = 8,
     ):
-        super().__init__(cost, clock)
-        from ..txn.wal import WriteAheadLog
-
-        labels = {"engine": self.info.name}
-        self.txn_manager = TransactionManager(
-            clock=self.clock,
-            cost=self.cost,
-            wal=WriteAheadLog(
-                cost=self.cost, group_commit_size=group_commit_size, labels=labels
-            ),
-            labels=labels,
-        )
+        super().__init__(cost, clock, group_commit_size)
         self.repopulate_staleness = repopulate_staleness
+        self._stores: dict[str, MVCCRowStore] = {}
         self._imcus: dict[str, InMemoryColumnUnit] = {}
         #: When set, row-path reads serve this historical snapshot
         #: instead of "now" (see :meth:`time_travel_query`).
         self._read_ts_override: Timestamp | None = None
-        self.txn_manager.add_commit_listener(self._on_commit)
+        self._m_conflicts = get_registry().counter("txn.conflicts", engine=self.info.name)
 
     # ------------------------------------------------------------- schema
 
     def create_table(self, schema: Schema) -> None:
-        store = self.txn_manager.create_table(schema)
+        if schema.table_name in self._stores:
+            raise TransactionError(f"table {schema.table_name!r} already exists")
+        store = MVCCRowStore(schema, cost=self.cost)
+        self._stores[schema.table_name] = store
         imcu = InMemoryColumnUnit(schema, store, self.cost)
         imcu.populate(self.clock.now())
         self._imcus[schema.table_name] = imcu
@@ -79,44 +79,62 @@ class RowIMCSEngine(HTAPEngine):
             schema.table_name, _ImcuTableAccess(self, schema.table_name)
         )
 
-    def _on_commit(self, table: str, entries, _commit_ts: Timestamp) -> None:
-        imcu = self._imcus[table]
-        for entry in entries:
-            imcu.on_change(entry.key)
+    def store(self, table: str) -> MVCCRowStore:
+        try:
+            return self._stores[table]
+        except KeyError:
+            raise KeyNotFoundError(f"no table {table!r}") from None
 
     # ------------------------------------------------------------- OLTP
+    #
+    # A commit is refused if another transaction committed a change to
+    # one of its keys after its read ts (first-committer-wins).
 
-    def session(self) -> EngineSession:
-        return _RowImcsSession(self)
+    def _schema_of(self, table: str) -> Schema:
+        return self.store(table).schema
 
-    def bulk_load(self, table: str, rows: list[Row]) -> None:
-        """Fast load into the primary: one WAL batch append and direct
-        version-chain installs.  Rows must be fresh keys
-        (install_insert still raises on a live duplicate)."""
-        if not rows:
-            return
-        from ..txn.wal import WalKind
+    def _read_committed(self, table: str, key: Key, read_ts: Timestamp) -> Row | None:
+        return self._charged(self.store(table).read, key, read_ts)
 
-        tm = self.txn_manager
-        store = tm.store(table)
-        rows = [store.schema.validate_row(r) for r in rows]
-        before = self.cost.now_us()
-        txn_id = tm._next_txn_id
-        tm._next_txn_id += 1
-        commit_ts = self.clock.tick()
+    def _scan_committed(
+        self, table: str, predicate: Predicate, read_ts: Timestamp
+    ) -> list[Row]:
+        return self._charged(self.store(table).scan, read_ts, predicate)
+
+    def _validate(self, txn_id: int, writes, read_ts: Timestamp) -> None:
+        for _kind, table, key, _row in writes:
+            last = self.store(table).last_committed_ts(key)
+            if last is not None and last > read_ts:
+                self._m_conflicts.inc()
+                raise WriteConflictError(txn_id, key)
+
+    def _install(
+        self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
+    ) -> None:
+        store = self.store(table)
+        if kind == "insert":
+            store.install_insert(row, ts)
+        elif kind == "update":
+            store.install_update(key, row, ts)
+        else:
+            store.install_delete(key, ts)
+        self._imcus[table].on_change(key)
+
+    def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
+        store, imcu = self.store(table), self._imcus[table]
         key_of = store.schema.key_of
-        tm.wal.append_batch(
-            txn_id,
-            [(WalKind.INSERT, table, key_of(row), row) for row in rows],
-            commit_ts,
-        )
-        imcu = self._imcus[table]
         for row in rows:
-            store.install_insert(row, commit_ts)
+            store.install_insert(row, ts)
             imcu.on_change(key_of(row))
-        tm.commits += 1
-        self._m_tp_commits.inc()
-        self.ledger.charge(_NODE, self.cost.now_us() - before)
+
+    def _recovered(self) -> None:
+        self.force_sync()  # populate the IMCUs from the replayed primary
+
+    def vacuum(self) -> int:
+        """Drop the row versions no open session's snapshot can see;
+        returns how many went."""
+        horizon = min(self._open.values(), default=self.clock.now())
+        return sum(store.vacuum(horizon) for store in self._stores.values())
 
     # ------------------------------------------------------------- DS / metrics
 
@@ -152,12 +170,9 @@ class RowIMCSEngine(HTAPEngine):
 
     def memory_report(self) -> dict[str, int]:
         return {
-            "row_store": sum(
-                self.txn_manager.store(t).memory_bytes()
-                for t in self.txn_manager.tables()
-            ),
+            "row_store": sum(s.memory_bytes() for s in self._stores.values()),
             "column_units": sum(u.memory_bytes() for u in self._imcus.values()),
-            "wal": len(self.txn_manager.wal) * 64,
+            "wal": len(self.wal) * 64,
         }
 
     def imcu(self, table: str) -> InMemoryColumnUnit:
@@ -176,8 +191,6 @@ class RowIMCSEngine(HTAPEngine):
         to the row path: the primary store holds every version (until
         vacuumed), while the columnar image only holds the present.
         """
-        from ..query.access import AccessPath
-
         self._read_ts_override = as_of
         try:
             return self.query(query, force_path=AccessPath.ROW_SCAN)
@@ -185,58 +198,11 @@ class RowIMCSEngine(HTAPEngine):
             self._read_ts_override = None
 
 
-class _RowImcsSession(EngineSession):
-    """Thin ledger-charging wrapper over an MVCC transaction."""
-
-    def __init__(self, engine: RowIMCSEngine):
-        self._engine = engine
-        self._txn: Transaction = engine.txn_manager.begin()
-
-    def _charged(self, fn, *args):
-        before = self._engine.cost.now_us()
-        try:
-            return fn(*args)
-        finally:
-            self._engine.ledger.charge(
-                _NODE, self._engine.cost.now_us() - before
-            )
-
-    def read(self, table: str, key: Key) -> Row | None:
-        return self._charged(self._txn.read, table, key)
-
-    def scan(self, table: str, predicate: Predicate = ALWAYS_TRUE) -> list[Row]:
-        return self._charged(self._txn.scan, table, predicate)
-
-    def insert(self, table: str, row: Row) -> Key:
-        return self._charged(self._txn.insert, table, row)
-
-    def update(self, table: str, row: Row) -> None:
-        self._charged(self._txn.update, table, row)
-
-    def delete(self, table: str, key: Key) -> None:
-        self._charged(self._txn.delete, table, key)
-
-    def commit(self) -> Timestamp:
-        self.finished = True
-        try:
-            commit_ts = self._charged(self._txn.commit)
-        except TransactionAborted:  # lost first-committer-wins
-            self._engine._m_tp_aborts.inc()
-            raise
-        self._engine._m_tp_commits.inc()
-        return commit_ts
-
-    def abort(self) -> None:
-        self.finished = True
-        self._charged(self._txn.abort)
-        self._engine._m_tp_aborts.inc()
-
-
 class _ImcuTableAccess(EngineTableAccess):
     """TableAccess over (row store, IMCU) with query-time patching."""
 
     def _store(self):
-        return self._engine.txn_manager.store(self._table)
+        return self._engine.store(self._table)
 
     def schema(self) -> Schema:
         return self._store().schema

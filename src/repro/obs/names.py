@@ -24,6 +24,7 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "engine.sync_rows",
         "engine.tp_aborts",
         "engine.tp_commits",
+        "engine.tp_rollbacks",
         # simulated network
         "network.delivered",
         "network.dropped",
@@ -109,9 +110,7 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "commit.participant_fanout",
         "commit.piggybacked",
         "commit.single_shard",
-        # transactions
-        "txn.aborts",
-        "txn.commits",
+        # transactions: (a)'s first-committer-wins refusals
         "txn.conflicts",
         # write-ahead log
         "wal.appends",

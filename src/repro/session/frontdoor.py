@@ -40,13 +40,11 @@ from .session import ClientSession, Operation
 def resolve_wal(engine: HTAPEngine) -> WriteAheadLog | None:
     """Find the engine's tunable WAL, if it has one.
 
-    Architectures (a)/(c)/(d) log locally (``engine.wal`` or
-    ``txn_manager.wal``); the distributed-replica architecture (b)
-    replicates through consensus instead and has nothing to tune.
+    Architectures (a)/(c)/(d) log locally (``engine.wal``); the
+    distributed-replica architecture (b) replicates through consensus
+    instead and has nothing to tune.
     """
     wal = getattr(engine, "wal", None)
-    if wal is None:
-        wal = getattr(getattr(engine, "txn_manager", None), "wal", None)
     return wal if isinstance(wal, WriteAheadLog) else None
 
 

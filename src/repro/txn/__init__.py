@@ -1,22 +1,17 @@
-"""Transactions: MVCC snapshot isolation, WAL, recovery."""
+"""Transactions: the write-set commit rules and the write-ahead log.
 
-from .recovery import recover, verify_recovery
-from .transaction import (
-    CommitListener,
-    Transaction,
-    TransactionManager,
-    TxnStatus,
-)
+Every engine's session is :class:`repro.engines.base.WriteSetSession`;
+(a), (c) and (d) commit and recover through
+:class:`repro.engines.base.LoggedEngine` over :class:`WriteAheadLog`.
+"""
+
+from .transaction import coalesce_writes, first_lost_write
 from .wal import WalKind, WalRecord, WriteAheadLog
 
 __all__ = [
-    "CommitListener",
-    "Transaction",
-    "TransactionManager",
-    "TxnStatus",
     "WalKind",
     "WalRecord",
     "WriteAheadLog",
-    "recover",
-    "verify_recovery",
+    "coalesce_writes",
+    "first_lost_write",
 ]

@@ -17,21 +17,21 @@ from repro.analysis.sanitizer import (
     snapshot_isolation,
 )
 from repro.distributed.network import SimNetwork
-from repro.txn.transaction import TransactionManager
+from repro.engines import RowIMCSEngine
 
 from ..distributed import run_until_quiet
 
 
-def make_manager() -> TransactionManager:
-    manager = TransactionManager()
-    manager.create_table(
+def make_engine() -> RowIMCSEngine:
+    engine = RowIMCSEngine()
+    engine.create_table(
         Schema(
             "t",
             [Column("id", DataType.INT64), Column("v", DataType.INT64)],
             ["id"],
         )
     )
-    return manager
+    return engine
 
 
 class TestVectorClock:
@@ -54,101 +54,101 @@ class TestVectorClock:
 
 class TestSnapshotIsolationChecker:
     def test_clean_workload_has_no_violations(self):
-        manager = make_manager()
-        with snapshot_isolation(manager) as checker:
+        engine = make_engine()
+        with snapshot_isolation(engine) as checker:
             for i in range(8):
-                manager.autocommit_insert("t", (i, i * 10))
-            manager.run(lambda txn: txn.update("t", (3, -1)))
-            manager.run(lambda txn: txn.delete("t", 5))
-            txn = manager.begin()
+                engine.insert("t", (i, i * 10))
+            engine.update("t", (3, -1))
+            engine.delete("t", 5)
+            txn = engine.session()
             assert txn.read("t", 3) == (3, -1)
             assert txn.read("t", 5) is None
             assert len(txn.scan("t")) == 7
-            manager.abort(txn)
+            txn.abort()
         assert checker.violations == []
         assert checker.reads_checked > 0
 
     def test_old_snapshot_still_sees_old_version(self):
-        manager = make_manager()
-        with snapshot_isolation(manager) as checker:
-            manager.autocommit_insert("t", (1, 10))
-            txn_old = manager.begin()
-            manager.run(lambda txn: txn.update("t", (1, 20)))
+        engine = make_engine()
+        with snapshot_isolation(engine) as checker:
+            engine.insert("t", (1, 10))
+            txn_old = engine.session()
+            engine.update("t", (1, 20))
             assert txn_old.read("t", 1) == (1, 10)  # snapshot pinned
-            manager.abort(txn_old)
+            txn_old.abort()
         assert checker.violations == []
 
     def test_broken_read_path_is_detected(self):
-        manager = make_manager()
-        store = manager.store("t")
+        engine = make_engine()
+        store = engine.store("t")
         # Deliberately broken visibility: always return the newest
         # version, ignoring the snapshot timestamp.
         store.read = lambda key, snapshot_ts: (
             store._chains[key][-1].row if store._chains.get(key) else None
         )
-        SnapshotIsolationChecker().attach(manager)
-        txn_old = manager.begin()  # snapshot predates the insert below
-        manager.autocommit_insert("t", (42, 1))
+        SnapshotIsolationChecker().attach(engine)
+        txn_old = engine.session()  # snapshot predates the insert below
+        engine.insert("t", (42, 1))
         with pytest.raises(SanitizerViolation, match="si-read"):
             txn_old.read("t", 42)
 
     def test_broken_scan_path_is_detected(self):
-        manager = make_manager()
-        store = manager.store("t")
+        engine = make_engine()
+        store = engine.store("t")
         orig_scan = store.scan
         # Broken scan: evaluates at the newest timestamp it has seen,
         # not the caller's snapshot.
         store.scan = lambda snapshot_ts, predicate=None, **kw: orig_scan(
-            manager.clock.now(), *([predicate] if predicate else []), **kw
+            engine.clock.now(), *([predicate] if predicate else []), **kw
         )
-        SnapshotIsolationChecker().attach(manager)
-        txn_old = manager.begin()
-        manager.autocommit_insert("t", (7, 70))
+        SnapshotIsolationChecker().attach(engine)
+        txn_old = engine.session()
+        engine.insert("t", (7, 70))
         with pytest.raises(SanitizerViolation, match="si-scan"):
             txn_old.scan("t")
 
     def test_commit_install_check_fires_on_lost_install(self):
-        manager = make_manager()
-        store = manager.store("t")
-        checker = SnapshotIsolationChecker().attach(manager)
-        manager.autocommit_insert("t", (1, 10))
+        engine = make_engine()
+        store = engine.store("t")
+        checker = SnapshotIsolationChecker().attach(engine)
+        engine.insert("t", (1, 10))
         store.install_update = lambda key, row, commit_ts: None  # lost write
         with pytest.raises(SanitizerViolation, match="commit-install"):
-            manager.run(lambda txn: txn.update("t", (1, 20)))
+            engine.update("t", (1, 20))
         assert checker.violations
 
     def test_tables_created_after_attach_are_wrapped(self):
-        manager = make_manager()
-        checker = SnapshotIsolationChecker().attach(manager)
-        manager.create_table(
+        engine = make_engine()
+        checker = SnapshotIsolationChecker().attach(engine)
+        engine.create_table(
             Schema("u", [Column("id", DataType.INT64)], ["id"])
         )
-        manager.autocommit_insert("u", (1,))
-        txn = manager.begin()
+        engine.insert("u", (1,))
+        txn = engine.session()
         assert txn.read("u", 1) == (1,)
-        manager.abort(txn)
+        txn.abort()
         assert checker.reads_checked > 0
 
     def test_detach_restores_store_methods(self):
-        manager = make_manager()
-        store = manager.store("t")
-        checker = SnapshotIsolationChecker().attach(manager)
+        engine = make_engine()
+        store = engine.store("t")
+        checker = SnapshotIsolationChecker().attach(engine)
         assert "read" in store.__dict__  # wrapper shadows the class method
         checker.detach()
         for name in ("read", "scan"):
             assert name not in store.__dict__
-        for name in ("commit", "create_table"):
-            assert name not in manager.__dict__
+        for name in ("_commit_writes", "create_table"):
+            assert name not in engine.__dict__
 
     def test_non_strict_mode_collects_instead_of_raising(self):
-        manager = make_manager()
-        store = manager.store("t")
+        engine = make_engine()
+        store = engine.store("t")
         store.read = lambda key, snapshot_ts: (
             store._chains[key][-1].row if store._chains.get(key) else None
         )
-        checker = SnapshotIsolationChecker(strict=False).attach(manager)
-        txn_old = manager.begin()
-        manager.autocommit_insert("t", (9, 9))
+        checker = SnapshotIsolationChecker(strict=False).attach(engine)
+        txn_old = engine.session()
+        engine.insert("t", (9, 9))
         txn_old.read("t", 9)  # no raise
         assert [v.kind for v in checker.violations] == ["si-read"]
 

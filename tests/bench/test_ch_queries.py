@@ -24,10 +24,7 @@ def env():
     # Add churn so delta paths are exercised, then read raw truth.
     TpccWorkload(engine, SCALE, seed=4).run_many(60)
     ts = engine.clock.now()
-    raw = {
-        t: engine.txn_manager.store(t).snapshot_rows(ts)
-        for t in engine.txn_manager.tables()
-    }
+    raw = {t: engine.store(t).snapshot_rows(ts) for t in engine.catalog}
     return engine, raw
 
 

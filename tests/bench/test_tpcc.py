@@ -121,11 +121,11 @@ class TestTransactions:
 
     def test_read_only_txns_leave_no_trace(self, workload):
         engine, wl = workload
-        wal_len = len(engine.txn_manager.wal)
+        wal_len = len(engine.wal)
         wl.run_named("order_status")
         wl.run_named("stock_level")
         # Only BEGIN/ABORT records, no data records.
-        new_records = engine.txn_manager.wal.records[wal_len:]
+        new_records = engine.wal.records[wal_len:]
         assert all(r.kind.value in ("abort",) for r in new_records)
 
     def test_mix_roughly_standard(self):

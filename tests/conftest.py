@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common import Column, CostModel, DataType, Schema
-from repro.txn import TransactionManager
+from repro.engines import RowIMCSEngine
 
 
 def simple_schema(name: str = "t") -> Schema:
@@ -31,14 +31,14 @@ def cost() -> CostModel:
 
 
 @pytest.fixture
-def txn_manager(schema) -> TransactionManager:
-    manager = TransactionManager()
-    manager.create_table(schema)
-    return manager
+def mvcc_engine(schema) -> RowIMCSEngine:
+    """Engine (a), the MVCC one, with ``simple_schema`` created."""
+    engine = RowIMCSEngine()
+    engine.create_table(schema)
+    return engine
 
 
-def populate(manager: TransactionManager, table: str, n: int) -> None:
-    txn = manager.begin()
-    for i in range(n):
-        txn.insert(table, (i, float(i) * 2.0, f"tag{i % 5}"))
-    manager.commit(txn)
+def populate(engine: RowIMCSEngine, table: str, n: int) -> None:
+    with engine.session() as txn:
+        for i in range(n):
+            txn.insert(table, (i, float(i) * 2.0, f"tag{i % 5}"))

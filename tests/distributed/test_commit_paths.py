@@ -35,7 +35,7 @@ from repro.distributed import (
     WriteOp,
     hash_point,
 )
-from repro.txn.transaction import TransactionManager
+from repro.engines import RowIMCSEngine
 from ..oracle.two_phase import attach_two_phase
 
 ACCT = Schema(
@@ -623,31 +623,29 @@ class TestCommitPathChaos:
         """Both sanitizers at once: MVCC reads stay snapshot-correct
         while the fast commit paths and a split run alongside."""
         cluster = make_cluster()
-        manager = TransactionManager()
-        manager.create_table(ACCT)
-        with happens_before(cluster.network) as hb, snapshot_isolation(
-            manager
-        ) as si:
+        engine = RowIMCSEngine()
+        engine.create_table(ACCT)
+        with happens_before(cluster.network) as hb, snapshot_isolation(engine) as si:
             for i in range(20):
                 cluster.insert("acct", (i, float(i)))
             for i in range(10):
-                manager.autocommit_insert("acct", (i, 100.0))
+                engine.insert("acct", (i, 100.0))
             split = ShardSplit(cluster, 0)
             k1, k2 = two_shard_keys(cluster)
             conflicts = 0
             round_i = 0
             while not split.done:
                 split.step()
-                t1 = manager.begin()
-                t2 = manager.begin()
+                t1 = engine.session()
+                t2 = engine.session()
                 key = round_i % 10
                 row = t1.read("acct", key)
                 t1.update("acct", (key, row[1] + 1.0))
                 row2 = t2.read("acct", key)
                 t2.update("acct", (key, row2[1] - 1.0))
-                manager.commit(t1)
+                t1.commit()
                 try:
-                    manager.commit(t2)
+                    t2.commit()
                 except WriteConflictError:
                     conflicts += 1
                 # Piggybacked cluster traffic with commit rounds in flight

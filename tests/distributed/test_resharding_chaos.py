@@ -20,7 +20,7 @@ from repro.distributed import (
     WriteKind,
     WriteOp,
 )
-from repro.txn.transaction import TransactionManager
+from repro.engines import RowIMCSEngine
 
 
 def make_cluster(n_regions=None, seed=23):
@@ -190,37 +190,35 @@ class TestMvccVisibilityDuringSplit:
         """The MVCC path stays visibly correct while a cluster split
         runs interleaved with it (the sanitizers watch both worlds)."""
         cluster = make_cluster()
-        manager = TransactionManager()
-        manager.create_table(
+        engine = RowIMCSEngine()
+        engine.create_table(
             Schema(
                 "acct",
                 [Column("id", DataType.INT64), Column("bal", DataType.FLOAT64)],
                 ["id"],
             )
         )
-        with happens_before(cluster.network) as hb, snapshot_isolation(
-            manager
-        ) as si:
+        with happens_before(cluster.network) as hb, snapshot_isolation(engine) as si:
             for i in range(20):
                 cluster.insert("acct", (i, float(i)))
             split = ShardSplit(cluster, 0)
             for i in range(10):
-                manager.autocommit_insert("acct", (i, 100.0))
+                engine.insert("acct", (i, 100.0))
             conflicts = 0
             round_i = 0
             while not split.done:
                 split.step()
                 # One conflicting MVCC round between each split phase.
-                t1 = manager.begin()
-                t2 = manager.begin()
+                t1 = engine.session()
+                t2 = engine.session()
                 key = round_i % 10
                 row = t1.read("acct", key)
                 t1.update("acct", (key, row[1] + 1.0))
                 row2 = t2.read("acct", key)
                 t2.update("acct", (key, row2[1] - 1.0))
-                manager.commit(t1)
+                t1.commit()
                 try:
-                    manager.commit(t2)
+                    t2.commit()
                 except WriteConflictError:
                     conflicts += 1
                 round_i += 1

@@ -12,7 +12,7 @@ step.
 from repro.analysis.sanitizer import happens_before, snapshot_isolation
 from repro.common import Column, DataType, Schema, WriteConflictError
 from repro.distributed import DistributedCluster
-from repro.txn.transaction import TransactionManager
+from repro.engines import RowIMCSEngine
 
 
 def make_cluster(**kwargs):
@@ -66,36 +66,36 @@ class TestChaosUnderHappensBefore:
 
 class TestChaosUnderSnapshotIsolation:
     def test_conflict_heavy_workload_stays_visible(self):
-        manager = TransactionManager()
-        manager.create_table(
+        engine = RowIMCSEngine()
+        engine.create_table(
             Schema(
                 "acct",
                 [Column("id", DataType.INT64), Column("bal", DataType.FLOAT64)],
                 ["id"],
             )
         )
-        with snapshot_isolation(manager) as checker:
+        with snapshot_isolation(engine) as checker:
             for i in range(10):
-                manager.autocommit_insert("acct", (i, 100.0))
+                engine.insert("acct", (i, 100.0))
             # Interleaved writers forcing first-committer-wins aborts.
             conflicts = 0
             for round_i in range(20):
-                t1 = manager.begin()
-                t2 = manager.begin()
+                t1 = engine.session()
+                t2 = engine.session()
                 key = round_i % 10
                 row = t1.read("acct", key)
                 t1.update("acct", (key, row[1] + 1.0))
                 row2 = t2.read("acct", key)
                 t2.update("acct", (key, row2[1] - 1.0))
-                manager.commit(t1)
+                t1.commit()
                 try:
-                    manager.commit(t2)
+                    t2.commit()
                 except WriteConflictError:
                     conflicts += 1
                 # Old snapshots opened before the commits stay pinned.
-                manager.vacuum_all()
+                engine.vacuum()
             assert conflicts == 20  # every t2 loses first-committer-wins
-            total = sum(r[1] for r in manager.begin().scan("acct"))
+            total = sum(r[1] for r in engine.session().scan("acct"))
             assert total == 100.0 * 10 + 20  # only the +1 writers landed
         assert checker.violations == []
         assert checker.reads_checked > 0

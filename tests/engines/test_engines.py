@@ -190,20 +190,31 @@ def test_failed_commit_is_atomic(cat, lost):
 @pytest.mark.parametrize("cat", ALL)
 def test_lost_commit_counts_one_abort(cat):
     """``engine.tp_aborts`` means the same on four engines: a commit
-    refused with TransactionAborted is one abort (and no commit)."""
+    refused with TransactionAborted is one abort (and no commit), and a
+    client's own rollback is one ``engine.tp_rollbacks`` and no abort."""
     engine, _rows = build(cat, n=10)
     winner, loser = engine.session(), engine.session()
     loser.insert("orders", (500, 2, 2.0, "w"))
     winner.insert("orders", (500, 1, 9.0, "e"))
     winner.commit()
     registry = get_registry()
-    aborts = registry.counter("engine.tp_aborts", engine=engine.info.name)
-    commits = registry.counter("engine.tp_commits", engine=engine.info.name)
-    before = aborts.value, commits.value
+    counters = [
+        registry.counter(name, engine=engine.info.name)
+        for name in ("engine.tp_aborts", "engine.tp_commits", "engine.tp_rollbacks")
+    ]
+
+    def counts():
+        return [c.value for c in counters]
+
+    before = counts()
     with pytest.raises(TransactionAborted):
         loser.commit()
     assert loser.finished
-    assert (aborts.value, commits.value) == (before[0] + 1, before[1])
+    assert counts() == [before[0] + 1, before[1], before[2]]
+    reader = engine.session()
+    reader.read("orders", 3)
+    reader.abort()
+    assert counts() == [before[0] + 1, before[1], before[2] + 1]
 
 
 class TestFreshSemantics:
@@ -261,7 +272,7 @@ class TestArchitectureSpecific:
         engine.bulk_load("t", [(i, i % 100) for i in range(200)])
         sql = "SELECT id FROM t WHERE v = 3"
         assert "column_scan" in engine.explain(sql)
-        engine.txn_manager.store("t").create_index("v")
+        engine.store("t").create_index("v")
         assert "index_lookup" in engine.explain(sql)
         assert sorted(engine.query(sql).rows) == [(3,), (103,)]
 

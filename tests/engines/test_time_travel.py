@@ -56,7 +56,7 @@ class TestTimeTravel:
 
     def test_vacuum_limits_history(self):
         engine, marks = setup_engine()
-        engine.txn_manager.vacuum_all()
+        engine.vacuum()
         past = engine.time_travel_query("SELECT SUM(bal) FROM acct", marks["loaded"])
         # Old versions reclaimed: the historical answer is gone (only
         # current versions remain) — exactly undo-retention semantics.

@@ -164,6 +164,27 @@ def test_engines_say_only_what_differs():
         assert isinstance(engine.catalog["t"], TableAccess), category
 
 
+def test_one_transaction_implementation():
+    """Every engine's session is the one write-set session, and the
+    second implementation (a)'s MVCC transaction manager was stays
+    gone."""
+    import repro.txn
+    from repro.common import Column, DataType, Schema
+    from repro.engines import make_engine
+    from repro.engines.base import WriteSetSession
+
+    for category in "abcd":
+        engine = make_engine(category)
+        engine.create_table(Schema("t", [Column("id", DataType.INT64)], ["id"]))
+        assert type(engine.session()) is WriteSetSession, category
+    gone = {
+        "CommitListener", "Transaction", "TransactionManager", "TxnStatus",
+        "recover", "verify_recovery",
+    }
+    assert gone.isdisjoint(repro.txn.__all__)
+    assert not any(hasattr(repro.txn, name) for name in gone)
+
+
 def _source_trees():
     """``repro``'s root and every module's AST, keyed by its path in it."""
     import ast

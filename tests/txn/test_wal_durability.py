@@ -9,7 +9,7 @@ verify logging completeness against a live engine).
 import pytest
 
 from repro.common import Column, DataType, Schema
-from repro.txn import TransactionManager, recover
+from repro.engines import RowIMCSEngine
 from repro.txn.wal import WalKind, WriteAheadLog
 
 
@@ -21,12 +21,16 @@ def make_schema():
     )
 
 
-def make_manager(group_commit_size: int) -> TransactionManager:
-    tm = TransactionManager(
-        wal=WriteAheadLog(group_commit_size=group_commit_size)
-    )
-    tm.create_table(make_schema())
-    return tm
+def make_engine(group_commit_size: int) -> RowIMCSEngine:
+    engine = RowIMCSEngine(group_commit_size=group_commit_size)
+    engine.create_table(make_schema())
+    return engine
+
+
+def recovered_keys(engine: RowIMCSEngine, **kwargs) -> set:
+    """Keys of the engine rebuilt from ``engine``'s log."""
+    recovered = RowIMCSEngine.recover(engine.wal, [make_schema()], **kwargs)
+    return {r[0] for r in recovered.store("acct").snapshot_rows(engine.clock.now())}
 
 
 class TestDurableLsn:
@@ -87,41 +91,30 @@ class TestDurableLsn:
 
 class TestCrashRecovery:
     def test_unforced_commits_are_not_replayed_by_default(self):
-        tm = make_manager(group_commit_size=4)
+        engine = make_engine(group_commit_size=4)
         for i in range(6):
-            tm.autocommit_insert("acct", (i, float(i)))
+            engine.insert("acct", (i, float(i)))
         # 4 commits filled one batch (durable); 2 sit unforced.
-        assert tm.wal.unforced_commits() == 2
-        stores = recover(tm.wal, {"acct": make_schema()})
-        recovered = stores["acct"].snapshot_rows(tm.clock.now())
-        assert len(recovered) == 4
-        assert {r[0] for r in recovered} == {0, 1, 2, 3}
+        assert engine.wal.unforced_commits() == 2
+        assert recovered_keys(engine) == {0, 1, 2, 3}
 
     def test_include_unforced_replays_the_tail(self):
-        tm = make_manager(group_commit_size=4)
+        engine = make_engine(group_commit_size=4)
         for i in range(6):
-            tm.autocommit_insert("acct", (i, float(i)))
-        stores = recover(
-            tm.wal, {"acct": make_schema()}, include_unforced=True
-        )
-        assert len(stores["acct"].snapshot_rows(tm.clock.now())) == 6
+            engine.insert("acct", (i, float(i)))
+        assert len(recovered_keys(engine, include_unforced=True)) == 6
 
     def test_clean_shutdown_loses_nothing(self):
-        tm = make_manager(group_commit_size=4)
+        engine = make_engine(group_commit_size=4)
         for i in range(6):
-            tm.autocommit_insert("acct", (i, float(i)))
-        tm.wal.force()  # clean shutdown flushes the tail
-        stores = recover(tm.wal, {"acct": make_schema()})
-        assert len(stores["acct"].snapshot_rows(tm.clock.now())) == 6
+            engine.insert("acct", (i, float(i)))
+        engine.wal.force()  # clean shutdown flushes the tail
+        assert len(recovered_keys(engine)) == 6
 
     def test_aborted_txn_never_recovered_even_with_unforced(self):
-        tm = make_manager(group_commit_size=4)
-        tm.autocommit_insert("acct", (1, 1.0))
-        txn = tm.begin()
+        engine = make_engine(group_commit_size=4)
+        engine.insert("acct", (1, 1.0))
+        txn = engine.session()
         txn.insert("acct", (2, 2.0))
         txn.abort()
-        stores = recover(
-            tm.wal, {"acct": make_schema()}, include_unforced=True
-        )
-        recovered = stores["acct"].snapshot_rows(tm.clock.now())
-        assert {r[0] for r in recovered} == {1}
+        assert recovered_keys(engine, include_unforced=True) == {1}
