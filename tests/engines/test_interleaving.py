@@ -1,12 +1,22 @@
 """Interleaved sessions on four engines, judged by an Adya-style search.
 
 Generated schedules run 2–4 sessions over at most five keys of one
-table, interleaved statement by statement: reads, scans, blind updates
-and read-modify-writes (TPC-C's ``d_next_o_id`` shape), every update
+table, some of them absent at the start, interleaved statement by
+statement: reads, scans, blind updates, read-modify-writes (TPC-C's
+``d_next_o_id`` shape), inserts and deletes, every insert or update
 writing a value no other write uses, each session ending in a commit
-or a rollback.  ``tests/oracle/history.py`` maps every read to its
-writer and reports G0, G1a/b/c and lost updates; write skew is
-permitted.  ROADMAP item 2's two-session lost-update probe is the named
+or a rollback.  A statement the session refuses (an update or delete
+of a key it sees absent, an insert of a key it has written) is left
+out of the history.  ``tests/oracle/history.py`` maps every read of a
+present key to its writer and reports G0, G1a/b/c and lost updates;
+write skew is permitted.  ROADMAP item 2's two-session lost-update
+probe is a named case.
+
+The same schedules are replayed commit by commit: on every engine, the
+committed transactions taken in commit order must each find their
+inserted keys absent and their updated or deleted keys present, and
+must end in the state the table holds.  So when two sessions insert one
+key, exactly one commits; the two-session insert race is the named
 case.
 
 (a) runs snapshot isolation with first-committer-wins and passes.
@@ -21,7 +31,14 @@ import random
 
 import pytest
 
-from repro.common import Column, DataType, Schema, TransactionAborted
+from repro.common import (
+    Column,
+    DataType,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    Schema,
+    TransactionAborted,
+)
 from repro.engines import make_engine
 
 from ..oracle.history import TxnRecord, anomalies
@@ -32,6 +49,7 @@ LOST_UPDATE = pytest.mark.xfail(
     reason="ROADMAP item 2: commit validation checks only that an updated "
     "key exists, so a concurrent update of the version read is lost",
 )
+ALL = ["a", "b", "c", "d"]
 ENGINES = [
     "a",
     pytest.param("b", marks=LOST_UPDATE),
@@ -42,6 +60,7 @@ SCHEMA = Schema(
     "t", [Column("id", DataType.INT64), Column("v", DataType.INT64)], ["id"]
 )
 SCHEDULES = 60
+OPS = ("read", "write", "rmw", "rmw", "scan", "insert", "delete")
 
 
 def build(cat):
@@ -51,16 +70,15 @@ def build(cat):
 
 
 def generate(rng: random.Random):
-    """One schedule: ``(n_keys, steps)``, where a step is ``(session,
-    op, key)`` with op one of read / scan / write / rmw / commit /
-    abort, and each session's last step ends it."""
+    """One schedule: ``(n_keys, absent, steps)``, where ``absent`` holds
+    the keys missing at the start and a step is ``(session, op, key)``
+    with op one of read / scan / write / rmw / insert / delete / commit
+    / abort, and each session's last step ends it."""
     n_keys = rng.randint(1, 5)
+    absent = {key for key in range(n_keys) if rng.random() < 0.3}
     scripts = []
     for _ in range(rng.randint(2, 4)):
-        body = [
-            (rng.choice(("read", "write", "rmw", "rmw", "scan")), rng.randrange(n_keys))
-            for _ in range(rng.randint(1, 4))
-        ]
+        body = [(rng.choice(OPS), rng.randrange(n_keys)) for _ in range(rng.randint(1, 4))]
         body.append(("abort" if rng.random() < 0.15 else "commit", None))
         scripts.append(body)
     steps = []
@@ -70,46 +88,90 @@ def generate(rng: random.Random):
         i = rng.choice(live)
         steps.append((i, *scripts[i][cursors[i]]))
         cursors[i] += 1
-    return n_keys, steps
+    return n_keys, absent, steps
 
 
-def run_schedule(engine, n_keys, steps, values):
-    """Run one schedule; ``(history, initial, final)`` as the client
-    saw it."""
-    initial = {key: next(values) for key in range(n_keys)}
+def run_schedule(engine, n_keys, absent, steps, values):
+    """Run one schedule; ``(history, initial, final, committed)`` as the
+    client saw it, where ``committed`` lists each committed session's
+    writes ``(kind, key, value)`` in commit order (a delete's value is
+    None)."""
+    initial = {key: next(values) for key in range(n_keys) if key not in absent}
     with engine.session() as setup:
-        for key, value in initial.items():
-            if setup.read("t", key) is None:
-                setup.insert("t", (key, value))
-            else:
-                setup.update("t", (key, value))
-    sessions, history = {}, {}
+        for key in range(n_keys):
+            present = setup.read("t", key) is not None
+            if key in initial and present:
+                setup.update("t", (key, initial[key]))
+            elif key in initial:
+                setup.insert("t", (key, initial[key]))
+            elif present:
+                setup.delete("t", key)
+    sessions, history, writes, committed = {}, {}, {}, []
     commits = itertools.count()
     for i, op, key in steps:
         if i not in sessions:
-            sessions[i], history[i] = engine.session(), TxnRecord(f"T{i}")
+            sessions[i], history[i], writes[i] = engine.session(), TxnRecord(f"T{i}"), []
         session, record = sessions[i], history[i]
+        row = None
         if op in ("read", "rmw"):
-            record.read(key, session.read("t", key)[1])
+            row = session.read("t", key)
+            if row is not None:
+                record.read(key, row[1])
         elif op == "scan":
             for k, v in sorted(session.scan("t")):
                 if k < n_keys:
                     record.read(k, v)
-        if op in ("write", "rmw"):
+        if op in ("write", "insert") or (op == "rmw" and row is not None):
             value = next(values)
-            session.update("t", (key, value))
+            try:
+                if op == "insert":
+                    session.insert("t", (key, value))
+                else:
+                    session.update("t", (key, value))
+            except (DuplicateKeyError, KeyNotFoundError):
+                continue
             record.write(key, value)
+            writes[i].append((op if op == "insert" else "update", key, value))
+        elif op == "delete":
+            try:
+                session.delete("t", key)
+            except KeyNotFoundError:
+                continue
+            record.write(key, -next(values))  # a value no read can see
+            writes[i].append(("delete", key, None))
         elif op == "abort":
             session.abort()
         elif op == "commit":
             try:
                 session.commit()
-            except TransactionAborted:
+            except (TransactionAborted, DuplicateKeyError):
                 continue
             record.committed_at = next(commits)
+            committed.append(writes[i])
     with engine.session() as check:
-        final = {key: check.read("t", key)[1] for key in initial}
-    return [history[i] for i in sorted(history)], initial, final
+        rows = {key: check.read("t", key) for key in range(n_keys)}
+    final = {key: row[1] for key, row in rows.items() if row is not None}
+    return [history[i] for i in sorted(history)], initial, final, committed
+
+
+def replay(initial, committed):
+    """The committed write sets applied in commit order to ``initial``:
+    ``(refusals, state)``, where ``refusals`` lists each write that
+    found its key in the wrong state (an insert of a present key, an
+    update or delete of an absent one) — judged, as a commit validates,
+    at the first write of each key in its transaction."""
+    state, refusals = dict(initial), []
+    for n, writes in enumerate(committed):
+        seen = set()
+        for kind, key, value in writes:
+            if key not in seen and (key in state) == (kind == "insert"):
+                refusals.append((n, kind, key))
+            seen.add(key)
+            if kind == "delete":
+                state.pop(key, None)
+            else:
+                state[key] = value
+    return refusals, state
 
 
 @pytest.mark.parametrize("cat", ENGINES)
@@ -119,10 +181,11 @@ def test_generated_schedules_show_no_anomaly(cat):
     values = itertools.count(1)
     failures = []
     for n in range(SCHEDULES):
-        n_keys, steps = generate(rng)
-        found = anomalies(*run_schedule(engine, n_keys, steps, values))
+        schedule = generate(rng)
+        history, initial, final, _committed = run_schedule(engine, *schedule, values)
+        found = anomalies(history, initial, final)
         if found:
-            failures.append((n, steps, found))
+            failures.append((n, schedule, found))
     assert not failures, failures[0]
 
 
@@ -147,6 +210,46 @@ def test_two_session_lost_update(cat):
             pass
     with engine.session() as check:
         assert check.read("t", 1)[1] == 10 + committed
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_generated_schedules_replay_in_commit_order(cat):
+    """Every engine validates an insert, update or delete against the
+    key's committed state, so its commits replay in commit order with
+    no refusal, and end in the state the table holds."""
+    engine = build(cat)
+    rng = random.Random(2024)
+    values = itertools.count(1)
+    failures = []
+    for n in range(SCHEDULES):
+        _history, initial, final, committed = run_schedule(
+            engine, *generate(rng), values
+        )
+        refusals, state = replay(initial, committed)
+        if refusals or state != final:
+            failures.append((n, refusals, state, final))
+    assert not failures, failures[0]
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_two_session_insert_race(cat):
+    """Two sessions insert the absent ``t[1]`` and both commit: exactly
+    one commit goes through, and the row holds its value."""
+    engine = build(cat)
+    first, second = engine.session(), engine.session()
+    for s, v in ((first, 10), (second, 20)):
+        assert s.read("t", 1) is None
+        s.insert("t", (1, v))
+    outcomes = []
+    for s in (first, second):
+        try:
+            s.commit()
+            outcomes.append(True)
+        except TransactionAborted:
+            outcomes.append(False)
+    assert outcomes == [True, False]
+    with engine.session() as check:
+        assert check.read("t", 1) == (1, 10)
 
 
 class TestChecker:
