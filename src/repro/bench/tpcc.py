@@ -153,7 +153,7 @@ class TpccLoader:
         for w in range(1, s.warehouses + 1):
             engine.bulk_load("warehouse", [(
                 w, f"wh{w}", random_string(rng, 2, 2).upper(),
-                round(rng.uniform(0.0, 0.2), 4), 300_000.0,
+                round(rng.uniform(0.0, 0.2), 4), s.districts * 30_000.0,
             )])
             engine.bulk_load("stock", [
                 (
@@ -361,10 +361,6 @@ class TpccWorkload:
             district = s.read("district", (w, d))
             assert district is not None
             next_o_id = district[5]
-            s.prefetch(chain(
-                [("orders", (w, d, next_o_id)), ("new_order", (w, d, next_o_id))],
-                (("order_line", (w, d, next_o_id, n)) for n in range(1, ol_cnt + 1)),
-            ))
             s.update("district", (*district[:5], next_o_id + 1))
             self._day += 1
             s.insert("orders", (w, d, next_o_id, c, self._day, None, ol_cnt, 1))
@@ -445,34 +441,41 @@ class TpccWorkload:
     # --------------------------------------------------------------- Delivery
 
     def txn_delivery(self) -> None:
+        """One BatchGet per dependency level: the districts, their order
+        windows, then the lines and customers of the oldest new orders."""
         w = self.rng.randrange(1, self.scale.warehouses + 1)
         carrier = self.rng.randrange(1, 11)
+        districts = range(1, self.scale.districts + 1)
         with self.engine.session() as s:
-            s.prefetch(("district", (w, d)) for d in range(1, self.scale.districts + 1))
-            for d in range(1, self.scale.districts + 1):
-                district = s.read("district", (w, d))
-                window = range(1, district[5])
-                s.prefetch(
-                    (table, (w, d, o_id)) for o_id in window for table in ("new_order", "orders")
+            s.prefetch(("district", (w, d)) for d in districts)
+            windows = {d: range(1, s.read("district", (w, d))[5]) for d in districts}
+            s.prefetch(
+                (table, (w, d, o_id))
+                for d, window in windows.items()
+                for o_id in window
+                for table in ("new_order", "orders")
+            )
+            oldest = {
+                d: next((o for o in window if s.read("new_order", (w, d, o))), None)
+                for d, window in windows.items()
+            }
+            orders = [s.read("orders", (w, d, o)) for d, o in oldest.items() if o is not None]
+            s.prefetch(
+                pair
+                for order in orders
+                for pair in (
+                    *(("order_line", (*order[:3], n)) for n in range(1, order[6] + 1)),
+                    ("customer", (w, order[1], order[3])),
                 )
-                oldest = None
-                for o_id in window:
-                    if s.read("new_order", (w, d, o_id)) is not None:
-                        oldest = o_id
-                        break
-                if oldest is None:
-                    continue
-                s.delete("new_order", (w, d, oldest))
-                order = s.read("orders", (w, d, oldest))
-                s.prefetch(chain(
-                    (("order_line", (w, d, oldest, n)) for n in range(1, order[6] + 1)),
-                    [("customer", (w, d, order[3]))],
-                ))
+            )
+            for order in orders:
+                _w, d, o_id = order[:3]
+                s.delete("new_order", (w, d, o_id))
                 s.update("orders", (*order[:5], carrier, *order[6:]))
                 self._day += 1
                 total = 0.0
                 for number in range(1, order[6] + 1):
-                    line = s.read("order_line", (w, d, oldest, number))
+                    line = s.read("order_line", (w, d, o_id, number))
                     if line is None:
                         continue
                     total += line[8]

@@ -53,6 +53,10 @@ class WriteConflictError(TransactionAborted):
         self.key = key
 
 
+class DuplicateKeyAborted(TransactionAborted, DuplicateKeyError):
+    """A commit refused because a key it inserts is already committed."""
+
+
 class QueryError(ReproError):
     """A query could not be parsed, planned, or executed."""
 

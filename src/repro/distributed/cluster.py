@@ -65,7 +65,7 @@ from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..obs import get_registry
 from ..storage.column_store import ColumnScanResult
-from ..txn.transaction import first_lost_write
+from ..txn.transaction import first_lost_write, refusal
 from .metadata import MetadataService, PlacementPolicy, ShardMap, hash_point
 from .network import SimNetwork
 from .raft import Proposal, RaftGroup, await_commit
@@ -156,7 +156,8 @@ class RegionStateMachine:
         self.rows: dict[str, dict[Key, Row]] = {t: {} for t in schemas}
         #: Durably staged writes awaiting their "resolve".
         self.intents: dict[int, tuple[list[WriteOp], Timestamp]] = {}
-        self.vote_log: dict[int, bool] = {}
+        #: txn id -> None (a YES vote) or the staged write its intent lost on.
+        self.vote_log: dict[int, tuple | None] = {}
         self.last_commit_ts: Timestamp = 0
         self.applied_commands = 0
 
@@ -167,9 +168,8 @@ class RegionStateMachine:
             # PREPARED + the write intent durably logged in one command,
             # decided by "resolve".
             _op, txn_id, writes, commit_ts = command
-            ok = self._validate(writes)
-            self.vote_log[txn_id] = ok
-            if ok:
+            lost = self.vote_log[txn_id] = self._validate(writes)
+            if lost is None:
                 self.intents[txn_id] = (writes, commit_ts)
         elif op == "commit1p":
             # Single-shard 1PC fast path: the leader validated before
@@ -217,10 +217,10 @@ class RegionStateMachine:
         else:
             raise TwoPhaseCommitError(f"unknown region command {op!r}")
 
-    def _validate(self, writes: list[WriteOp]) -> bool:
+    def _validate(self, writes: list[WriteOp]) -> tuple | None:
         rows = self.rows
         staged = [(w.kind.value, w.table, w.key) for w in writes]
-        return first_lost_write(staged, lambda table, key: key in rows[table]) is None
+        return first_lost_write(staged, lambda table, key: key in rows[table])
 
     def _install(self, writes: list[WriteOp], commit_ts: Timestamp) -> None:
         for w in writes:
@@ -477,7 +477,8 @@ class DistributedCluster:
         self, writes: list[WriteOp], router: Router | None = None
     ) -> Timestamp:
         """Commit ``writes`` atomically; raises TransactionAborted on
-        validation failure at any shard.  Routed through ``router``
+        validation failure at any shard (DuplicateKeyAborted when an
+        insert's key is present).  Routed through ``router``
         (the cluster's co-located router by default) with the full
         stale-epoch retry protocol."""
         self._build()
@@ -540,9 +541,9 @@ class DistributedCluster:
         fsync instead of two."""
         txn_id = self.piggyback.allocate_txn_id()
         self.cost.charge(self.cost.network_rtt_us)
-        if not self._leader_sm(sid)._validate(writes):
+        if lost := self._leader_sm(sid)._validate(writes):
             self.aborts += 1
-            raise TransactionAborted(txn_id, "shard validation failed")
+            raise refusal(txn_id, lost)
         self._charge_group_write(sid, len(writes))
         self._groups[sid].propose_and_wait(
             ("commit1p", txn_id, writes, commit_ts)
@@ -567,7 +568,10 @@ class DistributedCluster:
         result = self.piggyback.execute(payloads, participants)
         if result.outcome is TxnOutcome.ABORTED:
             self.aborts += 1
-            raise TransactionAborted(result.txn_id, "shard validation failed")
+            lost = [p.lost for p in participants.values() if p.lost]
+            if not lost:
+                raise TransactionAborted(result.txn_id, "shard validation failed")
+            raise refusal(result.txn_id, lost[0])
 
     def bulk_load(
         self, table: str, rows: list[Row], router: Router | None = None
@@ -795,6 +799,8 @@ class _RaftRegionParticipant:
         self._group = cluster._groups[region]
         self._in_flight = in_flight
         self._n_writes = 0
+        #: What the intent's validation logged (``vote_log``).
+        self.lost: tuple | None = ()
 
     def intent(self, txn_id: int, payload: Any) -> None:
         writes, commit_ts = payload
@@ -806,8 +812,9 @@ class _RaftRegionParticipant:
         if self._in_flight:
             await_commit(self._in_flight)
             self._in_flight.clear()
-        ok = self._cluster._leader_sm(self._region).vote_log.get(txn_id, False)
-        return Vote.YES if ok else Vote.NO
+        voted = self._cluster._leader_sm(self._region).vote_log
+        self.lost = voted.get(txn_id, ())  # (): no vote logged, a NO
+        return Vote.YES if self.lost is None else Vote.NO
 
     def resolve(self, txn_id: int, committed: bool) -> None:
         """Propose the commit round at decision time and return: the

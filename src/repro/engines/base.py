@@ -72,7 +72,7 @@ from ..query.optimizer import Planner, PhysicalPlan
 from ..query.parser import parse
 from ..query.plan_cache import CachedPlan, PlanCache, param_signature
 from ..query.scan_cache import ScanCache
-from ..txn.transaction import coalesce_writes, first_lost_write
+from ..txn.transaction import coalesce_writes, first_lost_write, first_writes, refusal
 from ..txn.wal import WalKind, WriteAheadLog
 
 _WAL_KIND = {
@@ -142,8 +142,10 @@ class WriteSetSession(EngineSession):
     committed state at :attr:`read_ts` under this transaction's own
     writes; writes are staged as ``(kind, table, key, row)`` in order,
     uncoalesced, and handed to the engine at commit.  The engine
-    validates them before anything is logged or installed.  A commit
-    it refuses with :class:`TransactionAborted` counts one
+    validates them before anything is logged or installed; an insert's
+    key meets committed state only there (``DuplicateKeyAborted``), as
+    TiDB checks an optimistic transaction's unique keys.  A commit it
+    refuses with :class:`TransactionAborted` counts one
     ``engine.tp_aborts``; a client's own :meth:`abort` counts one
     ``engine.tp_rollbacks``.
 
@@ -201,12 +203,13 @@ class WriteSetSession(EngineSession):
         return list(rows.values())
 
     def _stage(self, kind: str, table: str, key: Key, row: Row | None) -> None:
-        """Stage one write; an insert needs ``key`` absent from this
-        transaction's view, an update or delete needs it present."""
-        exists = self.read(table, key) is not None
-        if exists and kind == "insert":
-            raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
-        if not exists and kind != "insert":
+        """Stage one write.  An insert needs ``key`` absent from this
+        transaction's own writes (the engine checks committed state at
+        commit); an update or delete needs it present in the view."""
+        if kind == "insert":
+            if self._view.get((table, key)) is not None:
+                raise DuplicateKeyError(f"key {key!r} already exists in {table!r}")
+        elif self.read(table, key) is None:
             raise KeyNotFoundError(f"key {key!r} not found in {table!r}")
         self._writes.append((kind, table, key, row))
         self._view[(table, key)] = row
@@ -618,12 +621,13 @@ class LoggedEngine(HTAPEngine):
         :func:`first_lost_write` over :meth:`_contains_key`."""
         lost = first_lost_write(writes, self._contains_key)
         if lost is not None:
-            kind, table, key, _row = lost
-            raise TransactionAborted(
-                txn_id, f"{kind} of key {key!r} in {table!r} lost to a concurrent commit"
-            )
+            raise refusal(txn_id, lost)
 
     def _commit_writes(self, txn_id: int, writes, read_ts: Timestamp) -> Timestamp:
+        # An insert's key was checked only against the session's writes.
+        for kind, table, key, _row in first_writes(writes):
+            if kind == "insert" and self._read_committed(table, key, read_ts) is not None:
+                raise refusal(txn_id, (kind, table, key))
         self._validate(txn_id, writes, read_ts)
         self._open.pop(txn_id, None)
         before = self.cost.now_us()

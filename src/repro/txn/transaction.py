@@ -9,9 +9,22 @@ it nets out to.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
+from ..common.errors import DuplicateKeyAborted, TransactionAborted
 from ..common.types import Key
+
+
+def first_writes(writes: Iterable[tuple]) -> Iterator[tuple]:
+    """Each key's first staged ``(kind, table, key, ...)`` write, in
+    staged order: the one a commit validates.  Later writes of the key
+    were staged against the transaction's own view of it."""
+    seen: set[tuple[str, Key]] = set()
+    for write in writes:
+        pair = (write[1], write[2])
+        if pair not in seen:
+            seen.add(pair)
+            yield write
 
 
 def first_lost_write(
@@ -20,20 +33,24 @@ def first_lost_write(
     """Commit-time validation for transactions that read the latest
     committed state instead of a snapshot (the engines' write-set
     sessions, the cluster's region state machines): of the staged
-    ``(kind, table, key, ...)`` writes, in staged order, the first that
-    lost a race against ``exists(table, key)`` — an insert needs its
-    key absent, an update or delete needs it present — or None.  Only
-    a key's first write is checked; later ones were staged against the
-    transaction's own view of it."""
-    seen: set[tuple[str, Key]] = set()
-    for write in writes:
-        kind, table, key = write[:3]
-        if (table, key) in seen:
-            continue
-        seen.add((table, key))
-        if exists(table, key) == (kind == "insert"):
+    :func:`first_writes`, the first that lost a race against
+    ``exists(table, key)``, or None.  An insert needs its key absent
+    (its session checked it only against its own writes); an update or
+    delete needs it present."""
+    for write in first_writes(writes):
+        if exists(write[1], write[2]) == (write[0] == "insert"):
             return write
     return None
+
+
+def refusal(txn_id: int, lost: tuple) -> TransactionAborted:
+    """The error of a commit refused on its staged write ``lost``."""
+    kind, table, key = lost[:3]
+    if kind == "insert":
+        return DuplicateKeyAborted(txn_id, f"key {key!r} already exists in {table!r}")
+    return TransactionAborted(
+        txn_id, f"{kind} of key {key!r} in {table!r} lost to a concurrent commit"
+    )
 
 
 def coalesce_writes(writes: list[tuple]) -> list[tuple]:

@@ -197,3 +197,28 @@ class TestBenchmarkSuiteExtensions:
         top_share = sum(1 for i in skewed_picks if i <= 3) / 300
         uniform_share = sum(1 for i in uniform_picks if i <= 3) / 300
         assert top_share > 2 * max(uniform_share, 0.03)
+
+
+def ytd_gaps(engine) -> dict[int, float]:
+    """Warehouse -> ``W_YTD`` less the sum of its districts' ``D_YTD``,
+    read on the row path."""
+    with engine.session() as s:
+        gaps = {w[0]: w[4] for w in s.scan("warehouse")}
+        for d in s.scan("district"):
+            gaps[d[0]] -= d[4]
+    return gaps
+
+
+@pytest.mark.parametrize("cat", ["a", "b", "c", "d"])
+def test_warehouse_ytd_is_the_sum_of_its_districts(cat):
+    """TPC-C consistency condition 1, ``W_YTD`` = sum(``D_YTD``) per
+    warehouse: after the load, and after 200 serial transactions of the
+    standard mix and a ``force_sync``."""
+    engine = make_engine(cat, **({"seed": 5} if cat == "b" else {}))
+    TpccLoader(scale=SCALE, seed=5).load(engine)
+    assert ytd_gaps(engine) == {1: 0.0, 2: 0.0}
+    workload = TpccWorkload(engine, SCALE, seed=3)
+    workload.run_many(200)
+    assert workload.counters.payment > 0
+    engine.force_sync()
+    assert ytd_gaps(engine) == pytest.approx({1: 0.0, 2: 0.0}, abs=1e-6)

@@ -21,6 +21,7 @@ from repro.engines import (
 )
 from repro.obs import get_registry
 from repro.query import AccessPath
+from repro.txn import WalKind
 
 
 def order_schema():
@@ -215,6 +216,38 @@ def test_lost_commit_counts_one_abort(cat):
     reader.read("orders", 3)
     reader.abort()
     assert counts() == [before[0] + 1, before[1], before[2] + 1]
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_insert_of_a_committed_key_is_refused_at_commit(cat):
+    """An insert is checked when staged only against the transaction's
+    own writes.  An insert of a committed key stages, and ``commit()``
+    raises ``DuplicateKeyError``: nothing is installed, the redo log
+    gains no BEGIN and no INSERT (only the ABORT marker every refused
+    commit leaves), and ``engine.tp_aborts`` counts exactly one."""
+    engine, rows = build(cat, n=10)
+    registry = get_registry()
+    counters = [
+        registry.counter(name, engine=engine.info.name)
+        for name in ("engine.tp_aborts", "engine.tp_commits", "engine.tp_rollbacks")
+    ]
+    before = [c.value for c in counters]
+    wal = getattr(engine, "wal", None)
+    logged = len(wal) if wal is not None else 0
+    s = engine.session()
+    s.insert("orders", (10, 1, 1.0, "e"))  # a fresh key
+    s.insert("orders", (3, 9, 9.0, "w"))  # a committed key: staged
+    assert s.read("orders", 3) == (3, 9, 9.0, "w")
+    with pytest.raises(DuplicateKeyError):
+        s.insert("orders", (10, 2, 2.0, "w"))  # its own write: refused now
+    with pytest.raises(DuplicateKeyError):
+        s.commit()
+    assert s.finished
+    assert [c.value for c in counters] == [before[0] + 1, before[1], before[2]]
+    if wal is not None:
+        assert [r.kind for r in wal.records[logged:]] == [WalKind.ABORT]
+    with engine.session() as check:
+        assert sorted(check.scan("orders")) == sorted(rows)
 
 
 class TestFreshSemantics:

@@ -32,20 +32,25 @@ SCHEMA = Schema(
 
 #: step -> [charges, simulated us, node0 busy us after the step],
 #: recorded at the parent of the commit that moved (a) onto
-#: ``LoggedEngine``.
+#: ``LoggedEngine``, then with an insert's key read (one charge, 1 us)
+#: moved from the insert to the commit: ``neworder.insert`` 1 -> 0
+#: charges and ``neworder.commit`` 6 -> 7 (11 -> 12 us), node0's busy
+#: time 1 us lower in between; ``ins_del_ins.insert`` 1 -> 0 and
+#: ``ins_del_ins.commit`` 4 -> 5 (7.5 -> 8.5 us).  Every transaction's
+#: total is what it was.
 PINS: dict[str, list] = {
     "bulk_load": [21, 74.0, 74.0],
     "neworder.read": [1, 1.0, 75.0],
     "neworder.update": [1, 1.0, 76.0],
     "neworder.read_own": [0, 0.0, 76.0],
     "neworder.update_again": [0, 0.0, 76.0],
-    "neworder.insert": [1, 1.0, 77.0],
-    "neworder.scan": [1, 10.0, 87.0],
-    "neworder.commit": [6, 11.0, 98.0],
-    "ins_del_ins.insert": [1, 1.0, 99.0],
-    "ins_del_ins.delete": [0, 0.0, 99.0],
-    "ins_del_ins.insert_again": [0, 0.0, 99.0],
-    "ins_del_ins.commit": [4, 7.5, 106.5],
+    "neworder.insert": [0, 0.0, 76.0],
+    "neworder.scan": [1, 10.0, 86.0],
+    "neworder.commit": [7, 12.0, 98.0],
+    "ins_del_ins.insert": [0, 0.0, 98.0],
+    "ins_del_ins.delete": [0, 0.0, 98.0],
+    "ins_del_ins.insert_again": [0, 0.0, 98.0],
+    "ins_del_ins.commit": [5, 8.5, 106.5],
     "del_ins.delete": [1, 1.0, 107.5],
     "del_ins.insert": [0, 0.0, 107.5],
     "del_ins.commit": [4, 7.5, 115.0],

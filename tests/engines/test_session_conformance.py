@@ -22,6 +22,7 @@ from repro.common import (
     Column,
     Comparison,
     DataType,
+    DuplicateKeyAborted,
     DuplicateKeyError,
     KeyNotFoundError,
     Schema,
@@ -53,7 +54,10 @@ WRITES = ("insert", "update", "delete")
 class ModelSession:
     """The reference: a private copy of each table's committed rows
     takes the writes; commit replays them into the ``TableModel``s in
-    staged order, abort forgets them."""
+    staged order, abort forgets them.  An insert is refused when staged
+    only if the key is live among the session's own writes; commit
+    refuses, with ``DuplicateKeyAborted`` and nothing applied, a session
+    whose first write of some key inserts a committed key."""
 
     def __init__(self, models: dict[str, TableModel], ts: int):
         self._models = models
@@ -78,7 +82,8 @@ class ModelSession:
     def insert(self, table, row):
         self._open()
         SCHEMAS[table].validate_row(row)
-        if row[0] in self._rows[table]:
+        written = {(t, key) for t, _kind, key, _row in self._staged}
+        if (table, row[0]) in written and row[0] in self._rows[table]:
             raise DuplicateKeyError(f"key {row[0]!r} exists")
         self._rows[table][row[0]] = row
         self._staged.append((table, "insert", row[0], row))
@@ -105,6 +110,12 @@ class ModelSession:
     def commit(self):
         self._open()
         self.finished = True
+        first = {}
+        for table, kind, key, _row in self._staged:
+            first.setdefault((table, key), kind)
+        for (table, key), kind in first.items():
+            if kind == "insert" and key in {r[0] for r in self._models[table].rows()}:
+                raise DuplicateKeyAborted(0, f"key {key!r} exists")
         for table, kind, key, row in self._staged:
             self._models[table].apply(kind, key, row, self._ts)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import (
+    DuplicateKeyAborted,
     DuplicateKeyError,
     KeyNotFoundError,
     TransactionError,
@@ -293,31 +294,35 @@ def test_coalesce_writes(staged, net):
     )
 )
 def test_serial_txns_match_dict_model(ops):
-    """A serial stream of single-op transactions equals a dict model."""
+    """A serial stream of single-op transactions equals a dict model:
+    an update or delete of an absent key is refused when staged, an
+    insert of a present key at commit."""
     engine = RowIMCSEngine()
     engine.create_table(simple_schema())
     model: dict[int, tuple] = {}
     for op, key in ops:
         txn = engine.session()
         row = (key, float(key), "x")
-        try:
-            if op == "insert":
-                txn.insert("t", row)
-                model_op = ("set", key, row)
-            elif op == "update":
-                txn.update("t", row)
-                model_op = ("set", key, row)
-            else:
-                txn.delete("t", key)
-                model_op = ("del", key, None)
-            txn.commit()
-        except (DuplicateKeyError, KeyNotFoundError):
+        if op == "insert":
+            txn.insert("t", row)
+            if key in model:
+                with pytest.raises(DuplicateKeyAborted):
+                    txn.commit()
+                continue
+        elif key not in model:
+            with pytest.raises(KeyNotFoundError):
+                getattr(txn, op)("t", row if op == "update" else key)
             txn.abort()
             continue
-        if model_op[0] == "set":
-            model[key] = row
+        elif op == "update":
+            txn.update("t", row)
         else:
-            model.pop(key, None)
+            txn.delete("t", key)
+        txn.commit()
+        if op == "delete":
+            del model[key]
+        else:
+            model[key] = row
     final = engine.session()
     got = {r[0]: r for r in final.scan("t")}
     assert got == model
