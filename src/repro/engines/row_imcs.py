@@ -13,9 +13,9 @@ category Low on isolation and AP scalability.
 
 Transactions are Table 2's MVCC + logging: the shared write-set session
 reads the primary's version chains at its read ts, and the redo-log
-commit body of :class:`~.base.LoggedEngine` refuses a commit by
-first-committer-wins, then installs one version per key and marks the
-key stale in its IMCU.
+commit body of :class:`~.base.LoggedEngine` refuses an insert of a key
+present at that ts, then a commit by first-committer-wins, then
+installs one version per key and marks the key stale in its IMCU.
 """
 
 from __future__ import annotations
