@@ -155,6 +155,10 @@ class SimNetwork:
         self._down.clear()
         self._rearm(parked=True)
 
+    def is_up(self, node_id: str) -> bool:
+        """The node has not crashed (or has restarted since)."""
+        return node_id not in self._down
+
     def _link_ok(self, src: str, dst: str) -> bool:
         if src in self._down or dst in self._down:
             return False

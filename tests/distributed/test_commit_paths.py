@@ -37,6 +37,7 @@ from repro.distributed import (
 )
 from repro.engines import RowIMCSEngine
 from ..oracle.two_phase import attach_two_phase
+from . import depose_leader
 
 ACCT = Schema(
     "acct",
@@ -272,11 +273,25 @@ class TestPiggybackedPath:
             for sid in sids
             for p in cluster._resolving[sid]
         )
-        # A read waits for the shard's resolve first, so decided truth
-        # is visible.
+        # A read goes through the decided intents on the live leaders:
+        # the decided rows, one round trip and one read each, nothing
+        # waited for.
+        cost = cluster.cost
+        start = cost.now_us()
         assert cluster.read("acct", k1) == (k1, 10.0)
         assert cluster.read("acct", k2) == (k2, 20.0)
-        assert not cluster._resolving
+        assert cost.now_us() - start == 2 * (cost.network_rtt_us + cost.row_point_read_us)
+        assert set(cluster._resolving) == sids
+        # A resolve on a deposed leader is waited for: re-proposed on the
+        # successor, it commits before the read is served.
+        sid = cluster.region_of("acct", k1)
+        deposed = depose_leader(cluster, sid)
+        assert cluster._resolving[sid][0].leader is deposed
+        start = cost.now_us()
+        assert cluster.read("acct", k1) == (k1, 10.0)
+        assert cost.now_us() - start > cost.network_rtt_us + cost.row_point_read_us
+        assert sid not in cluster._resolving
+        assert cluster._leader_sm(sid).rows["acct"][k1] == (k1, 10.0)
 
     def test_multi_shard_abort_leaves_no_partial_state(self):
         cluster = make_cluster()
@@ -384,6 +399,30 @@ class TestDecidedTruthAtZeroAdvance:
         )
         assert decided_rows(cluster, [k1, k2]) == {k1: (k1, 3.0), k2: None}
         assert cluster.aborts == 3
+
+    def test_an_intent_round_meets_a_resolve_on_a_deposed_leader(self):
+        """A participant's leader is deposed with the last commit's
+        resolve in its log alone.  The next multi-shard commit settles
+        that resolve on the successor before proposing its intent there,
+        so the intent validates against the decided rows and commits."""
+        cluster = make_cluster()
+        k1, k2 = two_shard_keys(cluster)
+        with happens_before(cluster.network) as checker:
+            cluster.execute_transaction(
+                [
+                    WriteOp(WriteKind.INSERT, "acct", k1, (k1, 1.0)),
+                    WriteOp(WriteKind.INSERT, "acct", k2, (k2, 2.0)),
+                ]
+            )
+            sid = cluster.region_of("acct", k1)
+            deposed = depose_leader(cluster, sid)
+            assert cluster._resolving[sid][0].leader is deposed
+            cluster.execute_transaction(wide_updates(cluster, [k1, k2], 5.0))
+            assert cluster.commits_piggybacked == 2
+            assert decided_rows(cluster, [k1, k2]) == {k1: (k1, 5.0), k2: (k2, 5.0)}
+            cluster.network.heal_all()
+            assert learner_rows(cluster) == sorted([(k1, 5.0), (k2, 5.0)])
+        assert checker.violations == []
 
     def test_a_leader_crashed_with_its_resolve_unreplicated(self):
         """Crash a participant's leader the instant the commit returns,
