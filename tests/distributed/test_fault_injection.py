@@ -68,6 +68,37 @@ class TestRaftFaults:
         commands = [e.command for e in new_leader.log[1:new_leader.commit_index + 1]]
         assert ("after-heal", 2) in commands
 
+    def test_a_leader_elected_with_uncommitted_entries_serves_after_its_no_op(self):
+        """The leader crashes once its entry reached the followers but
+        before they learned it committed.  Its successor cannot know
+        that until it commits an entry of its own term: it appends a
+        no-op on election, does not know its commits until the no-op
+        commits, and ``serving_leader`` waits for that."""
+        group, net = self._group()
+        applied = []
+        group.nodes["lrn"]._apply_batch_fn = lambda start, commands: applied.extend(
+            commands
+        )
+        leader = group.elect_leader()
+        group.propose_and_wait(("op", 0))
+        group.run_for(5_000)
+        index = leader.client_propose(("op", 1))
+        net.advance(net._cost.network_oneway_us)  # the followers append it
+        net.crash(leader.node_id)
+        successor = None
+        while successor is None or successor is leader:
+            group.run_for(100)
+            successor = group.leader()
+        assert successor.commit_index < index
+        assert successor.log[-1].command is None
+        assert successor.log[-1].term == successor.current_term
+        assert not successor.knows_commits()
+        serving = group.serving_leader()
+        assert serving.knows_commits() and serving.commit_index > index
+        assert serving.log[index].command == ("op", 1)
+        group.run_for(5_000)
+        assert [c for c in applied if c is not None] == [("op", 0), ("op", 1)]
+
     def test_crashed_learner_catches_up(self):
         group, net = self._group()
         applied = []
