@@ -14,8 +14,8 @@ The sinks grew with the commit-path optimization: the single-shard
 the piggybacked protocol proposes "intent" from the participant
 adapter (every participant's at once, then one wait), and the commit
 round proposes "resolve" from the same adapter the moment the
-coordinator decides (reads and scans only wait for it, through
-``_settle``).  All of them must stay dominated by the guard — the rule
+coordinator decides (``_settle`` re-proposes one on a deposed or
+crashed leader).  All of them must stay dominated by the guard — the rule
 proves it for each path separately.
 
 The check is interprocedural over the project index: calls resolve

@@ -7,8 +7,8 @@ fast path.  :class:`PiggybackCoordinator` is the one-round variant
 logs PREPARED *plus* the write intent in a single command and acks with
 its vote; the coordinator then resolves the outcome in its durable
 decision record, and the commit round becomes asynchronous — each
-participant proposes its resolution at once and nobody waits for it
-until a later operation touches the shard.  Participants are any
+participant proposes its resolution at once and the client does not
+wait for it.  Participants are any
 objects implementing :class:`PiggybackParticipant`, so unit tests
 drive the coordinator with in-memory fakes while the cluster plugs in
 Raft-replicated regions.
@@ -73,9 +73,10 @@ class PiggybackCoordinator:
     3. The commit/abort round is asynchronous: each participant
        proposes its resolution the moment the decision is logged
        (:meth:`PiggybackParticipant.resolve`) and does not wait for it.
-       Whoever later reads from or validates against the shard waits
-       for the resolutions still in flight there, so the round's
-       latency hides behind whatever the client does next.
+       Meanwhile the cluster's shards answer reads through the decided
+       intent, and a shard's next intent round carries the resolution,
+       so the round's latency hides behind whatever the client does
+       next.
 
     Against classic two-round 2PC that is one synchronous round
     instead of two per participant, with identical committed state and
