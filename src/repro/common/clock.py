@@ -56,6 +56,11 @@ class SimClock:
             raise ValueError(f"cannot move simulated time backwards ({delta_us})")
         self._now_us += delta_us
 
+    def advance_to(self, t_us: float) -> None:
+        """Catch up to ``t_us`` if it is later than now."""
+        if t_us > self._now_us:
+            self._now_us = t_us
+
     def reset(self) -> None:
         self._now_us = 0.0
 

@@ -801,17 +801,19 @@ class DistributedCluster:
         self.network.advance(delta_us)
 
     def drain_replication(self, max_us: float = 50_000.0) -> bool:
-        """Advance until learners have applied everything committed;
-        returns whether that happened within ``max_us``.  In-flight
-        resolves commit first, so "everything committed" includes every
-        decided piggybacked transaction.
+        """Advance until learners have applied everything committed and
+        every delta file they sealed has landed; returns whether the
+        learners caught up within ``max_us``.  In-flight resolves commit
+        first, so "everything committed" includes every decided
+        piggybacked transaction.
 
         The test asks the learners directly: each live group's learner
         has applied its leader's commit index, and that leader knows
         every commit (``RaftNode.knows_commits``).  A crashed follower does
         not hold it up; a learner that cannot catch up (it is down, or
         its group has no leader) makes the drain spend its whole budget,
-        return False and count ``replication.drain_timeouts``."""
+        return False and count ``replication.drain_timeouts``.  Once they
+        have caught up, the drain waits out the files still shipping."""
         self._build()
         self.settle_all()
 
@@ -828,14 +830,22 @@ class DistributedCluster:
                     return False
             return True
 
-        self.network.run_until(drained, 500.0, max_us)
-        if drained():
-            return True
-        self._m_drain_timeouts.inc()
-        return False
+        budget = max_us
+        while True:
+            budget -= self.network.run_until(drained, 500.0, budget)
+            if not drained():
+                self._m_drain_timeouts.inc()
+                return False
+            in_flight_us = self.columnar.landing_us() - self.cost.now_us()
+            if in_flight_us <= 0:
+                return True
+            self.network.advance(in_flight_us)
+            budget -= in_flight_us
 
     def sync(self) -> int:
-        """Ship + merge learner delta logs into the column stores."""
+        """Drain replication (every sealed file has landed), then seal
+        and merge the learner's delta logs into the column stores; the
+        merge waits for the files it seals to land."""
         self._build()
         self.drain_replication()
         return self.columnar.merge_deltas()
@@ -843,10 +853,10 @@ class DistributedCluster:
     def freshness_lag_ts(self) -> int:
         """Commit-timestamp distance between OLTP truth and the AP view.
 
-        Measured at the most-stale table: a table with unsealed (not yet
-        shipped) delta entries, or with a commit some shard's learner has
-        not applied, is only fresh up to its last sealed or merged
-        timestamp.
+        Measured at the most-stale table: a table with unsealed delta
+        entries, a sealed file still shipping, or a commit some shard's
+        learner has not applied, is only fresh up to its last landed or
+        merged timestamp.
         """
         newest = self.clock.now()
         applied_of = self.columnar.applied_ts_of
@@ -857,7 +867,7 @@ class DistributedCluster:
         }
         lags = []
         for table, log in self.columnar.delta_logs.items():
-            if log.unsealed_entries() > 0 or table in unapplied:
+            if log.unsealed_entries() > 0 or log.in_flight() or table in unapplied:
                 store_ts = self.columnar.column_stores[table].max_commit_ts()
                 visible = max(log.max_sealed_ts(), store_ts)
                 lags.append(max(0, newest - visible))

@@ -68,8 +68,14 @@ class ColumnarReplica:
         cost: CostModel,
         seal_threshold: int = 64,
     ):
+        # The learner node's own clock: ingest (WAL appends, a sealed
+        # file's page writes) is charged there, never to the clock of the
+        # foreground operation whose Raft wait delivered the batch.
+        ingest = cost.fork_detached()
         self.delta_logs = {
-            name: LogDeltaManager(schema, cost=cost, seal_threshold=seal_threshold)
+            name: LogDeltaManager(
+                schema, cost=cost, seal_threshold=seal_threshold, ingest=ingest
+            )
             for name, schema in schemas.items()
         }
         self.column_stores = {
@@ -168,10 +174,18 @@ class ColumnarReplica:
             elif op in _LEARNER_IGNORED_OPS:
                 continue
         applied_of = self.applied_ts_of
+        sealed = []
         for table, (kinds, keys, rows, ts) in per_table.items():
-            self.delta_logs[table].append_batch_columns(kinds, keys, rows, ts)
+            log = self.delta_logs[table]
+            first = len(log.files)
+            log.append_batch_columns(kinds, keys, rows, ts)
+            sealed.extend(log.files[first:])
             key = (region, table)
             applied_of[key] = max(applied_of.get(key, 0), max(ts))
+        # One shipment per batch: every file it sealed lands when the
+        # last one does, ship latency after the batch's last page write.
+        for file in sealed:
+            file.shipped_at_us = sealed[-1].shipped_at_us
         self.applied_ts = max_ts
         self._h_apply_batch.observe(len(commands))
 
@@ -205,6 +219,10 @@ class ColumnarReplica:
             del result.keys[row]
         result.keys.extend(map(store.schema.key_of, fresh_rows))
         return result
+
+    def landing_us(self) -> float:
+        """When the newest sealed file of any table lands."""
+        return max((log.landing_us() for log in self.delta_logs.values()), default=0.0)
 
     def merge_deltas(self) -> int:
         """Log-based delta merge: seal + fold every delta file into the

@@ -6,8 +6,8 @@ propose, several through the piggybacked one-round 2PC); Raft learners
 feed a columnar replica on separate analytics nodes; OLAP runs the
 "log-based delta and column scan" against that replica.  Workload
 isolation is High (AP never touches the row nodes' CPU); freshness is
-Low (only *sealed, shipped* delta files are visible); both TP and AP
-scale out with node counts.
+Low (only sealed delta files that have landed after shipping are
+visible); both TP and AP scale out with node counts.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ class _ReplicaTableAccess(EngineTableAccess):
     def cache_token(self, path=None):
         """Scan-cache version token: cluster commit count (fences writes
         even before learner apply), the replica's applied timestamp, the
-        columnar write version, the delta-log backlog, and the freshness
-        mode."""
+        columnar write version, the delta-log backlog, how many of its
+        sealed files have landed (a landing needs no commit), and the
+        freshness mode."""
         cluster = self._engine.cluster
         columnar = cluster.columnar
         store = columnar.column_stores.get(self._table)
@@ -204,6 +205,7 @@ class _ReplicaTableAccess(EngineTableAccess):
             columnar.applied_ts,
             store.mutations if store is not None else -1,
             log.pending_entries() if log is not None else -1,
+            log.landed_count() if log is not None else -1,
             self._engine.read_fresh,
         )
 

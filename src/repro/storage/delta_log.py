@@ -1,4 +1,4 @@
-"""Log-based (disk) delta files with a B+-tree key index.
+"""Log-based (disk) delta files, shipped to the columnar side.
 
 The TiDB-style delta path of Table 2: committed changes destined for the
 columnar replica are shipped as *log files* that accumulate on disk until
@@ -8,8 +8,14 @@ scans that want fresh data must read these unmerged files — the survey's
 in-memory variant because every file read is charged page I/O, and
 freshness suffers from shipping latency.
 
-Each sealed file carries a B+-tree over its keys so merges and point
-patches "can be efficiently located with key lookups" (§2.2(3)).
+Ingest (WAL appends and a sealed file's page writes) is charged to an
+*ingest* cost model: architecture (b)'s learner passes its own node's
+clock, so the transactions whose commits it replays never wait for it;
+a stand-alone caller passes nothing and ingests on its one clock.  A
+sealed file then ships: it lands ``ship_latency_us`` after its page
+writes, and that latency is time in flight that no clock is charged.
+Readers see landed files only, and the merge waits for the newest file
+to land.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from ..common.clock import Timestamp
 from ..common.cost import CostModel
 from ..common.types import Key, Row, Schema
-from .btree import BPlusTree
 from .delta_batch import KIND_DELETE, KIND_INSERT, KIND_UPDATE
 from .delta_store import DeltaEntry, DeltaKind, collapse_entries
 
@@ -36,27 +41,26 @@ class DeltaLogFile:
 
     Holds either materialized :class:`DeltaEntry` objects (scalar
     ingest) or parallel column slabs (batched ingest); each
-    representation derives — and caches — the other on demand.  The
-    per-file B+-tree key index is likewise built on first access, so
-    batch merges that collapse whole files columnar never pay for
-    per-key tree construction."""
+    representation derives — and caches — the other on demand.
+    ``shipped_at_us`` is the simulated instant it lands on the columnar
+    side (a file built outside a :class:`LogDeltaManager` has landed)."""
 
     __slots__ = (
         "file_id",
         "_entries",
         "_columns",
-        "_key_index",
         "min_commit_ts",
         "max_commit_ts",
+        "shipped_at_us",
     )
 
     def __init__(self, file_id: int, entries: list[DeltaEntry]):
         self.file_id = file_id
         self._entries = entries
         self._columns = None
-        self._key_index: BPlusTree | None = None
         self.min_commit_ts = entries[0].commit_ts if entries else 0
         self.max_commit_ts = entries[-1].commit_ts if entries else 0
+        self.shipped_at_us = 0.0
 
     @classmethod
     def from_columns(
@@ -72,9 +76,9 @@ class DeltaLogFile:
         obj.file_id = file_id
         obj._entries = None
         obj._columns = (kinds, keys, rows, commit_ts)
-        obj._key_index = None
         obj.min_commit_ts = commit_ts[0] if commit_ts else 0
         obj.max_commit_ts = commit_ts[-1] if commit_ts else 0
+        obj.shipped_at_us = 0.0
         return obj
 
     def __len__(self) -> int:
@@ -105,27 +109,8 @@ class DeltaLogFile:
             )
         return self._columns
 
-    @property
-    def key_index(self) -> BPlusTree:
-        if self._key_index is None:
-            # Keep only the newest position per key; tuples keep mixed
-            # key types comparable inside one table's key space.  A dict
-            # pass + sorted bulk build beats n top-down tree inserts.
-            newest: dict = {}
-            if self._entries is not None:
-                for pos, entry in enumerate(self._entries):
-                    newest[_index_key(entry.key)] = pos
-            else:
-                for pos, key in enumerate(self._columns[1]):
-                    newest[_index_key(key)] = pos
-            self._key_index = BPlusTree.from_sorted(sorted(newest.items()))
-        return self._key_index
-
     def indexed_key_count(self) -> int:
-        """Distinct indexed keys — the scalar merge walk's probe count —
-        without forcing the B+-tree build."""
-        if self._key_index is not None:
-            return len(self._key_index)
+        """Distinct keys in the file — what a per-key merge walk probes."""
         if self._entries is not None:
             return len({e.key for e in self._entries})
         return len(set(self._columns[1]))
@@ -133,19 +118,9 @@ class DeltaLogFile:
     def page_count(self) -> int:
         return max(1, -(-len(self) // _ENTRIES_PER_PAGE))
 
-    def lookup(self, key: Key) -> DeltaEntry | None:
-        pos = self.key_index.get(_index_key(key))
-        if pos is None:
-            return None
-        return self.entries[pos]
-
-
-def _index_key(key: Key):
-    return key if isinstance(key, tuple) else (key,)
-
 
 class LogDeltaManager:
-    """Open write buffer + sealed files awaiting merge."""
+    """Open write buffer + sealed files (in flight or landed) awaiting merge."""
 
     def __init__(
         self,
@@ -153,23 +128,44 @@ class LogDeltaManager:
         cost: CostModel | None = None,
         seal_threshold: int = 256,
         ship_latency_us: float = 2_000.0,
+        ingest: CostModel | None = None,
     ):
         self.schema = schema
         self._cost = cost or CostModel()
+        #: What ingest work is charged to: a learner node's own clock, or
+        #: the one clock of a stand-alone caller.
+        self._ingest = ingest or self._cost
         self._buffer: list[DeltaEntry] = []
         self._files: list[DeltaLogFile] = []
+        # Ship times never decrease, so the landed files are a prefix of
+        # ``_files``: ``_files[:_landed]``, advanced on demand.
+        self._landed = 0
         self._next_file_id = 0
         self._seal_threshold = seal_threshold
-        #: Simulated latency between a commit and its availability in a
-        #: sealed, shipped file — the source of the architecture's
-        #: freshness gap.
+        #: Simulated time a sealed file spends in flight between its page
+        #: writes and its landing on the columnar side — the source of the
+        #: architecture's freshness gap.  No clock is charged for it.
         self.ship_latency_us = ship_latency_us
 
     # ------------------------------------------------------------- ingest
 
+    def _start_work(self) -> None:
+        """A piece of ingest work starts no earlier than the shared
+        clock's now (a no-op on a stand-alone caller's one clock)."""
+        self._ingest.clock.advance_to(self._cost.now_us())
+
+    def _ship(self, sealed: DeltaLogFile) -> None:
+        """Write ``sealed``'s pages on the ingest clock and send it off."""
+        self._next_file_id += 1
+        self._files.append(sealed)
+        ingest = self._ingest
+        ingest.charge(ingest.page_write_us * sealed.page_count())
+        sealed.shipped_at_us = ingest.now_us() + self.ship_latency_us
+
     def append(self, entry: DeltaEntry) -> None:
+        self._start_work()
         self._buffer.append(entry)
-        self._cost.charge(self._cost.wal_append_us)
+        self._ingest.charge(self._ingest.wal_append_us)
         if len(self._buffer) >= self._seal_threshold:
             self.seal()
 
@@ -189,19 +185,18 @@ class LogDeltaManager:
         many full files as the threshold dictates."""
         if not entries:
             return
-        self._cost.charge_rows(self._cost.wal_append_us, len(entries))
+        self._start_work()
+        self._ingest.charge_rows(self._ingest.wal_append_us, len(entries))
         buf = self._buffer
         buf.extend(entries)
         threshold = self._seal_threshold
         n_full = len(buf) // threshold
         for i in range(n_full):
-            sealed = DeltaLogFile(
-                self._next_file_id, buf[i * threshold : (i + 1) * threshold]
+            self._ship(
+                DeltaLogFile(
+                    self._next_file_id, buf[i * threshold : (i + 1) * threshold]
+                )
             )
-            self._next_file_id += 1
-            self._files.append(sealed)
-            self._cost.charge(self._cost.page_write_us * sealed.page_count())
-            self._cost.charge(self.ship_latency_us)
         del buf[: n_full * threshold]
 
     def append_batch_columns(
@@ -221,7 +216,8 @@ class LogDeltaManager:
             return
         if not (len(kinds) == len(rows) == len(commit_ts) == n):
             raise ValueError("column slabs must have equal lengths")
-        self._cost.charge_rows(self._cost.wal_append_us, n)
+        self._start_work()
+        self._ingest.charge_rows(self._ingest.wal_append_us, n)
         threshold = self._seal_threshold
         kind_of = _KIND_OF_CODE
         start = 0
@@ -236,17 +232,15 @@ class LogDeltaManager:
                 self.seal()
         while n - start >= threshold:
             end = start + threshold
-            sealed = DeltaLogFile.from_columns(
-                self._next_file_id,
-                kinds[start:end],
-                keys[start:end],
-                rows[start:end],
-                commit_ts[start:end],
+            self._ship(
+                DeltaLogFile.from_columns(
+                    self._next_file_id,
+                    kinds[start:end],
+                    keys[start:end],
+                    rows[start:end],
+                    commit_ts[start:end],
+                )
             )
-            self._next_file_id += 1
-            self._files.append(sealed)
-            self._cost.charge(self._cost.page_write_us * sealed.page_count())
-            self._cost.charge(self.ship_latency_us)
             start = end
         if start < n:
             self._buffer.extend(
@@ -255,23 +249,41 @@ class LogDeltaManager:
             )
 
     def seal(self) -> DeltaLogFile | None:
-        """Flush the open buffer into a sealed file (ships it to the
-        columnar side, paying write I/O + network shipping)."""
+        """Flush the open buffer into a sealed file and ship it: its page
+        writes are charged to the ingest clock, and it lands on the
+        columnar side ``ship_latency_us`` after them."""
         if not self._buffer:
             return None
+        self._start_work()
         sealed = DeltaLogFile(self._next_file_id, self._buffer)
-        self._next_file_id += 1
         self._buffer = []
-        self._files.append(sealed)
-        self._cost.charge(self._cost.page_write_us * sealed.page_count())
-        self._cost.charge(self.ship_latency_us)
+        self._ship(sealed)
         return sealed
 
     # ------------------------------------------------------------- reads
 
     @property
     def files(self) -> list[DeltaLogFile]:
+        """Every sealed file, in flight or landed, oldest first."""
         return self._files
+
+    def landed_count(self) -> int:
+        """How many sealed files have landed by the shared clock's now."""
+        files, i = self._files, self._landed
+        if i < len(files):
+            now = self._cost.now_us()
+            while i < len(files) and files[i].shipped_at_us <= now:
+                i += 1
+            self._landed = i
+        return i
+
+    def in_flight(self) -> int:
+        """Sealed files still shipping."""
+        return len(self._files) - self.landed_count()
+
+    def landing_us(self) -> float:
+        """When the newest sealed file lands (0.0 with none sealed)."""
+        return self._files[-1].shipped_at_us if self._files else 0.0
 
     def pending_entries(self) -> int:
         return sum(len(f) for f in self._files) + len(self._buffer)
@@ -283,9 +295,9 @@ class LogDeltaManager:
         return len(self._buffer)
 
     def scan_sealed(self, up_to_ts: Timestamp | None = None):
-        """Read every sealed entry (paying page I/O per file)."""
+        """Read every landed entry (paying page I/O per file)."""
         out: list[DeltaEntry] = []
-        for file in self._files:
+        for file in self._files[: self.landed_count()]:
             self._cost.charge(self._cost.page_read_us * file.page_count())
             for entry in file.entries:
                 if up_to_ts is None or entry.commit_ts <= up_to_ts:
@@ -293,25 +305,32 @@ class LogDeltaManager:
         return out
 
     def effective_rows(self, up_to_ts: Timestamp | None = None):
-        """Collapsed (live rows, tombstones) over sealed files only.
+        """Collapsed (live rows, tombstones) over landed files only.
 
-        Unsealed buffer entries have not shipped yet — that invisibility
-        is exactly the freshness penalty the paper attributes to this
-        design.
+        Unsealed buffer entries and files still in flight have not
+        shipped yet — that invisibility is exactly the freshness penalty
+        the paper attributes to this design.
         """
         return collapse_entries(self.scan_sealed(up_to_ts))
 
     def max_sealed_ts(self) -> Timestamp:
-        if not self._files:
-            return 0
-        return max(f.max_commit_ts for f in self._files)
+        """The newest commit in a landed file (0 with none landed)."""
+        return max(
+            (f.max_commit_ts for f in self._files[: self.landed_count()]), default=0
+        )
 
     # ------------------------------------------------------------- merge support
 
     def drain_files(self) -> list[DeltaLogFile]:
-        """Hand every sealed file to the merger and forget them."""
+        """Hand every sealed file to the merger and forget them; the merge
+        first waits, on the shared clock, for the newest to land."""
         drained = self._files
+        if drained:
+            wait = drained[-1].shipped_at_us - self._cost.now_us()
+            if wait > 0:
+                self._cost.charge(wait)
         self._files = []
+        self._landed = 0
         return drained
 
     def disk_bytes(self) -> int:

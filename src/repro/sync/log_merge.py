@@ -3,19 +3,17 @@
 TiDB-style: committed changes accumulate as sealed delta log files on
 the columnar side; the merger periodically reads them back (paying page
 I/O — the technique's "High Merge Cost") and folds the collapsed images
-into the column store.  Each file's B+-tree key index lets the merger
-drop superseded entries without decoding whole files when a newer file
-already rewrote the key.
+into the column store.  A merge takes every sealed file, so it first
+waits for the newest to land (``LogDeltaManager.drain_files``).
 
 The merge is *batch-vectorized*: all drained files concatenate into
 one columnar :class:`~repro.storage.delta_batch.DeltaBatch` whose
-last-writer-wins collapse picks exactly the entries a newest-file-first
-index walk would (files are commit-ordered, and each file's index
-already keeps only the newest position per key), then the survivors
-land via ``ColumnStore.fold``.  The simulated charges are what this
-body does: every page of every file read whole — no index is walked,
-so none is charged — and one merge per row landed.  Architecture (b)'s
-learner replica runs this class (``ColumnarReplica.merge_deltas``).
+last-writer-wins collapse keeps each key's newest entry (files are
+commit-ordered), then the survivors land via ``ColumnStore.fold``.  The
+simulated charges are what this body does: every page of every file
+read whole — no per-key index is walked, so none is charged — and one
+merge per row landed.  Architecture (b)'s learner replica runs this
+class (``ColumnarReplica.merge_deltas``).
 """
 
 from __future__ import annotations

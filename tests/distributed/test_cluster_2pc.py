@@ -153,6 +153,8 @@ class TestCluster:
         cluster.drain_replication()
         for log in cluster.columnar.delta_logs.values():
             log.seal()
+        assert len(cluster.analytic_scan("acct", ["id"])) == 0  # shipping
+        cluster.drain_replication()  # the sealed files land
         result = cluster.analytic_scan("acct", ["id"])
         assert len(result) == 10
         assert cluster.columnar.column_stores["acct"].segment_count() == 0

@@ -70,7 +70,20 @@ from repro.obs import MetricsRegistry, get_registry, set_registry
 #: ``network`` (2141, 2028, 107), ``raft.heartbeats`` 369,
 #: ``raft.elections`` 10, and every replica's term, commit index and log
 #: length are unchanged.
-EXPECTED_DIGEST = "0f0d5f0915a411dc2e2a596b96ee1159"
+#:
+#: Re-recorded a fifth time (0f0d5f0915a411dc2e2a596b96ee1159 before)
+#: when the learner's ingest moved to its own node's clock and sealed
+#: files began to ship in the background: a delivery that hands the
+#: learner a batch no longer moves the shared clock by its WAL appends,
+#: nor jumps it by a seal's page writes plus 2 000 µs of shipping, which
+#: had tripped the suspend guard and re-armed every timer mid-election.  After the crash, shard 1 elects
+#: its new leader in one election, not five: ``raft.elections`` 10 -> 6
+#: and shard 1's term 4 -> 2 on every replica; every commit index and
+#: log length is unchanged.  ``now_us`` 103142.1975 -> 99042.1975
+#: (-4 100 µs, the inserts after the crash wait less for a leader);
+#: ``network`` (2141, 2028, 107) -> (2051, 1984, 67) and
+#: ``raft.heartbeats`` 369 -> 349 with the shorter election.
+EXPECTED_DIGEST = "69a77d8c490fe4b35995d3614a3f3729"
 
 #: Recorded on the frozen-dataclass messages and the list-scanning
 #: ``RaftGroup.leader``; re-recorded (9bf75c82ea76ef415cc7289620d54a79
@@ -84,7 +97,11 @@ EXPECTED_DIGEST = "0f0d5f0915a411dc2e2a596b96ee1159"
 #: with ``EXPECTED_DIGEST``'s fourth re-recording, for the same change:
 #: delivery instants move from the first multi-shard commit that finds
 #: one of its shards' resolves still in flight.
-EXPECTED_TRACE_DIGEST = "cb856852ca4aba4c9c6d8335dec6d161"
+#: Re-recorded a fourth time (cb856852ca4aba4c9c6d8335dec6d161 before)
+#: with ``EXPECTED_DIGEST``'s fifth re-recording, for the same change:
+#: delivery instants move from the first learner apply (2 µs of WAL
+#: append per entry leave the shared clock).
+EXPECTED_TRACE_DIGEST = "b500a5576c052c864ded87e7f8ad7328"
 
 
 def build_cluster(seed: int) -> DistributedCluster:

@@ -514,7 +514,8 @@ def test_c_unpropagated_delta_over_the_imcs(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_b_sealed_log_delta_over_the_learner_store(seed):
     rng = random.Random(seed)
-    replica = ColumnarReplica({"t": SCHEMA}, CostModel(), seal_threshold=8)
+    cost = CostModel()
+    replica = ColumnarReplica({"t": SCHEMA}, cost, seal_threshold=8)
     model = TableModel()
     ts = 0
 
@@ -533,6 +534,7 @@ def test_b_sealed_log_delta_over_the_learner_store(seed):
     for encode in (False, True):
         apply(generate_writes(rng, model, 20))
         replica.delta_logs["t"].seal()
+        cost.clock.advance_to(replica.landing_us())  # the sealed files land
         live, tombstones = replica.delta_logs["t"].effective_rows()
         assert live and tombstones
 

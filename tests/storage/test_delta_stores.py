@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import Column, CostModel, DataType, Schema
-from repro.storage.delta_log import LogDeltaManager
+from repro.storage.delta_log import DeltaLogFile, LogDeltaManager
 from repro.storage.delta_store import (
     DeltaEntry,
     DeltaKind,
@@ -90,6 +90,12 @@ class TestCollapse:
         assert tombstones == {1}
 
 
+def land(log):
+    """Let every file ``log`` has sealed land: move its clock to the
+    newest one's ship time."""
+    log._cost.clock.advance_to(log.landing_us())
+
+
 class TestLogDelta:
     def test_seal_threshold(self):
         log = LogDeltaManager(make_schema(), seal_threshold=4)
@@ -106,23 +112,27 @@ class TestLogDelta:
         assert live == {}
         log.seal()
         live, _ = log.effective_rows()
+        assert live == {}  # sealed, still shipping
+        land(log)
+        live, _ = log.effective_rows()
         assert live == {1: (1, 1.0)}
 
-    def test_file_key_index_lookup(self):
+    def test_indexed_key_count(self):
         log = LogDeltaManager(make_schema(), seal_threshold=100)
         for i in range(20):
-            log.record_insert((i, float(i)), i + 1)
+            log.record_insert((i % 15, float(i)), i + 1)
         sealed = log.seal()
         assert sealed is not None
-        entry = sealed.lookup(7)
-        assert entry is not None and entry.row == (7, 7.0)
-        assert sealed.lookup(99) is None
+        assert sealed.indexed_key_count() == 15
+        cols = DeltaLogFile.from_columns(0, *sealed.columns())
+        assert cols.indexed_key_count() == 15
 
     def test_newest_entry_wins_within_file(self):
         log = LogDeltaManager(make_schema(), seal_threshold=100)
         log.record_insert((1, 1.0), 1)
         log.record_update((1, 2.0), 2)
         log.seal()
+        land(log)
         live, _ = log.effective_rows()
         assert live == {1: (1, 2.0)}
 
@@ -138,6 +148,7 @@ class TestLogDelta:
         log = LogDeltaManager(make_schema(), seal_threshold=1)
         log.record_insert((1, 1.0), 5)
         log.record_insert((2, 2.0), 9)
+        land(log)
         live, _ = log.effective_rows(up_to_ts=6)
         assert set(live) == {1}
 
@@ -146,14 +157,20 @@ class TestLogDelta:
         log = LogDeltaManager(make_schema(), cost=cost, seal_threshold=100)
         log.record_insert((1, 1.0), 1)
         before = cost.now_us()
-        log.seal()
-        assert cost.now_us() - before >= cost.page_write_us
+        sealed = log.seal()
+        # The page write is charged; shipping is time in flight.
+        assert cost.now_us() - before == cost.page_write_us
+        assert sealed.shipped_at_us == cost.now_us() + log.ship_latency_us
+        assert log.in_flight() == 1
+        cost.clock.advance(log.ship_latency_us)
+        assert log.in_flight() == 0
 
     def test_scan_charges_page_reads(self):
         cost = CostModel()
         log = LogDeltaManager(make_schema(), cost=cost, seal_threshold=10)
         for i in range(30):
             log.record_insert((i, float(i)), i + 1)
+        land(log)
         before = cost.now_us()
         log.scan_sealed()
         assert cost.now_us() - before >= 3 * cost.page_read_us

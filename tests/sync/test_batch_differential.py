@@ -224,6 +224,7 @@ def fold_by_log_merge(cost, ops):
     main = seeded(ColumnStore(make_schema(), cost))
     log = LogDeltaManager(main.schema, cost, seal_threshold=2)
     apply_ops(log, ops)
+    cost.clock.advance_to(log.landing_us())  # the sealed files land
     merger = LogDeltaMerger(log, main, cost, threshold_files=1)
     return main, lambda: merger.merge(seal_first=True)
 
@@ -262,6 +263,7 @@ def fold_by_replica(cost, ops):
                                   None if kind == "delete" else row)], ts)
         for kind, key, row, ts in model_ops(ops)
     ])
+    cost.clock.advance_to(replica.landing_us())  # the sealed files land
     return main, replica.merge_deltas
 
 
@@ -302,12 +304,17 @@ LOG_MERGE = {
     "insert_then_delete_in_batch": [6, 2391.1000000000004],
     "delete_then_reinsert_in_batch": [3, 121.1],
 }
+#: The learner's merge seals its open buffer on the learner node's own
+#: clock, so where a stand-alone merger charges that page write and then
+#: waits out the shipping (two charges), the replica's merge waits once
+#: for both; the other cases seal nothing inside the call.
+REPLICA_MERGE = {**LOG_MERGE, "insert_then_delete_in_batch": [5, 2391.1000000000004]}
 FOLD_CHARGES = {
     "column_store_fold": FOLD_ONLY,
     "delta_merge": IN_MEMORY_MERGE,
     "log_merge": LOG_MERGE,
     "engine_c_propagate": IN_MEMORY_MERGE,
-    "replica_merge_deltas": LOG_MERGE,
+    "replica_merge_deltas": REPLICA_MERGE,
 }
 
 
