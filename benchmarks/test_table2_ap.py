@@ -59,6 +59,8 @@ class ApFixture:
             self.mem_delta.record_update(row, ts)
             self.log_delta.record_update(row, ts)
         self.log_delta.seal()
+        # Let the sealed files ship and land, so the scan reads them.
+        self.cost.clock.advance_to(self.log_delta.landing_us())
         self.predicate = Between("id", 0, N_BASE)
 
     # Each scan returns (visible fresh rows, simulated cost).
@@ -97,9 +99,9 @@ def ap_results():
         },
         "log-based delta + column scan": {
             "cost_us": log_cost,
-            # Sealed-only visibility: anything in the unsealed buffer
-            # (here: none, we sealed) plus shipping latency; the lag is
-            # the gap a freshly-committed (unsealed) txn would see.
+            # Landed-only visibility: anything in the unsealed buffer or
+            # still shipping (here: none, we sealed and let it land); the
+            # lag is the gap a freshly-committed (unsealed) txn would see.
             "lag": max(0, newest - fx.log_delta.max_sealed_ts()),
             "memory": fx.log_delta.disk_bytes(),
         },
