@@ -321,3 +321,67 @@ class TestDeleteBatch:
         store.compact()
         assert store_state(store) == model.state()
         assert len(store.segments) == 1
+
+
+# ------------------------------------------------------------ point reads
+#
+# ``get_row`` rebuilds a row from whichever codec each column sealed
+# with: it must hand back the appended row itself — NULL sentinels
+# (``NULL_INT``, NaN) as None and every cell a builtin, never a NumPy
+# scalar — through upserts, deletes and compaction.
+
+NULLABLE = Schema(
+    "t",
+    [
+        Column("id", DataType.INT64),
+        Column("g", DataType.INT64),
+        Column("n", DataType.INT64, nullable=True),
+        Column("x", DataType.FLOAT64),
+        Column("f", DataType.FLOAT64, nullable=True),
+        Column("s", DataType.STRING, nullable=True),
+    ],
+    ["id"],
+)
+_POINT_KEYS = 40
+_point_row = st.tuples(
+    st.sampled_from([3, 3, 3, 9]),                    # runs: RLE has work
+    st.sampled_from([None, 0, 1, 2**40, -3]),
+    st.sampled_from([0.25, 0.25, -1.5, 1e300]),
+    st.sampled_from([None, 0.5, -2.0, 7.25]),
+    st.sampled_from([None, "", "a", "bb"]),
+)
+_point_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"),
+            st.dictionaries(st.integers(0, _POINT_KEYS - 1), _point_row, min_size=1, max_size=25),
+        ),
+        st.tuples(st.just("delete"), st.lists(st.integers(0, _POINT_KEYS), max_size=8)),
+        st.tuples(st.just("compact")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codec=st.sampled_from([None, "plain", "dictionary", "rle", "bitpack"]), ops=_point_ops)
+def test_get_row_returns_the_appended_row_with_builtin_cells(codec, ops):
+    store = ColumnStore(NULLABLE, forced_encoding=codec)
+    model: dict[int, tuple] = {}
+    for ts, op in enumerate(ops, start=1):
+        if op[0] == "append":
+            batch = [(key, *rest) for key, rest in op[1].items()]
+            store.append_rows(batch, commit_ts=ts)
+            model.update((row[0], row) for row in batch)
+        elif op[0] == "delete":
+            store.delete_keys(op[1])
+            for key in op[1]:
+                model.pop(key, None)
+        else:
+            store.compact()
+        for key in range(-1, _POINT_KEYS + 1):
+            got, want = store.get_row(key), model.get(key)
+            assert got == want, (codec, key)
+            if want is not None:
+                assert list(map(type, got)) == list(map(type, want)), (codec, key)
