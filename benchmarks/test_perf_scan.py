@@ -1,6 +1,8 @@
 """Segment-skipping scan microbench: absolute seconds of a zone-map
 pruned range scan and two dictionary code-space filters, plus the point
-path — seconds per ``ColumnStore.get_row`` on one segment of each codec.
+path — seconds per ``ColumnStore.get_row`` on one segment of each codec,
+cold (the first pass over a freshly sealed segment, which decodes its
+columns once) and warm (best of ``BEST_OF`` later passes).
 
 Times ``ColumnStore.scan`` on three predicates and writes
 ``BENCH_scan.json`` at the repo root (schema 2: absolute ``*_s`` and
@@ -12,9 +14,9 @@ selective range must prune 18 of 20 segments and the dictionary
 predicates must be answered in code space; regression
 protection for the scan's speed is the ``olap_suite`` bound in
 ``BENCHMARK.json``, for the point path ``oltp_sync``'s — ``point_read``
-is the number to read when one of them moves (a point read that decodes
-the column grows with the row count; one that gathers positions does
-not).
+is the number to read when one of them moves (the cold figure carries
+a segment's one-time decode spread over ``POINT_READS`` reads; the warm
+one does not grow with the row count).
 
 Row count defaults to 100k; CI sets ``SCAN_BENCH_ROWS`` smaller.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +94,8 @@ def point_read_workload(n_rows: int) -> dict:
     """Seconds per ``get_row`` on one ``n_rows`` segment sealed with
     each codec (all-integer columns, so every codec applies): the same
     ``POINT_READS`` keys, hits and misses, each answer checked against
-    the dict model."""
+    the dict model.  The cold pass is timed once, before ``best_of``'s
+    warm-up would hide the segment's one-time decode."""
     rng = random.Random(43)
     schema = Schema(
         "stock",
@@ -114,6 +118,10 @@ def point_read_workload(n_rows: int) -> dict:
         store = ColumnStore(schema, CostModel(), forced_encoding=codec)
         store.append_rows(rows, commit_ts=1)
         assert {e.name for e in store.segments[0].encodings.values()} == {codec}
+        start = time.perf_counter()
+        cold = [store.get_row(k) for k in keys]
+        out[f"{codec}_get_row_cold_s"] = (time.perf_counter() - start) / POINT_READS
+        assert cold == [held.get(k) for k in keys], codec
         seconds, got = best_of(lambda s=store: [s.get_row(k) for k in keys], BEST_OF)
         assert got == [held.get(k) for k in keys], codec
         out[f"{codec}_get_row_s"] = seconds / POINT_READS
@@ -209,10 +217,13 @@ def report():
     )
     print_table(
         f"Point reads ({N_ROWS}-row segment per codec, {POINT_READS} "
-        f"get_row calls, best of {BEST_OF})",
-        ["codec", "us/get_row"],
-        [[codec, point[f"{codec}_get_row_s"] * 1e6] for codec in CODECS],
-        widths=[18, 12],
+        f"get_row calls, cold and best of {BEST_OF})",
+        ["codec", "cold us/get_row", "us/get_row"],
+        [
+            [codec, point[f"{codec}_get_row_cold_s"] * 1e6, point[f"{codec}_get_row_s"] * 1e6]
+            for codec in CODECS
+        ],
+        widths=[18, 18, 12],
     )
     payload["report"] = bench
     return payload
@@ -236,11 +247,12 @@ def test_dictionary_predicates_run_in_code_space(report, name):
 
 
 def test_point_read_reported_per_codec(report):
-    """Absolute seconds per ``get_row`` for every codec; answers were
-    checked against the model while the fixture timed them."""
+    """Absolute seconds per ``get_row`` for every codec, cold and warm;
+    answers were checked against the model while the fixture timed them."""
     point = report["workloads"]["point_read"]
     assert point["rows"] == N_ROWS and point["reads"] == POINT_READS
     for codec in CODECS:
+        assert point[f"{codec}_get_row_cold_s"] > 0
         assert point[f"{codec}_get_row_s"] > 0
 
 

@@ -228,8 +228,9 @@ def _float_or_null(value: Any) -> Any:
     return None if value != value else value  # NaN check
 
 
-#: Inverse of :func:`encode_cell` per dtype, on Python scalars (a
-#: codec's ``value_at`` or ``ndarray.tolist``); identity for the rest.
+#: Inverse of :func:`encode_cell` per dtype, on the Python scalars
+#: ``ndarray.tolist`` gives (see :func:`column_cells`); identity for the
+#: rest.
 _DECODERS = {
     DataType.INT64: _int_or_null,
     DataType.DATE: _int_or_null,
@@ -259,11 +260,25 @@ def rows_to_columns(
     return arrays
 
 
+def column_cells(values: np.ndarray, decode: Callable[[Any], Any]) -> list:
+    """One column array as row cells: builtins (``tolist``), its NULL
+    sentinels back to None.  ``decode`` is the column's
+    :attr:`Schema.decoders` entry; it runs cell by cell only on a column
+    where one vectorised test finds a ``NULL_INT`` / NaN."""
+    cells = values.tolist()
+    if decode is _int_or_null:
+        has_null = (values == NULL_INT).any()
+    elif decode is _float_or_null:
+        has_null = (values != values).any()
+    else:
+        return cells
+    return list(map(decode, cells)) if has_null else cells
+
+
 def columns_to_rows(schema: Schema, arrays: dict[str, np.ndarray]) -> list[Row]:
     """Inverse of :func:`rows_to_columns` (column order from the schema)."""
     if not arrays:
         return []
     return list(zip(*[
-        list(map(decode, arrays[name].tolist()))
-        for name, decode in schema.decoders.items()
+        column_cells(arrays[name], decode) for name, decode in schema.decoders.items()
     ]))

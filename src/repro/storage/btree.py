@@ -1,11 +1,9 @@
 """An in-memory B+-tree.
 
-Used three ways in the testbed, mirroring the survey:
+Used two ways in the testbed, both where range probes are the point:
 
-* primary index of the disk row store (Heatwave-style substrate);
-* secondary indexes of the in-memory row store;
-* index over log-based delta files so delta items "can be efficiently
-  located with key lookups" (TiDB's disk-based delta merge, §2.2(3)).
+* secondary indexes of the in-memory MVCC row store;
+* the multi-version (MV-PBT-style) secondary index.
 
 Leaves are chained for range scans.  Keys must be mutually comparable;
 values are opaque.  Duplicate keys overwrite (the tree is a map).

@@ -32,7 +32,9 @@ from ..common.clock import Timestamp
 from ..common.cost import CostModel
 from ..common.errors import StorageError
 from ..common.predicate import ALWAYS_TRUE, Predicate, column_range
-from ..common.types import NULL_INT, Key, Row, Schema, columns_to_rows, rows_to_columns
+from ..common.types import (
+    NULL_INT, Key, Row, Schema, column_cells, columns_to_rows, rows_to_columns,
+)
 from ..obs.registry import get_registry
 from .code_batch import CodeColumn, concat_code_parts
 from .compression import (
@@ -182,6 +184,10 @@ class Segment:
     #: Number of set bits in ``delete_mask``, maintained by the delete
     #: paths so per-scan liveness checks never re-sum the mask.
     dead_count: int = 0
+    #: Row cells per column in schema order, decoded on the first point
+    #: read (:meth:`ColumnStore.get_row`).  Sealed encodings never
+    #: change — only ``delete_mask`` does — so they stay right.
+    cells: list[list] | None = field(default=None, repr=False, compare=False)
 
     def live_count(self) -> int:
         return self.n_rows - self.dead_count
@@ -591,7 +597,9 @@ class ColumnStore:
         Deliberately priced above a row-store probe: reconstruction
         gathers one value per column (k cache misses vs the row store's
         one) — the read-amplification that makes pure column stores a
-        poor OLTP primary (Table 1, architecture (d)).
+        poor OLTP primary (Table 1, architecture (d)).  The Python work
+        is a segment's one decode per column on its first point read
+        (:attr:`Segment.cells`), then one index per column.
         """
         self._cost.charge(self._cost.row_point_read_us * 0.5)  # pk directory probe
         loc = self._locations.get(key)
@@ -600,11 +608,12 @@ class ColumnStore:
         segment_id, pos = loc
         segment = self._segment_by_id[segment_id]
         self._cost.charge(self._cost.column_materialize_per_row_us * len(self.schema))
-        encodings = segment.encodings
-        return tuple([
-            decode(encodings[name].value_at(pos))
-            for name, decode in self.schema.decoders.items()
-        ])
+        if segment.cells is None:
+            segment.cells = [
+                column_cells(segment.encodings[name].decode(), decode)
+                for name, decode in self.schema.decoders.items()
+            ]
+        return tuple([cells[pos] for cells in segment.cells])
 
     def scan(
         self,

@@ -178,22 +178,22 @@ def test_d_point_reads_follow_the_model_across_layers(seed):
     assert codecs_read == {"plain", "dictionary", "rle", "bitpack"}
 
 
-def test_d_committed_point_reads_decode_no_column(monkeypatch):
-    """1 000 reads of merged state gather positions: not one codec
-    materializes a column."""
+def test_d_committed_point_reads_decode_each_segment_once(monkeypatch):
+    """A point read decodes a sealed segment's columns once and keeps
+    the cells: over the first 1 000 reads of merged state each
+    (segment, column) decodes at most once, the next 1 000 decode
+    nothing, and after ``merge_l2_to_main`` reads decode only the new
+    segment's columns, once each."""
     rng = random.Random(7)
     engine = make_engine("d")
     engine.create_table(SCHEMA)
+    model = TableModel()
     rows = base_rows(rng)
     engine.load_rows("t", rows, batch=25)
+    for row in rows:
+        model.apply("insert", row[0], row, 0)
     engine.force_sync()
-    segment_codecs = {
-        enc.name
-        for segment in engine.table("t").main.segments
-        for enc in segment.encodings.values()
-    }
-    assert "rle" in segment_codecs
-    decodes = []
+    decoded = []
     for name in (
         "PlainEncoding", "DictionaryEncoding", "RunLengthEncoding", "BitPackedEncoding",
     ):
@@ -201,16 +201,54 @@ def test_d_committed_point_reads_decode_no_column(monkeypatch):
         original = cls.decode
 
         def counted(self, _original=original):
-            decodes.append(type(self).__name__)
+            decoded.append(self)
             return _original(self)
 
         monkeypatch.setattr(cls, "decode", counted)
-    held = {row[0]: row for row in rows}
-    session = engine.session()
-    for _ in range(1000):
-        key = rng.randrange(N_KEYS)
-        assert session.read("t", key) == held.get(key)
-    assert decodes == []
+
+    table = engine.table("t")
+    commit(engine, model, generate_writes(rng, model, 9))
+    table.merge_l1_to_l2()  # reads now resolve in L2 and in Main
+    assert table.l2.segments and len(table.main.segments) == 1
+    segment_codecs = {
+        enc.name
+        for segment in table.main.segments
+        for enc in segment.encodings.values()
+    }
+    assert "rle" in segment_codecs
+
+    def where():
+        """(store, segment id, column) of every decode so far."""
+        at = {
+            id(enc): (store_name, segment.segment_id, column)
+            for store_name in ("l2", "main")
+            for segment in getattr(table, store_name).segments
+            for column, enc in segment.encodings.items()
+        }
+        return [at[id(enc)] for enc in decoded]
+
+    def read(n):
+        decoded.clear()
+        held = {row[0]: row for row in model.rows()}
+        session = engine.session()
+        for _ in range(n):
+            key = rng.randrange(N_KEYS)
+            assert session.read("t", key) == held.get(key)
+        session.abort()
+        return where()
+
+    # The commit's own point reads count with the first 1 000.
+    first = where() + read(1000)
+    assert first and len(first) == len(set(first))
+    assert {store for store, _sid, _col in first} == {"l2", "main"}
+    assert read(1000) == []
+    table.merge_l2_to_main()
+    (segment,) = table.main.segments
+    assert not table.l2.segments
+    assert sorted(read(1000)) == sorted(
+        ("main", segment.segment_id, column) for column in SCHEMA.column_names
+    )
+    assert read(1000) == []
 
 
 # --------------------------------------------------------------- IMCU scan

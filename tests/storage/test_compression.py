@@ -154,8 +154,8 @@ def test_string_codecs_round_trip(values):
 
 # ---------------------------------------------------------- point access
 #
-# A row-granular read touches positions, never the column: value_at(i)
-# and take(p) must equal decode()[i] / decode()[p] on every codec.
+# A row-granular gather touches positions, never the column: take(p)
+# must equal decode()[p] on every codec.
 
 CODECS = ("plain", "dictionary", "rle", "bitpack")
 
@@ -197,19 +197,6 @@ def _same_cell(got, want) -> bool:
 
 
 @settings(max_examples=60, deadline=None)
-@given(runs=_runs)
-def test_value_at_equals_decode_at_every_position(runs):
-    """...and is a Python scalar: a row rebuilt from ``value_at`` needs
-    no per-cell NumPy conversion."""
-    for name, enc, decoded in _segments(runs):
-        assert len(enc) == len(decoded)
-        for i in range(len(decoded)):
-            got = enc.value_at(i)
-            assert _same_cell(got, decoded[i]), (name, i)
-            assert type(got) in (int, float, str, type(None)), (name, i, type(got))
-
-
-@settings(max_examples=60, deadline=None)
 @given(runs=_runs, data=st.data())
 def test_take_equals_decode_at_positions(runs, data):
     n = sum(length for _v, length in runs)
@@ -236,17 +223,13 @@ def test_take_equals_decode_at_positions(runs, data):
 def test_out_of_range_positions_raise(name, n):
     enc = encoding_for_name(name, np.repeat(np.arange(n // 10 + 1), 10)[:n])
     with pytest.raises(IndexError):
-        enc.value_at(n)
-    with pytest.raises(IndexError):
         enc.take(np.array([0, n], dtype=np.int64))
 
 
 def test_base_encoding_has_no_decoding_defaults():
-    """A codec that forgets ``take`` / ``value_at`` must fail loudly,
-    not fall back to decoding the column behind a one-cell read."""
+    """A codec that forgets ``take`` must fail loudly, not fall back to
+    decoding the column behind a few-cell gather."""
     from repro.storage.compression import Encoding
 
     with pytest.raises(NotImplementedError):
         Encoding().take(np.array([0]))
-    with pytest.raises(NotImplementedError):
-        Encoding().value_at(0)
