@@ -1,12 +1,15 @@
 """Sync-pipeline microbench: absolute seconds of OLTP→OLAP movement.
 
-Times the three batch paths — in-memory delta merge (technique (i)),
-Raft learner log replay + log-based merge (technique (ii)), and the
-TPC-C bulk-load fixture path (against per-row sessions, both production
+Times the four batch paths — in-memory delta merge (technique (i)),
+Raft learner log replay + log-based merge (technique (ii)), an IMCU's
+rebuild from the primary row store (technique (iii): first population,
+then a repopulation after 5 % of the rows changed), and the TPC-C
+bulk-load fixture path (against per-row sessions, both production
 APIs) — and writes ``BENCH_sync.json`` at the repo root (schema 2:
 absolute ``*_s`` and ``*_per_s`` only) so CI can archive the numbers.
-Post-sync state is checked against ``tests/oracle``'s dict table model;
-regression protection for these kernels is the ``oltp_sync`` bound in
+Post-sync state is checked against ``tests/oracle``'s dict table model,
+and the repopulated IMCU against a fresh full build; regression
+protection for these kernels is the ``oltp_sync`` bound in
 ``BENCHMARK.json``.
 
 Row count defaults to 100k; CI sets ``SYNC_BENCH_ROWS`` smaller.
@@ -32,6 +35,8 @@ from repro.engines.base import HTAPEngine
 from repro.obs import get_registry
 from repro.storage.column_store import ColumnStore
 from repro.storage.delta_store import InMemoryDeltaStore
+from repro.storage.imcu import InMemoryColumnUnit
+from repro.storage.row_store import MVCCRowStore
 from repro.sync import InMemoryDeltaMerger
 
 from conftest import assert_absolute_report, print_table
@@ -177,6 +182,56 @@ def bench_raft_replay(commands):
     return best, total_writes
 
 
+def repopulate_changes(n: int):
+    """5 % of an n-row table: updates, inserts and deletes, a third each."""
+    rng = random.Random(13)
+    third = n // 60
+    touched = rng.sample(range(n), 2 * third)
+    ops = [("update", k, (k, float(k) * 2, "upd")) for k in touched[:third]]
+    ops += [("insert", k, (k, float(k), f"tag{k % 5}")) for k in range(n, n + third)]
+    ops += [("delete", k, None) for k in touched[third:]]
+    rng.shuffle(ops)
+    return ops
+
+
+def bench_imcu_repopulate(n: int):
+    """Best first population of an n-row IMCU and best repopulation
+    after :func:`repopulate_changes`, over fresh stores; the last
+    trial's image is checked against a fresh unit's full build."""
+    changes = repopulate_changes(n)
+    best = {"populate": float("inf"), "repopulate": float("inf")}
+    for _ in range(BEST_OF):
+        cost = CostModel()
+        store = MVCCRowStore(make_schema(), cost)
+        for i in range(n):
+            store.install_insert((i, float(i), f"tag{i % 5}"), 1)
+        imcu = InMemoryColumnUnit(make_schema(), store, cost)
+        with quiesced_gc():
+            start = time.perf_counter()
+            imcu.populate(1)
+            best["populate"] = min(best["populate"], time.perf_counter() - start)
+        for ts, (kind, key, row) in enumerate(changes, start=2):
+            if kind == "insert":
+                store.install_insert(row, ts)
+            elif kind == "update":
+                store.install_update(key, row, ts)
+            else:
+                store.install_delete(key, ts)
+            imcu.on_change(key)
+        with quiesced_gc():
+            start = time.perf_counter()
+            imcu.populate(ts)
+            best["repopulate"] = min(best["repopulate"], time.perf_counter() - start)
+    full = InMemoryColumnUnit(make_schema(), store, CostModel())
+    full.populate(ts)
+    (got,), (want,) = imcu.segments, full.segments
+    assert got.keys == want.keys
+    for name, encoding in want.encodings.items():
+        assert type(got.encodings[name]) is type(encoding)
+        assert got.encodings[name].decode().tolist() == encoding.decode().tolist()
+    return best
+
+
 def bench_tpcc_load():
     best = {True: float("inf"), False: float("inf")}
     rows = {}
@@ -226,6 +281,14 @@ def report():
         "rows_per_s": n_writes / replay_t,
     }
 
+    # --- technique (iii): IMCU rebuild from the primary row store -------
+    imcu_t = bench_imcu_repopulate(N_ROWS)
+    results["imcu_repopulate"] = {
+        "rows": N_ROWS,
+        "populate_s": imcu_t["populate"],
+        "repopulate_s": imcu_t["repopulate"],
+    }
+
     # --- fixture path: TPC-C bulk load vs per-row sessions ---------------
     load_t, load_rows = bench_tpcc_load()
     assert load_rows[True] == load_rows[False]
@@ -256,6 +319,8 @@ def report():
             for label, rows, seconds in (
                 ("delta_merge", len(ops), merge_t),
                 ("raft_replay", n_writes, replay_t),
+                ("imcu populate", N_ROWS, imcu_t["populate"]),
+                ("imcu repopulate", N_ROWS, imcu_t["repopulate"]),
                 ("tpcc_load bulk", load_rows[True], load_t[True]),
                 ("tpcc_load per-row", load_rows[False], load_t[False]),
             )

@@ -3,8 +3,10 @@
 The survey's column stores all compress their main data (dictionary
 encoding in HANA, IMCU compression in Oracle, RLE everywhere).  We
 implement the three classics plus plain storage, with a heuristic
-chooser.  Every codec round-trips exactly (property-tested) and reports
-its encoded size so the benches can measure memory footprints.
+chooser.  Every codec decodes to values that compare equal to its input
+(property-tested), though dictionary and RLE keep one representative of
+equal floats: a FLOAT64 ``-0.0`` or NaN payload may not survive.  Each
+reports its encoded size so the benches can measure memory footprints.
 
 Row-granular access gathers positions: ``take(positions)`` reads the
 cells asked for without materializing the column, so a delta overlay
@@ -57,6 +59,10 @@ class PlainEncoding(Encoding):
 
     data: np.ndarray
     name = "plain"
+
+    @classmethod
+    def encode(cls, values: np.ndarray) -> "PlainEncoding":
+        return cls(data=values)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -255,15 +261,7 @@ class BitPackedEncoding(Encoding):
             return cls(base=0, offsets=np.array([], dtype=np.uint8))
         base = int(values.min())
         span = int(values.max()) - base
-        if span < 2**8:
-            dtype = np.uint8
-        elif span < 2**16:
-            dtype = np.uint16
-        elif span < 2**32:
-            dtype = np.uint32
-        else:
-            dtype = np.uint64
-        return cls(base=base, offsets=(values - base).astype(dtype))
+        return cls(base=base, offsets=(values - base).astype(_offset_dtype(span)))
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -278,46 +276,60 @@ class BitPackedEncoding(Encoding):
         return self.offsets[positions].astype(np.int64) + self.base
 
 
+def _offset_dtype(span: int) -> np.dtype:
+    """The narrowest unsigned dtype holding offsets ``0..span``."""
+    return np.min_scalar_type(span)
+
+
 def choose_encoding(values: np.ndarray) -> Encoding:
     """Pick the cheapest codec for ``values`` by estimated size.
 
     Mirrors what real column stores do at segment-seal time: strings
     get dictionaries when repetitive, integers get FOR/bit-packing,
     runs get RLE, everything else stays plain.
+
+    A fixed-width column sizes every candidate by its ``size_bytes``
+    formula and builds only the winner (of equal sizes, the earliest of
+    plain, bit-packed, RLE, dictionary); the distinct count, a sort, is
+    taken only when a dictionary could still win.
     """
     n = len(values)
     if n == 0:
         return PlainEncoding(data=values)
-    candidates: list[Encoding] = [PlainEncoding(data=values)]
     if values.dtype == object:
+        candidates: list[Encoding] = [PlainEncoding(data=values)]
         unique = len(set(values.tolist()))
         if unique <= max(1, n // 2):
             try:
                 candidates.append(DictionaryEncoding.encode(values))
             except TypeError:
                 pass  # NULL (None) beside strings: no sorted dictionary
-    else:
-        if np.issubdtype(values.dtype, np.integer):
-            candidates.append(BitPackedEncoding.encode(values))
-        # Count runs before building the encoding — high-churn columns
-        # (runs > n/3) never qualify, so don't pay the full RLE build.
-        n_runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
-        if n_runs <= n // 3:
-            candidates.append(RunLengthEncoding.encode(values))
-        unique_count = len(np.unique(values))
-        if unique_count <= n // 4:
-            candidates.append(DictionaryEncoding.encode(values))
-    return min(candidates, key=lambda e: e.size_bytes())
+        return min(candidates, key=lambda e: e.size_bytes())
+    itemsize = values.dtype.itemsize
+    codec, size = PlainEncoding, int(values.nbytes)
+    if np.issubdtype(values.dtype, np.integer):
+        span = int(values.max()) - int(values.min())
+        packed = n * _offset_dtype(span).itemsize + 8
+        if packed < size:
+            codec, size = BitPackedEncoding, packed
+    n_runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+    if n_runs <= n // 3 and n_runs * (itemsize + 8) < size:
+        codec, size = RunLengthEncoding, n_runs * (itemsize + 8)
+    if 4 * n + itemsize < size:  # the least a dictionary can cost
+        distinct = len(np.unique(values))
+        if distinct <= n // 4 and distinct * itemsize + 4 * n < size:
+            codec = DictionaryEncoding
+    return codec.encode(values)
+
+
+_CODECS = {
+    codec.name: codec
+    for codec in (PlainEncoding, DictionaryEncoding, RunLengthEncoding, BitPackedEncoding)
+}
 
 
 def encoding_for_name(name: str, values: np.ndarray) -> Encoding:
     """Force a specific codec; used by ablation benches."""
-    if name == "plain":
-        return PlainEncoding(data=values)
-    if name == "dictionary":
-        return DictionaryEncoding.encode(values)
-    if name == "rle":
-        return RunLengthEncoding.encode(values)
-    if name == "bitpack":
-        return BitPackedEncoding.encode(values)
-    raise ValueError(f"unknown encoding {name!r}")
+    if name not in _CODECS:
+        raise ValueError(f"unknown encoding {name!r}")
+    return _CODECS[name].encode(values)

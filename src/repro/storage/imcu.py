@@ -6,12 +6,20 @@ tables are *populated* into columnar IMCUs.  Changes made after
 population are not applied in place — the SMU merely records which keys
 went stale, and queries patch those rows from the row store at scan
 time.  When staleness crosses a threshold the unit is repopulated
-(the survey's "rebuild from primary row store" DS technique).
+(the survey's "rebuild from primary row store" DS technique), priced
+as a full rebuild.  The Python work behind it re-pivots only the rows
+whose visible version changed; the rest are gathered from the arrays
+the image sealed (never from decoded cells: dictionary and RLE fold
+``-0.0`` and NaN payloads).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
+
+import numpy as np
 
 from ..common.clock import Timestamp
 from ..common.cost import CostModel
@@ -60,6 +68,9 @@ class InMemoryColumnUnit:
         self._cost = cost
         self._segment: Segment | None = None  # None: nothing populated
         self._position: dict[Key, int] = {}  # key -> row of the image
+        # The arrays the image sealed (a plain column's are its encoding's
+        # own) and the ts it read them at; nothing is visible before 0.
+        self._arrays, self._image_ts = rows_to_columns(schema, []), -1
         self.smu = SnapshotMetadataUnit()
         self.populations = 0
         reg = get_registry()
@@ -70,21 +81,33 @@ class InMemoryColumnUnit:
     # ------------------------------------------------------------- populate
 
     def populate(self, snapshot_ts: Timestamp) -> int:
-        """(Re)build the unit from the row store at ``snapshot_ts``."""
-        rows = self._rows.snapshot_rows(snapshot_ts)
-        keys = list(map(self.schema.key_of, rows))
+        """(Re)build the unit from the row store at ``snapshot_ts``,
+        priced as a full rebuild: a scan, then ``rebuild_per_row_us`` per
+        row.  A row is reused when its visible version was visible at
+        the image's ts too; version timestamps decide, never the SMU, so
+        the image equals a full rebuild."""
+        keys, rows = self._rows.snapshot_since(snapshot_ts, self._image_ts)
+        is_fresh = np.fromiter(map(is_not, rows, repeat(None)), bool, len(keys))
+        fresh = list(compress(rows, is_fresh.tolist()))
+        # Image rows gather from [the sealed arrays | the pivoted fresh rows].
+        take = np.empty(len(keys), np.intp)
+        take[is_fresh] = np.arange(len(fresh)) + len(self._position)
+        kept = compress(keys, (~is_fresh).tolist())
+        take[~is_fresh] = np.fromiter(map(self._position.__getitem__, kept), np.intp)
+        pivoted = rows_to_columns(self.schema, fresh)
+        self._arrays = {
+            name: np.concatenate((column, pivoted[name]))[take]
+            for name, column in self._arrays.items()
+        }
         self._position = dict(zip(keys, range(len(keys))))
         self._segment = (
-            seal_segment(
-                self.schema, rows_to_columns(self.schema, rows), keys, snapshot_ts
-            )
-            if rows
-            else None
+            seal_segment(self.schema, self._arrays, keys, snapshot_ts) if keys else None
         )
+        self._image_ts = snapshot_ts
         self.smu = SnapshotMetadataUnit(populate_ts=snapshot_ts)
         self.populations += 1
-        self._cost.charge_rows(self._cost.rebuild_per_row_us, max(len(rows), 1))
-        return len(rows)
+        self._cost.charge_rows(self._cost.rebuild_per_row_us, max(len(keys), 1))
+        return len(keys)
 
     @property
     def populated(self) -> bool:

@@ -16,7 +16,7 @@ visibility a pure function of (version chain, snapshot ts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..common.clock import INFINITY_TS, Timestamp
 from ..common.cost import CostModel
@@ -167,10 +167,7 @@ class MVCCRowStore:
         return None
 
     def scan(
-        self,
-        snapshot_ts: Timestamp,
-        predicate: Predicate = ALWAYS_TRUE,
-        on_row: Callable[[Row], None] | None = None,
+        self, snapshot_ts: Timestamp, predicate: Predicate = ALWAYS_TRUE
     ) -> list[Row]:
         """Full scan of the snapshot; returns matching rows in key-hash order."""
         out: list[Row] = []
@@ -182,8 +179,6 @@ class MVCCRowStore:
                     examined += 1
                     if predicate.matches(version.row, self.schema):
                         out.append(version.row)
-                        if on_row is not None:
-                            on_row(version.row)
                     break
         self._cost.charge_rows(self._cost.row_scan_per_row_us, max(examined, 1))
         return out
@@ -191,6 +186,24 @@ class MVCCRowStore:
     def snapshot_rows(self, snapshot_ts: Timestamp) -> list[Row]:
         """All rows visible at ``snapshot_ts`` (used by rebuild sync)."""
         return self.scan(snapshot_ts)
+
+    def snapshot_since(
+        self, snapshot_ts: Timestamp, since_ts: Timestamp
+    ) -> tuple[list[Key], list[Row | None]]:
+        """The keys visible at ``snapshot_ts`` in :meth:`scan`'s order,
+        each with its row, or None where that same version was already
+        visible at ``since_ts``.  Charged as :meth:`scan` is."""
+        keys: list[Key] = []
+        rows: list[Row | None] = []
+        for key, chain in self._chains.items():
+            for version in reversed(chain):
+                if version.begin_ts <= snapshot_ts < version.end_ts:
+                    keys.append(key)
+                    unchanged = version.begin_ts <= since_ts < version.end_ts
+                    rows.append(None if unchanged else version.row)
+                    break
+        self._cost.charge_rows(self._cost.row_scan_per_row_us, max(len(keys), 1))
+        return keys, rows
 
     # ------------------------------------------------------------- indexes
 
