@@ -7,7 +7,8 @@ rollback, a first-committer-wins refusal, ``bulk_load``, and
 ``time_travel_query`` after ``vacuum`` with a session still open.  For
 each step it pins ``[charges, simulated us]`` (``ChargeLog.call``) and
 node0's ledger busy time; at the end, the logical clock, the
-simulated clock and the WAL's record kinds.  A refactor of (a)'s
+simulated clock, the WAL's record kinds, the WAL itself as plain
+tuples and every ledger node's busy time.  A refactor of (a)'s
 transaction must leave every number where it was.
 """
 
@@ -76,6 +77,60 @@ END = (9, 220.52, 47)
 #: WAL record kind -> count after the script.
 WAL_KINDS = {"abort": 3, "begin": 8, "commit": 8, "insert": 22, "update": 6}
 
+#: The WAL after the script, one plain tuple per record.
+WAL: list[tuple] = [
+    (1, 1, 'begin', None, None, None, None),
+    (2, 1, 'insert', 'stock', 0, (0, 50, 't0'), 2),
+    (3, 1, 'insert', 'stock', 1, (1, 50, 't1'), 2),
+    (4, 1, 'insert', 'stock', 2, (2, 50, 't2'), 2),
+    (5, 1, 'insert', 'stock', 3, (3, 50, 't0'), 2),
+    (6, 1, 'insert', 'stock', 4, (4, 50, 't1'), 2),
+    (7, 1, 'insert', 'stock', 5, (5, 50, 't2'), 2),
+    (8, 1, 'insert', 'stock', 6, (6, 50, 't0'), 2),
+    (9, 1, 'insert', 'stock', 7, (7, 50, 't1'), 2),
+    (10, 1, 'insert', 'stock', 8, (8, 50, 't2'), 2),
+    (11, 1, 'insert', 'stock', 9, (9, 50, 't0'), 2),
+    (12, 1, 'insert', 'stock', 10, (10, 50, 't1'), 2),
+    (13, 1, 'insert', 'stock', 11, (11, 50, 't2'), 2),
+    (14, 1, 'insert', 'stock', 12, (12, 50, 't0'), 2),
+    (15, 1, 'insert', 'stock', 13, (13, 50, 't1'), 2),
+    (16, 1, 'insert', 'stock', 14, (14, 50, 't2'), 2),
+    (17, 1, 'insert', 'stock', 15, (15, 50, 't0'), 2),
+    (18, 1, 'insert', 'stock', 16, (16, 50, 't1'), 2),
+    (19, 1, 'insert', 'stock', 17, (17, 50, 't2'), 2),
+    (20, 1, 'insert', 'stock', 18, (18, 50, 't0'), 2),
+    (21, 1, 'insert', 'stock', 19, (19, 50, 't1'), 2),
+    (22, 1, 'commit', None, None, None, 2),
+    (23, 2, 'begin', None, None, None, None),
+    (24, 2, 'update', 'stock', 3, (3, 48, 't0'), 3),
+    (25, 2, 'insert', 'stock', 100, (100, 7, 'new'), 3),
+    (26, 2, 'commit', None, None, None, 3),
+    (27, 3, 'begin', None, None, None, None),
+    (28, 3, 'insert', 'stock', 200, (200, 2, 'y'), 4),
+    (29, 3, 'commit', None, None, None, 4),
+    (30, 4, 'begin', None, None, None, None),
+    (31, 4, 'update', 'stock', 5, (5, 9, 'z'), 5),
+    (32, 4, 'commit', None, None, None, 5),
+    (33, 5, 'abort', None, None, None, None),
+    (34, 6, 'begin', None, None, None, None),
+    (35, 6, 'update', 'stock', 8, (8, 2, 'w'), 6),
+    (36, 6, 'commit', None, None, None, 6),
+    (37, 7, 'abort', None, None, None, None),
+    (38, 9, 'begin', None, None, None, None),
+    (39, 9, 'update', 'stock', 9, (9, 10, 'v'), 7),
+    (40, 9, 'commit', None, None, None, 7),
+    (41, 10, 'begin', None, None, None, None),
+    (42, 10, 'update', 'stock', 9, (9, 11, 'v'), 8),
+    (43, 10, 'commit', None, None, None, 8),
+    (44, 11, 'begin', None, None, None, None),
+    (45, 11, 'update', 'stock', 9, (9, 12, 'v'), 9),
+    (46, 11, 'commit', None, None, None, 9),
+    (47, 8, 'abort', None, None, None, None),
+]
+
+#: Every ledger node's busy us after the script.
+LEDGER: dict[str, float] = {'node0': 208.52}
+
 
 def run_script():
     cost, log = logged_cost()
@@ -139,11 +194,21 @@ def run_script():
     wal = engine.wal
     end = (engine.clock.now(), log.now_us(), len(wal))
     kinds = Counter(r.kind.value for r in wal.records)
-    return steps, end, dict(sorted(kinds.items())), (reclaimed, past.scalar())
+    records = [
+        (r.lsn, r.txn_id, r.kind.value, r.table, r.key, r.row, r.commit_ts)
+        for r in wal.records
+    ]
+    return (
+        steps,
+        end,
+        dict(sorted(kinds.items())),
+        (reclaimed, past.scalar()),
+        (records, engine.ledger.snapshot()),
+    )
 
 
 def test_row_imcs_transactions_charge_as_pinned():
-    steps, end, kinds, (reclaimed, past_sum) = run_script()
+    steps, end, kinds, (reclaimed, past_sum), (records, ledger) = run_script()
     # Versions ended at or before the open reader's snapshot go: key 3's
     # and key 5's first and key 8's.
     assert reclaimed == 3
@@ -154,3 +219,5 @@ def test_row_imcs_transactions_charge_as_pinned():
     assert steps == PINS
     assert end == END
     assert kinds == WAL_KINDS
+    assert records == WAL
+    assert ledger == LEDGER
