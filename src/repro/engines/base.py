@@ -610,11 +610,12 @@ class LoggedEngine(HTAPEngine):
 
     def _charged(self, fn, *args):
         """``fn(*args)`` with its simulated cost booked to the TP node."""
-        before = self.cost.now_us()
+        now = self.cost.now_us
+        before = now()
         try:
             return fn(*args)
         finally:
-            self.ledger.charge(self._tp_node, self.cost.now_us() - before)
+            self.ledger.charge(self._tp_node, now() - before)
 
     def _validate(self, txn_id: int, writes, read_ts: Timestamp) -> None:
         """Refuse a commit whose staged writes lost a race: by default

@@ -27,10 +27,11 @@ class Page:
     dirty: bool = False
 
     def free_slot(self) -> int | None:
-        for i, slot in enumerate(self.slots):
-            if slot is None:
-                return i
-        return None
+        """The lowest free slot, or None on a full page."""
+        try:
+            return self.slots.index(None)
+        except ValueError:
+            return None
 
     def live_rows(self) -> int:
         return sum(1 for s in self.slots if s is not None)

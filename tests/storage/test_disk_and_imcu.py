@@ -30,6 +30,20 @@ def make_schema():
     )
 
 
+def test_free_slot_is_the_lowest_free_slot_and_none_on_a_full_page():
+    page = Page(page_id=0)
+    assert page.free_slot() == 0
+    page.slots = [(i, float(i)) for i in range(PAGE_CAPACITY)]
+    assert page.free_slot() is None
+    for slot in (40, 7, 63):
+        page.slots[slot] = None
+    assert page.free_slot() == 7
+    page.slots[7] = (7, 7.0)
+    assert page.free_slot() == 40
+    page.slots[40] = (40, 40.0)
+    assert page.free_slot() == 63
+
+
 class TestBufferPool:
     def test_hit_miss_accounting(self):
         cost = CostModel()
