@@ -24,7 +24,7 @@ from ..common.predicate import (
     Predicate,
     TruePredicate,
 )
-from ..common.types import Row, Schema
+from ..common.types import NULL_INT, Row, Schema, rows_to_columns
 
 
 @dataclass
@@ -32,17 +32,6 @@ class ColumnStats:
     ndv: int
     min_value: Any = None
     max_value: Any = None
-
-    @classmethod
-    def from_values(cls, values: list) -> "ColumnStats":
-        non_null = [v for v in values if v is not None]
-        if not non_null:
-            return cls(ndv=0)
-        ndv = len(set(non_null))
-        orderable = all(isinstance(v, (int, float)) for v in non_null)
-        if orderable:
-            return cls(ndv=ndv, min_value=min(non_null), max_value=max(non_null))
-        return cls(ndv=ndv)
 
 
 @dataclass
@@ -52,17 +41,21 @@ class TableStats:
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: list[Row]) -> "TableStats":
-        columns = {}
-        for i, col in enumerate(schema.columns):
-            columns[col.name] = ColumnStats.from_values([r[i] for r in rows])
-        return cls(row_count=len(rows), columns=columns)
+        return cls.from_arrays(rows_to_columns(schema, rows))
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "TableStats":
+        """Row count, and per column the distinct non-NULL values and
+        (numeric columns) their range.  NULL is ``NULL_INT`` in an int64
+        array and NaN in a float64 one, so a NaN value counts as NULL."""
         columns = {}
         n = 0
         for name, arr in arrays.items():
             n = len(arr)
+            if arr.dtype == np.int64:
+                arr = arr[arr != NULL_INT]
+            elif arr.dtype == np.float64:
+                arr = arr[arr == arr]
             if arr.dtype != object and len(arr):
                 columns[name] = ColumnStats(
                     ndv=len(np.unique(arr)),
