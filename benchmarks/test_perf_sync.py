@@ -152,7 +152,7 @@ def replay_commands(n: int, writes_per_txn: int = 20):
                 writes.append(
                     WriteOp(WriteKind.INSERT, "t", k, (k, float(k), f"tag{k % 5}"))
                 )
-        commands.append(("intent", txn, writes, ts))
+        commands.append(("intent", txn, writes, ts, ts - 1))
         commands.append(("resolve", txn, True))
         ts += 1
     return commands
@@ -174,7 +174,7 @@ def bench_raft_replay(commands):
     # Every intent in the stream commits: its writes land at its ts.
     model = TableModel().apply_all(
         ("insert", w.key, w.row, ts)
-        for _op, _txn, writes, ts in intents
+        for _op, _txn, writes, ts, _read_ts in intents
         for w in writes
     )
     assert store_state(replica.column_stores["t"]) == model.state()

@@ -70,7 +70,7 @@ from ..common.predicate import ALWAYS_TRUE, Predicate
 from ..common.types import Key, Row, Schema
 from ..obs import get_registry
 from ..storage.column_store import ColumnScanResult
-from ..txn.transaction import first_lost_write, refusal
+from ..txn.transaction import first_committer_wins
 from .metadata import MetadataService, PlacementPolicy, ShardMap, hash_point
 from .network import SimNetwork
 from .raft import Proposal, RaftGroup, RaftNode, await_commit
@@ -147,7 +147,8 @@ class RegionStateMachine:
     (dual-logged writes that committed on the source after the snapshot
     barrier), "rehome" (the flip-time authoritative image, also
     consumed by learners), and "truncate" (drop a ring interval that
-    migrated away)."""
+    migrated away).  ``written`` stamps each key with its newest write's
+    commit ts, for :func:`~repro.txn.transaction.first_committer_wins`."""
 
     def __init__(
         self,
@@ -159,10 +160,11 @@ class RegionStateMachine:
         self.schemas = schemas
         self._point_fn = point_fn
         self.rows: dict[str, dict[Key, Row]] = {t: {} for t in schemas}
+        self.written: dict[str, dict[Key, Timestamp]] = {t: {} for t in schemas}
         #: Durably staged writes awaiting their "resolve".
         self.intents: dict[int, tuple[list[WriteOp], Timestamp]] = {}
-        #: txn id -> None (a YES vote) or the staged write its intent lost on.
-        self.vote_log: dict[int, tuple | None] = {}
+        #: txn id -> None (a YES vote) or the refusal its intent drew.
+        self.vote_log: dict[int, TransactionAborted | None] = {}
         self.last_commit_ts: Timestamp = 0
         self.applied_commands = 0
 
@@ -172,9 +174,9 @@ class RegionStateMachine:
         if op == "intent":
             # PREPARED + the write intent durably logged in one command,
             # decided by "resolve".
-            _op, txn_id, writes, commit_ts = command
-            lost = self.vote_log[txn_id] = self._validate(writes)
-            if lost is None:
+            _op, txn_id, writes, commit_ts, read_ts = command
+            refused = self.vote_log[txn_id] = self._validate(txn_id, writes, read_ts)
+            if refused is None:
                 self.intents[txn_id] = (writes, commit_ts)
         elif op == "commit1p":
             # Single-shard 1PC fast path: the leader validated before
@@ -195,9 +197,12 @@ class RegionStateMachine:
             # migration snapshot, or the flip-time authoritative image.
             _op, table_name, rows, commit_ts = command
             table = self.rows[table_name]
+            stamps = self.written[table_name]
             key_of = self.schemas[table_name].key_of
             for row in rows:
-                table[key_of(row)] = row
+                key = key_of(row)
+                table[key] = row
+                stamps[key] = commit_ts
             self.last_commit_ts = max(self.last_commit_ts, commit_ts)
         elif op == "tail":
             # Dual-logged writes replayed onto a migration target: each
@@ -209,31 +214,36 @@ class RegionStateMachine:
                     table.pop(key, None)
                 else:
                     table[key] = row
+                self.written[table_name][key] = commit_ts
                 self.last_commit_ts = max(self.last_commit_ts, commit_ts)
         elif op == "truncate":
-            # The interval [lo, hi) migrated away: drop its rows.
+            # The interval [lo, hi) migrated away: drop its rows and stamps.
             _op, lo, hi = command
-            for table_name, table in self.rows.items():
-                gone = [
-                    key for key in table if lo <= self._point_fn(table_name, key) < hi
-                ]
-                for key in gone:
-                    del table[key]
+            for tables in (self.rows, self.written):
+                for name, table in tables.items():
+                    for key in [k for k in table if lo <= self._point_fn(name, k) < hi]:
+                        del table[key]
         else:
             raise TwoPhaseCommitError(f"unknown region command {op!r}")
 
-    def _validate(self, writes: list[WriteOp]) -> tuple | None:
+    def _validate(
+        self, txn_id: int, writes: list[WriteOp], read_ts: Timestamp
+    ) -> TransactionAborted | None:
         rows = self.rows
-        staged = [(w.kind.value, w.table, w.key) for w in writes]
-        return first_lost_write(staged, lambda table, key: key in rows[table])
+        return first_committer_wins(
+            txn_id, [(w.kind.value, w.table, w.key) for w in writes], read_ts, self.written,
+            lambda kind, table, key: (key in rows[table]) != (kind == "insert"),
+        )
 
     def _install(self, writes: list[WriteOp], commit_ts: Timestamp) -> None:
+        rows, written = self.rows, self.written
         for w in writes:
-            table = self.rows[w.table]
+            table = rows[w.table]
             if w.kind is WriteKind.DELETE:
                 table.pop(w.key, None)
             else:
                 table[w.key] = w.row
+            written[w.table][w.key] = commit_ts
         self.last_commit_ts = max(self.last_commit_ts, commit_ts)
 
 
@@ -533,13 +543,14 @@ class DistributedCluster:
         ).shard_id
 
     def execute_transaction(
-        self, writes: list[WriteOp], router: Router | None = None
+        self, writes: list[WriteOp], router: Router | None = None, read_ts: Timestamp | None = None
     ) -> Timestamp:
         """Commit ``writes`` atomically; raises TransactionAborted on
         validation failure at any shard (DuplicateKeyAborted when an
-        insert's key is present).  Routed through ``router``
-        (the cluster's co-located router by default) with the full
-        stale-epoch retry protocol."""
+        insert's key is present, WriteConflictError when a key was
+        written after ``read_ts``, by default ``clock.now()``: a blind
+        write).  Routed through ``router`` (the cluster's co-located
+        router by default) with the full stale-epoch retry protocol."""
         self._build()
         if not writes:
             raise TwoPhaseCommitError("empty transaction")
@@ -547,8 +558,9 @@ class DistributedCluster:
             if w.table not in self.schemas:
                 raise KeyNotFoundError(f"no table {w.table!r}")
         router = router or self.router
+        read_ts = self.clock.now() if read_ts is None else read_ts
         points = [self.point_of(w.table, w.key) for w in writes]
-        return router.retrying(lambda: self._commit_routed(writes, points, router))
+        return router.retrying(lambda: self._commit_routed(writes, points, router, read_ts))
 
     def _route(
         self, items: list, points: list[int], router: Router
@@ -578,17 +590,17 @@ class DistributedCluster:
         return by_shard
 
     def _commit_routed(
-        self, writes: list[WriteOp], points: list[int], router: Router
+        self, writes: list[WriteOp], points: list[int], router: Router, read_ts: Timestamp
     ) -> Timestamp:
         by_shard = self._route(writes, points, router)
         commit_ts = self.clock.tick()
         if len(by_shard) == 1:
             ((sid, (ws, _ps)),) = by_shard.items()
-            self._commit_single_shard(sid, ws, commit_ts)
+            self._commit_single_shard(sid, ws, commit_ts, read_ts)
             self.commits_single_shard += 1
             self._m_commit_1p.inc()
         else:
-            self._commit_coordinated(by_shard, commit_ts)
+            self._commit_coordinated(by_shard, commit_ts, read_ts)
             self.commits_piggybacked += 1
             self._m_commit_pb.inc()
         self.commits += 1
@@ -602,7 +614,7 @@ class DistributedCluster:
         return commit_ts
 
     def _commit_single_shard(
-        self, sid: int, writes: list[WriteOp], commit_ts: Timestamp
+        self, sid: int, writes: list[WriteOp], commit_ts: Timestamp, read_ts: Timestamp
     ) -> None:
         """The 1PC fast path: a transaction wholly owned by one shard
         skips the coordinator — validate at the leader, then a single
@@ -612,9 +624,9 @@ class DistributedCluster:
         self._settle([sid])
         txn_id = self.piggyback.allocate_txn_id()
         self.cost.charge(self.cost.network_rtt_us)
-        if lost := self._leader_sm(sid)._validate(writes):
+        if refused := self._leader_sm(sid)._validate(txn_id, writes, read_ts):
             self.aborts += 1
-            raise refusal(txn_id, lost)
+            raise refused
         self._charge_group_write(sid, len(writes))
         self._groups[sid].propose_and_wait(
             ("commit1p", txn_id, writes, commit_ts)
@@ -624,6 +636,7 @@ class DistributedCluster:
         self,
         by_shard: dict[int, tuple[list[WriteOp], list[int]]],
         commit_ts: Timestamp,
+        read_ts: Timestamp,
     ) -> None:
         """Multi-shard transactions: each shard durably logs PREPARED +
         intent in one propose, all shards at once; at the decision each
@@ -642,14 +655,14 @@ class DistributedCluster:
             f"region{sid}": _RaftRegionParticipant(self, sid, in_flight)
             for sid in sids
         }
-        payloads = {f"region{sid}": (by_shard[sid][0], commit_ts) for sid in sids}
+        payloads = {f"region{sid}": (by_shard[sid][0], commit_ts, read_ts) for sid in sids}
         result = self.piggyback.execute(payloads, participants)
         if result.outcome is TxnOutcome.ABORTED:
             self.aborts += 1
-            lost = [p.lost for p in participants.values() if p.lost]
-            if not lost:
+            refused = [p.refused for p in participants.values() if p.refused]
+            if not refused:
                 raise TransactionAborted(result.txn_id, "shard validation failed")
-            raise refusal(result.txn_id, lost[0])
+            raise refused[0]
 
     def bulk_load(
         self, table: str, rows: list[Row], router: Router | None = None
@@ -917,21 +930,21 @@ class _RaftRegionParticipant:
         self._in_flight = in_flight
         self._n_writes = 0
         #: What the intent's validation logged (``vote_log``).
-        self.lost: tuple | None = ()
+        self.refused: TransactionAborted | None | tuple = ()
 
     def intent(self, txn_id: int, payload: Any) -> None:
-        writes, commit_ts = payload
+        writes, commit_ts, read_ts = payload
         self._n_writes = len(writes)
         self._cluster._charge_group_write(self._region, len(writes))
-        self._in_flight.append(self._group.propose(("intent", txn_id, writes, commit_ts)))
+        self._in_flight.append(self._group.propose(("intent", txn_id, writes, commit_ts, read_ts)))
 
     def vote(self, txn_id: int) -> Vote:
         if self._in_flight:
             await_commit(self._in_flight)
             self._in_flight.clear()
         voted = self._cluster._leader_sm(self._region).vote_log
-        self.lost = voted.get(txn_id, ())  # (): no vote logged, a NO
-        return Vote.YES if self.lost is None else Vote.NO
+        self.refused = voted.get(txn_id, ())  # (): no vote logged, a NO
+        return Vote.YES if self.refused is None else Vote.NO
 
     def resolve(self, txn_id: int, committed: bool) -> None:
         """Propose the commit round at decision time and return: reads

@@ -115,7 +115,7 @@ class ColumnarReplica:
                 continue  # a leader's election no-op
             op = command[0]
             if op == "intent":
-                _op, txn_id, writes, commit_ts = command
+                _op, txn_id, writes, commit_ts, _read_ts = command
                 pending[(region, txn_id)] = (writes, commit_ts)
             elif op in ("resolve", "commit1p"):
                 if op == "commit1p":

@@ -34,12 +34,12 @@ module says only what the paper says differs.  An engine supplies:
   cross the network, a batched ``_read_committed_many(pairs)``.  (a)
   reads its MVCC snapshot at that ts; (b), (c), (d) read the latest
   committed state and ignore it;
-* (a), (c) and (d), whose commit is a redo log on one node, get the
-  commit from :class:`LoggedEngine` (validation, WAL, one effective
-  write per key, counters, ``recover``) and supply ``_install(kind,
-  table, key, row, ts)`` and either ``_contains_key(table, key)`` for
-  the default validation or their own ``_validate``: (a)'s is
-  first-committer-wins at the read ts.
+* one commit rule, :func:`~repro.txn.transaction.first_committer_wins`
+  at the read ts.  (a), (c) and (d), whose commit is a redo log on one
+  node, get it from :class:`LoggedEngine` (validation, WAL, one
+  effective write per key, counters, ``recover``) and supply
+  ``_install(kind, table, key, row, ts)``; (b)'s shards apply it in
+  their state machines.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from ..common.errors import (
     QueryError,
     TransactionAborted,
     TransactionError,
+    WriteConflictError,
 )
 from ..common.predicate import ALWAYS_TRUE, Predicate, bind_predicate
 from ..common.types import Key, Row, Schema
@@ -72,7 +73,7 @@ from ..query.optimizer import Planner, PhysicalPlan
 from ..query.parser import parse
 from ..query.plan_cache import CachedPlan, PlanCache, param_signature
 from ..query.scan_cache import ScanCache
-from ..txn.transaction import coalesce_writes, first_lost_write, first_writes, refusal
+from ..txn.transaction import coalesce_writes, first_committer_wins
 from ..txn.wal import WalKind, WriteAheadLog
 
 _WAL_KIND = {
@@ -146,8 +147,9 @@ class WriteSetSession(EngineSession):
     key meets committed state only there (``DuplicateKeyAborted``), as
     TiDB checks an optimistic transaction's unique keys.  A commit it
     refuses with :class:`TransactionAborted` counts one
-    ``engine.tp_aborts``; a client's own :meth:`abort` counts one
-    ``engine.tp_rollbacks``.
+    ``engine.tp_aborts``, and one ``txn.conflicts`` too when it lost
+    first-committer-wins (:class:`WriteConflictError`); a client's own
+    :meth:`abort` counts one ``engine.tp_rollbacks``.
 
     :meth:`prefetch` keeps what the engine's BatchGet returns in a read
     set, which a point read consults after the transaction's own writes
@@ -237,9 +239,11 @@ class WriteSetSession(EngineSession):
         engine = self._engine
         try:
             return engine._commit_writes(self.txn_id, self._writes, self.read_ts)
-        except TransactionAborted:
+        except TransactionAborted as refused:
             engine._abort_txn(self.txn_id)
             engine._m_tp_aborts.inc()
+            if isinstance(refused, WriteConflictError):
+                engine._m_conflicts.inc()
             raise
 
     def abort(self) -> None:
@@ -290,6 +294,7 @@ class HTAPEngine(abc.ABC):
         self._m_tp_commits = registry.counter("engine.tp_commits", **labels)
         self._m_tp_aborts = registry.counter("engine.tp_aborts", **labels)
         self._m_tp_rollbacks = registry.counter("engine.tp_rollbacks", **labels)
+        self._m_conflicts = registry.counter("txn.conflicts", **labels)
         self._m_ap_queries = registry.counter("engine.ap_queries", **labels)
         self._m_sync_calls = registry.counter("engine.sync_calls", **labels)
         self._m_sync_rows = registry.counter("engine.sync_rows", **labels)
@@ -536,10 +541,10 @@ class HTAPEngine(abc.ABC):
 
 class LoggedEngine(HTAPEngine):
     """What (a), (c) and (d) share: a single-node redo log.  Commit
-    validates the staged writes (:meth:`_validate`), then logs and
-    installs one effective write per key (:func:`coalesce_writes`) under
-    one BEGIN/COMMIT pair; recovery replays the same log through the
-    same :meth:`_install`."""
+    validates the staged writes (:func:`first_committer_wins`), then
+    logs and installs one effective write per key
+    (:func:`coalesce_writes`) under one BEGIN/COMMIT pair; recovery
+    replays the same log through the same :meth:`_install`."""
 
     def __init__(
         self, cost: CostModel | None, clock: LogicalClock | None, group_commit_size: int
@@ -554,10 +559,8 @@ class LoggedEngine(HTAPEngine):
         self._next_txn_id = 1
         #: txn id -> read ts of every open session.
         self._open: dict[int, Timestamp] = {}
-
-    def _contains_key(self, table: str, key: Key) -> bool:
-        """Uncharged probe of committed state, for :meth:`_validate`."""
-        raise NotImplementedError
+        #: table -> key -> newest commit ts, while a session is open.
+        self._written: dict[str, dict[Key, Timestamp]] = {}
 
     @abc.abstractmethod
     def _install(
@@ -617,26 +620,34 @@ class LoggedEngine(HTAPEngine):
         finally:
             self.ledger.charge(self._tp_node, now() - before)
 
-    def _validate(self, txn_id: int, writes, read_ts: Timestamp) -> None:
-        """Refuse a commit whose staged writes lost a race: by default
-        :func:`first_lost_write` over :meth:`_contains_key`."""
-        lost = first_lost_write(writes, self._contains_key)
-        if lost is not None:
-            raise refusal(txn_id, lost)
+    def _stamps(self) -> dict[str, dict[Key, Timestamp]] | None:
+        """The map a commit stamps its keys in; None, and the map cleared,
+        when no session is open (a later one reads at a newer ts)."""
+        if self._open:
+            return self._written
+        self._written.clear()
+        return None
 
     def _commit_writes(self, txn_id: int, writes, read_ts: Timestamp) -> Timestamp:
-        # An insert's key was checked only against the session's writes.
-        for kind, table, key, _row in first_writes(writes):
-            if kind == "insert" and self._read_committed(table, key, read_ts) is not None:
-                raise refusal(txn_id, (kind, table, key))
-        self._validate(txn_id, writes, read_ts)
+        # An insert's key is probed with a charged point read.  An update
+        # or delete was staged on a present key; a delete since is stamped.
+        refused = first_committer_wins(
+            txn_id, writes, read_ts, self._written,
+            lambda kind, table, key: kind != "insert"
+            or self._read_committed(table, key, read_ts) is None,
+        )
+        if refused is not None:
+            raise refused
         self._open.pop(txn_id, None)
+        stamps = self._stamps()
         before = self.cost.now_us()
         commit_ts = self.clock.tick()
         self.wal.append(txn_id, WalKind.BEGIN)
         for kind, table, key, row in coalesce_writes(writes):
             self.wal.append(txn_id, _WAL_KIND[kind], table, key, row, commit_ts)
             self._install(kind, table, key, row, commit_ts)
+            if stamps is not None:
+                stamps.setdefault(table, {})[key] = commit_ts
         self.wal.append(txn_id, WalKind.COMMIT, commit_ts=commit_ts)
         self.commits += 1
         self._m_tp_commits.inc()
@@ -655,6 +666,7 @@ class LoggedEngine(HTAPEngine):
             return
         schema = self._schema_of(table)
         rows = [schema.validate_row(r) for r in rows]
+        stamps = self._stamps()
         before = self.cost.now_us()
         txn_id = self._allocate_txn_id()
         commit_ts = self.clock.tick()
@@ -665,6 +677,8 @@ class LoggedEngine(HTAPEngine):
             commit_ts,
         )
         self._install_batch(table, rows, commit_ts)
+        if stamps is not None:
+            stamps.setdefault(table, {}).update(dict.fromkeys(map(key_of, rows), commit_ts))
         self.commits += 1
         self._m_tp_commits.inc()
         self.ledger.charge(self._tp_node, self.cost.now_us() - before)

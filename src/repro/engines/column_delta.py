@@ -76,13 +76,6 @@ class HanaTable:
             return row
         return self.main.get_row(key)
 
-    def contains_key(self, key: Key) -> bool:
-        """:meth:`read_latest` as an existence probe: directory lookups
-        only, no charge."""
-        if key in self._l1_view:
-            return self._l1_view[key] is not None
-        return self.l2.contains_key(key) or self.main.contains_key(key)
-
     # ------------------------------------------------------------- writes
 
     def apply_insert(self, row: Row, commit_ts: Timestamp) -> None:
@@ -302,9 +295,6 @@ class ColumnDeltaEngine(LoggedEngine):
         target = self.table(table)
         rows = self._charged(target.all_latest_rows)
         return [r for r in rows if predicate.matches(r, target.schema)]
-
-    def _contains_key(self, table: str, key: Key) -> bool:
-        return self.table(table).contains_key(key)
 
     def _install(
         self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp

@@ -134,8 +134,8 @@ class DiskRowIMCSEngine(LoggedEngine):
 
     # ------------------------------------------------------------- OLTP
     #
-    # The write-set session reads and validates against the disk row
-    # store; every access is the primary node's work.
+    # The write-set session reads the disk row store; every access is
+    # the primary node's work.
 
     def _schema_of(self, table: str) -> Schema:
         return self.store(table).schema
@@ -147,9 +147,6 @@ class DiskRowIMCSEngine(LoggedEngine):
         self, table: str, predicate: Predicate, _read_ts: Timestamp
     ) -> list[Row]:
         return self._charged(self.store(table).scan, predicate)
-
-    def _contains_key(self, table: str, key: Key) -> bool:
-        return self.store(table).contains_key(key)
 
     def _install(
         self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp

@@ -94,8 +94,8 @@ class DistributedReplicaEngine(HTAPEngine):
     # ------------------------------------------------------------- OLTP
     #
     # The write-set session reads the row regions through the cluster
-    # and commits through Raft; the cluster numbers, validates
-    # and logs the transaction itself, region by region.
+    # and commits through Raft at its read ts (one clock for both); the
+    # cluster numbers, validates and logs the transaction, region by region.
 
     def session(self) -> EngineSession:
         return WriteSetSession(self, next(self._session_ids))
@@ -116,11 +116,12 @@ class DistributedReplicaEngine(HTAPEngine):
     ) -> list[Row]:
         return self.cluster.row_scan(table, predicate)
 
-    def _commit_writes(self, _txn_id: int, writes, _read_ts: Timestamp) -> Timestamp:
+    def _commit_writes(self, _txn_id: int, writes, read_ts: Timestamp) -> Timestamp:
         if not writes:
             return self.clock.now()  # read-only: nothing to propose
         commit_ts = self.cluster.execute_transaction(
-            [WriteOp(_WRITE_KIND[kind], table, key, row) for kind, table, key, row in writes]
+            [WriteOp(_WRITE_KIND[kind], table, key, row) for kind, table, key, row in writes],
+            read_ts=read_ts,
         )
         self._m_tp_commits.inc()
         return commit_ts

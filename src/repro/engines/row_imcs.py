@@ -24,10 +24,9 @@ import numpy as np
 
 from ..common.cost import CostModel
 from ..common.clock import LogicalClock, Timestamp
-from ..common.errors import KeyNotFoundError, TransactionError, WriteConflictError
+from ..common.errors import KeyNotFoundError, TransactionError
 from ..common.predicate import Predicate
 from ..common.types import Key, Row, Schema
-from ..obs import get_registry
 from ..query.access import AccessPath
 from ..query.adapters import index_lookup_rows
 from ..query.statistics import TableStats
@@ -63,7 +62,6 @@ class RowIMCSEngine(LoggedEngine):
         #: When set, row-path reads serve this historical snapshot
         #: instead of "now" (see :meth:`time_travel_query`).
         self._read_ts_override: Timestamp | None = None
-        self._m_conflicts = get_registry().counter("txn.conflicts", engine=self.info.name)
 
     # ------------------------------------------------------------- schema
 
@@ -87,8 +85,8 @@ class RowIMCSEngine(LoggedEngine):
 
     # ------------------------------------------------------------- OLTP
     #
-    # A commit is refused if another transaction committed a change to
-    # one of its keys after its read ts (first-committer-wins).
+    # Reads see the version chains at the session's read ts; a commit is
+    # refused by every engine's first-committer-wins (LoggedEngine's).
 
     def _schema_of(self, table: str) -> Schema:
         return self.store(table).schema
@@ -100,13 +98,6 @@ class RowIMCSEngine(LoggedEngine):
         self, table: str, predicate: Predicate, read_ts: Timestamp
     ) -> list[Row]:
         return self._charged(self.store(table).scan, read_ts, predicate)
-
-    def _validate(self, txn_id: int, writes, read_ts: Timestamp) -> None:
-        for _kind, table, key, _row in writes:
-            last = self.store(table).last_committed_ts(key)
-            if last is not None and last > read_ts:
-                self._m_conflicts.inc()
-                raise WriteConflictError(txn_id, key)
 
     def _install(
         self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp

@@ -110,7 +110,7 @@ REGISTERED_METRICS: frozenset[str] = frozenset(
         "commit.participant_fanout",
         "commit.piggybacked",
         "commit.single_shard",
-        # transactions: (a)'s first-committer-wins refusals
+        # transactions: first-committer-wins refusals, every engine
         "txn.conflicts",
         # write-ahead log
         "wal.appends",

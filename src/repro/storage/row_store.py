@@ -78,20 +78,6 @@ class MVCCRowStore:
         width = max(1, len(self.schema.columns))
         return self.version_count() * width * 48
 
-    def last_committed_ts(self, key: Key) -> Timestamp | None:
-        """Commit ts of the newest change to ``key`` — the begin of its
-        newest version, or that version's end once it is deleted (None
-        if the key never existed).
-
-        The first-committer-wins conflict check compares this against a
-        transaction's begin timestamp.
-        """
-        chain = self._chains.get(key)
-        if not chain:
-            return None
-        newest = chain[-1]
-        return newest.begin_ts if newest.end_ts == INFINITY_TS else newest.end_ts
-
     def contains_key(self, key: Key) -> bool:
         """Is ``key`` live in the newest committed state?  A directory
         probe, no charge."""

@@ -5,7 +5,7 @@ Every engine's session is :class:`repro.engines.base.WriteSetSession`;
 :class:`repro.engines.base.LoggedEngine` over :class:`WriteAheadLog`.
 """
 
-from .transaction import coalesce_writes, first_lost_write
+from .transaction import coalesce_writes, first_committer_wins
 from .wal import WalKind, WalRecord, WriteAheadLog
 
 __all__ = [
@@ -13,5 +13,5 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "coalesce_writes",
-    "first_lost_write",
+    "first_committer_wins",
 ]

@@ -3,15 +3,19 @@
 Every engine's session stages its writes as ``(kind, table, key, row)``
 tuples in order, ``kind`` one of ``"insert"`` / ``"update"`` /
 ``"delete"``, each staged against the transaction's own view of its
-key.  At commit an engine validates the staged list and installs what
-it nets out to.
+key.  At commit an engine validates the staged list by
+:func:`first_committer_wins` at the transaction's read ts and installs
+what it nets out to.  (b), (c) and (d) read the latest committed row,
+which may be newer than the read ts: a write of it is refused, a false
+abort rather than a lost update.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
-from ..common.errors import DuplicateKeyAborted, TransactionAborted
+from ..common.clock import Timestamp
+from ..common.errors import DuplicateKeyAborted, TransactionAborted, WriteConflictError
 from ..common.types import Key
 
 
@@ -27,30 +31,30 @@ def first_writes(writes: Iterable[tuple]) -> Iterator[tuple]:
             yield write
 
 
-def first_lost_write(
-    writes: Iterable[tuple], exists: Callable[[str, Key], bool]
-) -> tuple | None:
-    """Commit-time validation for transactions that read the latest
-    committed state instead of a snapshot (the engines' write-set
-    sessions, the cluster's region state machines): of the staged
-    :func:`first_writes`, the first that lost a race against
-    ``exists(table, key)``, or None.  An insert needs its key absent
-    (its session checked it only against its own writes); an update or
-    delete needs it present."""
+def first_committer_wins(
+    txn_id: int, writes: Iterable[tuple], read_ts: Timestamp,
+    written: Mapping[str, Mapping[Key, Timestamp]], fits: Callable[[str, str, Key], bool],
+) -> TransactionAborted | None:
+    """The commit rule of every engine: the refusal of a commit, or
+    None.  Of the staged :func:`first_writes`, an insert whose key is
+    present draws :class:`DuplicateKeyAborted`; otherwise a key written
+    after ``read_ts`` (``written``: table -> key -> commit ts of its
+    newest write, deletes included), or an update or delete of an
+    absent key, draws :class:`WriteConflictError`.  ``fits(kind, table,
+    key)`` says whether the key's committed state admits the write.
+    Every insert is probed, in staged order, before a conflict wins."""
+    conflict = None
     for write in first_writes(writes):
-        if exists(write[1], write[2]) == (write[0] == "insert"):
-            return write
-    return None
-
-
-def refusal(txn_id: int, lost: tuple) -> TransactionAborted:
-    """The error of a commit refused on its staged write ``lost``."""
-    kind, table, key = lost[:3]
-    if kind == "insert":
-        return DuplicateKeyAborted(txn_id, f"key {key!r} already exists in {table!r}")
-    return TransactionAborted(
-        txn_id, f"{kind} of key {key!r} in {table!r} lost to a concurrent commit"
-    )
+        kind, table, key = write[0], write[1], write[2]
+        if not fits(kind, table, key):
+            if kind == "insert":
+                return DuplicateKeyAborted(txn_id, f"key {key!r} already exists in {table!r}")
+            conflict = conflict or WriteConflictError(txn_id, key)
+        elif conflict is None:
+            stamps = written.get(table)
+            if stamps and stamps.get(key, read_ts) > read_ts:
+                conflict = WriteConflictError(txn_id, key)
+    return conflict
 
 
 def coalesce_writes(writes: list[tuple]) -> list[tuple]:

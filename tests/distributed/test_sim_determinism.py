@@ -101,7 +101,13 @@ EXPECTED_DIGEST = "69a77d8c490fe4b35995d3614a3f3729"
 #: with ``EXPECTED_DIGEST``'s fifth re-recording, for the same change:
 #: delivery instants move from the first learner apply (2 µs of WAL
 #: append per entry leave the shared clock).
-EXPECTED_TRACE_DIGEST = "b500a5576c052c864ded87e7f8ad7328"
+#: Re-recorded a fifth time (b500a5576c052c864ded87e7f8ad7328 before)
+#: when an ``"intent"`` began to carry its transaction's read ts: only
+#: the replicated entries' contents moved.  With each intent cut back
+#: to its old four fields the scenario gives the old digest, so every
+#: delivery instant, the ledger, the roles and the summaries are
+#: unchanged, and ``EXPECTED_DIGEST`` holds.
+EXPECTED_TRACE_DIGEST = "d9e6f62258c69f7b77722baffc7f89c1"
 
 
 def build_cluster(seed: int) -> DistributedCluster:

@@ -19,11 +19,18 @@ must end in the state the table holds.  So when two sessions insert one
 key, exactly one commits; the two-session insert race is the named
 case.
 
-(a) runs snapshot isolation with first-committer-wins and passes.
-(b), (c) and (d) validate a commit only by whether each updated key
-still exists, so two sessions that read one version of a key can both
-write it and both commit: strict xfails until ROADMAP item 2's
-first-committer-wins rule lands on them.
+All four engines commit by one rule, first-committer-wins at the
+session's read ts (``repro.txn.transaction.first_committer_wins``), so
+two sessions that read one version of a key cannot both write it.
+(a) reads its snapshot at the read ts; (b), (c) and (d) read the latest
+committed row, and a write of a key committed after the read ts is
+refused even when the session read that newer row (a false abort, no
+anomaly).  Named probes pin the cases the rule must refuse: a key
+deleted and re-inserted after the read (ABA), (b)'s lost update through
+its one-shard and its cross-shard commit path, and a (b) key whose
+shard splits between the read and the commit.  The commit rule's stamp
+map on (a), (c) and (d) stays bounded: it is empty once no session is
+open.
 """
 
 import itertools
@@ -38,24 +45,15 @@ from repro.common import (
     KeyNotFoundError,
     Schema,
     TransactionAborted,
+    WriteConflictError,
 )
+from repro.distributed import ReshardPhase, ShardSplit
 from repro.engines import make_engine
+from repro.obs import get_registry
 
 from ..oracle.history import TxnRecord, anomalies
 
-LOST_UPDATE = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: commit validation checks only that an updated "
-    "key exists, so a concurrent update of the version read is lost",
-)
 ALL = ["a", "b", "c", "d"]
-ENGINES = [
-    "a",
-    pytest.param("b", marks=LOST_UPDATE),
-    pytest.param("c", marks=LOST_UPDATE),
-    pytest.param("d", marks=LOST_UPDATE),
-]
 SCHEMA = Schema(
     "t", [Column("id", DataType.INT64), Column("v", DataType.INT64)], ["id"]
 )
@@ -174,7 +172,7 @@ def replay(initial, committed):
     return refusals, state
 
 
-@pytest.mark.parametrize("cat", ENGINES)
+@pytest.mark.parametrize("cat", ALL)
 def test_generated_schedules_show_no_anomaly(cat):
     engine = build(cat)
     rng = random.Random(2024)
@@ -189,7 +187,7 @@ def test_generated_schedules_show_no_anomaly(cat):
     assert not failures, failures[0]
 
 
-@pytest.mark.parametrize("cat", ENGINES)
+@pytest.mark.parametrize("cat", ALL)
 def test_two_session_lost_update(cat):
     """ROADMAP item 2's probe: two sessions each read ``t[1]`` = 10 and
     write back ``v + 1``.  Either the second commit is refused, or both
@@ -210,6 +208,147 @@ def test_two_session_lost_update(cat):
             pass
     with engine.session() as check:
         assert check.read("t", 1)[1] == 10 + committed
+
+
+def refused_as_conflict(engine, session):
+    """Commit ``session``; it must lose first-committer-wins, counted
+    once in ``txn.conflicts`` and once in ``engine.tp_aborts``."""
+    labels = {"engine": engine.info.name}
+    registry = get_registry()
+    conflicts = registry.counter("txn.conflicts", **labels)
+    aborts = registry.counter("engine.tp_aborts", **labels)
+    before = conflicts.value, aborts.value
+    with pytest.raises(WriteConflictError):
+        session.commit()
+    assert (conflicts.value, aborts.value) == (before[0] + 1, before[1] + 1)
+
+
+@pytest.mark.parametrize("cat", ALL)
+def test_aba_update_is_refused(cat):
+    """S1 reads ``t[1]``; S2 deletes it and commits; S3 re-inserts it
+    and commits.  The key exists again, but not as S1 read it, so S1's
+    update is refused and S3's row stays."""
+    engine = build(cat)
+    engine.insert("t", (1, 10))
+    s1 = engine.session()
+    assert s1.read("t", 1) == (1, 10)
+    engine.delete("t", 1)
+    engine.insert("t", (1, 20))
+    s1.update("t", (1, 11))
+    refused_as_conflict(engine, s1)
+    with engine.session() as check:
+        assert check.read("t", 1) == (1, 20)
+
+
+def keys_on_distinct_shards(engine, n):
+    """``n`` keys of ``t``, each owned by a different shard of (b)."""
+    by_shard = {}
+    for key in range(1000):
+        by_shard.setdefault(engine.cluster.region_of("t", key), key)
+        if len(by_shard) == n:
+            return sorted(by_shard.values())
+    raise AssertionError(f"fewer than {n} shards own keys of t")
+
+
+@pytest.mark.parametrize("n_shards", [1, 2], ids=["commit1p", "intent"])
+def test_b_lost_update_is_refused_on_both_commit_paths(n_shards):
+    """Two (b) sessions read the same keys and write back ``v + 1``:
+    on one shard the second commit is refused by the leader before its
+    ``"commit1p"`` is proposed, across two shards by the ``"intent"``
+    votes.  The first commit's increments stay."""
+    engine = build("b")
+    cluster = engine.cluster
+    keys = keys_on_distinct_shards(engine, n_shards)
+    for key in keys:
+        engine.insert("t", (key, 10))
+    first, second = engine.session(), engine.session()
+    for s in (first, second):
+        for key in keys:
+            s.update("t", (key, s.read("t", key)[1] + 1))
+    paths = cluster.commits_single_shard, cluster.commits_piggybacked
+    first.commit()
+    moved = (cluster.commits_single_shard - paths[0], cluster.commits_piggybacked - paths[1])
+    assert moved == ((1, 0) if n_shards == 1 else (0, 1))
+    aborts = cluster.aborts
+    refused_as_conflict(engine, second)
+    assert cluster.aborts == aborts + 1
+    with engine.session() as check:
+        assert [check.read("t", key)[1] for key in keys] == [11] * n_shards
+
+
+@pytest.mark.parametrize("written", ["before_split", "during_catch_up", "deleted"])
+def test_b_stamp_survives_a_split(written):
+    """S1 reads a (b) key and stages an update; S2 overwrites the key
+    before the split's snapshot (its row reaches the new shard by
+    ``"install"``), between snapshot and flip (by ``"tail"``), or
+    deletes it before the snapshot; the flip moves the key to the new
+    shard by ``"rehome"`` and drops the old shard's row and stamp.
+    S1's commit is refused on the new shard."""
+    engine = build("b")
+    cluster = engine.cluster
+    for key in range(40):
+        engine.insert("t", (key, 10))
+    split = ShardSplit(cluster, 0)
+    lo, hi = split._moving_range()
+    key = next(
+        k for k in range(40)
+        if cluster.region_of("t", k) == 0 and lo <= cluster.point_of("t", k) < hi
+    )
+    s1 = engine.session()
+    s1.update("t", (key, s1.read("t", key)[1] + 1))
+    if written == "during_catch_up":
+        while split.phase is not ReshardPhase.CATCH_UP:
+            split.step()
+    if written == "deleted":
+        engine.delete("t", key)
+    else:
+        engine.update("t", (key, 20))
+    while split.phase is not ReshardPhase.FLIP:
+        split.step()
+    assert split.tail_writes == (written == "during_catch_up")
+    target = cluster._leader_sm(split.target_sid).written["t"]
+    if written != "deleted":  # no row moves, and an absent key refuses the update
+        assert target[key] > s1.read_ts
+    split.step()
+    assert cluster.region_of("t", key) == split.target_sid
+    assert key not in cluster._leader_sm(0).written["t"]
+    refused_as_conflict(engine, s1)
+    assert cluster.read("t", key) == (None if written == "deleted" else (key, 20))
+
+
+@pytest.mark.parametrize("cat", ["a", "c", "d"])
+def test_commit_stamps_stay_bounded(cat):
+    """The commit rule's stamps on a redo-log engine: while one old
+    session stays open, one entry per written key; once the last
+    session ends and one more commit runs, none."""
+    engine = build(cat)
+    engine.bulk_load("t", [(k, 0) for k in range(8)])
+    assert engine._written == {}  # no session was open
+    old = engine.session()
+    rng = random.Random(7)
+    written = set()
+    for n in range(60):
+        session = engine.session()
+        key = rng.randrange(12)
+        row = session.read("t", key)
+        if row is None:
+            session.insert("t", (key, n))
+        elif n % 3:
+            session.update("t", (key, n))
+        else:
+            session.delete("t", key)
+        if n % 5 == 0:
+            session.abort()
+        else:
+            session.commit()
+            written.add(key)
+    engine.bulk_load("t", [(100, 0), (101, 0)])
+    written |= {100, 101}
+    assert set(engine._written["t"]) == written
+    old.abort()
+    assert engine._written  # cleared lazily, by the next commit
+    engine.insert("t", (200, 0))
+    assert engine._written == {}
 
 
 @pytest.mark.parametrize("cat", ALL)

@@ -9,8 +9,10 @@ delete-then-reinsert all occur — and must agree on every read, every
 scan row set, the *type* of every error, the committed state after
 every commit, and, after ``force_sync()``, what the analytical path
 returns.  Sessions never interleave here, so snapshot reads (a) and
-latest reads (b, c, d) are indistinguishable by design; lost races are
-``test_engines.py::test_failed_commit_is_atomic``'s.
+latest reads (b, c, d) are indistinguishable by design, and no commit
+meets first-committer-wins; interleaved sessions and the races they
+lose are ``test_interleaving.py``'s, and the atomicity of a refused
+commit ``test_engines.py::test_failed_commit_is_atomic``'s.
 """
 
 import random

@@ -91,9 +91,9 @@ class RegionParticipant:
         self._group = cluster._groups[sid]
 
     def prepare(self, txn_id: int, payload: Any) -> Vote:
-        writes, commit_ts = payload
+        writes, commit_ts, read_ts = payload
         self._cluster._charge_group_write(self._sid, len(writes))
-        self._group.propose_and_wait(("intent", txn_id, writes, commit_ts))
+        self._group.propose_and_wait(("intent", txn_id, writes, commit_ts, read_ts))
         voted = self._cluster._leader_sm(self._sid).vote_log.get(txn_id, ())
         return Vote.YES if voted is None else Vote.NO
 
@@ -113,14 +113,15 @@ def attach_two_phase(cluster) -> TwoPhaseCoordinator:
     the coordinator, whose ``committed`` / ``aborted`` count them."""
     coordinator = TwoPhaseCoordinator(cost=cluster.cost)
 
-    def commit_routed(writes, points, router):
+    def commit_routed(writes, points, router, read_ts):
         by_shard = cluster._route(writes, points, router)
         commit_ts = cluster.clock.tick()
         participants = {
             f"region{sid}": RegionParticipant(cluster, sid) for sid in by_shard
         }
         payloads = {
-            f"region{sid}": (ws, commit_ts) for sid, (ws, _ps) in by_shard.items()
+            f"region{sid}": (ws, commit_ts, read_ts)
+            for sid, (ws, _ps) in by_shard.items()
         }
         result = coordinator.execute(payloads, participants)
         if result.outcome is TxnOutcome.ABORTED:

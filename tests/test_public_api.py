@@ -166,8 +166,8 @@ def test_engines_say_only_what_differs():
 
 def test_one_transaction_implementation():
     """Every engine's session is the one write-set session, and the
-    second implementation (a)'s MVCC transaction manager was stays
-    gone."""
+    second implementation (a)'s MVCC transaction manager was, and the
+    second commit rule ``first_lost_write`` was, stay gone."""
     import repro.txn
     from repro.common import Column, DataType, Schema
     from repro.engines import make_engine
@@ -179,7 +179,7 @@ def test_one_transaction_implementation():
         assert type(engine.session()) is WriteSetSession, category
     gone = {
         "CommitListener", "Transaction", "TransactionManager", "TxnStatus",
-        "recover", "verify_recovery",
+        "recover", "verify_recovery", "first_lost_write",
     }
     assert gone.isdisjoint(repro.txn.__all__)
     assert not any(hasattr(repro.txn, name) for name in gone)
