@@ -6,7 +6,10 @@ compared against ``tests/oracle`` — a row-at-a-time evaluator over
 plain lists — on rows, column names and Python value types, including
 NULL, duplicate-key, and empty-input behaviour.  Also covered:
 aggregate dtype preservation, group-code overflow, and the cost
-charges for DISTINCT / residual filtering.
+charges for DISTINCT / residual filtering.  The key-coding kernels
+(``_factorize``, ``_order_code_array``) are checked against
+``np.unique(..., return_inverse=True)`` on every integer dtype, on both
+sides of the dense-span bound.
 """
 
 import math
@@ -14,8 +17,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import Column, CostModel, DataType, Schema
+from repro.common.types import NULL_INT
 from repro.obs import get_registry
 from repro.query import DualStoreTableAccess, Executor, Planner, parse
 from repro.query.ast import (
@@ -27,7 +33,12 @@ from repro.query.ast import (
     Query,
     SelectItem,
 )
-from repro.query.executor import _equi_join_positions, _pack_codes
+from repro.query.executor import (
+    _equi_join_positions,
+    _factorize,
+    _order_code_array,
+    _pack_codes,
+)
 from repro.common.predicate import ALWAYS_TRUE
 from repro.query.access import AccessPath
 from repro.storage import ColumnStore
@@ -382,6 +393,120 @@ class TestGroupCodeOverflow:
             "SELECT o_region, o_qty, o_c_id, COUNT(*) FROM orders "
             "GROUP BY o_region, o_qty, o_c_id",
         )
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+KERNELS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def int_keys(draw):
+    """An integer key column: dense (span within ``4 n + 16``), just past
+    that bound, pinned at the dtype's min or max, or spread over the
+    whole dtype; int64 columns may carry the ``NULL_INT`` sentinel."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(0, 40))
+    bound = 4 * n + 16
+    shape = draw(st.sampled_from(["dense", "past_bound", "at_min", "at_max", "whole"]))
+    if shape == "past_bound":
+        width = draw(st.integers(bound + 1, 3 * bound))
+    else:
+        width = draw(st.integers(1, bound))
+    width = min(width, int(info.max) - int(info.min) + 1)
+    if shape == "whole":
+        lo, hi = int(info.min), int(info.max)
+    elif shape == "at_max":
+        lo, hi = int(info.max) - width + 1, int(info.max)
+    elif shape == "at_min":
+        lo, hi = int(info.min), int(info.min) + width - 1
+    else:
+        lo = draw(st.integers(int(info.min), int(info.max) - width + 1))
+        hi = lo + width - 1
+    values = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    if n and shape in ("dense", "at_min", "at_max"):
+        # Both ends of the range present: the span is exactly ``width``.
+        values[0], values[-1] = lo, hi
+    if dtype == np.int64 and n and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = NULL_INT
+    return np.array(values, dtype=dtype)
+
+
+def unique_inverse(arr):
+    uniques, inverse = np.unique(arr, return_inverse=True)
+    return np.asarray(inverse, dtype=np.int64), len(uniques)
+
+
+class TestKeyCodes:
+    """Integer key codes equal ``np.unique``'s inverse and count, however
+    they are computed; value order, ties and cardinality included."""
+
+    @KERNELS
+    @given(arr=int_keys(), nan_distinct=st.booleans(), ordered=st.booleans())
+    def test_factorize_integers_equals_unique_inverse(self, arr, nan_distinct, ordered):
+        inverse, count = unique_inverse(arr)
+        codes, card = _factorize(arr, nan_distinct, ordered=ordered)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, inverse)
+        assert card == max(count, 1)
+
+    @KERNELS
+    @given(arr=int_keys())
+    def test_order_codes_of_integers_equal_unique_inverse(self, arr):
+        inverse, _ = unique_inverse(arr)
+        codes = _order_code_array(arr)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, inverse)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16])
+    def test_narrow_dtype_with_a_span_past_its_positive_range(self, dtype):
+        """40 000 distinct keys in an int16 column span more than
+        32 767: offsets from the minimum must not wrap in the column's
+        own dtype."""
+        info = np.iinfo(dtype)
+        arr = np.arange(int(info.min), int(info.min) + 40_000, dtype=np.int64)
+        arr = np.random.default_rng(3).permutation(arr).astype(dtype)
+        inverse, count = unique_inverse(arr)
+        codes, card = _factorize(arr, nan_distinct=False)
+        np.testing.assert_array_equal(codes, inverse)
+        assert card == count == 40_000
+        np.testing.assert_array_equal(_order_code_array(arr), inverse)
+
+    @KERNELS
+    @given(values=st.lists(st.one_of(st.none(), st.text(max_size=3)), max_size=30))
+    def test_ordered_factorize_of_strings_and_none(self, values):
+        """``None`` takes code 0; the strings follow in value order."""
+        arr = np.array(values + [""], dtype=object)[:-1]
+        codes, card = _factorize(arr, nan_distinct=True, ordered=True)
+        expected = np.zeros(len(values), dtype=np.int64)
+        rest = np.array([v is not None for v in values], dtype=bool)
+        count = 0
+        if rest.any():
+            inverse, count = unique_inverse(arr[rest])
+            expected[rest] = inverse + 1
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, expected)
+        assert card == count + 1
+
+    @KERNELS
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        unique_build=st.booleans(),
+        reach=st.sampled_from([5, 60, 2**40]),
+    )
+    def test_join_positions_equal_the_dict_join(self, data, dtype, unique_build, reach):
+        """Unique (PK-shaped) and duplicate builds, negative keys, and
+        probes that fall outside the build's span on either side."""
+        reach = min(reach, int(np.iinfo(dtype).max) // 2)
+        keys = st.integers(-reach, reach)
+        build = data.draw(st.lists(keys, max_size=40, unique=unique_build))
+        probe = data.draw(st.lists(st.integers(-2 * reach, 2 * reach) | keys, max_size=40))
+        build_arr, probe_arr = np.array(build, dtype=dtype), np.array(probe, dtype=dtype)
+        got_probe, got_build = _equi_join_positions(probe_arr, build_arr)
+        want_probe, want_build = dict_join_positions(probe, build)
+        assert got_probe.tolist() == want_probe
+        assert got_build.tolist() == want_build
 
 
 class TestCostCharges:
