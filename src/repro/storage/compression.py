@@ -32,6 +32,24 @@ def _object_bytes(data: np.ndarray) -> int:
         return int(sum(len(str(v)) + 8 for v in data))
 
 
+def dictionary_encode(values: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for an object array:
+    the sorted distinct values and each cell's position among them, as
+    ``dtype``.  ``np.unique`` on objects argsorts with Python-level
+    comparisons; a set + dict lookup builds the same dictionary and
+    codes in one linear pass.  Incomparable mixed types fall back to
+    ``np.unique`` (and its error)."""
+    cells = values.tolist()
+    try:
+        ordered = sorted(set(cells))
+    except TypeError:
+        dictionary, codes = np.unique(values, return_inverse=True)
+        return dictionary, codes.astype(dtype)
+    code_of = {v: i for i, v in enumerate(ordered)}
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=dtype, count=len(cells))
+    return np.array(ordered, dtype=object), codes
+
+
 class Encoding:
     """A sealed, immutable encoded column segment."""
 
@@ -99,23 +117,8 @@ class DictionaryEncoding(Encoding):
     @classmethod
     def encode(cls, values: np.ndarray) -> "DictionaryEncoding":
         if values.dtype == object:
-            # np.unique on object arrays argsorts with Python-level
-            # comparisons; a set + dict lookup builds the same sorted
-            # dictionary and codes in one linear pass.
-            try:
-                ordered = sorted(set(values.tolist()))
-            except TypeError:  # incomparable mixed types
-                ordered = None
-            if ordered is not None:
-                code_of = {v: i for i, v in enumerate(ordered)}
-                codes = np.fromiter(
-                    map(code_of.__getitem__, values.tolist()),
-                    dtype=np.int32,
-                    count=len(values),
-                )
-                return cls(
-                    dictionary=np.array(ordered, dtype=object), codes=codes
-                )
+            dictionary, codes = dictionary_encode(values, np.int32)
+            return cls(dictionary=dictionary, codes=codes)
         dictionary, codes = np.unique(values, return_inverse=True)
         return cls(dictionary=dictionary, codes=codes.astype(np.int32))
 
