@@ -566,11 +566,13 @@ class LoggedEngine(HTAPEngine):
     def _install(
         self, kind: str, table: str, key: Key, row: Row | None, ts: Timestamp
     ) -> None:
-        """Apply one logged ``"insert"`` / ``"update"`` / ``"delete"``."""
+        """Apply one logged ``"insert"`` / ``"update"`` / ``"delete"``.
+        ``row`` is the tuple ``Schema.validate_row`` returned when the
+        session staged it, so the store does not check it again."""
 
     @abc.abstractmethod
     def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
-        """Apply :meth:`bulk_load`'s fresh rows."""
+        """Apply :meth:`bulk_load`'s fresh, already validated rows."""
 
     def _recovered(self) -> None:
         """Called once the redo pass is through (nothing to do here)."""

@@ -153,9 +153,9 @@ class DiskRowIMCSEngine(LoggedEngine):
     ) -> None:
         store = self.store(table)
         if kind == "insert":
-            store.insert(row, ts)
+            store.insert_validated(row, ts)
         elif kind == "update":
-            store.update(key, row, ts)
+            store.update_validated(key, row, ts)
         else:
             store.delete(key, ts)
 
@@ -165,7 +165,7 @@ class DiskRowIMCSEngine(LoggedEngine):
     def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
         store = self.store(table)
         for row in rows:
-            store.insert(row, ts)
+            store.insert_validated(row, ts)
 
     # ------------------------------------------------------------- DS
 

@@ -104,9 +104,9 @@ class RowIMCSEngine(LoggedEngine):
     ) -> None:
         store = self.store(table)
         if kind == "insert":
-            store.install_insert(row, ts)
+            store.install_validated_insert(row, ts)
         elif kind == "update":
-            store.install_update(key, row, ts)
+            store.install_validated_update(key, row, ts)
         else:
             store.install_delete(key, ts)
         self._imcus[table].on_change(key)
@@ -115,7 +115,7 @@ class RowIMCSEngine(LoggedEngine):
         store, imcu = self.store(table), self._imcus[table]
         key_of = store.schema.key_of
         for row in rows:
-            store.install_insert(row, ts)
+            store.install_validated_insert(row, ts)
             imcu.on_change(key_of(row))
 
     def _recovered(self) -> None:

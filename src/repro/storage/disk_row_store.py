@@ -77,7 +77,12 @@ class DiskRowStore:
     # ------------------------------------------------------------- writes
 
     def insert(self, row: Row, commit_ts: Timestamp) -> Key:
-        row = self.schema.validate_row(row)
+        return self.insert_validated(self.schema.validate_row(row), commit_ts)
+
+    def insert_validated(self, row: Row, commit_ts: Timestamp) -> Key:
+        """:meth:`insert` of a row that ``Schema.validate_row`` already
+        returned: an engine's commit, bulk load and WAL replay install
+        the tuple its session or loader validated."""
         key = self.schema.key_of(row)
         if self.contains_key(key):
             raise DuplicateKeyError(f"key {key!r} already in {self.schema.table_name!r}")
@@ -94,7 +99,10 @@ class DiskRowStore:
         return key
 
     def update(self, key: Key, row: Row, commit_ts: Timestamp) -> None:
-        row = self.schema.validate_row(row)
+        self.update_validated(key, self.schema.validate_row(row), commit_ts)
+
+    def update_validated(self, key: Key, row: Row, commit_ts: Timestamp) -> None:
+        """:meth:`update` of a validated row (see :meth:`insert_validated`)."""
         page_id, slot = self._locate(key)
         page = self._pool.fetch(page_id)
         page.slots[slot] = row

@@ -87,7 +87,12 @@ class MVCCRowStore:
     # ------------------------------------------------------------- writes
 
     def install_insert(self, row: Row, commit_ts: Timestamp) -> Key:
-        row = self.schema.validate_row(row)
+        return self.install_validated_insert(self.schema.validate_row(row), commit_ts)
+
+    def install_validated_insert(self, row: Row, commit_ts: Timestamp) -> Key:
+        """:meth:`install_insert` of a row that ``Schema.validate_row``
+        already returned: an engine's commit, bulk load and WAL replay
+        install the tuple its session or loader validated."""
         key = self.schema.key_of(row)
         chain = self._chains.get(key)
         if chain and chain[-1].end_ts == INFINITY_TS:
@@ -107,6 +112,11 @@ class MVCCRowStore:
         row = self.schema.validate_row(row)
         if self.schema.key_of(row) != key:
             raise SchemaError("update must not change the primary key")
+        self.install_validated_update(key, row, commit_ts)
+
+    def install_validated_update(self, key: Key, row: Row, commit_ts: Timestamp) -> None:
+        """:meth:`install_update` of a validated row whose key is ``key``
+        (see :meth:`install_validated_insert`)."""
         chain = self._require_live_chain(key)
         self._cost.charge(self._cost.row_point_write_us)
         old = chain[-1]
