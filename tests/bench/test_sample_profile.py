@@ -1,5 +1,6 @@
-"""``benchmarks/sample_profile.py`` at smoke size: one ``oltp_sync``
-repetition's run phase, sampled, reports both blocks."""
+"""``benchmarks/sample_profile.py`` at smoke size: one repetition's run
+phase of ``oltp_sync`` and of ``olap_suite``, sampled, reports both
+blocks."""
 
 import re
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "sample_profile.py"
 
 
-def test_oltp_sync_smoke_profile_reports_self_and_inclusive_shares():
+def check_smoke_profile(workload: str, phase_class: str) -> None:
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--workload", "oltp_sync", "--smoke", "--reps", "1"],
+        [sys.executable, str(SCRIPT), "--workload", workload, "--smoke", "--reps", "1"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -27,6 +28,14 @@ def test_oltp_sync_smoke_profile_reports_self_and_inclusive_shares():
     # The phase is the root of every stack; nothing above it is counted.
     # Python 3.10's code objects have no ``co_qualname``: the label
     # there is ``(run)``, not ``(OltpSync.run)``.
-    assert re.search(r"workloads\.py:\d+\((OltpSync\.)?run\)", out), out
+    assert re.search(rf"workloads\.py:\d+\(({phase_class}\.)?run\)", out), out
     assert "run_repetition" not in out
     assert "CHECK FAILED" not in out
+
+
+def test_oltp_sync_smoke_profile_reports_self_and_inclusive_shares():
+    check_smoke_profile("oltp_sync", "OltpSync")
+
+
+def test_olap_suite_smoke_profile_reports_self_and_inclusive_shares():
+    check_smoke_profile("olap_suite", "OlapSuite")
