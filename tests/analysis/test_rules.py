@@ -291,8 +291,8 @@ class TestHTL002MutationOnShippedStores:
         pytest.param(*store, method, id=f"{store[1]}.{method}", marks=marks)
         for store, method, marks in [
             (_column, "append_batch", ()),
-            (_row, "install_update", ()),
-            (_disk, "update", ()),
+            (_row, "install_validated_update", ()),
+            (_disk, "update_validated", ()),
             (_column, "delete_keys", _blind),
             (_column, "delete_batch", _blind),
             (_column, "compact", _blind),

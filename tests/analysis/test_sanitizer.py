@@ -112,7 +112,8 @@ class TestSnapshotIsolationChecker:
         store = engine.store("t")
         checker = SnapshotIsolationChecker().attach(engine)
         engine.insert("t", (1, 10))
-        store.install_update = lambda key, row, commit_ts: None  # lost write
+        # Lost write: the commit's install does nothing.
+        store.install_validated_update = lambda key, row, commit_ts: None
         with pytest.raises(SanitizerViolation, match="commit-install"):
             engine.update("t", (1, 20))
         assert checker.violations
