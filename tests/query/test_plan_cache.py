@@ -123,6 +123,13 @@ class TestBind:
         assert plan.base.predicate == Comparison("a", "=", 1)
 
 
+    @pytest.mark.parametrize("cls", [ScanPlan, JoinStep, PhysicalPlan])
+    def test_rebound_classes_define_no_post_init(self, cls):
+        """``_rebound`` clones a plan node without running ``__init__``,
+        which is exact only while none of the three runs code there."""
+        assert not hasattr(cls, "__post_init__")
+
+
 class TestPlanCacheContainer:
     def epoch_of(self, _table):
         return 1

@@ -1,5 +1,7 @@
 """Stats cache slack behavior."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.query.stats_cache import StatsCache
 from repro.query.statistics import ColumnStats, TableStats
 
@@ -89,3 +91,82 @@ class TestStatsCache:
         assert cache.epoch == 3
         cache.get(50)
         assert cache.epoch == 4
+
+
+class OldRule:
+    """The serve-or-refresh rule as first written: serve while there is
+    a cached entry and the drift passes ``_within_slack`` afresh at every
+    call."""
+
+    def __init__(self, min_slack, fraction):
+        self.min_slack, self.fraction = min_slack, fraction
+        self.row_count = None  # None: nothing cached
+        self.version_at = -1
+        self.epoch = 0
+
+    def within_slack(self, version):
+        if version < self.version_at:
+            return False
+        delta = version - self.version_at
+        base = max(self.row_count - delta, 0)
+        return delta <= max(self.min_slack, int(base * self.fraction))
+
+    def get(self, version, row_count):
+        """True when the cached stats are served."""
+        if self.row_count is not None and self.within_slack(version):
+            return True
+        self.row_count, self.version_at = row_count, version
+        self.epoch += 1
+        return False
+
+    def invalidate(self):
+        self.row_count, self.version_at = None, -1
+        self.epoch += 1
+
+
+step = st.one_of(
+    st.tuples(st.just("get"), st.integers(-40, 40)),
+    st.tuples(st.just("jump"), st.integers(-3_000, 3_000)),
+    st.tuples(st.just("invalidate"), st.just(0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    min_slack=st.sampled_from([0, 1, 10, 2_000]),
+    fraction=st.sampled_from([0.0, 0.5, 1.0, 10.0]),
+    row_counts=st.lists(st.sampled_from([0, 1, 7, 100, 4_000, 10_000]), min_size=1),
+    steps=st.lists(step, max_size=60),
+    start=st.integers(0, 50),
+)
+def test_get_serves_and_refreshes_like_the_old_rule(
+    min_slack, fraction, row_counts, steps, start
+):
+    """Random version walks (small steps, jumps past ``min_slack`` either
+    way, backward moves, invalidations) over refreshed row counts that
+    include 0: the cache serves exactly when the old rule serves, and
+    its epoch and refresh count follow."""
+    computed = []
+
+    def compute():
+        row_count = row_counts[len(computed) % len(row_counts)]
+        computed.append(row_count)
+        return TableStats(row_count=row_count, columns={})
+
+    cache = StatsCache(compute, min_slack=min_slack, slack_fraction=fraction)
+    old = OldRule(min_slack, fraction)
+    version = start
+    for kind, amount in steps:
+        if kind == "invalidate":
+            cache.invalidate()
+            old.invalidate()
+        else:
+            version = max(version + amount, 0)
+            before = len(computed)
+            stats = cache.get(version)
+            next_row_count = row_counts[before % len(row_counts)]
+            served = old.get(version, next_row_count)
+            assert (len(computed) == before) == served
+            assert stats.row_count == old.row_count
+        assert cache.epoch == old.epoch
+        assert cache.refreshes == len(computed)
