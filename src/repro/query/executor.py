@@ -47,7 +47,6 @@ from ..common.errors import QueryError
 from ..common.types import rows_to_columns
 from ..obs.registry import get_registry
 from ..storage.code_batch import align_build_codes, is_code_column
-from ..storage.compression import dictionary_encode
 from .access import AccessPath, Catalog
 from .ast import (
     Aggregate,
@@ -127,7 +126,7 @@ class Executor:
         for name in plan.arith_columns:
             if is_code_column(batch.get(name)):
                 batch = {**batch, name: batch[name].decode()}
-        if query.group_by or query.has_aggregates():
+        if plan.aggregated:
             columns, arrays = self._aggregate(query, batch)
         else:
             columns, arrays = self._project(query, batch)
@@ -471,13 +470,15 @@ def _factorize(
                     c = table[v] = len(table)
                 codes[i] = c
             return codes, max(len(table), 1)
-        rest = ~_is_none_mask(arr)
-        codes = np.zeros(n, dtype=np.int64)
-        if not rest.any():
-            return codes, 1
-        dictionary, inv = dictionary_encode(arr[rest], np.int64)
-        codes[rest] = inv + 1
-        return codes, len(dictionary) + 1
+        # One pass over the cells: ``None`` is code 0, the sorted
+        # non-NULL values 1..k (``np.unique``'s order, shifted by one).
+        cells = arr.tolist()
+        values = set(cells)
+        values.discard(None)
+        code_of = {v: i for i, v in enumerate(sorted(values), 1)}
+        code_of[None] = 0
+        codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.int64, count=n)
+        return codes, len(values) + 1
     if arr.dtype.kind == "f":
         nan_mask = np.isnan(arr)
         if nan_mask.any():
@@ -580,10 +581,11 @@ def _equi_join_positions(
     """All equality matches as (probe positions, build positions).
 
     Probe-major output with build matches in ascending build position —
-    the same order the scalar dict join produces.  A unique integer
-    build side over a dense key range is a direct-address table; any
-    other build side is argsorted and probed by searchsorted.  No
-    per-row Python loop either way.
+    the same order the scalar dict join produces.  A one-row build side
+    is one compare per probe row; a unique integer build side over a
+    dense key range is a direct-address table; any other build side is
+    argsorted and probed by searchsorted.  No per-row Python loop in
+    any case.
     """
     empty = np.array([], dtype=np.int64)
     n_build = len(build_values)
@@ -602,6 +604,10 @@ def _equi_join_positions(
             probe_codes, build_codes = probe_values, build_values
     if probe_codes is None:
         probe_codes, build_codes = _co_factorize([(probe_values, build_values)])
+    if n_build == 1:
+        # A point lookup joined to a scan: one compare per probe row.
+        match = np.flatnonzero(probe_codes == build_codes[0])
+        return match, np.zeros(len(match), dtype=np.int64)
     if build_codes.dtype.kind in "iub" and probe_codes.dtype.kind in "iub":
         low = int(build_codes.min())
         span = int(build_codes.max()) - low + 1

@@ -79,6 +79,9 @@ class PhysicalPlan:
     #: Columns an ``Arith`` in SELECT / HAVING / ORDER BY computes on,
     #: which the executor must decode out of code space first.
     arith_columns: frozenset[str] = frozenset()
+    #: The query groups or aggregates, so the executor aggregates
+    #: instead of projecting.  Fixed here, once per plan.
+    aggregated: bool = False
 
     def explain(self) -> str:
         lines = [
@@ -426,4 +429,5 @@ class Planner:
             total_cost,
             residual_equalities=residual,
             arith_columns=arith_columns(query),
+            aggregated=bool(query.group_by) or query.has_aggregates(),
         )

@@ -69,7 +69,7 @@ PlanKey = tuple
 
 def param_signature(params: Sequence[Any]) -> tuple[str, ...]:
     """The type fingerprint a binding plans under."""
-    return tuple(type(p).__name__ for p in params)
+    return tuple([type(p).__name__ for p in params])
 
 
 def _slot(value: Any) -> Callable[[Sequence[Any]], Any]:
@@ -80,51 +80,62 @@ def _slot(value: Any) -> Callable[[Sequence[Any]], Any]:
     return lambda params: value
 
 
+#: The fields of a conjunct shape that may hold a ``Param`` directly.
+_VALUE_FIELDS = {Comparison: ("value",), Between: ("low", "high")}
+
+
+def _param_slots(conjunct: Predicate) -> tuple[tuple[str, int], ...] | None:
+    """``(field, param index)`` for each field of ``conjunct`` holding a
+    ``Param``; None when a Param sits deeper (under OR / NOT / IN)."""
+    names = _VALUE_FIELDS.get(type(conjunct))
+    if names is None:
+        return None
+    return tuple(
+        (name, value.index)
+        for name in names
+        if type(value := getattr(conjunct, name)) is Param
+    )
+
+
 def compile_binder(template: Predicate) -> Callable[[Sequence[Any]], Predicate]:
     """A closure rebinding ``template`` without walking it per call.
 
     The generic :func:`bind_predicate` visitor re-dispatches on node
     type for every execution; on the plan-cache hit path that walk *is*
     the per-call cost.  Here the walk happens once, at store time: each
-    AND-ed conjunct compiles to either a constant (no Params) or a
-    direct constructor call with the Param slot pre-resolved, and odd
-    shapes (Params under OR/NOT/IN) fall back to the visitor.
+    AND-ed conjunct becomes its template node plus the fields its Params
+    fill.  A call clones each such node with the call's values in those
+    fields (the template's comparison operator was validated when it
+    was built, so nothing is left to check); odd shapes (Params under
+    OR/NOT/IN) fall back to the visitor.
     """
-    conjuncts = (
-        list(template.children) if isinstance(template, And) else [template]
-    )
-    steps: list[Callable[[Sequence[Any]], Predicate]] = []
-    has_params = False
-    for conjunct in conjuncts:
-        if not collect_params(conjunct):
-            steps.append(lambda params, c=conjunct: c)
-            continue
-        has_params = True
-        if isinstance(conjunct, Comparison) and isinstance(
-            conjunct.value, Param
-        ):
-            steps.append(
-                lambda params, col=conjunct.column, op=conjunct.op, i=conjunct.value.index: Comparison(
-                    col, op, params[i]
-                )
-            )
-        elif isinstance(conjunct, Between):
-            low, high = _slot(conjunct.low), _slot(conjunct.high)
-            steps.append(
-                lambda params, col=conjunct.column, lo=low, hi=high: Between(
-                    col, lo(params), hi(params)
-                )
-            )
-        else:
-            steps.append(lambda params, c=conjunct: bind_predicate(c, params))
-    if not has_params:
+    if not collect_params(template):
         return lambda params: template
-    if not isinstance(template, And):
-        return steps[0]
-    # Preserve the And wrapper even for one conjunct: the bound
-    # predicate is part of downstream scan-cache keys, so it must be
-    # structurally identical to what cold planning builds.
-    return lambda params: And([step(params) for step in steps])
+    wrapped = isinstance(template, And)
+    steps = [
+        (conjunct, _param_slots(conjunct) if collect_params(conjunct) else ())
+        for conjunct in (template.children if wrapped else (template,))
+    ]
+
+    def bind(params: Sequence[Any]) -> Predicate:
+        bound = []
+        for node, slots in steps:
+            if slots:
+                clone = object.__new__(type(node))
+                state = clone.__dict__
+                state.update(node.__dict__)
+                for name, index in slots:
+                    state[name] = params[index]
+                node = clone
+            elif slots is None:
+                node = bind_predicate(node, params)
+            bound.append(node)
+        # Preserve the And wrapper even for one conjunct: the bound
+        # predicate is part of downstream scan-cache keys, so it must be
+        # structurally identical to what cold planning builds.
+        return And(bound) if wrapped else bound[0]
+
+    return bind
 
 
 def compile_key_binder(
@@ -136,6 +147,9 @@ def compile_key_binder(
     pinned = key_equality(template, key_columns)
     if len(key_columns) == 1:
         return _slot(pinned)
+    if all(type(value) is Param for value in pinned):
+        # Every key column is a parameter: one C-level gather.
+        return operator.itemgetter(*[value.index for value in pinned])
     slots = [_slot(value) for value in pinned]
     return lambda params: tuple([get(params) for get in slots])
 
@@ -170,19 +184,19 @@ class CachedPlan:
     stats_token: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Compile each table's template once; bind() then runs only the
-        # per-conjunct constructors (no visitor walk on the hit path).
-        self._binders = {
-            table: compile_binder(template)
-            for table, template in self.template_predicates.items()
-        }
-        # A scan the planner made a point lookup gets its key the same way.
-        self._key_binders = {
-            scan.table: compile_key_binder(
-                self.template_predicates[scan.table], scan.key_columns
+        # Compile each scan's rebinding once: bind() then runs only the
+        # per-conjunct clones (no visitor walk on the hit path), and a
+        # scan the planner made a point lookup gets its key the same way.
+        self._scan_binders = {
+            scan.table: (
+                compile_binder(self.template_predicates[scan.table]),
+                compile_key_binder(
+                    self.template_predicates[scan.table], scan.key_columns
+                )
+                if scan.key_columns
+                else None,
             )
             for scan in [self.plan.base, *(s.scan for s in self.plan.joins)]
-            if scan.key_columns
         }
 
     def bind(self, params: Sequence[Any]) -> PhysicalPlan:
@@ -197,10 +211,10 @@ class CachedPlan:
         return _rebound(plan, base=self._bind_scan(plan.base, params), joins=joins)
 
     def _bind_scan(self, scan: ScanPlan, params: Sequence[Any]) -> ScanPlan:
-        key_binder = self._key_binders.get(scan.table)
+        binder, key_binder = self._scan_binders[scan.table]
         return _rebound(
             scan,
-            predicate=self._binders[scan.table](params),
+            predicate=binder(params),
             point_key=key_binder(params) if key_binder is not None else None,
         )
 
@@ -260,7 +274,7 @@ class PlanCache:
             self.misses += 1
             self._miss_counter.inc()
             return None
-        current = tuple(epoch_of(t) for t in entry.tables)
+        current = tuple(map(epoch_of, entry.tables))
         if current != entry.stats_token:
             del self._entries[key]
             self.misses += 1
