@@ -1,6 +1,6 @@
 """``benchmarks/sample_profile.py`` at smoke size: one repetition's run
-phase of ``oltp_sync`` and of ``olap_suite``, sampled, reports both
-blocks."""
+phase of ``oltp_sync``, ``olap_suite`` and ``point_frontdoor``, sampled,
+reports both blocks."""
 
 import re
 import subprocess
@@ -39,3 +39,7 @@ def test_oltp_sync_smoke_profile_reports_self_and_inclusive_shares():
 
 def test_olap_suite_smoke_profile_reports_self_and_inclusive_shares():
     check_smoke_profile("olap_suite", "OlapSuite")
+
+
+def test_point_frontdoor_smoke_profile_reports_self_and_inclusive_shares():
+    check_smoke_profile("point_frontdoor", "_FrontDoorWorkload")
