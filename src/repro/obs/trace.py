@@ -15,7 +15,7 @@ has not opted in.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,6 +49,9 @@ class SpanEvent:
         }
 
 
+_NO_SPAN = nullcontext()
+
+
 class SimTracer:
     """Collects nested spans against one simulated clock."""
 
@@ -64,12 +67,16 @@ class SimTracer:
     def disable(self) -> None:
         self.enabled = False
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
-        """Measure one region of simulated time; nests freely."""
+    def span(self, name: str, **attrs: object) -> AbstractContextManager[None]:
+        """Measure one region of simulated time; nests freely.  A
+        disabled tracer hands out one shared no-op context: every query
+        enters a span, so the off path builds nothing per call."""
         if not self.enabled:
-            yield
-            return
+            return _NO_SPAN
+        return self._span(name, attrs)
+
+    @contextmanager
+    def _span(self, name: str, attrs: dict[str, object]) -> Iterator[None]:
         parent = self._stack[-1] if self._stack else None
         depth = len(self._stack)
         self._stack.append(name)

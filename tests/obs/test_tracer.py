@@ -1,5 +1,7 @@
 """SimTracer: nesting, disabled no-op, export format."""
 
+import pytest
+
 from repro.common import SimClock
 from repro.obs import SimTracer
 
@@ -12,6 +14,14 @@ def test_disabled_tracer_records_nothing_and_charges_no_time():
         with tracer.span("engine.sync"):
             pass
     assert clock.now_us() == before  # spans only read the clock
+    assert tracer.events() == ()
+
+
+def test_disabled_span_lets_an_exception_through():
+    tracer = SimTracer(SimClock())
+    with pytest.raises(RuntimeError, match="boom"):
+        with tracer.span("engine.query"):
+            raise RuntimeError("boom")
     assert tracer.events() == ()
 
 
