@@ -16,7 +16,7 @@ visibility a pure function of (version chain, snapshot ts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..common.clock import INFINITY_TS, Timestamp
 from ..common.cost import CostModel
@@ -39,6 +39,24 @@ class RowVersion:
         return self.begin_ts <= snapshot_ts < self.end_ts
 
 
+class ChangeFeed(NamedTuple):
+    """What a row store installed between two drains
+    (:meth:`MVCCRowStore.drain_changes`)."""
+
+    #: Every key an insert, update or delete installed, in first-install
+    #: order, mapped to whether its chain was created since the last
+    #: drain.  Created chains sit at the tail of the store's chains, in
+    #: this order.
+    keys: dict[Key, bool]
+    #: No vacuum dropped a whole chain since the last drain.
+    intact: bool
+    #: The newest ts the store ever wrote (-1: none).
+    newest_ts: Timestamp
+    #: This drain's number, from 1: a consumer that drained last took
+    #: the number before it.
+    drain: int
+
+
 class MVCCRowStore:
     """Hash-indexed MVCC row store with optional B+-tree secondary indexes."""
 
@@ -50,6 +68,11 @@ class MVCCRowStore:
         self._mv_indexes: dict[str, MultiVersionIndex] = {}
         self._installs = 0  # total versions ever installed (activity counter)
         self._versions = 0  # live version count, maintained incrementally
+        # The change feed since the last drain (see ChangeFeed).
+        self._fed: dict[Key, bool] = {}
+        self._fed_intact = True
+        self._newest_ts: Timestamp = -1
+        self._drains = 0
 
     # ------------------------------------------------------------- metadata
 
@@ -100,7 +123,13 @@ class MVCCRowStore:
                 f"key {key!r} already live in {self.schema.table_name!r}"
             )
         self._cost.charge(self._cost.row_point_write_us)
-        self._chains.setdefault(key, []).append(RowVersion(row=row, begin_ts=commit_ts))
+        if chain is None:
+            self._chains[key] = [RowVersion(row=row, begin_ts=commit_ts)]
+        else:
+            chain.append(RowVersion(row=row, begin_ts=commit_ts))
+        self._fed.setdefault(key, chain is None)
+        if commit_ts > self._newest_ts:
+            self._newest_ts = commit_ts
         self._installs += 1
         self._versions += 1
         self._index_add(key, row)
@@ -122,6 +151,9 @@ class MVCCRowStore:
         old = chain[-1]
         old.end_ts = commit_ts
         chain.append(RowVersion(row=row, begin_ts=commit_ts))
+        self._fed.setdefault(key, False)
+        if commit_ts > self._newest_ts:
+            self._newest_ts = commit_ts
         self._installs += 1
         self._versions += 1
         self._index_remove(key, old.row)
@@ -135,6 +167,9 @@ class MVCCRowStore:
         self._cost.charge(self._cost.row_point_write_us)
         old = chain[-1]
         old.end_ts = commit_ts
+        self._fed.setdefault(key, False)
+        if commit_ts > self._newest_ts:
+            self._newest_ts = commit_ts
         self._installs += 1
         self._index_remove(key, old.row)
         for column, index in self._mv_indexes.items():
@@ -184,22 +219,36 @@ class MVCCRowStore:
         return self.scan(snapshot_ts)
 
     def snapshot_since(
-        self, snapshot_ts: Timestamp, since_ts: Timestamp
+        self,
+        snapshot_ts: Timestamp,
+        since_ts: Timestamp,
+        keys: Iterable[Key] | None = None,
     ) -> tuple[list[Key], list[Row | None]]:
         """The keys visible at ``snapshot_ts`` in :meth:`scan`'s order,
         each with its row, or None where that same version was already
-        visible at ``since_ts``.  Charged as :meth:`scan` is."""
-        keys: list[Key] = []
+        visible at ``since_ts``.  Given ``keys`` (each with a chain), it
+        visits only their chains, in that order.  Uncharged: the caller
+        prices the scan."""
+        chains = self._chains
+        pairs = chains.items() if keys is None else zip(keys, map(chains.__getitem__, keys))
+        visible: list[Key] = []
         rows: list[Row | None] = []
-        for key, chain in self._chains.items():
+        for key, chain in pairs:
             for version in reversed(chain):
                 if version.begin_ts <= snapshot_ts < version.end_ts:
-                    keys.append(key)
+                    visible.append(key)
                     unchanged = version.begin_ts <= since_ts < version.end_ts
                     rows.append(None if unchanged else version.row)
                     break
-        self._cost.charge_rows(self._cost.row_scan_per_row_us, max(len(keys), 1))
-        return keys, rows
+        return visible, rows
+
+    def drain_changes(self) -> ChangeFeed:  # htaplint: ignore[HTL002] -- hands the change feed over and starts a new one; no scan reads the feed and no cache token includes it
+        """The :class:`ChangeFeed` since the last drain; the next one
+        starts empty."""
+        self._drains += 1
+        feed = ChangeFeed(self._fed, self._fed_intact, self._newest_ts, self._drains)
+        self._fed, self._fed_intact = {}, True
+        return feed
 
     # ------------------------------------------------------------- indexes
 
@@ -311,6 +360,9 @@ class MVCCRowStore:
                 dead_keys.append(key)
         for key in dead_keys:
             del self._chains[key]
+        if dead_keys:
+            # A chain created later goes to the tail, out of its old place.
+            self._fed_intact = False
         self._versions -= reclaimed
         for index in self._mv_indexes.values():
             index.vacuum(oldest_active_ts)
