@@ -184,10 +184,10 @@ class Segment:
     #: Number of set bits in ``delete_mask``, maintained by the delete
     #: paths so per-scan liveness checks never re-sum the mask.
     dead_count: int = 0
-    #: Row cells per column in schema order, decoded on the first point
-    #: read (:meth:`ColumnStore.get_row`).  Sealed encodings never
-    #: change — only ``delete_mask`` does — so they stay right.
-    cells: list[list] | None = field(default=None, repr=False, compare=False)
+    #: The rows as tuples, decoded on the first point read
+    #: (:meth:`ColumnStore.get_row`).  Sealed encodings never change —
+    #: only ``delete_mask`` does — so they stay right.
+    rows: list[Row] | None = field(default=None, repr=False, compare=False)
 
     def live_count(self) -> int:
         return self.n_rows - self.dead_count
@@ -481,22 +481,21 @@ class ColumnStore:
         n = len(keys)
         if n == 0:
             raise StorageError("cannot seal an empty segment")
-        if len(set(keys)) != n:
+        sid = self._next_segment_id
+        # The batch's directory entries; a repeated key collapses one.
+        located = dict(zip(keys, zip(repeat(sid), range(n))))
+        if len(located) != n:
             raise StorageError("batch repeats a primary key")
         self.mutations += 1
-        stale = [k for k in keys if k in self._locations]
-        if stale:
-            self._delete_positions(stale)
+        self._delete_positions(located)  # the keys already stored go stale
         segment = seal_segment(
-            self.schema, arrays, keys, commit_ts,
-            self._next_segment_id, self._encode_column,
+            self.schema, arrays, keys, commit_ts, sid, self._encode_column
         )
         self._widen_zone_index(segment.zone_maps)
         self._next_segment_id += 1
         self._segments.append(segment)
-        self._segment_by_id[segment.segment_id] = segment
-        sid = segment.segment_id
-        self._locations.update(zip(segment.keys, zip(repeat(sid), range(n))))
+        self._segment_by_id[sid] = segment
+        self._locations.update(located)
         self._max_commit_ts = max(self._max_commit_ts, commit_ts)
         seal_factor = sum(
             SEAL_COST_FACTOR.get(enc.name, 1.0) for enc in segment.encodings.values()
@@ -599,7 +598,7 @@ class ColumnStore:
         one) — the read-amplification that makes pure column stores a
         poor OLTP primary (Table 1, architecture (d)).  The Python work
         is a segment's one decode per column on its first point read
-        (:attr:`Segment.cells`), then one index per column.
+        (:attr:`Segment.rows`), then one index.
         """
         self._cost.charge(self._cost.row_point_read_us * 0.5)  # pk directory probe
         loc = self._locations.get(key)
@@ -608,12 +607,12 @@ class ColumnStore:
         segment_id, pos = loc
         segment = self._segment_by_id[segment_id]
         self._cost.charge(self._cost.column_materialize_per_row_us * len(self.schema))
-        if segment.cells is None:
-            segment.cells = [
+        if segment.rows is None:
+            segment.rows = list(zip(*[
                 column_cells(segment.encodings[name].decode(), decode)
                 for name, decode in self.schema.decoders.items()
-            ]
-        return tuple([cells[pos] for cells in segment.cells])
+            ]))
+        return segment.rows[pos]
 
     def scan(
         self,
