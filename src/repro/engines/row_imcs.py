@@ -59,6 +59,9 @@ class RowIMCSEngine(LoggedEngine):
         self.repopulate_staleness = repopulate_staleness
         self._stores: dict[str, MVCCRowStore] = {}
         self._imcus: dict[str, InMemoryColumnUnit] = {}
+        # Each table whose IMCU changed since its last populate -> that
+        # populate's ts: all freshness_lag reads.
+        self._pending: dict[str, Timestamp] = {}
         #: When set, row-path reads serve this historical snapshot
         #: instead of "now" (see :meth:`time_travel_query`).
         self._read_ts_override: Timestamp | None = None
@@ -109,7 +112,9 @@ class RowIMCSEngine(LoggedEngine):
             store.install_validated_update(key, row, ts)
         else:
             store.install_delete(key, ts)
-        self._imcus[table].on_change(key)
+        imcu = self._imcus[table]
+        imcu.on_change(key)
+        self._pending.setdefault(table, imcu.smu.populate_ts)
 
     def _install_batch(self, table: str, rows: list[Row], ts: Timestamp) -> None:
         store, imcu = self.store(table), self._imcus[table]
@@ -117,6 +122,8 @@ class RowIMCSEngine(LoggedEngine):
         for row in rows:
             store.install_validated_insert(row, ts)
             imcu.on_change(key_of(row))
+        if rows:
+            self._pending.setdefault(table, imcu.smu.populate_ts)
 
     def _recovered(self) -> None:
         self.force_sync()  # populate the IMCUs from the replayed primary
@@ -134,30 +141,28 @@ class RowIMCSEngine(LoggedEngine):
         rebuilt = 0
         snapshot = self.clock.now()
         before = self.cost.now_us()
-        for imcu in self._imcus.values():
+        for table, imcu in self._imcus.items():
             if imcu.staleness() >= self.repopulate_staleness:
                 rebuilt += imcu.populate(snapshot)
+                self._pending.pop(table, None)
         self.ledger.charge(_NODE, self.cost.now_us() - before)
         return rebuilt
 
     def force_sync(self) -> int:
         snapshot = self.clock.now()
         moved = sum(imcu.populate(snapshot) for imcu in self._imcus.values())
+        self._pending.clear()
         self.scan_cache.invalidate()
         return moved
 
     def freshness_lag(self) -> int:
         if self.read_fresh:
             return 0  # queries patch from the primary at scan time
-        newest = self.clock.now()
-        lags = [
-            newest - imcu.smu.populate_ts
-            for imcu in self._imcus.values()
-            # An image with no pending changes is fresh no matter how
-            # long ago it was populated.
-            if imcu.smu.stale_keys or imcu.smu.new_keys
-        ]
-        return max(lags, default=0)
+        # An image with no pending changes is fresh no matter how long
+        # ago it was populated.
+        if not self._pending:
+            return 0
+        return self.clock.now() - min(self._pending.values())
 
     def memory_report(self) -> dict[str, int]:
         return {

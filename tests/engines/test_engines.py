@@ -2,6 +2,7 @@
 API level, with architecture-specific data paths underneath."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import (
     Column,
@@ -403,3 +404,61 @@ class TestColumnSelectorChoice:
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError):
             make_engine("c", column_selector="oracle")
+
+
+def _lag_from_every_smu(engine, read_fresh):
+    """(a)'s freshness lag as each IMCU's SMU gives it: 0 while queries
+    patch, else from the oldest populate ts among units with pending
+    changes."""
+    if read_fresh:
+        return 0
+    newest = engine.clock.now()
+    return max(
+        (
+            newest - engine.imcu(table).smu.populate_ts
+            for table in ("orders", "extra")
+            if engine.imcu(table).smu.stale_keys or engine.imcu(table).smu.new_keys
+        ),
+        default=0,
+    )
+
+
+_LAG_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "write", "write", "bulk", "sync", "force", "flip"]),
+        st.sampled_from(["orders", "extra"]),
+        st.integers(0, 11),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_LAG_STEPS)
+def test_a_freshness_lag_is_the_formula_over_every_smu(steps):
+    engine = RowIMCSEngine(repopulate_staleness=0.3)
+    engine.create_table(order_schema())
+    engine.create_table(Schema("extra", order_schema().columns, ["o_id"]))
+    next_bulk = 100
+    for op, table, key in steps:
+        if op == "write":
+            row = (key, key % 3, float(key), "e")
+            with engine.session() as s:
+                if s.read(table, key) is None:
+                    s.insert(table, row)
+                elif key % 2:
+                    s.delete(table, key)
+                else:
+                    s.update(table, row)
+        elif op == "bulk":
+            rows = [(k, 0, 0.5, "w") for k in range(next_bulk, next_bulk + key % 3)]
+            engine.bulk_load(table, rows)
+            next_bulk += 3
+        elif op == "sync":
+            engine.sync()
+        elif op == "force":
+            engine.force_sync()
+        else:
+            engine.read_fresh = not engine.read_fresh
+        assert engine.freshness_lag() == _lag_from_every_smu(engine, engine.read_fresh)
+        assert engine.image_freshness_lag() == _lag_from_every_smu(engine, False)
