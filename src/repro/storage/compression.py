@@ -13,7 +13,7 @@ cells asked for without materializing the column, so a delta overlay
 on a column image costs the rows it touches.  The base class has no
 decode-then-index default — a codec that inherited one would hide a
 whole-column decode behind every gather.  A point read by key decodes
-its segment once and keeps the cells (``ColumnStore.get_row``).
+its segment once and keeps its rows (``ColumnStore.get_row``).
 """
 
 from __future__ import annotations
